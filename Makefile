@@ -31,14 +31,19 @@ bench:
 # The perf-gate data points: the agent cron hot loop on the scaled and
 # paper-size sites (untraced and with the decision-trace recorder on),
 # the pooled-vs-fresh campaign trial pair, and the 10k-host megasite day,
-# with -benchmem so scripts/benchdiff gates allocs/op alongside ns/op.
+# and the circular-log append at three caps (internal/fsim; its ns/op must
+# stay flat as the cap grows, at 0 allocs/op), with -benchmem so
+# scripts/benchdiff gates allocs/op alongside ns/op.
 # Repeated (-count 3) so the best-of values compared are stable.
 # BenchmarkAgentDay (tracing off) is the line the gate holds flat: the
 # recorder must stay zero-cost when disabled.
-BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards)$$
+BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend)$$
 
+# The root package's benchmarks are whole sim-days (2 iterations each);
+# the fsim micro-benchmark gets a fixed iteration count of its own.
 bench-agentday:
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 2x -count 3 -benchmem -run '^$$' . | tee bench-agentday.txt
+	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/fsim | tee -a bench-agentday.txt
 
 # Speedup proofs against the checked-in seed artifacts: BenchmarkAgentDay
 # must be at least 2x faster than the pre-optimisation engine

@@ -210,10 +210,12 @@ type Agent struct {
 	enabled  Enabled
 	overhead Overhead
 
-	flagDir  string
-	lockPath string
-	logPath  string
-	log      *fsim.CircLog
+	flagDir   string
+	lockPath  string
+	logPath   string
+	log       *fsim.CircLog
+	procName  string // process name while awake, "intelliagent_<name>"
+	exitLabel string // event label of the end-of-run reaper
 
 	report   func(kind, payload string)
 	detected func(aspect string, now simclock.Time)
@@ -282,21 +284,23 @@ func New(cfg Config) (*Agent, error) {
 		return nil, fmt.Errorf("agent: %s: monitoring part is required", cfg.Name)
 	}
 	a := &Agent{
-		name:     cfg.Name,
-		category: cfg.Category,
-		host:     cfg.Host,
-		services: cfg.Services,
-		bus:      cfg.Notify,
-		parts:    cfg.Parts,
-		enabled:  AllEnabled(),
-		overhead: DefaultOverhead(),
-		flagDir:  FlagRoot + "/" + cfg.Name,
-		lockPath: InstallDir + "/" + cfg.Name + ".lock",
-		logPath:  FlagRoot + "/" + cfg.Name + "/activity.log",
-		report:   cfg.Report,
-		detected: cfg.Detected,
-		repaired: cfg.Repaired,
-		trace:    cfg.Trace,
+		name:      cfg.Name,
+		category:  cfg.Category,
+		host:      cfg.Host,
+		services:  cfg.Services,
+		bus:       cfg.Notify,
+		parts:     cfg.Parts,
+		enabled:   AllEnabled(),
+		overhead:  DefaultOverhead(),
+		flagDir:   FlagRoot + "/" + cfg.Name,
+		lockPath:  InstallDir + "/" + cfg.Name + ".lock",
+		logPath:   FlagRoot + "/" + cfg.Name + "/activity.log",
+		procName:  "intelliagent_" + cfg.Name,
+		exitLabel: "agent-exit:" + cfg.Name,
+		report:    cfg.Report,
+		detected:  cfg.Detected,
+		repaired:  cfg.Repaired,
+		trace:     cfg.Trace,
 	}
 	if cfg.Enabled != nil {
 		a.enabled = *cfg.Enabled

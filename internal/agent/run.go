@@ -114,7 +114,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 	// the end of the run window, charging the CPU it burned. The reaper
 	// closure is built once per agent (it reads exitPID at fire time) and
 	// posted through the Sim's pooled no-handle path.
-	proc := a.host.Spawn("intelliagent_"+a.name, "iagent", InstallDir, a.overhead.CPUDemand, a.overhead.MemMB)
+	proc := a.host.Spawn(a.procName, "iagent", InstallDir, a.overhead.CPUDemand, a.overhead.MemMB)
 	if proc == nil {
 		return
 	}
@@ -128,7 +128,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 		}
 	}
 	a.exitPID = proc.PID
-	sim.PostAfter(a.overhead.RunDuration, "agent-exit:"+a.name, a.exitFn)
+	sim.PostAfter(a.overhead.RunDuration, a.exitLabel, a.exitFn)
 
 	rc := &a.rc
 	*rc = RunContext{

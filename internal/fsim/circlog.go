@@ -28,9 +28,11 @@ func (c *CircLog) Max() int { return c.max }
 func (c *CircLog) Path() string { return c.path }
 
 // Append adds a line, discarding the oldest lines once the file exceeds the
-// maximum. The write is a single in-place capped append on the backing
-// file, not a read-modify-rewrite, so appending stays O(1) amortised
-// whatever the configured length.
+// maximum. The write is a single capped append on the backing file, not a
+// read-modify-rewrite: dropping the oldest line only moves the start of the
+// file's window over its line array, and the window is copied back to the
+// front only when it reaches the end of an array of about 1.25×max slots.
+// Each append is therefore amortised O(1), whatever the configured length.
 func (c *CircLog) Append(line string) error {
 	return c.fs.AppendLineCapped(c.path, line, c.max)
 }
@@ -44,14 +46,21 @@ func (c *CircLog) Lines() []string {
 	return lines
 }
 
-// Len reports the current number of lines.
-func (c *CircLog) Len() int { return len(c.Lines()) }
+// Len reports the current number of lines without copying them.
+func (c *CircLog) Len() int {
+	n, err := c.fs.LineCount(c.path)
+	if err != nil {
+		return 0
+	}
+	return n
+}
 
-// Tail returns the newest n lines (fewer if the log is shorter).
+// Tail returns the newest n lines (fewer if the log is shorter), copying
+// only those.
 func (c *CircLog) Tail(n int) []string {
-	lines := c.Lines()
-	if len(lines) > n {
-		lines = lines[len(lines)-n:]
+	lines, err := c.fs.TailLines(c.path, n)
+	if err != nil {
+		return nil
 	}
 	return lines
 }

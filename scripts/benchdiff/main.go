@@ -141,7 +141,10 @@ func parseBench(path string) (map[string]benchPoint, error) {
 // comparison table and returning the regressions beyond the threshold.
 // Allocation data is gated only when both artifacts carry it. With
 // improvement > 0 a benchmark additionally fails unless its new ns/op is
-// at least that factor better than the old point.
+// at least that factor better than the old point. A benchmark in OLD but
+// missing from NEW fails too — a renamed or no-longer-run gated benchmark
+// must not slip past the gate — while one only in NEW is listed as new,
+// with no baseline to compare against.
 func diffBench(oldPath, newPath string, threshold, improvement float64) ([]string, error) {
 	oldB, err := parseBench(oldPath)
 	if err != nil {
@@ -151,17 +154,26 @@ func diffBench(oldPath, newPath string, threshold, improvement float64) ([]strin
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(newB))
+	var names, added []string
 	for name := range newB {
 		if _, ok := oldB[name]; ok {
 			names = append(names, name)
+		} else {
+			added = append(added, name)
+		}
+	}
+	var regressions []string
+	for name := range oldB {
+		if _, ok := newB[name]; !ok {
+			regressions = append(regressions, fmt.Sprintf("%s: in %s but missing from %s", name, oldPath, newPath))
 		}
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no common benchmarks between %s and %s", oldPath, newPath)
 	}
 	sort.Strings(names)
-	var regressions []string
+	sort.Strings(added)
+	sort.Strings(regressions)
 	fmt.Printf("%-32s %14s %14s %8s %12s %12s %8s\n",
 		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
 	for _, name := range names {
@@ -169,11 +181,21 @@ func diffBench(oldPath, newPath string, threshold, improvement float64) ([]strin
 		delta := (n.ns - o.ns) / o.ns
 		allocCols := fmt.Sprintf("%12s %12s %8s", "-", "-", "-")
 		if o.allocs >= 0 && n.allocs >= 0 {
-			ad := (n.allocs - o.allocs) / o.allocs
-			allocCols = fmt.Sprintf("%12.0f %12.0f %+7.1f%%", o.allocs, n.allocs, ad*100)
-			if ad > threshold {
-				regressions = append(regressions,
-					fmt.Sprintf("%s: %.0f → %.0f allocs/op (%+.1f%%)", name, o.allocs, n.allocs, ad*100))
+			if o.allocs == 0 {
+				// No relative delta off a zero baseline: any allocation at
+				// all is the regression.
+				allocCols = fmt.Sprintf("%12.0f %12.0f %8s", o.allocs, n.allocs, "-")
+				if n.allocs > 0 {
+					regressions = append(regressions,
+						fmt.Sprintf("%s: 0 → %.0f allocs/op (from zero baseline)", name, n.allocs))
+				}
+			} else {
+				ad := (n.allocs - o.allocs) / o.allocs
+				allocCols = fmt.Sprintf("%12.0f %12.0f %+7.1f%%", o.allocs, n.allocs, ad*100)
+				if ad > threshold {
+					regressions = append(regressions,
+						fmt.Sprintf("%s: %.0f → %.0f allocs/op (%+.1f%%)", name, o.allocs, n.allocs, ad*100))
+				}
 			}
 		}
 		fmt.Printf("%-32s %14.0f %14.0f %+7.1f%% %s\n", name, o.ns, n.ns, delta*100, allocCols)
@@ -184,6 +206,9 @@ func diffBench(oldPath, newPath string, threshold, improvement float64) ([]strin
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %.0f → %.0f ns/op is only %.2fx, want >= %.2fx", name, o.ns, n.ns, o.ns/n.ns, improvement))
 		}
+	}
+	for _, name := range added {
+		fmt.Printf("%-32s %14s %14.0f   new, no baseline\n", name, "-", newB[name].ns)
 	}
 	return regressions, nil
 }
