@@ -121,6 +121,44 @@ func TestCampaignGoldenFlashcrowd(t *testing.T) {
 	}
 }
 
+// TestCampaignGoldenPaperManualYear pins a whole manual year on the
+// paper site (seed 7, one trial, 365 days) through the pooled Reset path
+// — the production campaign runner — against the checked-in golden
+// (testdata/campaign-golden-paper-manual-year.json). The one-day goldens
+// end before most fault injection, BMC alerts and operator repair; this
+// one is long enough to catch BMC polls reordered against any of them.
+// Regenerate (go run ./scripts/campaigngolden) only for a change that is
+// *supposed* to move the manual-year numbers.
+func TestCampaignGoldenPaperManualYear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 365-day paper-site trial; run without -short for the full gate")
+	}
+	t.Parallel()
+	want, err := os.ReadFile(filepath.Join("..", "testdata", "campaign-golden-paper-manual-year.json"))
+	if err != nil {
+		t.Fatalf("golden: %v", err)
+	}
+	m := campaign.Matrix{
+		Seeds:     campaign.Seeds(7, 1),
+		Scenarios: []string{"year"},
+		Sites:     []string{"paper"},
+		Modes:     []string{"manual"},
+		Days:      365,
+	}
+	res, err := campaign.Run("golden", m, 1, NewPooledRunFunc())
+	if err != nil {
+		t.Fatalf("campaign: %v", err)
+	}
+	got, err := res.JSON()
+	if err != nil {
+		t.Fatalf("JSON: %v", err)
+	}
+	got = append(got, '\n')
+	if !bytes.Equal(want, got) {
+		t.Errorf("pooled path diverged from the manual-year golden:\n%s", firstDiff(want, got))
+	}
+}
+
 // TestWebfarmTierSpecDivergence proves the canned webfarm per-tier specs
 // change where faults land and what the workload offers — the tiers
 // genuinely diverge rather than relabelling the same site. It runs the
