@@ -30,20 +30,24 @@ bench:
 
 # The perf-gate data points: the agent cron hot loop on the scaled and
 # paper-size sites (untraced and with the decision-trace recorder on),
-# the pooled-vs-fresh campaign trial pair, and the 10k-host megasite day,
-# and the circular-log append at three caps (internal/fsim; its ns/op must
-# stay flat as the cap grows, at 0 allocs/op), with -benchmem so
+# the pooled-vs-fresh campaign trial pair, the paper-site manual day (BMC
+# polls on the cron wheel), and the 10k-host megasite day, plus the
+# circular-log append at three caps (internal/fsim; its ns/op must stay
+# flat as the cap grows, at 0 allocs/op) and the event queue's hold model
+# at two depths (internal/simclock; 0 allocs/op), with -benchmem so
 # scripts/benchdiff gates allocs/op alongside ns/op.
 # Repeated (-count 3) so the best-of values compared are stable.
 # BenchmarkAgentDay (tracing off) is the line the gate holds flat: the
 # recorder must stay zero-cost when disabled.
-BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend)$$
+BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkPaperManualDay|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend|BenchmarkEventQueue)$$
 
 # The root package's benchmarks are whole sim-days (2 iterations each);
-# the fsim micro-benchmark gets a fixed iteration count of its own.
+# the fsim and simclock micro-benchmarks get a fixed iteration count of
+# their own.
 bench-agentday:
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 2x -count 3 -benchmem -run '^$$' . | tee bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/fsim | tee -a bench-agentday.txt
+	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/simclock | tee -a bench-agentday.txt
 
 # Speedup proofs against the checked-in seed artifacts: BenchmarkAgentDay
 # must be at least 2x faster than the pre-optimisation engine

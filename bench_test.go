@@ -327,6 +327,23 @@ func BenchmarkMegaSiteDay(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperManualDay measures one simulated manual-mode day on the
+// paper site: 100 BMC monitors polling every 5 minutes from one shared
+// cron-wheel bucket, plus fault injection, alerts and operator repair —
+// the per-trial inner loop of a fig2 "before" campaign. Built once and
+// Reset per iteration, the pooled-campaign usage pattern.
+func BenchmarkPaperManualDay(b *testing.B) {
+	site := mustSite(b, PaperTopology(), WithSeed(1), WithMode(ModeManual))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := site.Reset(uint64(i + 1)); err != nil {
+			b.Fatal(err)
+		}
+		mustRun(b, site, simclock.Day)
+	}
+}
+
 // BenchmarkMegaSiteDayShards is BenchmarkMegaSiteDay with intra-trial
 // sharding at 8 shards: probe walks for each tick window fan out over the
 // shard pool and merge deterministically at the tick boundary, so the

@@ -654,11 +654,19 @@ func (s *Site) Reset(seed uint64) error {
 }
 
 // deployManual installs the before-year operations: BMC-style monitors on
-// database hosts feeding operator consoles.
+// database hosts feeding operator consoles. The monitors are installed
+// back to back at one instant on one wheel, so they share one bucket: one
+// heap event per poll round for the whole site. The wheel is their own,
+// without the shard pool: on the agents' wheel a slot batch on the poll
+// instant would join the bucket, and a sharded tick runs its observes
+// before the polls, which change the CPU load those observes read. On a
+// wheel of its own the polls fire ahead of any agent batch registered
+// after them, as per-host tickers did.
 func (s *Site) deployManual() {
+	w := simclock.NewWheel(s.Sim)
 	for _, h := range s.DC.ByRole(cluster.RoleDatabase) {
 		s.Monitors = append(s.Monitors, baseline.Install(
-			s.Sim, h, baseline.DefaultFootprint(), s.Bus, "noc-console",
+			w, h, baseline.DefaultFootprint(), s.Bus, "noc-console",
 			5*simclock.Minute, s.Dir))
 	}
 }

@@ -125,10 +125,11 @@ func TestCampaignGoldenFlashcrowd(t *testing.T) {
 // paper site (seed 7, one trial, 365 days) through the pooled Reset path
 // — the production campaign runner — against the checked-in golden
 // (testdata/campaign-golden-paper-manual-year.json). The one-day goldens
-// end before most fault injection, BMC alerts and operator repair; this
-// one is long enough to catch BMC polls reordered against any of them.
-// Regenerate (go run ./scripts/campaigngolden) only for a change that is
-// *supposed* to move the manual-year numbers.
+// end before most fault injection and operator repair; this one runs a
+// year of both. No campaign metric reads the BMC polls, so the root
+// package's TestManualYearBMCAlertDigest pins those. Regenerate
+// (go run ./scripts/campaigngolden) only for a change that is *supposed*
+// to move the manual-year numbers.
 func TestCampaignGoldenPaperManualYear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 365-day paper-site trial; run without -short for the full gate")

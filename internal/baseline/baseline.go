@@ -44,15 +44,14 @@ func DefaultFootprint() Footprint {
 
 // Monitor is one host's resident commercial monitoring agent.
 type Monitor struct {
-	sim  *simclock.Sim
 	rng  *simclock.Rand
 	host *cluster.Host
 	fp   Footprint
 	bus  *notify.Bus
 	cons string // console address for notifications
 
-	proc   *cluster.Process
-	ticker *simclock.Ticker
+	proc *cluster.Process
+	cron *simclock.CronEntry
 
 	// Alerts counts threshold notifications raised.
 	Alerts int
@@ -62,16 +61,24 @@ type Monitor struct {
 }
 
 // Install starts the resident daemon on the host and begins polling every
-// pollEvery. Services, if non-nil, are probed each poll; failed probes
-// raise console alerts (detection is then up to the humans watching).
-func Install(sim *simclock.Sim, host *cluster.Host, fp Footprint, bus *notify.Bus,
+// pollEvery on the cron wheel w (the daemon lives on w's simulator).
+// Services, if non-nil, are probed each poll; failed probes raise console
+// alerts (detection is then up to the humans watching).
+//
+// Monitors installed on one wheel at the same instant with the same
+// period share one wheel bucket — one pending heap event per poll round,
+// however many hosts — and poll in install order. That matches one
+// ticker per monitor exactly, because a poll schedules no event of its
+// own (see simclock.Wheel for the equivalence condition).
+func Install(w *simclock.Wheel, host *cluster.Host, fp Footprint, bus *notify.Bus,
 	console string, pollEvery simclock.Time, services *svc.Directory) *Monitor {
+	sim := w.Sim()
 	m := &Monitor{
-		sim: sim, rng: sim.Rand().Fork(0xb3c), host: host, fp: fp,
+		rng: sim.Rand().Fork(0xb3c), host: host, fp: fp,
 		bus: bus, cons: console,
 	}
 	m.spawn()
-	m.ticker = sim.Every(sim.Now()+pollEvery, pollEvery, "bmc-poll:"+host.Name, func(now simclock.Time) {
+	m.cron = w.Add(sim.Now()+pollEvery, pollEvery, "bmc-poll:"+host.Name, func(now simclock.Time) {
 		m.poll(now, services)
 	})
 	return m
@@ -135,17 +142,19 @@ func (m *Monitor) poll(now simclock.Time, services *svc.Directory) {
 }
 
 // CPUPercent reports the daemon's current whole-system CPU share, the
-// quantity Figure 3 plots.
+// quantity Figure 3 plots: zero whenever the daemon is not resident,
+// including between its host's crash and the next poll.
 func (m *Monitor) CPUPercent() float64 {
-	if m.proc == nil {
+	if !m.Resident() {
 		return 0
 	}
 	return m.lastCPU
 }
 
-// MemMB reports the daemon's resident memory, the quantity Figure 4 plots.
+// MemMB reports the daemon's resident memory, the quantity Figure 4
+// plots: zero whenever the daemon is not resident.
 func (m *Monitor) MemMB() float64 {
-	if m.proc == nil {
+	if !m.Resident() {
 		return 0
 	}
 	return m.lastMem
@@ -158,7 +167,7 @@ func (m *Monitor) Resident() bool {
 
 // Stop kills the daemon and its polling (scenario teardown / ablations).
 func (m *Monitor) Stop() {
-	m.ticker.Stop()
+	m.cron.Stop()
 	if m.proc != nil {
 		m.host.Kill(m.proc.PID)
 		m.proc = nil

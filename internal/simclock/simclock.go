@@ -6,7 +6,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strconv"
@@ -83,7 +82,7 @@ func (t Time) IsOvernight() bool {
 type Event struct {
 	at       Time
 	seq      uint64 // tie-break: FIFO among equal times
-	index    int    // heap index, -1 when not queued
+	queued   bool   // in the Sim's event queue
 	fn       func(now Time)
 	canceled bool
 	pooled   bool // recycled into the Sim freelist after firing (Post events)
@@ -100,47 +99,18 @@ func (e *Event) Label() string { return e.label }
 // already-cancelled event is a no-op. Cancel reports whether the event was
 // still pending.
 func (e *Event) Cancel() bool {
-	if e.canceled || e.index < 0 {
+	if e.canceled || !e.queued {
 		return false
 	}
 	e.canceled = true
 	return true
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
 // Sim is a discrete-event simulator. The zero value is not usable; create
 // one with New.
 type Sim struct {
 	now     Time
-	queue   eventHeap
+	queue   eventQueue
 	seq     uint64
 	rng     *Rand
 	fired   uint64
@@ -160,11 +130,7 @@ func New(seed uint64) *Sim {
 // event freelist) is retained, which is the point — a reset Sim behaves
 // exactly like New(seed) but without rebuilding its working set.
 func (s *Sim) Reset(seed uint64) {
-	for i := range s.queue {
-		s.queue[i].index = -1
-		s.queue[i] = nil
-	}
-	s.queue = s.queue[:0]
+	s.queue.clear()
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
@@ -193,7 +159,7 @@ func (s *Sim) Schedule(at Time, label string, fn func(now Time)) *Event {
 	}
 	e := &Event{at: at, seq: s.seq, fn: fn, label: label}
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return e
 }
 
@@ -224,7 +190,7 @@ func (s *Sim) Post(at Time, label string, fn func(now Time)) {
 	e.at, e.fn, e.label = at, fn, label
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 }
 
 // PostAfter queues fn to run d after the current time, like Post.
@@ -249,7 +215,7 @@ func (s *Sim) reschedule(e *Event, at Time) {
 	e.canceled = false
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 }
 
 // Every schedules fn to run first at start and then every period thereafter
@@ -306,12 +272,12 @@ func (t *Ticker) Period() Time { return t.period }
 // time. It reports false when no events remain.
 func (s *Sim) Step() bool {
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
+		e := s.queue.pop()
 		if e.canceled {
 			continue
 		}
 		if e.at < s.now {
-			panic("simclock: event heap yielded past event")
+			panic("simclock: event queue yielded past event")
 		}
 		s.now = e.at
 		s.fired++
@@ -332,15 +298,15 @@ func (s *Sim) Step() bool {
 func (s *Sim) RunUntil(end Time) {
 	s.stopped = false
 	for !s.stopped && len(s.queue) > 0 {
-		e := s.queue[0]
-		if e.canceled {
-			heap.Pop(&s.queue)
+		top := &s.queue[0]
+		if top.ev.canceled {
+			s.queue.pop()
 			continue
 		}
-		if e.at > end {
+		if top.at > end {
 			break
 		}
-		heap.Pop(&s.queue)
+		e := s.queue.pop()
 		s.now = e.at
 		s.fired++
 		fn := e.fn

@@ -3,9 +3,9 @@ package simclock
 // Wheel is a coalesced cron scheduler: entries that share a (first-fire,
 // period) coordinate are grouped into one bucket backed by a single
 // repeating heap event that walks its entries in registration order. A site
-// with hundreds of agents on the same cron keeps one pending event per
-// distinct schedule instead of one per agent, and every bucket reuses its
-// Event allocation across ticks.
+// with hundreds of agents on the same cron, or a hundred BMC monitors on one
+// poll coordinate, keeps one pending event per distinct schedule instead of
+// one per entry, and every bucket reuses its Event allocation across ticks.
 //
 // Semantics match scheduling each entry with Sim.Every individually:
 // entries in a bucket fire in FIFO registration order (exactly the
@@ -20,8 +20,12 @@ package simclock
 // coordinate must therefore be contiguous for bit-identical replay — which
 // they are in practice, since sites draw each agent's phase from a
 // continuous distribution (coordinates only ever collide by construction,
-// never by chance) and deploy agent by agent. The property tests pin
-// exactly this contract.
+// never by chance) and deploy agent by agent, and install their BMC
+// monitors, which share one coordinate by construction, back to back.
+// Likewise, an event a callback schedules for exactly its bucket's next
+// tick runs before the whole bucket there, where per-entry tickers would
+// run it after the entries registered before that callback's own; BMC
+// polls schedule nothing. The property tests pin exactly this contract.
 //
 // # Sharded ticks
 //
@@ -36,7 +40,9 @@ package simclock
 // serial walk would use, the observable event sequence — and therefore
 // campaign JSON — is byte-identical at any shard count. Plain Add
 // entries in the same bucket keep their registration slot in the apply
-// order and run entirely in the serial phase.
+// order and run entirely in the serial phase, so every prepare runs
+// before them: a plain entry whose effects a prepare reads belongs on a
+// wheel without the pool.
 type Wheel struct {
 	sim     *Sim
 	buckets map[wheelKey]*bucket
@@ -51,6 +57,9 @@ func (w *Wheel) SetPool(p *Pool) { w.pool = p }
 
 // Pool reports the wheel's shard pool (nil when unsharded).
 func (w *Wheel) Pool() *Pool { return w.pool }
+
+// Sim reports the simulator the wheel schedules on.
+func (w *Wheel) Sim() *Sim { return w.sim }
 
 type wheelKey struct {
 	start  Time // absolute first-fire time

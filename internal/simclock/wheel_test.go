@@ -46,16 +46,15 @@ func (m *modelEngine) next() *modelEvent {
 	return best
 }
 
-func (m *modelEngine) run(onFire func(id int, now Time)) []int {
-	var order []int
+// runUntil fires every event due at or before end, in order.
+func (m *modelEngine) runUntil(end Time, onFire func(id int, now Time)) {
 	for {
 		e := m.next()
-		if e == nil {
-			return order
+		if e == nil || e.at > end {
+			return
 		}
 		m.now = e.at
 		e.fired = true
-		order = append(order, e.id)
 		onFire(e.id, e.at)
 	}
 }
@@ -76,14 +75,22 @@ func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
 
 // script is a randomly generated schedule: root events, a cancellation
 // subset, and child events spawned when their parent fires — the same
-// script drives both engines.
+// script drives both engines. With chunks set, the run goes through
+// RunUntil at each chunk end in turn before the final Run, and after
+// chunk k the roots listed in lateCancel[k] are cancelled.
 type script struct {
 	roots []scriptEvent
 	// child[id] spawns when id fires.
 	childDelta map[int]Time
 	childOf    map[int]int
 	childPost  map[int]bool
+
+	chunks     []Time
+	lateCancel map[int][]int // chunk index -> non-post root ids
 }
+
+// childBase offsets child ids past every root id.
+const childBase = 1 << 20
 
 type scriptEvent struct {
 	id     int
@@ -93,35 +100,46 @@ type scriptEvent struct {
 }
 
 func genScript(rng *splitmix) script {
+	// Times drawn from a tiny range so equal-time collisions are the
+	// norm, not the exception.
+	return genScriptN(rng, 10+rng.intn(40), 8)
+}
+
+// genScriptN draws n roots on the given number of distinct whole-second
+// instants; a third of them spawn a child at +0 to +3 s.
+func genScriptN(rng *splitmix, n, instants int) script {
 	sc := script{childDelta: map[int]Time{}, childOf: map[int]int{}, childPost: map[int]bool{}}
-	n := 10 + rng.intn(40)
 	for i := 0; i < n; i++ {
 		ev := scriptEvent{
-			id: i,
-			// Times drawn from a tiny range so equal-time collisions are
-			// the norm, not the exception.
-			at:   Time(rng.intn(8)) * Second,
+			id:   i,
+			at:   Time(rng.intn(instants)) * Second,
 			post: rng.intn(4) == 0,
 		}
 		ev.cancel = !ev.post && rng.intn(4) == 0
 		sc.roots = append(sc.roots, ev)
 		if rng.intn(3) == 0 {
 			sc.childDelta[i] = Time(rng.intn(4)) * Second
-			sc.childOf[i] = 1000 + i
+			sc.childOf[i] = childBase + i
 			sc.childPost[i] = rng.intn(2) == 0
 		}
 	}
 	return sc
 }
 
-// runOnSim executes the script on a real Sim and returns the firing order.
-func (sc script) runOnSim() []int {
-	sim := New(1)
-	var order []int
+// runLog is what a script run observes: every firing in order, and the
+// result of each late Cancel.
+type runLog struct {
+	fired   []firing
+	cancels []bool
+}
+
+// runOn executes the script on sim, which must be at time zero.
+func (sc script) runOn(sim *Sim) runLog {
+	var log runLog
 	var fire func(id int) func(Time)
 	fire = func(id int) func(Time) {
 		return func(now Time) {
-			order = append(order, id)
+			log.fired = append(log.fired, firing{now, id})
 			if d, ok := sc.childDelta[id]; ok {
 				if sc.childPost[id] {
 					sim.Post(now+d, "child", fire(sc.childOf[id]))
@@ -131,6 +149,7 @@ func (sc script) runOnSim() []int {
 			}
 		}
 	}
+	handles := map[int]*Event{}
 	var cancels []*Event
 	for _, ev := range sc.roots {
 		if ev.post {
@@ -138,6 +157,7 @@ func (sc script) runOnSim() []int {
 			continue
 		}
 		h := sim.Schedule(ev.at, "root", fire(ev.id))
+		handles[ev.id] = h
 		if ev.cancel {
 			cancels = append(cancels, h)
 		}
@@ -145,22 +165,42 @@ func (sc script) runOnSim() []int {
 	for _, h := range cancels {
 		h.Cancel()
 	}
+	for k, end := range sc.chunks {
+		sim.RunUntil(end)
+		for _, id := range sc.lateCancel[k] {
+			log.cancels = append(log.cancels, handles[id].Cancel())
+		}
+	}
 	sim.Run()
-	return order
+	return log
 }
 
 // runOnModel executes the script on the reference engine.
-func (sc script) runOnModel() []int {
+func (sc script) runOnModel() runLog {
 	m := &modelEngine{}
+	var log runLog
+	handles := map[int]*modelEvent{}
 	for _, ev := range sc.roots {
 		e := m.schedule(ev.at, ev.id)
 		e.canceled = ev.cancel
+		handles[ev.id] = e
 	}
-	return m.run(func(id int, now Time) {
+	onFire := func(id int, now Time) {
+		log.fired = append(log.fired, firing{now, id})
 		if d, ok := sc.childDelta[id]; ok {
 			m.schedule(now+d, sc.childOf[id])
 		}
-	})
+	}
+	for k, end := range sc.chunks {
+		m.runUntil(end, onFire)
+		for _, id := range sc.lateCancel[k] {
+			e := handles[id]
+			log.cancels = append(log.cancels, !e.canceled && !e.fired)
+			e.canceled = true
+		}
+	}
+	m.runUntil(Never, onFire)
+	return log
 }
 
 // TestRandomScheduleCancelMatchesModel drives the Sim with hundreds of
@@ -174,7 +214,7 @@ func TestRandomScheduleCancelMatchesModel(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		rng := splitmix(trial * 2654435761)
 		sc := genScript(&rng)
-		got := sc.runOnSim()
+		got := sc.runOn(New(1))
 		want := sc.runOnModel()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: firing order diverged\n sim:   %v\n model: %v", trial, got, want)
@@ -192,7 +232,7 @@ func FuzzScheduleOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		rng := splitmix(seed)
 		sc := genScript(&rng)
-		got := sc.runOnSim()
+		got := sc.runOn(New(1))
 		want := sc.runOnModel()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: firing order diverged\n sim:   %v\n model: %v", seed, got, want)

@@ -10,8 +10,8 @@
 // campaign cannot drift the reproduced numbers for unspecified
 // topologies; the flash-crowd golden pins the statistical arrival engine
 // over the checked-in testdata/workload-flashcrowd.json spec; the year
-// golden is the one run long enough to pin BMC polls against fault
-// injection, alerts and operator repair over a whole manual year.
+// golden is the one run long enough to pin a whole year of fault
+// injection and operator repair.
 //
 // Only regenerate deliberately — after a change that is *supposed* to
 // move the default numbers — and say so in the commit message:
