@@ -55,8 +55,7 @@ type Site struct {
 	started    bool
 	deployErr  error // sticky first-Run deployment failure
 
-	cron *simclock.Wheel // coalesced agent cron (nil under ReferenceScheduler)
-	pool *simclock.Pool  // intra-trial shard workers (nil: single-goroutine)
+	pool *simclock.Pool // intra-trial shard workers (nil: single-goroutine)
 	// agentSched batches agent crons into prepared observe/apply walks when
 	// Options.AgentSlots > 0 (nil otherwise; see agent.Scheduler).
 	agentSched *agent.Scheduler
@@ -81,19 +80,13 @@ func (s *Site) TraceEvents() []trace.Event { return s.Trace.Events() }
 // NewSite assembles a site from a declarative topology and functional
 // options; call Run to execute it. The topology is validated first, and
 // every construction failure is returned with context — nothing panics.
-func NewSite(topo Topology, opts ...Option) (*Site, error) {
-	var o Options
-	for _, opt := range opts {
+func NewSite(topo Topology, options ...Option) (*Site, error) {
+	var opts Options
+	for _, opt := range options {
 		if opt != nil {
-			opt(&o)
+			opt(&opts)
 		}
 	}
-	return newSite(topo, o)
-}
-
-// newSite is the shared constructor under NewSite and the deprecated
-// BuildSite wrapper.
-func newSite(topo Topology, opts Options) (*Site, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, fmt.Errorf("topology %q: %w", topo.Name, err)
 	}
@@ -626,7 +619,6 @@ func (s *Site) Reset(seed uint64) error {
 	s.Monitors = nil
 	s.Agents = nil
 	s.Campaign = nil
-	s.cron = nil
 	s.agentSched = nil
 	if s.Probes != nil {
 		s.Probes.Reset()
@@ -636,7 +628,7 @@ func (s *Site) Reset(seed uint64) error {
 	s.ranTo = 0
 	s.Trace.Reset()
 
-	// Replay the dynamic half of assembly in the exact order newSite runs
+	// Replay the dynamic half of assembly in the exact order NewSite runs
 	// it, so the reseeded random stream is consumed identically: the
 	// operator team's fork, then service startup and the settling window,
 	// then the workload generator's fork.
@@ -714,33 +706,20 @@ func (s *Site) deployAgents() error {
 	return nil
 }
 
-// scheduleAgent wires one agent's cron: onto the site's shared coalesced
-// wheel by default, or via a per-agent heap ticker under the
-// ReferenceScheduler option — the seed path the equivalence tests compare
-// the wheel against. Both paths consume the phase draw identically. Under
-// AgentSlots the draw instead feeds the batching scheduler, which
-// quantizes it onto the slot grid and registers prepared observe/apply
-// sub-ranges once deployment completes (Site.Run calls Start).
+// scheduleAgent wires one agent's cron onto a heap ticker of its own, the
+// paper's per-host Unix cron. Under AgentSlots the phase draw instead
+// feeds the batching scheduler, which quantizes it onto the slot grid and
+// registers prepared observe/apply sub-ranges on its pool-attached wheel
+// once deployment completes (Site.Run calls Start).
 func (s *Site) scheduleAgent(a *agent.Agent, phase, period simclock.Time) {
-	if s.Opts.ReferenceScheduler {
-		a.Schedule(s.Sim, phase, period)
-		return
-	}
-	if s.cron == nil {
-		s.cron = simclock.NewWheel(s.Sim)
-		// Plain per-agent entries stay serial; attaching the pool makes the
-		// wheel shard-aware for the prepared entries the batching scheduler
-		// (and any future subsystem) registers here.
-		s.cron.SetPool(s.pool)
-	}
 	if s.Opts.AgentSlots > 0 {
 		if s.agentSched == nil {
-			s.agentSched = agent.NewScheduler(s.Sim, s.cron, s.Opts.AgentSlots)
+			s.agentSched = agent.NewScheduler(s.Sim, s.pool, s.Opts.AgentSlots)
 		}
 		s.agentSched.Add(a, phase, period)
 		return
 	}
-	a.ScheduleCoalesced(s.Sim, s.cron, phase, period)
+	a.Schedule(s.Sim, phase, period)
 }
 
 func (s *Site) networks() []*netsim.Network {

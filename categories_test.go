@@ -17,12 +17,10 @@ import (
 // days under agents and returns the site.
 func runCategory(t *testing.T, cat metrics.Category, window faultinject.Window, days int) *Site {
 	t.Helper()
-	site := BuildSite(SmallSite(13), Options{
-		Mode: ModeAgents,
-		Faults: []faultinject.Spec{{
+	site := mustSite(t, SmallTopology(), WithSeed(13), WithMode(ModeAgents),
+		WithFaults([]faultinject.Spec{{
 			Category: cat, MeanInterarrival: simclock.Day, Window: window,
-		}},
-	})
+		}}))
 	mustRun(t, site, simclock.Time(days)*simclock.Day)
 	if n := len(site.Ledger.Incidents()); n == 0 {
 		t.Fatalf("%s: no incidents injected", cat)
@@ -141,7 +139,7 @@ func TestAfterYearResidualShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("medium-length simulation")
 	}
-	site := BuildSite(SmallSite(7), Options{Mode: ModeAgents})
+	site := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeAgents))
 	mustRun(t, site, 60*simclock.Day)
 	r := site.Report()
 	humanOnly := r.DowntimeHours(metrics.CatFirewallNet) +

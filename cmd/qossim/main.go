@@ -112,15 +112,7 @@ func main() {
 		runReplay(os.Args[2:])
 		return
 	}
-	seed := flag.Uint64("seed", 7, "simulation seed")
-	days := flag.Int("days", 0, "simulated days (0 = scenario default: 365 for year scenarios, 90 for ablations; ablations cap at 120)")
-	site := flag.String("site", "small", "comma-separated site topologies: registered names (paper, small, webfarm, computefarm) and/or topology JSON files")
-	trials := flag.Int("trials", 8, "seeds per cell for the campaign-backed scenarios (latency, mttr, ablate)")
-	workers := flag.Int("workers", 0, "campaign worker pool size (0 = NumCPU)")
-	shards := flag.Int("shards", 0, "intra-trial shard goroutines per site (0/1 = single-goroutine engine; results are identical at any count)")
-	agentSlots := flag.Int("agentslots", 0, "quantize agent crons onto N slots per period and batch each slot (0 = per-agent phases; changes the trajectory, unlike -shards)")
-	tracePath := flag.String("trace", "", "record decision traces to this JSONL file (campaign-backed scenarios only)")
-	traceLevel := flag.Int("tracelevel", 0, "trace detail: 1 decision events, 2 adds diagnosis evidence (0 = 1 when -trace is set)")
+	shared := registerShared(flag.CommandLine, 8)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: qossim [flags] before|after|fig2|fig3|fig4|latency|mttr|ablate\n")
 		fmt.Fprintf(os.Stderr, "       qossim campaign -help\n")
@@ -132,17 +124,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *traceLevel != 0 && *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "qossim: -tracelevel needs -trace to name the file the trace is written to")
-		os.Exit(2)
-	}
-	if *tracePath != "" && !traceableScenario(flag.Arg(0)) {
+	cfg := shared.config("qossim")
+	if cfg.TracePath != "" && !traceableScenario(flag.Arg(0)) {
 		fmt.Fprintf(os.Stderr, "qossim: -trace records campaign-backed scenarios (latency, mttr, ablate-*); %q is not one — use the campaign subcommand for the year scenarios\n", flag.Arg(0))
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Seed: *seed, Days: *days, Sites: splitList(*site),
-		Trials: *trials, Workers: *workers, Shards: *shards, AgentSlots: *agentSlots,
-		TracePath: *tracePath, TraceLevel: *traceLevel}
 	out, err := experiments.Run(flag.Arg(0), cfg)
 	// Print whatever rendered before erroring: a campaign with failed
 	// trials returns its tables (failed-trials detail included) alongside
@@ -158,23 +144,15 @@ func main() {
 // worker pool and prints aggregate tables (or the canonical JSON record).
 func runCampaign(args []string) {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
+	shared := registerShared(fs, 16)
 	scenario := fs.String("scenario", "", "campaign scenario name (same as the positional argument)")
-	seed := fs.Uint64("seed", 7, "base seed; trial i of each cell uses seed+i")
-	trials := fs.Int("trials", 16, "seeds per matrix cell")
-	workers := fs.Int("workers", 0, "worker pool size (0 = NumCPU)")
-	shards := fs.Int("shards", 0, "intra-trial shard goroutines per trial (0/1 = single-goroutine engine; campaign JSON is byte-identical at any count)")
-	agentSlots := fs.Int("agentslots", 0, "quantize agent crons onto N slots per period and batch each slot (0 = per-agent phases; changes the trajectory, unlike -shards)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign's trials to this file (trials carry per-cell pprof labels)")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the campaign's trials to this file")
-	days := fs.Int("days", 0, "simulated days per trial (0 = scenario default: 365 for year scenarios, 90 for ablations; ablations cap at 120)")
-	site := fs.String("site", "small", "comma-separated site topologies to sweep: registered names and/or topology JSON files")
 	cron := fs.String("cron", "", "comma-separated cron periods for the ablate-cron axis (e.g. 1m,5m,15m,60m)")
 	tierFaults := fs.String("tierfaults", "", "per-tier fault-intensity axis for site scenarios: semicolon-separated cells, each a tier=mult[,tier=mult] spec or empty for the default (e.g. ';web=2;web=0.5')")
 	workloadAxis := fs.String("workload", "", "workload-spec axis for site scenarios: comma-separated cells, each a registered spec name or a spec JSON file, empty for the site's own generator (e.g. ',flashcrowd')")
 	tierLoad := fs.String("tierload", "", "per-tier workload-intensity axis for site scenarios: semicolon-separated cells, each a tier=mult[,tier=mult] spec or empty for the default (e.g. ';db=2,fe=0.5')")
 	ablate := fs.String("ablate", "", "run ablation campaigns back to back: comma list of cron,rescue,net,resident, or all")
-	tracePath := fs.String("trace", "", "record every trial's decision trace to this JSONL file (replayable with qossim replay)")
-	traceLevel := fs.Int("tracelevel", 0, "trace detail: 1 decision events, 2 adds diagnosis evidence (0 = 1 when -trace is set)")
 	jsonOut := fs.Bool("json", false, "print the machine-readable campaign JSON instead of tables")
 	outFile := fs.String("out", "", "also write the campaign JSON to this file")
 	fs.Usage = func() {
@@ -189,16 +167,11 @@ func runCampaign(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	if *traceLevel != 0 && *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "qossim campaign: -tracelevel needs -trace to name the file the trace is written to")
-		os.Exit(2)
-	}
-	if *tracePath != "" && len(names) > 1 {
+	cfg := shared.config("qossim campaign")
+	if cfg.TracePath != "" && len(names) > 1 {
 		fmt.Fprintf(os.Stderr, "qossim campaign: -trace records one campaign per file; %v would overwrite each other\n", names)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Seed: *seed, Days: *days, Sites: splitList(*site), Shards: *shards,
-		AgentSlots: *agentSlots, TracePath: *tracePath, TraceLevel: *traceLevel}
 	if *tierFaults != "" {
 		// Semicolons separate axis cells so one cell can itself be a
 		// comma list; a leading/lone ';' contributes the unscaled default
@@ -240,7 +213,7 @@ func runCampaign(args []string) {
 	// Validate every name before running anything: a bad entry late in an
 	// -ablate list must not discard minutes of completed sweeps.
 	for _, name := range names {
-		if _, err := experiments.CampaignMatrix(name, cfg, *trials); err != nil {
+		if _, err := experiments.CampaignMatrix(name, cfg, cfg.Trials); err != nil {
 			fmt.Fprintln(os.Stderr, "qossim campaign:", err)
 			os.Exit(1)
 		}
@@ -255,7 +228,7 @@ func runCampaign(args []string) {
 	var results []*campaign.Result
 	failed := false
 	for _, name := range names {
-		res, err := experiments.Campaign(name, cfg, *trials, *workers)
+		res, err := experiments.Campaign(name, cfg, cfg.Trials, cfg.Workers)
 		if err != nil {
 			stopProfiles()
 			fmt.Fprintln(os.Stderr, "qossim campaign:", err)
@@ -293,6 +266,42 @@ func runCampaign(args []string) {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// sharedFlags are the flags qossim and qossim campaign both take.
+type sharedFlags struct {
+	seed                                                  *uint64
+	days, trials, workers, shards, agentSlots, traceLevel *int
+	site, tracePath                                       *string
+}
+
+// registerShared declares the shared flags on fs, with trials as the
+// -trials default.
+func registerShared(fs *flag.FlagSet, trials int) *sharedFlags {
+	return &sharedFlags{
+		seed:       fs.Uint64("seed", 7, "base seed; trial i of each campaign cell uses seed+i"),
+		days:       fs.Int("days", 0, "simulated days per trial (0 = scenario default: 365 for year scenarios, 90 for ablations; ablations cap at 120)"),
+		site:       fs.String("site", "small", "comma-separated site topologies: registered names (paper, small, webfarm, computefarm) and/or topology JSON files"),
+		trials:     fs.Int("trials", trials, "seeds per campaign matrix cell"),
+		workers:    fs.Int("workers", 0, "campaign worker pool size (0 = NumCPU)"),
+		shards:     fs.Int("shards", 0, "intra-trial shard goroutines per trial (0/1 = single-goroutine engine; results are byte-identical at any count)"),
+		agentSlots: fs.Int("agentslots", 0, "quantize agent crons onto N slots per period and batch each slot (0 = per-agent phases; changes the trajectory, unlike -shards)"),
+		tracePath:  fs.String("trace", "", "record every trial's decision trace to this JSONL file (replayable with qossim replay)"),
+		traceLevel: fs.Int("tracelevel", 0, "trace detail: 1 decision events, 2 adds diagnosis evidence (0 = 1 when -trace is set)"),
+	}
+}
+
+// config returns the experiment config the parsed shared flags describe,
+// exiting with a usage error (prefixed by prog) when -tracelevel has no
+// -trace file to write to.
+func (f *sharedFlags) config(prog string) experiments.Config {
+	if *f.traceLevel != 0 && *f.tracePath == "" {
+		fmt.Fprintln(os.Stderr, prog+": -tracelevel needs -trace to name the file the trace is written to")
+		os.Exit(2)
+	}
+	return experiments.Config{Seed: *f.seed, Days: *f.days, Sites: splitList(*f.site),
+		Trials: *f.trials, Workers: *f.workers, Shards: *f.shards, AgentSlots: *f.agentSlots,
+		TracePath: *f.tracePath, TraceLevel: *f.traceLevel}
 }
 
 // runReplay re-runs a recorded trace: injections come from the file

@@ -96,6 +96,27 @@ func TestCampaignRejectsBadShards(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsDuplicateCron: -cron periods that parse equal
+// (5m and 300s) would fold two cells' seeds into one group, so the
+// campaign is refused before any trial runs, naming the flag.
+func TestCampaignRejectsDuplicateCron(t *testing.T) {
+	t.Parallel()
+	_, stderr, code := runQossim(t,
+		"campaign", "-scenario", "ablate-cron", "-cron", "5m,300s",
+		"-trials", "2", "-days", "1", "-json")
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr)
+	}
+	for _, want := range []string{"-cron", "duplicate"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr)
+		}
+	}
+	if strings.Contains(stderr, "campaign ablate-cron:") {
+		t.Errorf("validation should fail before any trial output:\n%s", stderr)
+	}
+}
+
 // TestReplayMissingTrace: a trace file that does not exist fails fast
 // with the path in the message and exit status 1.
 func TestReplayMissingTrace(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,6 +114,14 @@ func CampaignMatrix(name string, cfg Config, trials int) (campaign.Matrix, error
 		m.Modes = []string{"agents"}
 		m.CronPeriods = cfg.cronPeriods()
 		m.Days = cfg.AblationDays()
+		// Equal periods ("5m,300s" parses to two) would share a group key
+		// and fold their seeds into one cell, as duplicate tier cells do.
+		for i, p := range m.CronPeriods {
+			if j := slices.Index(m.CronPeriods[:i], p); j >= 0 {
+				return campaign.Matrix{}, fmt.Errorf("-cron periods %d and %d are both %v; duplicate cells would fold into one aggregation group",
+					j+1, i+1, p)
+			}
+		}
 	case "ablate-rescue":
 		m.Scenarios = []string{"ablate-rescue"}
 		m.Modes = []string{"agents"}
@@ -525,10 +534,10 @@ func RunTrial(t campaign.Trial) (map[string]float64, error) {
 	}
 }
 
-// ReferenceRunTrial is RunTrial with the site's reference scheduler (one
-// heap ticker per agent) instead of the coalesced cron wheel: the seed
-// simulator path. The equivalence tests assert campaign JSON from this
-// path is byte-identical to the pooled wheel path.
+// ReferenceRunTrial is RunTrial on the single-goroutine engine with the
+// reference probe path (one repeating event per probed service instead of
+// batched walks). The equivalence tests assert campaign JSON from this
+// path is byte-identical to the pooled, batched, sharded paths.
 func ReferenceRunTrial(t campaign.Trial) (map[string]float64, error) {
 	if !siteScenario(t.Scenario) {
 		return RunTrial(t)
@@ -537,7 +546,6 @@ func ReferenceRunTrial(t campaign.Trial) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.ReferenceScheduler = true
 	opts.ReferenceProbes = true
 	opts.Shards = 0 // the reference is the single-goroutine engine
 	site, err := buildNamedSite(t.Site, t.Seed, qoscluster.WithOptions(opts))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	qoscluster "repro"
@@ -100,6 +101,25 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCampaignMatrixRejectsDuplicateCron: two -cron periods that parse
+// equal would share one aggregation group and fold their seeds together,
+// so CampaignMatrix refuses them, naming the flag.
+func TestCampaignMatrixRejectsDuplicateCron(t *testing.T) {
+	for _, periods := range [][]simclock.Time{
+		{5 * simclock.Minute, 5 * simclock.Minute},
+		{simclock.Minute, 5 * simclock.Minute, 300 * simclock.Second},
+	} {
+		_, err := CampaignMatrix("ablate-cron", Config{Seed: 7, CronPeriods: periods}, 2)
+		if err == nil || !strings.Contains(err.Error(), "-cron") || !strings.Contains(err.Error(), "duplicate") {
+			t.Errorf("periods %v: err = %v, want a -cron duplicate error", periods, err)
+		}
+	}
+	if _, err := CampaignMatrix("ablate-cron", Config{Seed: 7,
+		CronPeriods: []simclock.Time{5 * simclock.Minute, 15 * simclock.Minute}}, 2); err != nil {
+		t.Errorf("distinct periods rejected: %v", err)
+	}
+}
+
 // TestCampaignMatrixOptionAxes pins the axes each new scenario sweeps.
 func TestCampaignMatrixOptionAxes(t *testing.T) {
 	cfg := Config{Seed: 7}
@@ -139,10 +159,10 @@ func TestCampaignMatrixOptionAxes(t *testing.T) {
 // TestTrialOptions pins how a trial's coordinates become
 // qoscluster.Options, including the opaque per-cell override hook.
 func TestTrialOptions(t *testing.T) {
-	o, err := trialOptions(campaign.Trial{
+	o, err := trialOptions(campaign.Trial{Cell: campaign.Cell{
 		Mode: "agents", AgentSet: "full", CronPeriod: 15 * simclock.Minute,
 		NoBatchRescue: true, DisablePrivateNet: true, BaselineMonitors: true,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +171,13 @@ func TestTrialOptions(t *testing.T) {
 		t.Errorf("options not mapped from axes: %+v", o)
 	}
 
-	if _, err := trialOptions(campaign.Trial{Mode: "bogus"}); err == nil {
+	if _, err := trialOptions(campaign.Trial{Cell: campaign.Cell{Mode: "bogus"}}); err == nil {
 		t.Error("unknown mode should error")
 	}
-	if _, err := trialOptions(campaign.Trial{AgentSet: "bogus"}); err == nil {
+	if _, err := trialOptions(campaign.Trial{Cell: campaign.Cell{AgentSet: "bogus"}}); err == nil {
 		t.Error("unknown agent set should error")
 	}
-	if _, err := trialOptions(campaign.Trial{Overrides: "unregistered"}); err == nil {
+	if _, err := trialOptions(campaign.Trial{Cell: campaign.Cell{Overrides: "unregistered"}}); err == nil {
 		t.Error("unknown override should error")
 	}
 
@@ -165,18 +185,18 @@ func TestTrialOptions(t *testing.T) {
 		o.CronPeriod = 30 * simclock.Minute
 	})
 	defer RegisterOverride("test-cron-30m", nil)
-	o, err = trialOptions(campaign.Trial{Mode: "agents", CronPeriod: simclock.Minute, Overrides: "test-cron-30m"})
+	o, err = trialOptions(campaign.Trial{Cell: campaign.Cell{Mode: "agents", CronPeriod: simclock.Minute, Overrides: "test-cron-30m"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.CronPeriod != 30*simclock.Minute {
 		t.Errorf("override should run after the axes: CronPeriod = %v", o.CronPeriod)
 	}
-	if _, err := trialOptions(campaign.Trial{Overrides: "test-cron-30m"}); err != nil {
+	if _, err := trialOptions(campaign.Trial{Cell: campaign.Cell{Overrides: "test-cron-30m"}}); err != nil {
 		t.Errorf("registered override rejected: %v", err)
 	}
 	RegisterOverride("test-cron-30m", nil)
-	if _, err := trialOptions(campaign.Trial{Overrides: "test-cron-30m"}); err == nil {
+	if _, err := trialOptions(campaign.Trial{Cell: campaign.Cell{Overrides: "test-cron-30m"}}); err == nil {
 		t.Error("deregistered override should error")
 	}
 }
@@ -231,13 +251,13 @@ func TestCampaignResident(t *testing.T) {
 // TestRunTrialRejectsBadCoordinates covers the error paths campaigns
 // surface as failed trials.
 func TestRunTrialRejectsBadCoordinates(t *testing.T) {
-	if _, err := RunTrial(campaign.Trial{Scenario: "bogus"}); err == nil {
+	if _, err := RunTrial(campaign.Trial{Cell: campaign.Cell{Scenario: "bogus"}}); err == nil {
 		t.Error("unknown scenario should error")
 	}
-	if _, err := RunTrial(campaign.Trial{Scenario: "year", Mode: "bogus", Days: 1}); err == nil {
+	if _, err := RunTrial(campaign.Trial{Cell: campaign.Cell{Scenario: "year", Mode: "bogus", Days: 1}}); err == nil {
 		t.Error("unknown mode should error")
 	}
-	if _, err := RunTrial(campaign.Trial{Scenario: "latency", Overrides: "nope", Days: 1}); err == nil {
+	if _, err := RunTrial(campaign.Trial{Cell: campaign.Cell{Scenario: "latency", Overrides: "nope", Days: 1}}); err == nil {
 		t.Error("unregistered override should error")
 	}
 }

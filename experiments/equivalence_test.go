@@ -10,10 +10,11 @@ import (
 
 // TestWheelResetEquivalence is the optimisation gate for the fast-path
 // event engine: for every canned site topology and both operation modes,
-// the campaign JSON produced by the optimised path — coalesced cron wheel
-// plus pooled Site.Reset reuse — must be byte-identical to the seed path,
-// which builds a fresh site per trial and schedules every agent on its own
-// heap ticker. Three seeds per cell so the pooled path exercises the
+// the campaign JSON produced by the pooled path — Site.Reset reuse, with
+// the BMC polls coalesced on the cron wheel — must be byte-identical to
+// ReferenceRunTrial, which builds a fresh site per trial. Both paths wake
+// every agent on its own heap ticker, the one unslotted agent dispatch.
+// Three seeds per cell so the pooled path exercises the
 // Reset → Run → Reset chain, and the pooled run is repeated with one and
 // eight workers so reuse cannot depend on scheduling.
 //
@@ -55,7 +56,7 @@ func TestWheelResetEquivalence(t *testing.T) {
 						t.Fatalf("pooled JSON (%d workers): %v", workers, err)
 					}
 					if !bytes.Equal(want, got) {
-						t.Errorf("wheel+Reset path diverged from seed path (site %s, mode %s, %d workers):\n%s",
+						t.Errorf("pooled Reset path diverged from the reference path (site %s, mode %s, %d workers):\n%s",
 							site, mode, workers, firstDiff(want, got))
 					}
 				}

@@ -138,7 +138,7 @@ func TestResolveSites(t *testing.T) {
 	if _, err := ResolveSites([]string{"nosuch-site"}); err == nil {
 		t.Error("unknown site should error")
 	}
-	if _, err := RunTrial(campaign.Trial{Scenario: "year", Site: "nosuch-site", Days: 1}); err == nil {
+	if _, err := RunTrial(campaign.Trial{Cell: campaign.Cell{Scenario: "year", Site: "nosuch-site", Days: 1}}); err == nil {
 		t.Error("trial with unknown site should error")
 	}
 

@@ -52,7 +52,7 @@ func TestTierFaultsCampaignAxis(t *testing.T) {
 	}
 	for _, g := range res1.Groups {
 		if _, ok := g.Stats["incidents_tier/web"]; !ok {
-			t.Errorf("group %q missing per-tier metric rows", qoscluster.GroupLabel(g))
+			t.Errorf("group %q missing per-tier metric rows", qoscluster.GroupLabel(g.Cell))
 		}
 	}
 	out := qoscluster.FormatCampaign(res1)

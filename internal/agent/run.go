@@ -348,20 +348,9 @@ func sanitize(s string) string {
 
 // Schedule wires the agent to simulated cron: first run phase after now,
 // then every period ("awakened every X minutes by local to each host Unix
-// crons"). It returns the ticker so scenarios can stop it.
-//
-// This is the reference scheduling path — one heap ticker per agent. Sites
-// default to ScheduleCoalesced; the equivalence tests hold the two paths
-// byte-identical.
+// crons"), on a repeating event of its own. It returns the ticker so
+// scenarios can stop it. Sites dispatch every agent this way unless
+// Options.AgentSlots batches them through a Scheduler.
 func (a *Agent) Schedule(sim *simclock.Sim, phase, period simclock.Time) *simclock.Ticker {
 	return sim.Every(sim.Now()+phase, period, "cron:"+a.name, func(simclock.Time) { a.Run(sim) })
-}
-
-// ScheduleCoalesced wires the agent's cron onto a shared wheel: agents with
-// the same phase and period share one repeating heap event. Firing times
-// and run order are identical to Schedule — entries on a shared bucket run
-// in registration order, the order their individual events would have
-// fired in. It returns the entry so scenarios can stop it.
-func (a *Agent) ScheduleCoalesced(sim *simclock.Sim, w *simclock.Wheel, phase, period simclock.Time) *simclock.CronEntry {
-	return w.Add(sim.Now()+phase, period, "cron:"+a.name, func(simclock.Time) { a.Run(sim) })
 }

@@ -43,15 +43,18 @@ type schedGroup struct {
 	members []*Agent
 }
 
-// NewScheduler builds a scheduler dispatching onto w with the given slot
-// count per cron period.
-func NewScheduler(sim *simclock.Sim, w *simclock.Wheel, slots int) *Scheduler {
-	if sim == nil || w == nil {
-		panic("agent: NewScheduler needs a sim and a wheel")
+// NewScheduler builds a scheduler with the given slot count per cron
+// period, dispatching onto a wheel of its own that fans prepares across
+// pool (nil: every batch walks on the event-loop goroutine).
+func NewScheduler(sim *simclock.Sim, pool *simclock.Pool, slots int) *Scheduler {
+	if sim == nil {
+		panic("agent: NewScheduler needs a sim")
 	}
 	if slots <= 0 {
 		panic(fmt.Sprintf("agent: NewScheduler slots must be positive, got %d", slots))
 	}
+	w := simclock.NewWheel(sim)
+	w.SetPool(pool)
 	return &Scheduler{sim: sim, wheel: w, slots: slots, groups: map[schedKey]*schedGroup{}}
 }
 

@@ -42,17 +42,15 @@ func TestQuantizePhase(t *testing.T) {
 }
 
 // schedRig builds n same-parts agents on one rig and schedules them either
-// per-agent on a plain wheel (serial reference) or through the batching
-// Scheduler, with the phases pre-quantized so both paths fire at identical
-// instants.
+// per-agent on their own cron tickers (serial reference) or through the
+// batching Scheduler, with the phases pre-quantized so both paths fire at
+// identical instants.
 func schedRig(t *testing.T, n, slots int, pool *simclock.Pool, batch bool, parts func() Parts) (*rig, []*Agent) {
 	t.Helper()
 	r := newRig()
-	w := simclock.NewWheel(r.sim)
-	w.SetPool(pool)
 	var sched *Scheduler
 	if batch {
-		sched = NewScheduler(r.sim, w, slots)
+		sched = NewScheduler(r.sim, pool, slots)
 	}
 	period := 5 * simclock.Minute
 	agents := make([]*Agent, 0, n)
@@ -63,7 +61,7 @@ func schedRig(t *testing.T, n, slots int, pool *simclock.Pool, batch bool, parts
 		if batch {
 			sched.Add(a, phase, period)
 		} else {
-			a.ScheduleCoalesced(r.sim, w, QuantizePhase(phase, period, slots), period)
+			a.Schedule(r.sim, QuantizePhase(phase, period, slots), period)
 		}
 	}
 	if batch {
@@ -109,13 +107,11 @@ func TestLockContention(t *testing.T) {
 	run := func(t *testing.T, batch bool, pool *simclock.Pool) []*Agent {
 		t.Helper()
 		r := newRig()
-		w := simclock.NewWheel(r.sim)
-		w.SetPool(pool)
 		period := 5 * simclock.Minute
 		var agents []*Agent
 		var sched *Scheduler
 		if batch {
-			sched = NewScheduler(r.sim, w, 1)
+			sched = NewScheduler(r.sim, pool, 1)
 		}
 		for i := 0; i < 2; i++ {
 			a := r.agent(t, Config{Name: "cpu", Category: CatResource, Parts: okParts()})
@@ -123,7 +119,7 @@ func TestLockContention(t *testing.T) {
 			if batch {
 				sched.Add(a, 0, period) // one slot: both quantize onto the same batch
 			} else {
-				a.ScheduleCoalesced(r.sim, w, period, period)
+				a.Schedule(r.sim, period, period)
 			}
 		}
 		if batch {

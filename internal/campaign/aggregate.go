@@ -3,8 +3,6 @@ package campaign
 import (
 	"math"
 	"sort"
-
-	"repro/internal/simclock"
 )
 
 // Stat summarises one metric across a group's trials. CI95 is the
@@ -72,33 +70,14 @@ func NewStat(xs []float64) Stat {
 	return s
 }
 
-// Group aggregates the trials sharing one non-seed coordinate — the seed
-// axis is what the statistics run over. Option axes are part of the
-// coordinate: two cells differing only in cron period aggregate
-// separately.
+// Group aggregates the trials sharing one Cell — the seed axis is what
+// the statistics run over. Option axes are part of the cell: two cells
+// differing only in cron period aggregate separately.
 type Group struct {
-	Scenario          string          `json:"scenario,omitempty"`
-	Site              string          `json:"site,omitempty"`
-	Mode              string          `json:"mode,omitempty"`
-	Days              int             `json:"days,omitempty"`
-	CronPeriod        simclock.Time   `json:"cron_period,omitempty"`
-	AgentSet          string          `json:"agent_set,omitempty"`
-	NoBatchRescue     bool            `json:"no_batch_rescue,omitempty"`
-	DisablePrivateNet bool            `json:"disable_private_net,omitempty"`
-	BaselineMonitors  bool            `json:"baseline_monitors,omitempty"`
-	Overrides         string          `json:"overrides,omitempty"`
-	TierFaults        string          `json:"tier_faults,omitempty"`
-	Workload          string          `json:"workload,omitempty"`
-	TierLoad          string          `json:"tier_load,omitempty"`
-	Seeds             int             `json:"seeds"`
-	Errors            int             `json:"errors,omitempty"`
-	Stats             map[string]Stat `json:"stats"`
-
-	// key is the groupKey Aggregate derived this group from — the single
-	// source of truth GroupSamples matches trials against, so a new axis
-	// added to Trial/keyOf/GroupOf cannot silently desync the sample
-	// collection. Unexported: excluded from the canonical JSON.
-	key groupKey
+	Cell
+	Seeds  int             `json:"seeds"`
+	Errors int             `json:"errors,omitempty"`
+	Stats  map[string]Stat `json:"stats"`
 }
 
 // MetricNames lists the group's metric keys sorted, for stable rendering.
@@ -111,56 +90,20 @@ func (g Group) MetricNames() []string {
 	return names
 }
 
-type groupKey struct {
-	scenario, site, mode string
-	days                 int
-	cron                 simclock.Time
-	agentSet             string
-	noRescue, noNet, mon bool
-	overrides            string
-	tierFaults           string
-	workload             string
-	tierLoad             string
-}
-
-func keyOf(t Trial) groupKey {
-	return groupKey{
-		scenario: t.Scenario, site: t.Site, mode: t.Mode, days: t.Days,
-		cron: t.CronPeriod, agentSet: t.AgentSet,
-		noRescue: t.NoBatchRescue, noNet: t.DisablePrivateNet, mon: t.BaselineMonitors,
-		overrides: t.Overrides, tierFaults: t.TierFaults,
-		workload: t.Workload, tierLoad: t.TierLoad,
-	}
-}
-
-// GroupOf names the aggregation cell a trial belongs to — the trial's
-// coordinates minus the seed.
-func GroupOf(t Trial) Group {
-	return Group{
-		Scenario: t.Scenario, Site: t.Site, Mode: t.Mode, Days: t.Days,
-		CronPeriod: t.CronPeriod, AgentSet: t.AgentSet,
-		NoBatchRescue: t.NoBatchRescue, DisablePrivateNet: t.DisablePrivateNet,
-		BaselineMonitors: t.BaselineMonitors, Overrides: t.Overrides,
-		TierFaults: t.TierFaults, Workload: t.Workload, TierLoad: t.TierLoad,
-	}
-}
-
 // Aggregate folds trial results into per-group statistics. Groups appear
 // in first-trial order (i.e. matrix enumeration order), so output is
 // deterministic. Failed trials count toward Errors and contribute no
 // samples; a metric missing from some trials is aggregated over the
 // trials that report it.
 func Aggregate(trials []TrialResult) []Group {
-	var order []groupKey
-	samples := make(map[groupKey]map[string][]float64)
-	groups := make(map[groupKey]*Group)
+	var order []Cell
+	samples := make(map[Cell]map[string][]float64)
+	groups := make(map[Cell]*Group)
 	for _, tr := range trials {
-		k := keyOf(tr.Trial)
+		k := tr.Trial.Cell
 		g, ok := groups[k]
 		if !ok {
-			gv := GroupOf(tr.Trial)
-			gv.key = k
-			g = &gv
+			g = &Group{Cell: k}
 			groups[k] = g
 			samples[k] = make(map[string][]float64)
 			order = append(order, k)

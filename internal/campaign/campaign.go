@@ -28,12 +28,13 @@ import (
 	"repro/internal/simclock"
 )
 
-// Trial is one coordinate of the campaign matrix. Axes the matrix does not
-// sweep are left as their zero values; a zero option axis means "the
-// scenario's default" (e.g. CronPeriod 0 is the paper's 5 minutes).
-type Trial struct {
-	Index    int    `json:"index"`
-	Seed     uint64 `json:"seed"`
+// Cell is the non-seed coordinate of a campaign trial: the matrix cell
+// its seeds replicate, and the key Aggregate groups trials by. Axes the
+// matrix does not sweep are left as their zero values; a zero option axis
+// means "the scenario's default" (e.g. CronPeriod 0 is the paper's 5
+// minutes). Trial and Group embed it untagged, so encoding/json flattens
+// its fields into their records in declaration order.
+type Cell struct {
 	Scenario string `json:"scenario,omitempty"`
 	Site     string `json:"site,omitempty"`
 	Mode     string `json:"mode,omitempty"`
@@ -62,6 +63,13 @@ type Trial struct {
 	// twin of TierFaults: "web=2,db=0.5" multiplies the named tiers'
 	// resolved workload-domain weights. "" means unscaled.
 	TierLoad string `json:"tier_load,omitempty"`
+}
+
+// Trial is one coordinate of the campaign matrix: a seed of one Cell.
+type Trial struct {
+	Index int    `json:"index"`
+	Seed  uint64 `json:"seed"`
+	Cell
 	// AgentSlots is the agent cron dispatch slot count, copied from
 	// Matrix.AgentSlots. Unlike Shards it is a model knob: quantizing
 	// agent wake-ups onto the slot grid changes the simulated trajectory,
@@ -127,27 +135,6 @@ func Seeds(base uint64, n int) []uint64 {
 	return out
 }
 
-func orBlank(xs []string) []string {
-	if len(xs) == 0 {
-		return []string{""}
-	}
-	return xs
-}
-
-func orZeroTime(xs []simclock.Time) []simclock.Time {
-	if len(xs) == 0 {
-		return []simclock.Time{0}
-	}
-	return xs
-}
-
-func orFalse(xs []bool) []bool {
-	if len(xs) == 0 {
-		return []bool{false}
-	}
-	return xs
-}
-
 // Trials enumerates the cross product in deterministic order: scenario
 // outermost, then site, mode, cron period, agent set, the ablation
 // toggles (batch rescue, private net, baseline monitors), overrides, the
@@ -155,41 +142,40 @@ func orFalse(xs []bool) []bool {
 // load-intensity spec, with the seed axis innermost so that one
 // aggregation group's trials are contiguous.
 func (m Matrix) Trials() []Trial {
+	cells := []Cell{{Days: m.Days}}
+	cells = expand(cells, m.Scenarios, func(c *Cell, v string) { c.Scenario = v })
+	cells = expand(cells, m.Sites, func(c *Cell, v string) { c.Site = v })
+	cells = expand(cells, m.Modes, func(c *Cell, v string) { c.Mode = v })
+	cells = expand(cells, m.CronPeriods, func(c *Cell, v simclock.Time) { c.CronPeriod = v })
+	cells = expand(cells, m.AgentSets, func(c *Cell, v string) { c.AgentSet = v })
+	cells = expand(cells, m.NoBatchRescue, func(c *Cell, v bool) { c.NoBatchRescue = v })
+	cells = expand(cells, m.DisablePrivateNet, func(c *Cell, v bool) { c.DisablePrivateNet = v })
+	cells = expand(cells, m.BaselineMonitors, func(c *Cell, v bool) { c.BaselineMonitors = v })
+	cells = expand(cells, m.Overrides, func(c *Cell, v string) { c.Overrides = v })
+	cells = expand(cells, m.TierFaults, func(c *Cell, v string) { c.TierFaults = v })
+	cells = expand(cells, m.Workloads, func(c *Cell, v string) { c.Workload = v })
+	cells = expand(cells, m.TierLoads, func(c *Cell, v string) { c.TierLoad = v })
 	var out []Trial
-	for _, sc := range orBlank(m.Scenarios) {
-		for _, site := range orBlank(m.Sites) {
-			for _, mode := range orBlank(m.Modes) {
-				for _, cron := range orZeroTime(m.CronPeriods) {
-					for _, as := range orBlank(m.AgentSets) {
-						for _, rescue := range orFalse(m.NoBatchRescue) {
-							for _, noNet := range orFalse(m.DisablePrivateNet) {
-								for _, mon := range orFalse(m.BaselineMonitors) {
-									for _, ov := range orBlank(m.Overrides) {
-										for _, tf := range orBlank(m.TierFaults) {
-											for _, wl := range orBlank(m.Workloads) {
-												for _, tl := range orBlank(m.TierLoads) {
-													for _, seed := range m.Seeds {
-														out = append(out, Trial{
-															Index: len(out), Seed: seed, Scenario: sc,
-															Site: site, Mode: mode, Days: m.Days,
-															CronPeriod: cron, AgentSet: as,
-															NoBatchRescue: rescue, DisablePrivateNet: noNet,
-															BaselineMonitors: mon, Overrides: ov,
-															TierFaults: tf, Workload: wl, TierLoad: tl,
-															AgentSlots: m.AgentSlots,
-															Shards:     m.Shards, TraceLevel: m.TraceLevel,
-														})
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
+	for _, c := range cells {
+		for _, seed := range m.Seeds {
+			out = append(out, Trial{Index: len(out), Seed: seed, Cell: c,
+				AgentSlots: m.AgentSlots, Shards: m.Shards, TraceLevel: m.TraceLevel})
+		}
+	}
+	return out
+}
+
+// expand crosses cells with one axis, the axis varying fastest. An empty
+// axis contributes its zero value, which leaves the cells as they are.
+func expand[T any](cells []Cell, axis []T, set func(*Cell, T)) []Cell {
+	if len(axis) == 0 {
+		return cells
+	}
+	out := make([]Cell, 0, len(cells)*len(axis))
+	for _, c := range cells {
+		for _, v := range axis {
+			set(&c, v)
+			out = append(out, c)
 		}
 	}
 	return out

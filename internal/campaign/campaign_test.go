@@ -89,10 +89,10 @@ func TestMatrixEnumeration(t *testing.T) {
 	m := Matrix{Seeds: []uint64{5, 6}, Scenarios: []string{"s1", "s2"}, Modes: []string{"m1"}, Days: 2}
 	trials := m.Trials()
 	want := []Trial{
-		{Index: 0, Seed: 5, Scenario: "s1", Mode: "m1", Days: 2},
-		{Index: 1, Seed: 6, Scenario: "s1", Mode: "m1", Days: 2},
-		{Index: 2, Seed: 5, Scenario: "s2", Mode: "m1", Days: 2},
-		{Index: 3, Seed: 6, Scenario: "s2", Mode: "m1", Days: 2},
+		{Index: 0, Seed: 5, Cell: Cell{Scenario: "s1", Mode: "m1", Days: 2}},
+		{Index: 1, Seed: 6, Cell: Cell{Scenario: "s1", Mode: "m1", Days: 2}},
+		{Index: 2, Seed: 5, Cell: Cell{Scenario: "s2", Mode: "m1", Days: 2}},
+		{Index: 3, Seed: 6, Cell: Cell{Scenario: "s2", Mode: "m1", Days: 2}},
 	}
 	if len(trials) != len(want) {
 		t.Fatalf("want %d trials, got %d", len(want), len(trials))
@@ -118,14 +118,14 @@ func TestMatrixOptionAxisEnumeration(t *testing.T) {
 	}
 	trials := m.Trials()
 	want := []Trial{
-		{Index: 0, Seed: 1, Scenario: "sc", Days: 1, CronPeriod: simclock.Minute},
-		{Index: 1, Seed: 2, Scenario: "sc", Days: 1, CronPeriod: simclock.Minute},
-		{Index: 2, Seed: 1, Scenario: "sc", Days: 1, CronPeriod: simclock.Minute, NoBatchRescue: true},
-		{Index: 3, Seed: 2, Scenario: "sc", Days: 1, CronPeriod: simclock.Minute, NoBatchRescue: true},
-		{Index: 4, Seed: 1, Scenario: "sc", Days: 1, CronPeriod: 5 * simclock.Minute},
-		{Index: 5, Seed: 2, Scenario: "sc", Days: 1, CronPeriod: 5 * simclock.Minute},
-		{Index: 6, Seed: 1, Scenario: "sc", Days: 1, CronPeriod: 5 * simclock.Minute, NoBatchRescue: true},
-		{Index: 7, Seed: 2, Scenario: "sc", Days: 1, CronPeriod: 5 * simclock.Minute, NoBatchRescue: true},
+		{Index: 0, Seed: 1, Cell: Cell{Scenario: "sc", Days: 1, CronPeriod: simclock.Minute}},
+		{Index: 1, Seed: 2, Cell: Cell{Scenario: "sc", Days: 1, CronPeriod: simclock.Minute}},
+		{Index: 2, Seed: 1, Cell: Cell{Scenario: "sc", Days: 1, CronPeriod: simclock.Minute, NoBatchRescue: true}},
+		{Index: 3, Seed: 2, Cell: Cell{Scenario: "sc", Days: 1, CronPeriod: simclock.Minute, NoBatchRescue: true}},
+		{Index: 4, Seed: 1, Cell: Cell{Scenario: "sc", Days: 1, CronPeriod: 5 * simclock.Minute}},
+		{Index: 5, Seed: 2, Cell: Cell{Scenario: "sc", Days: 1, CronPeriod: 5 * simclock.Minute}},
+		{Index: 6, Seed: 1, Cell: Cell{Scenario: "sc", Days: 1, CronPeriod: 5 * simclock.Minute, NoBatchRescue: true}},
+		{Index: 7, Seed: 2, Cell: Cell{Scenario: "sc", Days: 1, CronPeriod: 5 * simclock.Minute, NoBatchRescue: true}},
 	}
 	if len(trials) != len(want) {
 		t.Fatalf("want %d trials, got %d", len(want), len(trials))
@@ -141,10 +141,10 @@ func TestMatrixOptionAxisEnumeration(t *testing.T) {
 // record, so they must survive encode/decode exactly.
 func TestTrialJSONRoundTrip(t *testing.T) {
 	in := Trial{
-		Index: 3, Seed: 11, Scenario: "ablate-cron", Site: "small", Mode: "agents",
-		Days: 90, CronPeriod: 15 * simclock.Minute, AgentSet: "full",
-		NoBatchRescue: true, DisablePrivateNet: true, BaselineMonitors: true,
-		Overrides: "custom",
+		Index: 3, Seed: 11, Cell: Cell{Scenario: "ablate-cron", Site: "small", Mode: "agents",
+			Days: 90, CronPeriod: 15 * simclock.Minute, AgentSet: "full",
+			NoBatchRescue: true, DisablePrivateNet: true, BaselineMonitors: true,
+			Overrides: "custom"},
 	}
 	js, err := json.Marshal(in)
 	if err != nil {
@@ -160,7 +160,7 @@ func TestTrialJSONRoundTrip(t *testing.T) {
 
 	// Zero option axes stay out of the record: the JSON form of a plain
 	// trial must not grow when axes it does not use are added.
-	js, err = json.Marshal(Trial{Index: 1, Seed: 2, Scenario: "year"})
+	js, err = json.Marshal(Trial{Index: 1, Seed: 2, Cell: Cell{Scenario: "year"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,8 +118,8 @@ func TestReuseRunnerResetFailsOpen(t *testing.T) {
 // TestCellKeyIgnoresSeedAndIndex: the pooling key must treat trials of one
 // cell as interchangeable and trials of different cells as distinct.
 func TestCellKeyIgnoresSeedAndIndex(t *testing.T) {
-	a := Trial{Index: 0, Seed: 1, Site: "small", Mode: "agents", Days: 2}
-	b := Trial{Index: 9, Seed: 7, Site: "small", Mode: "agents", Days: 2}
+	a := Trial{Index: 0, Seed: 1, Cell: Cell{Site: "small", Mode: "agents", Days: 2}}
+	b := Trial{Index: 9, Seed: 7, Cell: Cell{Site: "small", Mode: "agents", Days: 2}}
 	if CellKey(a) != CellKey(b) {
 		t.Errorf("same cell, different seed/index: keys differ\n a: %s\n b: %s", CellKey(a), CellKey(b))
 	}

@@ -183,17 +183,17 @@ func betacf(a, b, x float64) float64 {
 // significance tests between cells. Failed trials contribute nothing, as
 // in Aggregate.
 func (r *Result) GroupSamples() []map[string][]float64 {
-	idx := make(map[groupKey]int, len(r.Groups))
+	idx := make(map[Cell]int, len(r.Groups))
 	out := make([]map[string][]float64, len(r.Groups))
 	for i, g := range r.Groups {
-		idx[g.key] = i
+		idx[g.Cell] = i
 		out[i] = make(map[string][]float64)
 	}
 	for _, tr := range r.Trials {
 		if tr.Err != "" {
 			continue
 		}
-		i, ok := idx[keyOf(tr.Trial)]
+		i, ok := idx[tr.Trial.Cell]
 		if !ok {
 			continue
 		}

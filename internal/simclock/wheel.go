@@ -3,8 +3,8 @@ package simclock
 // Wheel is a coalesced cron scheduler: entries that share a (first-fire,
 // period) coordinate are grouped into one bucket backed by a single
 // repeating heap event that walks its entries in registration order. A site
-// with hundreds of agents on the same cron, or a hundred BMC monitors on one
-// poll coordinate, keeps one pending event per distinct schedule instead of
+// with a hundred BMC monitors on one poll coordinate, or a slot's worth of
+// batched agents, keeps one pending event per distinct schedule instead of
 // one per entry, and every bucket reuses its Event allocation across ticks.
 //
 // Semantics match scheduling each entry with Sim.Every individually:
@@ -18,10 +18,8 @@ package simclock
 // with other same-instant work, per-entry tickers would interleave the
 // callbacks where the wheel batches them. Registrations that share a
 // coordinate must therefore be contiguous for bit-identical replay — which
-// they are in practice, since sites draw each agent's phase from a
-// continuous distribution (coordinates only ever collide by construction,
-// never by chance) and deploy agent by agent, and install their BMC
-// monitors, which share one coordinate by construction, back to back.
+// they are in practice: sites install their BMC monitors, which share one
+// coordinate by construction, back to back.
 // Likewise, an event a callback schedules for exactly its bucket's next
 // tick runs before the whole bucket there, where per-entry tickers would
 // run it after the entries registered before that callback's own; BMC

@@ -97,29 +97,23 @@ type Options struct {
 	NoBatchRescue bool
 	// OperatorTiming overrides the manual-operations constants (ablation).
 	OperatorTiming *operators.Timing
-	// ReferenceScheduler wires each agent's cron as its own heap ticker
-	// instead of the coalesced wheel — the seed scheduling path. Simulated
-	// behaviour is identical either way (the equivalence tests gate this);
-	// the reference path exists so the gate has something independent to
-	// compare the optimised engine against.
-	ReferenceScheduler bool
 	// Probes overrides the topology's probe-dispatcher spec: non-nil
 	// enables (or reconfigures) the batched probe engine regardless of
 	// what the topology declares. nil keeps the topology's spec.
 	Probes *ProbeSpec
 	// ReferenceProbes runs the probe engine with one independent repeating
-	// event per service instead of coalesced batch walks — the probe
-	// analogue of ReferenceScheduler, and the baseline TestMegaSite
-	// equivalence compares the batched dispatcher against. Meaningless
-	// unless a probe spec is in effect.
+	// event per service instead of coalesced batch walks — the baseline
+	// TestMegaSite equivalence compares the batched dispatcher against.
+	// Meaningless unless a probe spec is in effect.
 	ReferenceProbes bool
-	// Shards is the intra-trial parallelism degree: per-tier batch work
-	// (today the probe sub-ranges) advances on this many goroutines
-	// inside each tick window and merges at tick boundaries in a fixed
-	// order, so simulated behaviour — and campaign JSON — is
-	// byte-identical at any shard count. 0 and 1 both mean the
-	// single-goroutine engine; negative or absurd counts are rejected by
-	// NewSite. Ignored under ReferenceScheduler/ReferenceProbes.
+	// Shards is the intra-trial parallelism degree: batch work — the
+	// probe sub-ranges and, under AgentSlots, the agent observe batches —
+	// advances on this many goroutines inside each tick window and merges
+	// at tick boundaries in a fixed order, so simulated behaviour — and
+	// campaign JSON — is byte-identical at any shard count. 0 and 1 both
+	// mean the single-goroutine engine; negative or absurd counts are
+	// rejected by NewSite. ReferenceProbes walks the probes serially at
+	// any count, and unslotted agents always run on serial tickers.
 	Shards int
 	// AgentSlots switches agent cron dispatch (ModeAgents) from one
 	// continuous random phase per agent to phases quantized onto this many
@@ -129,9 +123,9 @@ type Options struct {
 	// tick barrier. Unlike Shards this is a model knob: quantizing moves
 	// the wake-up instants, so a slotted run is a different (equally valid)
 	// trajectory from an unslotted one, and campaigns record it in their
-	// JSON. 0 (the default) keeps per-agent phases; byte-identity across
-	// shard counts holds at any fixed value. Ignored under
-	// ReferenceScheduler.
+	// JSON. 0 (the default) keeps per-agent phases, each agent on its own
+	// cron ticker (agent.Agent.Schedule); byte-identity across shard
+	// counts holds at any fixed value.
 	AgentSlots int
 	// TraceLevel enables the decision-trace recorder: 0 off (the default —
 	// a nil recorder, zero cost), 1 records every healing-pipeline decision
@@ -243,10 +237,6 @@ func WithoutBatchRescue() Option { return func(o *Options) { o.NoBatchRescue = t
 
 // WithOperatorTiming overrides the manual-operations timing constants.
 func WithOperatorTiming(t operators.Timing) Option { return func(o *Options) { o.OperatorTiming = &t } }
-
-// WithReferenceScheduler selects the per-agent ticker scheduling path that
-// the coalesced cron wheel is equivalence-tested against.
-func WithReferenceScheduler() Option { return func(o *Options) { o.ReferenceScheduler = true } }
 
 // WithProbes overrides the topology's probe-dispatcher spec (see
 // Options.Probes); WithProbes(ProbeSpec{}) enables the engine with

@@ -21,58 +21,3 @@
 // "computefarm"; RegisterTopology and LoadTopology add custom sites (in
 // Go or from JSON) that scenarios and campaigns then select by name.
 package qoscluster
-
-// SiteSpec sizes a paper-shaped datacentre.
-//
-// Deprecated: SiteSpec predates the declarative Topology API and only
-// describes the paper's fixed three-tier shape. Declare a Topology (or
-// start from PaperTopology/SmallTopology) and use NewSite instead.
-type SiteSpec struct {
-	Name string
-	Geo  string
-	Seed uint64
-	// Host counts per role. The paper's site ran 100 database, 55
-	// transaction and 60 front-end servers.
-	DatabaseHosts    int
-	TransactionHosts int
-	FrontEndHosts    int
-}
-
-// PaperSite returns the full-size evaluation site spec.
-//
-// Deprecated: use PaperTopology with NewSite and WithSeed.
-func PaperSite(seed uint64) SiteSpec {
-	return SiteSpec{Name: "london-dc1", Geo: "UK", Seed: seed,
-		DatabaseHosts: 100, TransactionHosts: 55, FrontEndHosts: 60}
-}
-
-// SmallSite returns a scaled site spec for long simulations.
-//
-// Deprecated: use SmallTopology with NewSite and WithSeed.
-func SmallSite(seed uint64) SiteSpec {
-	return SiteSpec{Name: "london-dc1", Geo: "UK", Seed: seed,
-		DatabaseHosts: 6, TransactionHosts: 2, FrontEndHosts: 3}
-}
-
-// TopologyFromSpec converts a legacy SiteSpec into the equivalent
-// paper-shaped Topology: an Oracle/Sybase+LSF database tier, a feed
-// transaction tier and a database-pinned front-end tier at the spec's
-// counts, with the paper's hardware spread. Zero-count tiers are omitted.
-func TopologyFromSpec(spec SiteSpec) Topology {
-	return paperShaped(spec.Name, spec.Geo, spec.DatabaseHosts, spec.TransactionHosts, spec.FrontEndHosts)
-}
-
-// BuildSite assembles a site from a legacy SiteSpec; call Run to execute
-// it. The spec's Seed overrides opts.Seed.
-//
-// Deprecated: BuildSite keeps one release of compatibility for the
-// pre-topology constructor and panics on invalid input where NewSite
-// returns an error. New code should declare a Topology and call NewSite.
-func BuildSite(spec SiteSpec, opts Options) *Site {
-	opts.Seed = spec.Seed
-	s, err := newSite(TopologyFromSpec(spec), opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

@@ -11,9 +11,11 @@ import (
 )
 
 func TestBuildSiteStructure(t *testing.T) {
-	site := BuildSite(SmallSite(1), Options{Mode: ModeManual})
-	spec := SmallSite(1)
-	wantHosts := spec.DatabaseHosts + spec.TransactionHosts + spec.FrontEndHosts
+	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeManual))
+	wantHosts := 0
+	for _, tier := range SmallTopology().Tiers {
+		wantHosts += tier.Hosts
+	}
 	if site.DC.Size() != wantHosts {
 		t.Errorf("hosts = %d, want %d", site.DC.Size(), wantHosts)
 	}
@@ -39,14 +41,17 @@ func TestBuildSiteStructure(t *testing.T) {
 }
 
 func TestPaperSiteCounts(t *testing.T) {
-	spec := PaperSite(1)
-	if spec.DatabaseHosts != 100 || spec.TransactionHosts != 55 || spec.FrontEndHosts != 60 {
-		t.Errorf("paper site counts drifted: %+v", spec)
+	hosts := map[string]int{}
+	for _, tier := range PaperTopology().Tiers {
+		hosts[tier.Role] = tier.Hosts
+	}
+	if hosts["database"] != 100 || hosts["transaction"] != 55 || hosts["frontend"] != 60 {
+		t.Errorf("paper site counts drifted: %v", hosts)
 	}
 }
 
 func TestAgentModeAddsAdminTier(t *testing.T) {
-	site := BuildSite(SmallSite(1), Options{Mode: ModeAgents})
+	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeAgents))
 	mustRun(t, site, simclock.Hour)
 	if site.Admin == nil {
 		t.Fatal("admin pair missing")
@@ -67,7 +72,7 @@ func TestAgentModeAddsAdminTier(t *testing.T) {
 }
 
 func TestAgentsFullSet(t *testing.T) {
-	site := BuildSite(SmallSite(1), Options{Mode: ModeAgents, AgentSet: AgentsFull})
+	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeAgents), WithAgentSet(AgentsFull))
 	mustRun(t, site, simclock.Hour)
 	perHost := map[string]int{}
 	for _, a := range site.Agents {
@@ -88,7 +93,7 @@ func TestAgentsFullSet(t *testing.T) {
 }
 
 func TestManualYearShape(t *testing.T) {
-	site := BuildSite(SmallSite(7), Options{Mode: ModeManual})
+	site := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeManual))
 	mustRun(t, site, 120*simclock.Day)
 	r := site.Report()
 	if r.Total < 50*simclock.Hour {
@@ -106,7 +111,7 @@ func TestManualYearShape(t *testing.T) {
 }
 
 func TestAgentShortRunDetectsAndRepairs(t *testing.T) {
-	site := BuildSite(SmallSite(7), Options{Mode: ModeAgents})
+	site := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeAgents))
 	mustRun(t, site, 10*simclock.Day)
 	r := site.Report()
 	if r.AgentRuns == 0 {
@@ -119,7 +124,7 @@ func TestAgentShortRunDetectsAndRepairs(t *testing.T) {
 		}
 	}
 	// Downtime rate must be a small fraction of the manual mode's.
-	manual := BuildSite(SmallSite(7), Options{Mode: ModeManual})
+	manual := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeManual))
 	mustRun(t, manual, 10*simclock.Day)
 	if manual.Ledger.TotalDowntime(manual.Sim.Now()) > 0 && r.Total > 0 {
 		ratio := float64(manual.Ledger.TotalDowntime(manual.Sim.Now())) / float64(r.Total)
@@ -131,7 +136,7 @@ func TestAgentShortRunDetectsAndRepairs(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Report {
-		site := BuildSite(SmallSite(99), Options{Mode: ModeManual})
+		site := mustSite(t, SmallTopology(), WithSeed(99), WithMode(ModeManual))
 		mustRun(t, site, 60*simclock.Day)
 		return site.Report()
 	}
@@ -142,9 +147,9 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSeedChangesOutcome(t *testing.T) {
-	s1 := BuildSite(SmallSite(1), Options{Mode: ModeManual})
+	s1 := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeManual))
 	mustRun(t, s1, 90*simclock.Day)
-	s2 := BuildSite(SmallSite(2), Options{Mode: ModeManual})
+	s2 := mustSite(t, SmallTopology(), WithSeed(2), WithMode(ModeManual))
 	mustRun(t, s2, 90*simclock.Day)
 	if s1.Report().Total == s2.Report().Total {
 		t.Error("different seeds should give different years")
@@ -152,7 +157,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 }
 
 func TestNoFaultsNoDowntime(t *testing.T) {
-	site := BuildSite(SmallSite(1), Options{Mode: ModeManual, Faults: []faultinject.Spec{}})
+	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeManual), WithNoFaults())
 	mustRun(t, site, 30*simclock.Day)
 	if got := site.Report().Total; got != 0 {
 		t.Errorf("downtime with no faults = %v", got)
@@ -167,9 +172,9 @@ func TestNoBatchRescueAblation(t *testing.T) {
 		Category: metrics.CatMidCrash, MeanInterarrival: 2 * simclock.Day,
 		Window: faultinject.Overnight,
 	}}
-	with := BuildSite(SmallSite(5), Options{Mode: ModeAgents, Faults: midOnly})
+	with := mustSite(t, SmallTopology(), WithSeed(5), WithMode(ModeAgents), WithFaults(midOnly))
 	mustRun(t, with, 8*simclock.Day)
-	without := BuildSite(SmallSite(5), Options{Mode: ModeAgents, Faults: midOnly, NoBatchRescue: true})
+	without := mustSite(t, SmallTopology(), WithSeed(5), WithMode(ModeAgents), WithFaults(midOnly), WithoutBatchRescue())
 	mustRun(t, without, 8*simclock.Day)
 	rw, rwo := with.Report(), without.Report()
 	if rw.Resubmitted == 0 {
@@ -185,7 +190,7 @@ func TestNoBatchRescueAblation(t *testing.T) {
 }
 
 func TestDisablePrivateNet(t *testing.T) {
-	site := BuildSite(SmallSite(1), Options{Mode: ModeAgents, DisablePrivateNet: true})
+	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeAgents), WithoutPrivateNet())
 	mustRun(t, site, simclock.Day)
 	if site.Private != nil {
 		t.Fatal("private network should be absent")
@@ -199,7 +204,7 @@ func TestDisablePrivateNet(t *testing.T) {
 }
 
 func TestPrivateNetCarriesAgentTraffic(t *testing.T) {
-	site := BuildSite(SmallSite(1), Options{Mode: ModeAgents})
+	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeAgents))
 	mustRun(t, site, simclock.Day)
 	if site.Private.Stats().Bytes == 0 {
 		t.Error("private network should carry the agent traffic")
@@ -215,9 +220,9 @@ func TestCronPeriodAblationDirection(t *testing.T) {
 		Category: metrics.CatHuman, MeanInterarrival: 36 * simclock.Hour,
 		Window: faultinject.AnyTime,
 	}}
-	fast := BuildSite(SmallSite(3), Options{Mode: ModeAgents, CronPeriod: 2 * simclock.Minute, Faults: fault})
+	fast := mustSite(t, SmallTopology(), WithSeed(3), WithMode(ModeAgents), WithCronPeriod(2*simclock.Minute), WithFaults(fault))
 	mustRun(t, fast, 6*simclock.Day)
-	slow := BuildSite(SmallSite(3), Options{Mode: ModeAgents, CronPeriod: simclock.Hour, Faults: fault})
+	slow := mustSite(t, SmallTopology(), WithSeed(3), WithMode(ModeAgents), WithCronPeriod(simclock.Hour), WithFaults(fault))
 	mustRun(t, slow, 6*simclock.Day)
 	rf, rs := fast.Report(), slow.Report()
 	if rf.MeanDetect >= rs.MeanDetect {
@@ -229,7 +234,7 @@ func TestCronPeriodAblationDirection(t *testing.T) {
 }
 
 func TestReportFormat(t *testing.T) {
-	site := BuildSite(SmallSite(7), Options{Mode: ModeManual})
+	site := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeManual))
 	mustRun(t, site, 30*simclock.Day)
 	out := site.Report().Format()
 	for _, want := range []string{"mid-crash", "TOTAL", "detection:", "batch:"} {

@@ -148,7 +148,7 @@ func FormatCampaign(r *campaign.Result) string {
 	}
 	for gi, g := range r.Groups {
 		b.WriteByte('\n')
-		fmt.Fprintf(&b, "--- %s", GroupLabel(g))
+		fmt.Fprintf(&b, "--- %s", GroupLabel(g.Cell))
 		fmt.Fprintf(&b, " (%d seeds", g.Seeds)
 		if g.Errors > 0 {
 			fmt.Fprintf(&b, ", %d FAILED", g.Errors)
@@ -180,7 +180,7 @@ func FormatCampaign(r *campaign.Result) string {
 		b.WriteString("\nfailed trials:\n")
 		for _, tr := range errs {
 			fmt.Fprintf(&b, "  #%d seed=%d %s: %s\n", tr.Trial.Index, tr.Trial.Seed,
-				GroupLabel(campaign.GroupOf(tr.Trial)), tr.Err)
+				GroupLabel(tr.Trial.Cell), tr.Err)
 		}
 	}
 	return b.String()
@@ -197,10 +197,10 @@ func significance(base, cell []float64, paired bool) string {
 	return fmt.Sprintf("%10.4f", res.P)
 }
 
-// GroupLabel names the non-seed coordinates of a group, skipping blank
-// axes; option axes at their zero value (the scenario default) are
-// likewise skipped.
-func GroupLabel(g campaign.Group) string {
+// GroupLabel names a campaign cell's coordinates, skipping blank axes;
+// option axes at their zero value (the scenario default) are likewise
+// skipped.
+func GroupLabel(g campaign.Cell) string {
 	var parts []string
 	if g.Scenario != "" {
 		parts = append(parts, "scenario="+g.Scenario)

@@ -233,7 +233,7 @@ func parseCampaign(path string) (map[string]float64, error) {
 	means := map[string]float64{}
 	for _, rec := range records {
 		for _, g := range rec.Groups {
-			prefix := rec.Name + "[" + qoscluster.GroupLabel(g) + "]"
+			prefix := rec.Name + "[" + qoscluster.GroupLabel(g.Cell) + "]"
 			for metric, s := range g.Stats {
 				means[prefix+" "+metric] = s.Mean
 			}

@@ -724,9 +724,8 @@ func init() {
 // Oracle/Sybase database tier carrying LSF, a market-data transaction
 // tier and a front-end tier pinned to databases — at the given scale.
 func paperShaped(name, geo string, db, tx, fe int) Topology {
-	t := Topology{Name: name, Geo: geo}
-	if db > 0 {
-		t.Tiers = append(t.Tiers, Tier{
+	return Topology{Name: name, Geo: geo, Tiers: []Tier{
+		{
 			Name: "db", Role: "database", Hosts: db, IPBlock: "10.2.0",
 			Hardware: []string{"E10K", "E4500", "E4500"},
 			Services: []ServiceTemplate{
@@ -734,31 +733,22 @@ func paperShaped(name, geo string, db, tx, fe int) Topology {
 				{Kind: "sybase", Name: "SYB-%03d", Port: 4100, Cycle: 4, Phases: []int{3}, LSFTarget: true},
 				{Kind: "lsf", Name: "LSF-{host}"},
 			},
-		})
-	}
-	if tx > 0 {
-		t.Tiers = append(t.Tiers, Tier{
+		},
+		{
 			Name: "tx", Role: "transaction", Hosts: tx, IPBlock: "10.3.0",
 			Hardware: []string{"E450", "HP-K", "E220R", "HP-T", "linux-x86", "Ultra10"},
 			Services: []ServiceTemplate{
 				{Kind: "feedhandler", Name: "FEED-%03d", Port: 7000, PortStep: 1},
 			},
-		})
-	}
-	if fe > 0 {
-		feTier := Tier{
+		},
+		{
 			Name: "fe", Role: "frontend", Hosts: fe, IPBlock: "10.4.0",
 			Hardware: []string{"SP2"},
 			Services: []ServiceTemplate{
-				{Kind: "frontend", Name: "FE-%03d", Port: 8000, PortStep: 1},
+				{Kind: "frontend", Name: "FE-%03d", Port: 8000, PortStep: 1, DependsOn: "db"},
 			},
-		}
-		if db > 0 {
-			feTier.Services[0].DependsOn = "db"
-		}
-		t.Tiers = append(t.Tiers, feTier)
-	}
-	return t
+		},
+	}}
 }
 
 // PaperTopology is the paper's full-size evaluation site: 100 database,

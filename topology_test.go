@@ -99,8 +99,7 @@ func TestTopologyValidation(t *testing.T) {
 
 // TestNoBatchTargetsIsLegal pins that a topology without any LSF target
 // builds and runs (the batch workload idles; interactive load still
-// applies) — and that the deprecated BuildSite wrapper keeps accepting
-// the equivalent database-less SiteSpec it accepted before the redesign.
+// applies).
 func TestNoBatchTargetsIsLegal(t *testing.T) {
 	topo := Topology{
 		Name: "feeds-only", Geo: "UK",
@@ -121,11 +120,6 @@ func TestNoBatchTargetsIsLegal(t *testing.T) {
 	}
 	if site.Report().JobsDone != 0 {
 		t.Error("no targets means no batch jobs")
-	}
-
-	legacy := BuildSite(SiteSpec{Name: "x", Geo: "UK", Seed: 1, TransactionHosts: 2}, Options{})
-	if err := legacy.Run(simclock.Day); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -218,27 +212,6 @@ func TestTopologyRegistry(t *testing.T) {
 	}
 	if _, ok := TopologyByName("test-custom"); !ok {
 		t.Error("registered topology not retrievable")
-	}
-}
-
-// TestNewSiteMatchesLegacyBuildSite pins that the declarative path
-// reproduces the hardcoded pre-topology constructor exactly: same seed,
-// same simulated year, field-identical report.
-func TestNewSiteMatchesLegacyBuildSite(t *testing.T) {
-	legacy := BuildSite(SmallSite(42), Options{Mode: ModeAgents})
-	if err := legacy.Run(20 * simclock.Day); err != nil {
-		t.Fatal(err)
-	}
-	site, err := NewSite(SmallTopology(), WithSeed(42), WithMode(ModeAgents))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := site.Run(20 * simclock.Day); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Report(), site.Report()) {
-		t.Errorf("topology-built site diverged from legacy BuildSite:\n%+v\n%+v",
-			legacy.Report(), site.Report())
 	}
 }
 
