@@ -299,7 +299,7 @@ func (s *Site) resolvedFaults(tier Tier) *FaultsSpec {
 
 // Tiered reports whether any per-tier workload or fault domain is in
 // play — from the topology or from option overrides. Untiered sites run
-// the pre-domain single-global-domain paths, byte-identically.
+// the single-global-domain workload and fault paths.
 func (s *Site) Tiered() bool {
 	if len(s.Opts.TierFaultScale) > 0 || len(s.Opts.TierLoadScale) > 0 {
 		return true
@@ -423,16 +423,16 @@ func (s *Site) buildLSF() error {
 		return fmt.Errorf("topology %q: %w", s.Topo.Name, err)
 	}
 	if sp != nil {
-		s.Gen.SetSpec(sp)
+		s.Gen.SetSpec(*sp)
 	}
 	return nil
 }
 
-// resolvedSpec resolves the statistical workload spec in effect: the
-// WorkloadSpec option wins (validated here, since it arrives from a
+// resolvedSpec resolves the statistical workload spec the site names:
+// the WorkloadSpec option wins (validated here, since it arrives from a
 // caller rather than the registry, whose entries validate on the way
 // in), else the topology's named spec resolves through the registry,
-// else nil — the legacy generator.
+// else nil — the generator keeps its own default, PaperSpec.
 func (s *Site) resolvedSpec() (*workload.Spec, error) {
 	if sp := s.Opts.WorkloadSpec; sp != nil {
 		if err := sp.Validate(); err != nil {
@@ -453,8 +453,7 @@ func (s *Site) resolvedSpec() (*workload.Spec, error) {
 
 // workloadDomains compiles the per-tier workload specs into generator
 // coefficients, or nil when no tier declares one — the generator then
-// keeps its single global domain, byte-identical to the pre-domain
-// behaviour.
+// keeps its single global domain.
 func (s *Site) workloadDomains() map[string]workload.TierLoad {
 	// A -tierload scale forces domains on even when no tier declares a
 	// spec: the scale multiplies the (then all-ones) resolved weights.

@@ -14,11 +14,13 @@ import (
 
 // TestCampaignGoldenNoTierSpecs is the refactor gate for the per-tier
 // workload/fault-domain work: topologies that declare no per-tier specs
-// (paper, small) must produce campaign JSON byte-identical to the
-// pre-refactor engine, pinned by the checked-in goldens
-// (testdata/campaign-golden-<site>-<mode>.json, recorded at the commit
-// before domains landed). Both the fresh-build and the pooled Reset
-// paths are held to the goldens.
+// and name no workload (paper, small) must produce campaign JSON
+// byte-identical to the checked-in goldens
+// (testdata/campaign-golden-<site>-<mode>.json). They were recorded at
+// the commit before domains landed and regenerated once, when the
+// `paper` workload spec became the default of every site that names
+// none. Both the fresh-build and the pooled Reset paths are held to the
+// goldens.
 //
 // If this test fails, the domain machinery has leaked into the
 // unspecified path — extra random draws, changed arithmetic, new metric

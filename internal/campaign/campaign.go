@@ -57,7 +57,7 @@ type Cell struct {
 	// Workload names the statistical workload spec driving the trial's
 	// offered load (a registered spec name; file-loaded specs register
 	// under their declared name at resolve time). "" means the site's
-	// own workload — the topology's named spec, or the legacy generator.
+	// own workload — the topology's named spec, or else `paper`.
 	Workload string `json:"workload,omitempty"`
 	// TierLoad is the per-tier load-intensity coordinate, the workload
 	// twin of TierFaults: "web=2,db=0.5" multiplies the named tiers'

@@ -94,16 +94,14 @@ func TestStopClearsTickers(t *testing.T) {
 	}
 }
 
-// TestStopCancelsClassArrivals: in spec mode Stop must also cancel the
-// pending per-class arrival events, or the chains keep submitting.
+// TestStopCancelsClassArrivals: Stop must also cancel the pending
+// per-class arrival events, or the chains keep submitting.
 func TestStopCancelsClassArrivals(t *testing.T) {
 	r := newRig(t)
-	spec := PaperSpec()
-	r.gen.SetSpec(&spec)
 	r.gen.Start()
 	r.sim.RunUntil(simclock.Day)
 	if r.gen.JobsSubmitted == 0 {
-		t.Fatal("spec-driven generator submitted nothing in a day")
+		t.Fatal("generator submitted nothing in a day")
 	}
 	r.gen.Stop()
 	n := r.gen.JobsSubmitted
@@ -114,7 +112,7 @@ func TestStopCancelsClassArrivals(t *testing.T) {
 }
 
 // crashAndRecover crashes tx1 mid-window and forces it back up, the
-// sequence that loses feed load under the legacy one-shot path.
+// sequence that wipes the host's feed disk activity.
 func crashAndRecover(r *rig, at simclock.Time) {
 	r.sim.RunUntil(at)
 	tx := r.dc.Host("tx1")
@@ -122,13 +120,10 @@ func crashAndRecover(r *rig, at simclock.Time) {
 	tx.ForceUp(r.sim.Now())
 }
 
-// TestFeedLoadRestoredAfterRecovery: with a workload spec installed, a
-// transaction host that crashes and recovers gets its feed disk load
-// back at the next refresh tick.
+// TestFeedLoadRestoredAfterRecovery: a transaction host that crashes
+// and recovers gets its feed disk load back at the next refresh tick.
 func TestFeedLoadRestoredAfterRecovery(t *testing.T) {
 	r := newRig(t)
-	spec := PaperSpec()
-	r.gen.SetSpec(&spec)
 	r.gen.Start()
 	crashAndRecover(r, 4*simclock.Hour+1*simclock.Minute)
 	if busy := r.dc.Host("tx1").IOStat().BusyPct; busy != 0 {
@@ -137,12 +132,12 @@ func TestFeedLoadRestoredAfterRecovery(t *testing.T) {
 	// Past the next 15-minute refresh.
 	r.sim.RunUntil(4*simclock.Hour + 31*simclock.Minute)
 	if busy := r.dc.Host("tx1").IOStat().BusyPct; busy == 0 {
-		t.Error("feed load not restored after recovery under a workload spec")
+		t.Error("feed load not restored after recovery")
 	}
 }
 
-// TestFeedLoadRestoredWithDomains: the fix also covers tier-domain
-// sites (SetDomains without a spec), which share the refresh path.
+// TestFeedLoadRestoredWithDomains: tier-domain sites share the refresh
+// path, so their recovered hosts get the feed load back too.
 func TestFeedLoadRestoredWithDomains(t *testing.T) {
 	r := newRig(t)
 	r.gen.SetDomains(map[string]string{"tx1": "feeds"},
@@ -155,66 +150,71 @@ func TestFeedLoadRestoredWithDomains(t *testing.T) {
 	}
 }
 
-// TestLegacyFeedLoadStaysLost pins the historical behaviour the goldens
-// depend on: without a spec or domains, recovered hosts stay feed-less.
-func TestLegacyFeedLoadStaysLost(t *testing.T) {
+// TestRestartKeepsFeedLoad: a Stop → Start cycle must not re-add the
+// feed load still applied to the transaction hosts. Start has to keep
+// its record of the applied load across Stop; dropping it makes the
+// first refresh after a restart double tx1's feed disk activity
+// (13 % → 27 % busy).
+func TestRestartKeepsFeedLoad(t *testing.T) {
 	r := newRig(t)
 	r.gen.Start()
-	crashAndRecover(r, 4*simclock.Hour+1*simclock.Minute)
-	r.sim.RunUntil(simclock.Day)
-	if busy := r.dc.Host("tx1").IOStat().BusyPct; busy != 0 {
-		t.Errorf("legacy path re-applied feed load (busy %v); goldens pin it lost", busy)
+	r.sim.RunUntil(4 * simclock.Hour)
+	before := r.dc.Host("tx1").IOStat().BusyPct
+	if before == 0 {
+		t.Fatal("no feed load before the restart")
+	}
+	r.gen.Stop()
+	r.gen.Start()
+	// The restarted interactive ticker's first refresh fires at Now.
+	r.sim.RunUntil(r.sim.Now())
+	if after := r.dc.Host("tx1").IOStat().BusyPct; after != before {
+		t.Errorf("tx1 disk busy %v%% after a restart, want the %v%% it had before", after, before)
 	}
 }
 
-// TestLowRateLegacyTruncatesToZero pins bugfix #3's two sides: the
-// legacy hourly path floors int(rate·shape·jitter), so a sub-1/hour
-// rate submits nothing, while a spec class at the same rate draws
-// interarrival times and submits at its true long-run rate.
-func TestLowRateLegacyTruncatesToZero(t *testing.T) {
-	legacy := newRig(t)
-	legacy.gen.cfg.DayJobsPerHour = 0.5
-	legacy.gen.cfg.OvernightJobs = 0
-	legacy.gen.Start()
-	legacy.sim.RunUntil(4 * simclock.Day)
-	if n := legacy.gen.JobsSubmitted; n != 0 {
-		t.Errorf("legacy truncation submitted %d jobs at 0.5/hour; goldens pin 0", n)
-	}
-
-	spec := newRig(t)
-	spec.gen.cfg.DayJobsPerHour = 0.5
-	spec.gen.cfg.OvernightJobs = 0
-	s := onePoisson("lowrate")
-	spec.gen.SetSpec(&s)
-	spec.gen.Start()
-	spec.sim.RunUntil(4 * simclock.Day)
-	if n := spec.gen.JobsSubmitted; n == 0 {
-		t.Error("spec class submitted nothing at 0.5/hour; interarrival draws must not truncate")
+// TestLowRateClassSubmits: a class at a sub-1/hour rate draws
+// interarrival times, so it submits at its true long-run rate instead
+// of flooring its hourly expectation to zero.
+func TestLowRateClassSubmits(t *testing.T) {
+	r := newRig(t)
+	r.gen.cfg.DayJobsPerHour = 0.5
+	r.gen.cfg.OvernightJobs = 0
+	r.gen.SetSpec(onePoisson("lowrate"))
+	r.gen.Start()
+	r.sim.RunUntil(4 * simclock.Day)
+	if n := r.gen.JobsSubmitted; n == 0 {
+		t.Error("class submitted nothing at 0.5/hour; interarrival draws must not truncate")
 	}
 }
 
-// TestSpecVolumeMatchesLegacy: the paper spec redistributes the same
-// DayJobsPerHour the legacy generator offers, so week-scale submission
-// totals must agree to well within 2x.
-func TestSpecVolumeMatchesLegacy(t *testing.T) {
-	legacy := newRig(t)
-	legacy.gen.cfg.OvernightJobs = 0
-	legacy.gen.Start()
-	legacy.sim.RunUntil(7 * simclock.Day)
+// TestPaperSpecVolumeMatchesAnalytic: over four weeks the paper spec's
+// submission count lands within 10 % of its analytic offered volume,
+// Σ share × (1 + burst × burst_prob) × DayJobsPerHour × ∫ shaped(DiurnalShape,
+// amplitude) dt, integrated here at 1-minute steps. The quants' bursts
+// and feed-replay's flattened amplitude put that volume well above the
+// bare DayJobsPerHour × ∫ DiurnalShape dt.
+func TestPaperSpecVolumeMatchesAnalytic(t *testing.T) {
+	r := newRig(t)
+	r.gen.cfg.OvernightJobs = 0
+	start := r.sim.Now()
+	end := start + 28*simclock.Day
+	r.gen.Start()
+	r.sim.RunUntil(end)
 
-	spec := newRig(t)
-	spec.gen.cfg.OvernightJobs = 0
-	s := PaperSpec()
-	spec.gen.SetSpec(&s)
-	spec.gen.Start()
-	spec.sim.RunUntil(7 * simclock.Day)
-
-	l, p := legacy.gen.JobsSubmitted, spec.gen.JobsSubmitted
-	if l == 0 || p == 0 {
-		t.Fatalf("no jobs: legacy %d spec %d", l, p)
+	rate := r.gen.cfg.DayJobsPerHour
+	classes := PaperSpec().Classes
+	want, bare := 0.0, 0.0
+	for at := start; at < end; at += simclock.Minute {
+		shape := DiurnalShape(at)
+		bare += rate * shape / 60
+		for _, c := range classes {
+			want += c.Share * (1 + float64(c.Burst)*c.BurstProb) * rate * shaped(shape, c.amp()) / 60
+		}
 	}
-	if ratio := float64(p) / float64(l); ratio < 0.5 || ratio > 2 {
-		t.Errorf("spec volume %d vs legacy %d (ratio %.2f), want within 2x", p, l, ratio)
+	got := float64(r.gen.JobsSubmitted)
+	t.Logf("submitted %.0f, analytic %.1f, bare shaped rate %.1f", got, want, bare)
+	if math.Abs(got-want) > 0.1*want {
+		t.Errorf("paper spec submitted %.0f jobs in 4 weeks, want %.1f ± 10 %%", got, want)
 	}
 }
 
@@ -224,8 +224,7 @@ func TestSpecVolumeMatchesLegacy(t *testing.T) {
 func TestSpecDeterminism(t *testing.T) {
 	run := func() int {
 		r := newRig(t)
-		s := FlashCrowdSpec()
-		r.gen.SetSpec(&s)
+		r.gen.SetSpec(FlashCrowdSpec())
 		r.gen.Start()
 		r.sim.RunUntil(3 * simclock.Day)
 		return r.gen.JobsSubmitted
@@ -246,7 +245,7 @@ func TestFlashCrowdBoostsWindow(t *testing.T) {
 	inWindow := func(spec Spec) int {
 		r := newRig(t)
 		r.gen.cfg.OvernightJobs = 0
-		r.gen.SetSpec(&spec)
+		r.gen.SetSpec(spec)
 		r.gen.Start()
 		r.sim.RunUntil(simclock.Day + 9*simclock.Hour + 30*simclock.Minute)
 		before := r.gen.JobsSubmitted
@@ -267,7 +266,7 @@ func TestFlashCrowdBoostsAmbience(t *testing.T) {
 		r := newRig(t)
 		r.gen.cfg.DayJobsPerHour = 0
 		r.gen.cfg.OvernightJobs = 0
-		r.gen.SetSpec(&spec)
+		r.gen.SetSpec(spec)
 		r.gen.Start()
 		r.sim.RunUntil(simclock.Day + 11*simclock.Hour)
 		return r.dc.Host("feA").CPUUtilisation()
@@ -284,14 +283,13 @@ func TestFlashCrowdBoostsAmbience(t *testing.T) {
 // running its classes.
 func TestSpecSurvivesReset(t *testing.T) {
 	r := newRig(t)
-	s := PaperSpec()
-	r.gen.SetSpec(&s)
+	r.gen.SetSpec(FlashCrowdSpec())
 	r.gen.Start()
 	r.sim.RunUntil(simclock.Day)
 	r.gen.Stop()
 	r.gen.Reset(r.sim.Rand())
-	if r.gen.Spec() == nil {
-		t.Fatal("Reset dropped the workload spec")
+	if r.gen.spec.Name != "flashcrowd" {
+		t.Fatalf("Reset replaced the installed spec with %q", r.gen.spec.Name)
 	}
 	before := r.gen.JobsSubmitted
 	if before != 0 {

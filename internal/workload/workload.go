@@ -45,7 +45,8 @@ type Config struct {
 	// PeakAnalysts is the number of concurrent interactive analysts at the
 	// top of the day, spread over the front-end tier.
 	PeakAnalysts int
-	// DayJobsPerHour is the batch submission rate at peak.
+	// DayJobsPerHour is the batch arrival rate at peak, split across the
+	// spec's classes (a bursting arrival submits more than one job).
 	DayJobsPerHour float64
 	// OvernightJobs is the size of the 22:00 batch drop.
 	OvernightJobs int
@@ -82,9 +83,10 @@ func DefaultTierLoad() TierLoad { return TierLoad{Share: 1, Batch: 1, Feed: 1, A
 
 // Generator drives load into a datacentre: a weighted multi-domain
 // scheduler in which interactive ambience, batch submission and feed load
-// each draw per tier domain. Without domains (SetDomains never called) it
-// collapses to the single global domain, byte-identical — in offered load
-// and random-stream consumption — to the pre-domain generator.
+// each draw per tier domain, and day batch work arrives through the
+// installed workload spec's arrival classes (PaperSpec unless SetSpec
+// installs another). Without domains (SetDomains never called) every
+// host and target falls in the single global domain.
 type Generator struct {
 	sim  *simclock.Sim
 	rng  *simclock.Rand
@@ -105,15 +107,15 @@ type Generator struct {
 	// entirely, as if the pool were empty.
 	noTargets bool
 
-	// Spec state (nil = legacy hourly generator). Installed once from
-	// the topology/options; Reset keeps it, like the domains.
-	spec    *Spec
+	// Spec state. New installs PaperSpec; SetSpec replaces it once from
+	// the topology/options, and Reset keeps it, like the domains.
+	spec    Spec
 	classes []*classState
 
 	// feedApplied tracks the feed disk activity currently applied per
 	// transaction host, so refreshFeed can re-apply load a crash wiped
-	// and track surge windows by delta. Only the spec/domain paths use
-	// it; the legacy path keeps its one-shot applyFeedLoad.
+	// and track surge windows by delta. It outlives Stop (the load it
+	// records stays on the hosts); Reset clears it.
 	feedApplied map[string]float64
 
 	// Counters for reports.
@@ -123,20 +125,26 @@ type Generator struct {
 
 // classState is one arrival class's live scheduling state: its spec, a
 // dedicated stream fork (so class draws interleave identically at any
-// worker or shard count), and the pending arrival event.
+// worker or shard count), and the pending arrival event. The event
+// labels and callbacks are built once per class, not per arrival.
 type classState struct {
 	spec ClassSpec
 	rng  *simclock.Rand
 	ev   *simclock.Event
+
+	idleLabel, redrawLabel, arriveLabel string
+	reschedule, arrive                  func(simclock.Time)
 }
 
-// New builds a generator over the datacentre. dbNames are the database
-// service names users submit jobs to; pass the LSF cluster's targets.
+// New builds a generator over the datacentre offering PaperSpec. dbNames
+// are the database service names users submit jobs to; pass the LSF
+// cluster's targets.
 func New(sim *simclock.Sim, cfg Config, dc *cluster.Datacentre, dir *svc.Directory,
 	lsfc *lsf.Cluster, dbNames []string) *Generator {
 	return &Generator{
 		sim: sim, rng: sim.Rand().Fork(0x301d), cfg: cfg,
 		dc: dc, dir: dir, lsfc: lsfc, dbNames: dbNames,
+		spec: PaperSpec(),
 	}
 }
 
@@ -154,8 +162,7 @@ func (g *Generator) Config() Config { return g.cfg }
 //
 // Note that installing domains changes the generator's random-stream
 // consumption (batch targets switch from an index draw to a weighted
-// draw), so only unspecified topologies — which never call SetDomains —
-// are byte-identical to the pre-domain generator.
+// draw), even when every weight is 1.
 func (g *Generator) SetDomains(tierOf map[string]string, tiers map[string]TierLoad) {
 	g.tierOf = tierOf
 	g.tiers = tiers
@@ -173,19 +180,15 @@ func (g *Generator) SetDomains(tierOf map[string]string, tiers map[string]TierLo
 	g.noTargets = len(g.dbNames) > 0 && total <= 0
 }
 
-// SetSpec installs a validated workload spec: batch submissions switch
-// from the legacy hourly truncating ticker to per-class interarrival
-// chains, and surge scenarios modulate arrivals, ambience and feed
-// load. Call it before Start; like the domains, the spec survives
+// SetSpec replaces the installed workload spec (PaperSpec by default)
+// with a validated one: its classes' interarrival chains carry the day
+// batch work, and its surge scenarios modulate arrivals, ambience and
+// feed load. Call it before Start; like the domains, the spec survives
 // Reset, since it derives from the topology/options, which site reuse
-// cannot change. Passing nil keeps the legacy generator, byte-identical
-// to the pre-spec engine.
-func (g *Generator) SetSpec(s *Spec) {
+// cannot change.
+func (g *Generator) SetSpec(s Spec) {
 	g.spec = s
 }
-
-// Spec returns the installed workload spec (nil = legacy generator).
-func (g *Generator) Spec() *Spec { return g.spec }
 
 // targetHost resolves an LSF target's host name through the directory
 // (falling back to the service name, which then maps to the default
@@ -238,34 +241,20 @@ func (g *Generator) Reset(parent *simclock.Rand) {
 	g.feedApplied = nil
 }
 
-// Start begins offering load: interactive ambience refreshed every 15
-// minutes, day batch submissions hourly-ish (or per-class interarrival
-// chains when a spec is installed), the overnight drop at 22:00, and
-// feed load — applied once on the legacy path, refreshed with the
-// interactive tick on the spec/domain paths so recovered hosts get it
-// back.
+// Start begins offering load: interactive ambience and feed load
+// refreshed every 15 minutes from the first tick (at the current sim
+// time), so recovered hosts get their feed load back; day batch work
+// through the spec's per-class interarrival chains; and the overnight
+// drop at 22:00.
 func (g *Generator) Start() {
-	g.tickers = append(g.tickers,
-		g.sim.Every(g.sim.Now(), 15*simclock.Minute, "workload-interactive", g.refreshInteractive))
-	if g.spec == nil {
-		g.tickers = append(g.tickers,
-			g.sim.Every(g.sim.Now()+g.rng.UniformDuration(0, simclock.Hour), simclock.Hour, "workload-dayjobs", g.submitDayJobs))
-	} else {
-		g.startClasses()
-	}
-	g.tickers = append(g.tickers,
-		g.sim.Every(g.nextTenPM(), simclock.Day, "workload-overnight", g.submitOvernightBatch))
-	if g.spec == nil && g.tiers == nil {
-		// Legacy path: one-shot feed application, byte-identical to the
-		// pre-spec engine (a host that crashes and recovers stays
-		// feed-less — the pinned historical behaviour).
-		g.applyFeedLoad()
-	} else {
-		// Spec/domain paths: refreshFeed applies the load at the first
-		// interactive tick (same sim time as Start) and keeps it
-		// applied across crash/recovery cycles.
+	if g.feedApplied == nil {
 		g.feedApplied = map[string]float64{}
 	}
+	g.tickers = append(g.tickers,
+		g.sim.Every(g.sim.Now(), 15*simclock.Minute, "workload-interactive", g.refreshInteractive))
+	g.startClasses()
+	g.tickers = append(g.tickers,
+		g.sim.Every(g.nextTenPM(), simclock.Day, "workload-overnight", g.submitOvernightBatch))
 }
 
 // Stop ceases load generation. It clears the ticker slice and pending
@@ -302,14 +291,9 @@ func (g *Generator) nextTenPM() simclock.Time {
 // by 1.0 are bit-exact) to the single global rule.
 func (g *Generator) refreshInteractive(now simclock.Time) {
 	shape := DiurnalShape(now)
-	// Surge multipliers: exactly 1 with no spec or outside every surge
-	// window, so the trailing multiplications below are bit-exact no-ops
-	// on unspecified topologies.
-	amb, feed := 1.0, 1.0
-	if g.spec != nil {
-		amb = g.spec.ambienceFactor(now)
-		feed = g.spec.feedFactor(now)
-	}
+	// Surge multipliers: exactly 1 outside every surge window, so the
+	// trailing multiplications below are bit-exact no-ops there.
+	amb, feed := g.spec.ambienceFactor(now), g.spec.feedFactor(now)
 	fe := g.dc.ByRole(cluster.RoleFrontEnd)
 	db := g.dc.ByRole(cluster.RoleDatabase)
 	tx := g.dc.ByRole(cluster.RoleTransaction)
@@ -346,26 +330,7 @@ func (g *Generator) refreshInteractive(now simclock.Time) {
 			h.SetAmbientLoad(shaped(shape, tl.Amp) * 0.3 * float64(h.Model.CPUs) * tl.Feed * g.rng.Jitterf(0.25) * feed)
 		}
 	}
-	if g.feedApplied != nil {
-		g.refreshFeed(now, feed)
-	}
-}
-
-// submitDayJobs trickles batch work during the day — the legacy hourly
-// path, used only when no workload spec is installed.
-func (g *Generator) submitDayJobs(now simclock.Time) {
-	if g.lsfc == nil || len(g.dbNames) == 0 || g.noTargets {
-		return
-	}
-	// Deliberate historical truncation: int() floors the expected count,
-	// so rates below ~1 job/hour submit zero jobs forever. The goldens
-	// pin this behaviour byte-for-byte, so it stays verbatim here; spec
-	// arrival classes draw interarrival times instead, which makes
-	// arbitrarily low rates submit at their true long-run rate.
-	n := int(g.cfg.DayJobsPerHour * DiurnalShape(now) * g.rng.Jitterf(0.3))
-	for i := 0; i < n; i++ {
-		g.submitOne(now, false)
-	}
+	g.refreshFeed(now, feed)
 }
 
 // submitOvernightBatch drops the big overnight run at 22:00 — the jobs
@@ -409,21 +374,9 @@ func (g *Generator) submitOne(now simclock.Time, overnight bool) {
 	g.JobsSubmitted++
 }
 
-// applyFeedLoad puts steady demand on transaction hosts for market feeds,
-// scaled by each host's feed-weight domain. Legacy one-shot path: a host
-// that crashes after this never gets its feed load back (refreshFeed is
-// the fixed path, used whenever a spec or domains are installed).
-func (g *Generator) applyFeedLoad() {
-	for _, h := range g.dc.ByRole(cluster.RoleTransaction) {
-		if h.Up() {
-			h.AddDiskActivity(0.2 * g.loadFor(h.Name).Feed)
-		}
-	}
-}
-
 // refreshFeed reconciles each transaction host's feed disk activity with
-// the load the feeds currently offer (domain feed weight × surge
-// factor), applying only the delta. Crash() zeroes a host's disk
+// the steady demand market feeds currently offer (domain feed weight ×
+// surge factor), applying only the delta. Crash() zeroes a host's disk
 // activity, so a host seen down — or seen up with an uptime shorter
 // than the refresh interval, meaning it crashed and recovered entirely
 // between two ticks — has lost whatever was applied and gets the full
@@ -468,7 +421,15 @@ const idleClassRecheck = 15 * simclock.Minute
 func (g *Generator) startClasses() {
 	g.classes = make([]*classState, len(g.spec.Classes))
 	for i, c := range g.spec.Classes {
-		cs := &classState{spec: c, rng: g.rng.Fork(0xc1a5 + uint64(i))}
+		cs := &classState{
+			spec:        c,
+			rng:         g.rng.Fork(0xc1a5 + uint64(i)),
+			idleLabel:   "workload-class-idle:" + c.Name,
+			redrawLabel: "workload-class-redraw:" + c.Name,
+			arriveLabel: "workload-class:" + c.Name,
+		}
+		cs.reschedule = func(simclock.Time) { g.scheduleClass(cs) }
+		cs.arrive = func(t simclock.Time) { g.classArrive(cs, t) }
 		g.classes[i] = cs
 		g.scheduleClass(cs)
 	}
@@ -490,19 +451,16 @@ func (g *Generator) scheduleClass(cs *classState) {
 	now := g.sim.Now()
 	rate := g.classRate(cs, now)
 	if rate <= 0 {
-		cs.ev = g.sim.After(idleClassRecheck, "workload-class-idle:"+cs.spec.Name,
-			func(simclock.Time) { g.scheduleClass(cs) })
+		cs.ev = g.sim.After(idleClassRecheck, cs.idleLabel, cs.reschedule)
 		return
 	}
 	mean := simclock.Time(float64(simclock.Hour) / rate)
 	delay := interarrival(cs.rng, cs.spec, mean)
 	if delay > maxClassDelay {
-		cs.ev = g.sim.After(maxClassDelay, "workload-class-redraw:"+cs.spec.Name,
-			func(simclock.Time) { g.scheduleClass(cs) })
+		cs.ev = g.sim.After(maxClassDelay, cs.redrawLabel, cs.reschedule)
 		return
 	}
-	cs.ev = g.sim.After(delay, "workload-class:"+cs.spec.Name,
-		func(t simclock.Time) { g.classArrive(cs, t) })
+	cs.ev = g.sim.After(delay, cs.arriveLabel, cs.arrive)
 }
 
 // classArrive submits the class's batch work — one job, plus Burst more

@@ -148,6 +148,8 @@ func TestStopCeasesSubmission(t *testing.T) {
 func TestFeedLoadOnTransactionHosts(t *testing.T) {
 	r := newRig(t)
 	r.gen.Start()
+	// Feed load lands at the first refresh tick, which fires at Now.
+	r.sim.RunUntil(r.sim.Now())
 	if r.dc.Host("tx1").IOStat().BusyPct == 0 {
 		t.Error("feed load should keep transaction disks busy")
 	}

@@ -63,10 +63,10 @@ type Options struct {
 	// scaled to the site's LSF-target pool.
 	Workload *workload.Config
 	// WorkloadSpec overrides the topology's statistical workload spec
-	// (Topology.Workload): batch submissions arrive through the spec's
-	// per-class interarrival processes and surge scenarios instead of
-	// the legacy hourly ticker. It wins over the topology's named spec;
-	// nil resolves the topology name (empty name = legacy generator).
+	// (Topology.Workload): batch submissions arrive through this spec's
+	// per-class interarrival processes and surge scenarios. It wins over
+	// the topology's named spec; nil resolves the topology name (empty
+	// name = the generator's default, the `paper` spec).
 	WorkloadSpec *workload.Spec
 	// TierLoadScale multiplies the resolved per-tier workload-domain
 	// weights — analyst share, batch intensity and feed weight at once,

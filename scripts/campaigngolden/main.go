@@ -6,12 +6,13 @@
 // manual golden (testdata/campaign-golden-paper-manual-year.json) that
 // TestCampaignGoldenPaperManualYear compares against. The no-spec goldens
 // pin the campaign output of topologies *without* per-tier
-// workload/fault specs, so refactors of the workload generator or fault
-// campaign cannot drift the reproduced numbers for unspecified
-// topologies; the flash-crowd golden pins the statistical arrival engine
-// over the checked-in testdata/workload-flashcrowd.json spec; the year
-// golden is the one run long enough to pin a whole year of fault
-// injection and operator repair.
+// workload/fault specs or a named workload — so driven by the
+// generator's default `paper` spec — and refactors of the workload
+// generator or fault campaign cannot drift the reproduced numbers for
+// unspecified topologies; the flash-crowd golden pins the statistical
+// arrival engine over the checked-in testdata/workload-flashcrowd.json
+// spec; the year golden is the one run long enough to pin a whole year
+// of fault injection and operator repair.
 //
 // Only regenerate deliberately — after a change that is *supposed* to
 // move the default numbers — and say so in the commit message:

@@ -41,12 +41,12 @@ type Topology struct {
 	// byte-identical to the pre-probe engine.
 	Probes *ProbeSpec `json:"probes,omitempty"`
 	// Workload optionally names a registered statistical workload spec
-	// (workload.RegisterSpec / `-workload file.json`): batch submissions
-	// then arrive through per-class interarrival processes with surge
-	// scenarios instead of the legacy hourly ticker. The name resolves
-	// when the site is built — not at Validate — so a topology may name
-	// a spec loaded from a file after the topology itself. Empty (every
-	// pre-existing topology) keeps the legacy generator byte-identically.
+	// (workload.RegisterSpec / `-workload file.json`) whose per-class
+	// interarrival processes and surge scenarios drive the site's batch
+	// submissions. The name resolves when the site is built — not at
+	// Validate — so a topology may name a spec loaded from a file after
+	// the topology itself. Empty (every built-in topology) runs the
+	// generator's default, the `paper` spec.
 	Workload string `json:"workload,omitempty"`
 }
 
@@ -105,8 +105,7 @@ type Tier struct {
 	// Services are deployed per host, in order.
 	Services []ServiceTemplate `json:"services,omitempty"`
 	// Workload optionally scopes the site's offered load for this tier.
-	// nil inherits the single global workload rule (every tier weight 1),
-	// which is byte-identical to the pre-domain generator.
+	// nil inherits the single global workload rule (every tier weight 1).
 	Workload *WorkloadSpec `json:"workload,omitempty"`
 	// Faults optionally scopes the fault campaign for this tier. nil
 	// means weight 1 for every category with no blackout windows.
@@ -117,8 +116,8 @@ type Tier struct {
 // lands on this tier relative to the others. Every field is a
 // multiplicative weight defaulting to 1; nil fields inherit the default,
 // so a spec can adjust one axis without restating the rest. Weight 0 is
-// explicit exclusion. A topology in which no tier declares a spec offers
-// exactly the pre-domain global load.
+// explicit exclusion. A topology in which no tier declares a spec
+// installs no domains and offers the single global load.
 type WorkloadSpec struct {
 	// AnalystShare weights the tier's slice of interactive analyst load:
 	// front-end-role hosts split the configured peak-analyst population

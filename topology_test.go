@@ -247,6 +247,20 @@ func TestWorkloadOverrideVerbatim(t *testing.T) {
 	}
 }
 
+// TestSmallSiteSubmitsDayJobs: the small site's scaled default offers
+// 0.72 day jobs/hour, below one an hour, and its default workload's
+// arrival classes still submit them at their long-run rate. A
+// fault-free manual week must therefore submit more than the 14 jobs
+// its seven 22:00 drops carry on their own.
+func TestSmallSiteSubmitsDayJobs(t *testing.T) {
+	site := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeManual), WithNoFaults())
+	mustRun(t, site, 7*simclock.Day)
+	drops := 7 * site.Gen.Config().OvernightJobs
+	if got := site.Gen.JobsSubmitted; got <= drops {
+		t.Errorf("small site submitted %d jobs in a week, want more than the %d its 22:00 drops submit", got, drops)
+	}
+}
+
 // TestFunctionalOptions pins that each Option lands on the Options field
 // it advertises.
 func TestFunctionalOptions(t *testing.T) {
