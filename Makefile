@@ -1,5 +1,6 @@
 # Local targets mirror CI (.github/workflows/ci.yml) exactly, so a green
-# `make lint test-race bench campaign-smoke` locally means a green build.
+# `make lint test-race bench-check bench campaign-smoke` locally means a
+# green build.
 
 GO ?= go
 PKGS := ./...
@@ -8,7 +9,7 @@ PKGS := ./...
 # not when tee does.
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all build test test-race bench bench-agentday perf-proof megasite-seed golden-check lint staticcheck fmt campaign-smoke topology-smoke megasite-smoke shard-smoke agent-shard-smoke trace-smoke workload-smoke benchdiff clean
+.PHONY: all build test test-race bench-check bench bench-agentday perf-proof megasite-seed golden-check lint staticcheck fmt campaign-smoke topology-smoke megasite-smoke shard-smoke agent-shard-smoke trace-smoke workload-smoke benchdiff clean
 
 all: lint build test
 
@@ -22,6 +23,13 @@ test:
 
 test-race:
 	$(GO) test -race -shuffle=on -timeout 30m $(PKGS)
+
+# The qosbench harness (bench/) is a Go module of its own, so the root
+# build, vet and test targets never compile it. It imports the
+# experiments and campaign packages, so vet and test it against the
+# simulator's source after any change to their API.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every benchmark: exercises each figure's hot path and
 # prints its headline metric without burning CI minutes.

@@ -47,7 +47,7 @@ type Site struct {
 	Admin    *adminsrv.Pair // nil in ModeManual
 	Monitors []*baseline.Monitor
 	Agents   []*agent.Agent
-	Probes   *probe.Engine   // nil unless a probe spec is in effect
+	Probes   *probe.Engine   // nil unless the topology declares a probe spec
 	Trace    *trace.Recorder // nil unless Options.TraceLevel > 0
 
 	dbServices []string          // LSF execution targets, in deployment order
@@ -90,11 +90,8 @@ func NewSite(topo Topology, options ...Option) (*Site, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, fmt.Errorf("topology %q: %w", topo.Name, err)
 	}
-	if err := validateTierOverrides(topo, opts); err != nil {
+	if err := validateTierScales(topo, opts); err != nil {
 		return nil, fmt.Errorf("topology %q: %w", topo.Name, err)
-	}
-	if err := opts.Probes.validate(); err != nil {
-		return nil, fmt.Errorf("topology %q: options: %w", topo.Name, err)
 	}
 	if opts.Shards < 0 || opts.Shards > MaxShards {
 		return nil, fmt.Errorf("topology %q: options: shard count %d outside [0, %d]", topo.Name, opts.Shards, MaxShards)
@@ -157,25 +154,16 @@ func NewSite(topo Topology, options ...Option) (*Site, error) {
 	return s, nil
 }
 
-// resolvedProbes returns the effective probe spec: the functional-option
-// override wins, else the topology's, else nil (no probe engine).
-func (s *Site) resolvedProbes() *ProbeSpec {
-	if s.Opts.Probes != nil {
-		return s.Opts.Probes
-	}
-	return s.Topo.Probes
-}
-
-// buildProbes assembles the batched probe dispatcher when a probe spec is
-// in effect: each tier's services register in deployment order, and a
-// failing probe feeds the fault registry's detection path — the
-// manual-mode detection channel that stands in for per-host agents at
-// scales where deploying them is infeasible. DetectFault is idempotent,
+// buildProbes assembles the batched probe dispatcher when the topology
+// declares a probe spec: each tier's services register in deployment
+// order, and a failing probe feeds the fault registry's detection path —
+// the manual-mode detection channel that stands in for per-host agents
+// at scales where deploying them is infeasible. DetectFault is idempotent,
 // so on agent-run sites probes and agents race to detect harmlessly.
 // Sites without a spec build no engine and schedule nothing, keeping the
 // existing byte-for-byte replay.
 func (s *Site) buildProbes() {
-	ps := s.resolvedProbes()
+	ps := s.Topo.Probes
 	if ps == nil {
 		return
 	}
@@ -220,12 +208,11 @@ func (s *Site) attach(h *cluster.Host) {
 	}
 }
 
-// validateTierOverrides vets the per-tier option overrides against the
-// topology: every named tier must exist, override specs must pass the
-// same validation as topology-declared ones, and intensity scales must
-// be finite and non-negative. Tier names are checked in sorted order so
-// a multi-error option set always reports the same first problem.
-func validateTierOverrides(topo Topology, opts Options) error {
+// validateTierScales vets the per-tier intensity scales against the
+// topology: every named tier must exist, and every scale must be finite
+// and non-negative. Tier names are checked in sorted order so a
+// multi-error option set always reports the same first problem.
+func validateTierScales(topo Topology, opts Options) error {
 	tiers := map[string]bool{}
 	for _, t := range topo.Tiers {
 		tiers[t.Name] = true
@@ -237,26 +224,6 @@ func validateTierOverrides(topo Topology, opts Options) error {
 			}
 		}
 		return nil
-	}
-	wl := slices.Sorted(maps.Keys(opts.TierWorkloads))
-	if err := check("tier-workload", wl); err != nil {
-		return err
-	}
-	for _, name := range wl {
-		ws := opts.TierWorkloads[name]
-		if err := ws.validate(name); err != nil {
-			return err
-		}
-	}
-	fl := slices.Sorted(maps.Keys(opts.TierFaults))
-	if err := check("tier-faults", fl); err != nil {
-		return err
-	}
-	for _, name := range fl {
-		fs := opts.TierFaults[name]
-		if err := fs.validate(name); err != nil {
-			return err
-		}
 	}
 	sl := slices.Sorted(maps.Keys(opts.TierFaultScale))
 	if err := check("tier-fault-scale", sl); err != nil {
@@ -279,33 +246,15 @@ func validateTierOverrides(topo Topology, opts Options) error {
 	return nil
 }
 
-// resolvedWorkload returns the effective workload spec for a tier: the
-// functional-option override wins, else the topology's, else nil.
-func (s *Site) resolvedWorkload(tier Tier) *WorkloadSpec {
-	if ws, ok := s.Opts.TierWorkloads[tier.Name]; ok {
-		return &ws
-	}
-	return tier.Workload
-}
-
-// resolvedFaults returns the effective fault spec for a tier, with the
-// same override-wins precedence.
-func (s *Site) resolvedFaults(tier Tier) *FaultsSpec {
-	if fs, ok := s.Opts.TierFaults[tier.Name]; ok {
-		return &fs
-	}
-	return tier.Faults
-}
-
 // Tiered reports whether any per-tier workload or fault domain is in
-// play — from the topology or from option overrides. Untiered sites run
-// the single-global-domain workload and fault paths.
+// play — from a tier spec or an intensity scale. Untiered sites run the
+// single-global-domain workload and fault paths.
 func (s *Site) Tiered() bool {
 	if len(s.Opts.TierFaultScale) > 0 || len(s.Opts.TierLoadScale) > 0 {
 		return true
 	}
 	for _, tier := range s.Topo.Tiers {
-		if s.resolvedWorkload(tier) != nil || s.resolvedFaults(tier) != nil {
+		if tier.Workload != nil || tier.Faults != nil {
 			return true
 		}
 	}
@@ -418,37 +367,18 @@ func (s *Site) buildLSF() error {
 	if tiers := s.workloadDomains(); tiers != nil {
 		s.Gen.SetDomains(s.tierOf, tiers)
 	}
-	sp, err := s.resolvedSpec()
-	if err != nil {
-		return fmt.Errorf("topology %q: %w", s.Topo.Name, err)
-	}
-	if sp != nil {
-		s.Gen.SetSpec(*sp)
-	}
-	return nil
-}
-
-// resolvedSpec resolves the statistical workload spec the site names:
-// the WorkloadSpec option wins (validated here, since it arrives from a
-// caller rather than the registry, whose entries validate on the way
-// in), else the topology's named spec resolves through the registry,
-// else nil — the generator keeps its own default, PaperSpec.
-func (s *Site) resolvedSpec() (*workload.Spec, error) {
-	if sp := s.Opts.WorkloadSpec; sp != nil {
-		if err := sp.Validate(); err != nil {
-			return nil, fmt.Errorf("workload-spec option: %w", err)
-		}
-		return sp, nil
-	}
+	// The topology's named spec resolves through the registry, whose
+	// entries validate on the way in; a topology that names none keeps
+	// the generator's own default, PaperSpec.
 	if name := s.Topo.Workload; name != "" {
 		sp, ok := workload.SpecByName(name)
 		if !ok {
-			return nil, fmt.Errorf("workload spec %q is not registered (have: %s) — register it or load its file with -workload",
-				name, strings.Join(workload.SpecNames(), ", "))
+			return fmt.Errorf("topology %q: workload spec %q is not registered (have: %s) — register it or load its file with -workload",
+				s.Topo.Name, name, strings.Join(workload.SpecNames(), ", "))
 		}
-		return &sp, nil
+		s.Gen.SetSpec(sp)
 	}
-	return nil, nil
+	return nil
 }
 
 // workloadDomains compiles the per-tier workload specs into generator
@@ -459,7 +389,7 @@ func (s *Site) workloadDomains() map[string]workload.TierLoad {
 	// spec: the scale multiplies the (then all-ones) resolved weights.
 	any := len(s.Opts.TierLoadScale) > 0
 	for _, tier := range s.Topo.Tiers {
-		if any || s.resolvedWorkload(tier) != nil {
+		if any || tier.Workload != nil {
 			any = true
 			break
 		}
@@ -470,7 +400,7 @@ func (s *Site) workloadDomains() map[string]workload.TierLoad {
 	tiers := make(map[string]workload.TierLoad, len(s.Topo.Tiers))
 	for _, tier := range s.Topo.Tiers {
 		tl := workload.DefaultTierLoad()
-		if ws := s.resolvedWorkload(tier); ws != nil {
+		if ws := tier.Workload; ws != nil {
 			if ws.AnalystShare != nil {
 				tl.Share = *ws.AnalystShare
 			}

@@ -228,7 +228,7 @@ func runCampaign(args []string) {
 	var results []*campaign.Result
 	failed := false
 	for _, name := range names {
-		res, err := experiments.Campaign(name, cfg, cfg.Trials, cfg.Workers)
+		res, err := experiments.Campaign(name, cfg)
 		if err != nil {
 			stopProfiles()
 			fmt.Fprintln(os.Stderr, "qossim campaign:", err)
@@ -300,8 +300,8 @@ func (f *sharedFlags) config(prog string) experiments.Config {
 		os.Exit(2)
 	}
 	return experiments.Config{Seed: *f.seed, Days: *f.days, Sites: splitList(*f.site),
-		Trials: *f.trials, Workers: *f.workers, Shards: *f.shards, AgentSlots: *f.agentSlots,
-		TracePath: *f.tracePath, TraceLevel: *f.traceLevel}
+		Trials: *f.trials, AgentSlots: *f.agentSlots,
+		Exec: experiments.Exec{Workers: *f.workers, Shards: *f.shards, TracePath: *f.tracePath, TraceLevel: *f.traceLevel}}
 }
 
 // runReplay re-runs a recorded trace: injections come from the file

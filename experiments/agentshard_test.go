@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // agent crons quantized onto a slot grid (AgentSlots — the batching the
 // shard pool parallelises), the campaign JSON *and* the recorded trace
 // file must be byte-identical at every supported shard count to the
-// single-goroutine slotted run. The reference here is Shards=0 of the same
+// single-goroutine slotted run. The reference here is Exec{} of the same
 // slotted matrix, not ReferenceRunTrial: slotting legitimately moves agent
 // wake-up instants, so slotted and unslotted runs are different
 // trajectories — but at a fixed slot count the shard count must never leak
@@ -56,12 +57,12 @@ func TestAgentShardEquivalence(t *testing.T) {
 				Modes:      []string{cell.mode},
 				Days:       1,
 				AgentSlots: 8,
-				TraceLevel: trace.LevelDecisions,
 			}
 			if cell.monitors {
 				m.BaselineMonitors = []bool{true}
 			}
-			ref, wantTrace, err := RunTracedCampaign("agent-shard-equivalence", m, 1)
+			ref, wantTrace, err := RunTracedCampaign("agent-shard-equivalence", m,
+				Exec{Workers: 1, TraceLevel: trace.LevelDecisions})
 			if err != nil {
 				t.Fatalf("serial slotted campaign: %v", err)
 			}
@@ -70,9 +71,8 @@ func TestAgentShardEquivalence(t *testing.T) {
 				t.Fatalf("serial slotted JSON: %v", err)
 			}
 			for _, shards := range []int{1, 2, 8} {
-				sm := m
-				sm.Shards = shards
-				res, gotTrace, err := RunTracedCampaign("agent-shard-equivalence", sm, 2)
+				res, gotTrace, err := RunTracedCampaign("agent-shard-equivalence", m,
+					Exec{Workers: 2, Shards: shards, TraceLevel: trace.LevelDecisions})
 				if err != nil {
 					t.Fatalf("sharded campaign (%d shards): %v", shards, err)
 				}
@@ -96,7 +96,8 @@ func TestAgentShardEquivalence(t *testing.T) {
 // TestAgentSlotsChangeTrajectory documents the model-knob contract: a
 // slotted run is a different trajectory from an unslotted one (wake-up
 // instants move onto the grid), and the slot count is recorded in the
-// campaign JSON so the two can never be mistaken for one another.
+// campaign JSON so the two can never be mistaken for one another: in the
+// matrix, in every trial and, as a Cell coordinate, in every group.
 func TestAgentSlotsChangeTrajectory(t *testing.T) {
 	t.Parallel()
 	m := campaign.Matrix{
@@ -135,6 +136,32 @@ func TestAgentSlotsChangeTrajectory(t *testing.T) {
 	if !bytes.Contains(b, []byte(`"agent_slots": 8`)) {
 		t.Error("slotted campaign JSON should record agent_slots: 8")
 	}
+	groupSlots := func(js []byte) []any {
+		var rec struct {
+			Groups []map[string]any `json:"groups"`
+		}
+		if err := json.Unmarshal(js, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Groups) == 0 {
+			t.Fatal("campaign JSON holds no group records")
+		}
+		out := make([]any, len(rec.Groups))
+		for i, g := range rec.Groups {
+			out[i] = g["agent_slots"]
+		}
+		return out
+	}
+	for i, v := range groupSlots(b) {
+		if v != float64(8) {
+			t.Errorf("slotted group %d records agent_slots %v, want 8", i, v)
+		}
+	}
+	for i, v := range groupSlots(a) {
+		if v != nil {
+			t.Errorf("unslotted group %d records agent_slots %v, want none", i, v)
+		}
+	}
 }
 
 // TestAgentShardReuseRaceStress drives the slotted agent dispatcher at 8
@@ -155,9 +182,8 @@ func TestAgentShardReuseRaceStress(t *testing.T) {
 		Modes:      []string{"manual", "agents"},
 		Days:       1,
 		AgentSlots: 8,
-		Shards:     8,
 	}
-	res, err := campaign.Run("agent-shard-stress", m, 8, NewPooledRunFunc())
+	res, err := campaign.Run("agent-shard-stress", m, 8, newPooledRunFunc(Exec{Shards: 8}, nil))
 	if err != nil {
 		t.Fatalf("stress campaign: %v", err)
 	}

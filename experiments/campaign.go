@@ -15,25 +15,23 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
-// Campaign runs the multi-trial variant of a named scenario: `trials`
+// Campaign runs the multi-trial variant of a named scenario: cfg.Trials
 // consecutive seeds (starting at cfg.Seed) of each matrix cell, fanned
-// across `workers` goroutines, folded into mean/min/max/95%-CI aggregates.
-// Every trial builds its own site around its own simclock.Sim, so per-seed
-// results are identical whatever the worker count.
+// across cfg.Workers goroutines, folded into mean/min/max/95%-CI
+// aggregates. Every trial builds its own site around its own
+// simclock.Sim, so per-seed results are identical whatever the worker
+// or shard count. With cfg.TracePath set, the campaign also records
+// every trial's decision trace and writes the trace file there.
 //
 // Names: "before" and "after" sweep one operations mode, "fig2" (the
 // default) sweeps both on the same seeds, "fig3"/"fig4"/"overhead" sweep
 // the monitor-overhead rig, "latency" sweeps the §4 detection windows in
 // both modes, "mttr" sweeps the manual repair-time distribution, and the
 // "ablate-*" names sweep one option axis each (see AblateScenarios).
-func Campaign(name string, cfg Config, trials, workers int) (*campaign.Result, error) {
-	if trials <= 0 {
-		trials = 8
-	}
-	m, err := CampaignMatrix(name, cfg, trials)
+func Campaign(name string, cfg Config) (*campaign.Result, error) {
+	m, err := CampaignMatrix(name, cfg, cfg.trials())
 	if err != nil {
 		return nil, err
 	}
@@ -41,17 +39,17 @@ func Campaign(name string, cfg Config, trials, workers int) (*campaign.Result, e
 	// topology or override re-registered between campaigns (both are
 	// documented as replaceable) can never resurface through a stale
 	// pooled site — CellKey records only the names.
-	if cfg.TracePath != "" {
-		res, buf, err := RunTracedCampaign(name, m, workers)
-		if err != nil {
-			return res, err
-		}
-		if err := os.WriteFile(cfg.TracePath, buf, 0o644); err != nil {
-			return res, fmt.Errorf("writing trace %s: %w", cfg.TracePath, err)
-		}
-		return res, nil
+	if cfg.TracePath == "" {
+		return campaign.Run(name, m, cfg.Workers, newPooledRunFunc(cfg.Exec, nil))
 	}
-	return campaign.Run(name, m, workers, NewPooledRunFunc())
+	res, buf, err := RunTracedCampaign(name, m, cfg.Exec)
+	if err != nil {
+		return res, err
+	}
+	if err := os.WriteFile(cfg.TracePath, buf, 0o644); err != nil {
+		return res, fmt.Errorf("writing trace %s: %w", cfg.TracePath, err)
+	}
+	return res, nil
 }
 
 // CampaignNames lists every scenario CampaignMatrix accepts.
@@ -67,7 +65,8 @@ var CampaignNames = []string{
 // cfg.AblationDays; the overhead-rig scenarios
 // (fig3/fig4/overhead/ablate-resident) ignore the span and the site —
 // they carry no Days or Sites coordinate, and a multi-site list is
-// rejected for them.
+// rejected for them. It also vets cfg.Exec, so a bad execution setting
+// fails before any trial runs.
 func CampaignMatrix(name string, cfg Config, trials int) (campaign.Matrix, error) {
 	if cfg.Shards < 0 || cfg.Shards > qoscluster.MaxShards {
 		return campaign.Matrix{}, fmt.Errorf("-shards %d outside [0, %d]", cfg.Shards, qoscluster.MaxShards)
@@ -75,19 +74,13 @@ func CampaignMatrix(name string, cfg Config, trials int) (campaign.Matrix, error
 	if cfg.AgentSlots < 0 {
 		return campaign.Matrix{}, fmt.Errorf("-agentslots %d is negative", cfg.AgentSlots)
 	}
-	traceLevel := cfg.TraceLevel
-	if cfg.TracePath != "" && traceLevel == 0 {
-		traceLevel = trace.LevelDecisions // -trace alone implies level 1
-	}
-	if traceLevel < 0 || traceLevel > trace.MaxLevel {
-		return campaign.Matrix{}, fmt.Errorf("-tracelevel %d outside [0, %d]", traceLevel, trace.MaxLevel)
+	if cfg.TraceLevel < 0 || cfg.TraceLevel > trace.MaxLevel {
+		return campaign.Matrix{}, fmt.Errorf("-tracelevel %d outside [0, %d]", cfg.TraceLevel, trace.MaxLevel)
 	}
 	m := campaign.Matrix{
 		Seeds:      campaign.Seeds(cfg.Seed, trials),
 		Days:       cfg.days(),
 		AgentSlots: cfg.AgentSlots,
-		Shards:     cfg.Shards,
-		TraceLevel: traceLevel,
 	}
 	siteAxis := true
 	switch name {
@@ -192,7 +185,10 @@ func CampaignMatrix(name string, cfg Config, trials int) (campaign.Matrix, error
 		if len(cfg.Workloads) > 0 {
 			return campaign.Matrix{}, fmt.Errorf("scenario %q runs a fixed one-host rig without the site workload generator; drop -workload", name)
 		}
-		if traceLevel > 0 || cfg.TracePath != "" {
+		if cfg.AgentSlots > 0 {
+			return campaign.Matrix{}, fmt.Errorf("scenario %q runs a fixed one-host rig whose agents wake on their own tickers; drop -agentslots", name)
+		}
+		if cfg.TraceLevel > 0 || cfg.TracePath != "" {
 			return campaign.Matrix{}, fmt.Errorf("scenario %q runs a fixed one-host rig with no healing pipeline to trace; drop -trace/-tracelevel", name)
 		}
 	}
@@ -362,7 +358,8 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // trialOptions builds the qoscluster.Options a trial's coordinates call
 // for: mode and agent set from their string axes, the option axes
-// verbatim, then any registered override applied on top.
+// verbatim, then any registered override applied on top. The workload
+// axis is not an option: buildTrialSite names the spec on the topology.
 func trialOptions(t campaign.Trial) (qoscluster.Options, error) {
 	o := qoscluster.Options{
 		CronPeriod:        t.CronPeriod,
@@ -370,8 +367,6 @@ func trialOptions(t campaign.Trial) (qoscluster.Options, error) {
 		DisablePrivateNet: t.DisablePrivateNet,
 		BaselineMonitors:  t.BaselineMonitors,
 		AgentSlots:        t.AgentSlots,
-		Shards:            t.Shards,
-		TraceLevel:        t.TraceLevel,
 	}
 	if t.TierFaults != "" {
 		scale, err := ParseTierFaultScale(t.TierFaults)
@@ -386,14 +381,6 @@ func trialOptions(t campaign.Trial) (qoscluster.Options, error) {
 			return o, err
 		}
 		o.TierLoadScale = scale
-	}
-	if t.Workload != "" {
-		sp, ok := workload.SpecByName(t.Workload)
-		if !ok {
-			return o, fmt.Errorf("workload spec %q is not registered (known: %s)",
-				t.Workload, strings.Join(workload.SpecNames(), ", "))
-		}
-		o.WorkloadSpec = &sp
 	}
 	switch t.Mode {
 	case "manual", "":
@@ -457,7 +444,7 @@ func scopeTierScale(scale map[string]float64, site string) map[string]float64 {
 		return scale
 	}
 	if site == "" {
-		site = "small"
+		site = defaultSite
 	}
 	topo, ok := qoscluster.ResolveTopology(site)
 	if !ok {
@@ -475,13 +462,15 @@ func scopeTierScale(scale map[string]float64, site string) map[string]float64 {
 	return out
 }
 
-// buildTrialSite assembles the site one trial's coordinates call for.
-func buildTrialSite(t campaign.Trial) (*qoscluster.Site, error) {
+// buildTrialSite assembles the site one trial's coordinates call for,
+// with extra options (execution settings, replay inputs) applied after
+// the trial's own.
+func buildTrialSite(t campaign.Trial, extra ...qoscluster.Option) (*qoscluster.Site, error) {
 	opts, err := trialSiteOptions(t)
 	if err != nil {
 		return nil, err
 	}
-	return buildNamedSite(t.Site, t.Seed, qoscluster.WithOptions(opts))
+	return buildNamedSite(t.Site, t.Workload, t.Seed, append([]qoscluster.Option{qoscluster.WithOptions(opts)}, extra...)...)
 }
 
 // runSiteTrial advances a (fresh or reseeded) site over the trial's span
@@ -542,13 +531,7 @@ func ReferenceRunTrial(t campaign.Trial) (map[string]float64, error) {
 	if !siteScenario(t.Scenario) {
 		return RunTrial(t)
 	}
-	opts, err := trialSiteOptions(t)
-	if err != nil {
-		return nil, err
-	}
-	opts.ReferenceProbes = true
-	opts.Shards = 0 // the reference is the single-goroutine engine
-	site, err := buildNamedSite(t.Site, t.Seed, qoscluster.WithOptions(opts))
+	site, err := buildTrialSite(t, qoscluster.WithReferenceProbes())
 	if err != nil {
 		return nil, err
 	}
@@ -559,29 +542,43 @@ func ReferenceRunTrial(t campaign.Trial) (map[string]float64, error) {
 // skeleton per matrix cell per worker (Site.Reset between seeds) instead
 // of rebuilding topology, services, networks and agents for every trial.
 // Results are byte-identical to RunTrial — gated by the equivalence tests.
-// Each call returns an independently pooled runner; use one per campaign,
-// since pooled skeletons are keyed by site/override *names* and must not
-// survive a re-registration of either.
+// Its sites are serial and untraced: Campaign and RunTracedCampaign build
+// their run functions from an Exec instead. Each call returns an
+// independently pooled runner; use one per campaign, since pooled
+// skeletons are keyed by site/override *names* and must not survive a
+// re-registration of either.
 func NewPooledRunFunc() campaign.RunFunc {
-	return newPooledRunFunc(nil)
+	return newPooledRunFunc(Exec{}, nil)
 }
 
-// newPooledRunFunc is NewPooledRunFunc with an optional hook that runs
-// after each successful site trial, before the skeleton is reused — the
-// trace collector's harvest point.
-func newPooledRunFunc(after func(*qoscluster.Site, campaign.Trial)) campaign.RunFunc {
-	run := runSiteTrial
-	if after != nil {
+// siteBuilt, when non-nil, sees every site a pooled run function builds:
+// the test seam that checks execution settings reach the sites.
+var siteBuilt func(*qoscluster.Site)
+
+// newPooledRunFunc is NewPooledRunFunc with its sites built at exec's
+// shard count. With a trace collector its sites also record at exec's
+// trace level, and col harvests each successful site trial before the
+// skeleton is reused; without one they build no recorder.
+func newPooledRunFunc(exec Exec, col *traceCollector) campaign.RunFunc {
+	level, run := 0, runSiteTrial
+	if col != nil {
+		level = exec.traceLevel()
 		run = func(s *qoscluster.Site, t campaign.Trial) (map[string]float64, error) {
 			vals, err := runSiteTrial(s, t)
 			if err == nil {
-				after(s, t)
+				col.harvest(s, t)
 			}
 			return vals, err
 		}
 	}
 	pooled := campaign.ReuseRunner[*qoscluster.Site]{
-		Build: buildTrialSite,
+		Build: func(t campaign.Trial) (*qoscluster.Site, error) {
+			s, err := buildTrialSite(t, qoscluster.WithShards(exec.Shards), qoscluster.WithTrace(level))
+			if err == nil && siteBuilt != nil {
+				siteBuilt(s)
+			}
+			return s, err
+		},
 		Reset: func(s *qoscluster.Site, t campaign.Trial) error { return s.Reset(t.Seed) },
 		Run:   run,
 	}.RunFunc()

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	qoscluster "repro"
 	"repro/internal/campaign"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 )
 
 func TestCampaignMatrixNames(t *testing.T) {
@@ -30,7 +33,7 @@ func TestCampaignMatrixNames(t *testing.T) {
 // TestCampaignBeforeAfterShort runs a real (short) before/after matrix and
 // checks the aggregates carry the paper's headline metrics.
 func TestCampaignBeforeAfterShort(t *testing.T) {
-	res, err := Campaign("fig2", Config{Seed: 7, Days: 2}, 2, 2)
+	res, err := Campaign("fig2", Config{Seed: 7, Days: 2, Trials: 2, Exec: Exec{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,20 +72,21 @@ func TestCampaignBeforeAfterShort(t *testing.T) {
 // extraction.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cases := []struct {
-		name   string
-		cfg    Config
-		trials int
+		name string
+		cfg  Config
 	}{
-		{"before", Config{Seed: 11, Days: 2}, 3},
-		{"latency", Config{Seed: 11, Days: 2}, 2},
-		{"ablate-cron", Config{Seed: 11, Days: 2,
-			CronPeriods: []simclock.Time{5 * simclock.Minute, 15 * simclock.Minute}}, 2},
+		{"before", Config{Seed: 11, Days: 2, Trials: 3}},
+		{"latency", Config{Seed: 11, Days: 2, Trials: 2}},
+		{"ablate-cron", Config{Seed: 11, Days: 2, Trials: 2,
+			CronPeriods: []simclock.Time{5 * simclock.Minute, 15 * simclock.Minute}}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			run := func(workers int) []byte {
-				res, err := Campaign(c.name, c.cfg, c.trials, workers)
+				cfg := c.cfg
+				cfg.Workers = workers
+				res, err := Campaign(c.name, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,6 +102,59 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("campaign JSON differs between -workers 1 and -workers 8:\n%s\n----\n%s", serial, parallel)
 			}
 		})
+	}
+}
+
+// TestCampaignExecReachesSites checks that Campaign hands its Config's
+// execution settings to every site its run function builds: the shard
+// count (1 when unsharded), and a trace recorder at the configured level
+// exactly when the campaign writes a trace. Campaign JSON cannot show
+// either setting, since both leave it byte-identical.
+func TestCampaignExecReachesSites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	cases := []struct {
+		exec   Exec
+		shards int
+		level  int // 0: the site must build no recorder
+	}{
+		{Exec{}, 1, 0},
+		{Exec{Shards: 3}, 3, 0},
+		{Exec{TraceLevel: trace.LevelFull}, 1, 0}, // no trace file: no recorder
+		{Exec{Shards: 2, TracePath: path}, 2, trace.LevelDecisions},
+		{Exec{TracePath: path, TraceLevel: trace.LevelFull}, 1, trace.LevelFull},
+	}
+	defer func() { siteBuilt = nil }()
+	for _, c := range cases {
+		var mu sync.Mutex
+		var sites []*qoscluster.Site
+		siteBuilt = func(s *qoscluster.Site) {
+			mu.Lock()
+			sites = append(sites, s)
+			mu.Unlock()
+		}
+		exec := c.exec
+		exec.Workers = 2
+		res, err := Campaign("before", Config{Seed: 7, Days: 1, Trials: 2, Exec: exec})
+		if err != nil {
+			t.Fatalf("%+v: %v", c.exec, err)
+		}
+		if errs := res.Errs(); len(errs) > 0 {
+			t.Fatalf("%+v: %d failed trials; first: %s", c.exec, len(errs), errs[0].Err)
+		}
+		if len(sites) == 0 {
+			t.Fatalf("%+v: the campaign built no sites", c.exec)
+		}
+		for _, s := range sites {
+			if got := s.Shards(); got != c.shards {
+				t.Errorf("%+v: site runs %d shards, want %d", c.exec, got, c.shards)
+			}
+			if got := s.Trace != nil; got != (c.level > 0) {
+				t.Errorf("%+v: site has a trace recorder: %v, want %v", c.exec, got, c.level > 0)
+			}
+			if c.level > 0 && s.Opts.TraceLevel != c.level {
+				t.Errorf("%+v: site traces at level %d, want %d", c.exec, s.Opts.TraceLevel, c.level)
+			}
+		}
 	}
 }
 
@@ -204,7 +261,7 @@ func TestTrialOptions(t *testing.T) {
 // TestCampaignAblateNetShort runs the private-network ablation for real
 // and checks the axis splits traffic the way the paper says.
 func TestCampaignAblateNetShort(t *testing.T) {
-	res, err := Campaign("ablate-net", Config{Seed: 7, Days: 3}, 2, 2)
+	res, err := Campaign("ablate-net", Config{Seed: 7, Days: 3, Trials: 2, Exec: Exec{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +286,7 @@ func TestCampaignAblateNetShort(t *testing.T) {
 
 // TestCampaignResident checks the duty-cycle ablation aggregates.
 func TestCampaignResident(t *testing.T) {
-	res, err := Campaign("ablate-resident", Config{Seed: 7}, 2, 2)
+	res, err := Campaign("ablate-resident", Config{Seed: 7, Trials: 2, Exec: Exec{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +321,7 @@ func TestRunTrialRejectsBadCoordinates(t *testing.T) {
 
 // TestCampaignOverhead sweeps the Figure-3 rig across seeds.
 func TestCampaignOverhead(t *testing.T) {
-	res, err := Campaign("fig3", Config{Seed: 7}, 2, 2)
+	res, err := Campaign("fig3", Config{Seed: 7, Trials: 2, Exec: Exec{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +339,7 @@ func TestCampaignOverhead(t *testing.T) {
 
 	// "overhead" is one scenario reporting both series from a single rig
 	// run per seed.
-	res, err = Campaign("overhead", Config{Seed: 7}, 2, 2)
+	res, err = Campaign("overhead", Config{Seed: 7, Trials: 2, Exec: Exec{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

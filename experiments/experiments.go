@@ -13,8 +13,41 @@ import (
 	qoscluster "repro"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// defaultSite is the site topology a run uses when it names none.
+const defaultSite = "small"
+
+// Exec is how a run executes, as opposed to what it simulates: no field
+// changes a reproduced number, so none of them enters the campaign
+// matrix or its JSON.
+type Exec struct {
+	// Workers bounds the campaign worker pool (0 = NumCPU).
+	Workers int
+	// Shards is the intra-trial parallelism degree handed to every site
+	// (see qoscluster.WithShards); 0 or 1 keep the single-goroutine
+	// engine. Results are byte-identical at any value.
+	Shards int
+	// TracePath, when set, records every trial's decision trace and writes
+	// the campaign's trace file (JSONL) there. Campaign results are
+	// byte-identical with or without it.
+	TracePath string
+	// TraceLevel sets the recorder level of a traced campaign: 1 records
+	// decision events, 2 adds diagnosis evidence lines (see
+	// qoscluster.WithTrace). 0 means 1. An untraced campaign builds no
+	// recorder, whatever the level.
+	TraceLevel int
+}
+
+// traceLevel is the recorder level a traced run uses.
+func (e Exec) traceLevel() int {
+	if e.TraceLevel == 0 {
+		return trace.LevelDecisions
+	}
+	return e.TraceLevel
+}
 
 // Config parameterises a run.
 type Config struct {
@@ -23,16 +56,12 @@ type Config struct {
 	// Sites names the site topologies to run or sweep: registered
 	// topology names (paper, small, webfarm, computefarm, or anything
 	// qoscluster.RegisterTopology added) and/or paths to topology JSON
-	// files. Empty means {"small"}. Campaigns sweep the whole list as a
-	// matrix axis; the single-seed narrative scenarios run each site in
+	// files. Empty means {defaultSite}. Campaigns sweep the whole list as
+	// a matrix axis; the single-seed narrative scenarios run each site in
 	// turn.
 	Sites []string
-	// Trials is the seeds-per-cell count for the scenarios Run executes
-	// as multi-seed campaigns (latency, mttr, ablate-*); 0 means the
-	// campaign default of 8.
+	// Trials is the seeds-per-cell count of every campaign; 0 means 8.
 	Trials int
-	// Workers bounds the campaign worker pool (0 = NumCPU).
-	Workers int
 	// CronPeriods overrides the ablate-cron sweep axis (default
 	// 1m, 5m, 15m, 60m).
 	CronPeriods []simclock.Time
@@ -49,31 +78,28 @@ type Config struct {
 	// TierLoadScales sweeps per-tier load intensity as a matrix axis —
 	// the workload twin of TierFaultScales, same "tier=mult" cells.
 	TierLoadScales []string
-	// Shards is the intra-trial parallelism degree handed to every site
-	// trial (see qoscluster.WithShards); 0 or 1 keep the
-	// single-goroutine engine. Results are byte-identical at any value.
-	Shards int
 	// AgentSlots quantizes agent cron dispatch onto this many slots per
 	// period and batches each slot (see qoscluster.WithAgentSlots). A
 	// model knob: slotted trajectories differ from unslotted ones, and
 	// campaigns record the value in their JSON. 0 keeps per-agent phases.
 	AgentSlots int
-	// TracePath, when set, records every trial's decision trace and writes
-	// the campaign's trace file (JSONL) there. Implies TraceLevel 1 when
-	// TraceLevel is unset. Tracing is an execution knob: campaign results
-	// are byte-identical with or without it.
-	TracePath string
-	// TraceLevel sets the recorder level for traced campaigns: 1 records
-	// decision events, 2 adds diagnosis evidence lines (see
-	// qoscluster.WithTrace). 0 defers to TracePath's default.
-	TraceLevel int
+	// Exec is how the run executes: workers, shards and tracing.
+	Exec
 }
 
 func (c Config) siteArgs() []string {
 	if len(c.Sites) == 0 {
-		return []string{"small"}
+		return []string{defaultSite}
 	}
 	return c.Sites
+}
+
+// trials is the seeds-per-cell count campaigns run.
+func (c Config) trials() int {
+	if c.Trials <= 0 {
+		return 8
+	}
+	return c.Trials
 }
 
 // ResolveSites canonicalises site arguments into registered topology
@@ -152,17 +178,22 @@ func ResolveWorkloads(args []string) ([]string, error) {
 }
 
 // buildNamedSite assembles one registered site topology with the given
-// options layered on. The seed parameter is authoritative: it is applied
-// after the caller's options, so a WithOptions bundle cannot silently
-// zero it.
-func buildNamedSite(name string, seed uint64, opts ...qoscluster.Option) (*qoscluster.Site, error) {
+// options layered on. A non-empty spec names the statistical workload
+// spec on the topology value (Topology.Workload), replacing the one the
+// registered topology names. The seed parameter is authoritative: it is
+// applied after the caller's options, so a WithOptions bundle cannot
+// silently zero it.
+func buildNamedSite(name, spec string, seed uint64, opts ...qoscluster.Option) (*qoscluster.Site, error) {
 	if name == "" {
-		name = "small"
+		name = defaultSite
 	}
 	topo, ok := qoscluster.ResolveTopology(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown site topology %q (registered: %s)",
 			name, strings.Join(qoscluster.TopologyNames(), ", "))
+	}
+	if spec != "" {
+		topo.Workload = spec
 	}
 	return qoscluster.NewSite(topo, append(append([]qoscluster.Option{}, opts...), qoscluster.WithSeed(seed))...)
 }
@@ -221,12 +252,8 @@ func Run(name string, cfg Config) (string, error) {
 		// Validate every sweep's matrix up front: a flag error knowable
 		// now (e.g. a multi-site list, rejected by ablate-resident) must
 		// not surface only after the earlier sweeps burned their compute.
-		trials := cfg.Trials
-		if trials <= 0 {
-			trials = 8
-		}
 		for _, n := range AblateScenarios {
-			if _, err := CampaignMatrix(n, cfg, trials); err != nil {
+			if _, err := CampaignMatrix(n, cfg, cfg.trials()); err != nil {
 				return "", err
 			}
 		}
@@ -253,7 +280,7 @@ func Run(name string, cfg Config) (string, error) {
 // tables, with the paper's reference quotes appended where the scenario
 // has them.
 func campaignText(name string, cfg Config) (string, error) {
-	res, err := Campaign(name, cfg, cfg.Trials, cfg.Workers)
+	res, err := Campaign(name, cfg)
 	if err != nil {
 		return "", err
 	}
@@ -300,7 +327,7 @@ func yearReports(cfg Config, mode qoscluster.Mode) (string, error) {
 	}
 	var b strings.Builder
 	for i, name := range sites {
-		site, err := buildNamedSite(name, cfg.Seed, qoscluster.WithMode(mode), qoscluster.WithShards(cfg.Shards),
+		site, err := buildNamedSite(name, "", cfg.Seed, qoscluster.WithMode(mode), qoscluster.WithShards(cfg.Shards),
 			qoscluster.WithAgentSlots(cfg.AgentSlots))
 		if err != nil {
 			return b.String(), err
@@ -350,7 +377,7 @@ func Fig2(cfg Config) (string, error) {
 }
 
 func fig2Site(b *strings.Builder, cfg Config, siteName string) error {
-	before, err := buildNamedSite(siteName, cfg.Seed, qoscluster.WithMode(qoscluster.ModeManual), qoscluster.WithShards(cfg.Shards),
+	before, err := buildNamedSite(siteName, "", cfg.Seed, qoscluster.WithMode(qoscluster.ModeManual), qoscluster.WithShards(cfg.Shards),
 		qoscluster.WithAgentSlots(cfg.AgentSlots))
 	if err != nil {
 		return err
@@ -360,7 +387,7 @@ func fig2Site(b *strings.Builder, cfg Config, siteName string) error {
 	}
 	rb := before.Report()
 
-	after, err := buildNamedSite(siteName, cfg.Seed, qoscluster.WithMode(qoscluster.ModeAgents), qoscluster.WithShards(cfg.Shards),
+	after, err := buildNamedSite(siteName, "", cfg.Seed, qoscluster.WithMode(qoscluster.ModeAgents), qoscluster.WithShards(cfg.Shards),
 		qoscluster.WithAgentSlots(cfg.AgentSlots))
 	if err != nil {
 		return err

@@ -76,9 +76,6 @@ func readTrace(r io.Reader) (*TraceFile, error) {
 	if err := json.Unmarshal(hdr.Matrix, &tf.Matrix); err != nil {
 		return nil, fmt.Errorf("line 1: malformed matrix: %w", err)
 	}
-	// Shards and TraceLevel are execution knobs excluded from the JSON;
-	// re-arm the level from the header so replays can re-record.
-	tf.Matrix.TraceLevel = hdr.Level
 
 	for line := 2; sc.Scan(); line++ {
 		raw := sc.Bytes()
@@ -150,9 +147,7 @@ func ReplayTrace(tf *TraceFile, workers int) (*campaign.Result, error) {
 	if err := verifyTopologies(tf); err != nil {
 		return nil, err
 	}
-	m := tf.Matrix
-	m.TraceLevel = 0 // replay verifies metrics; it does not re-record
-	enumerated := m.Trials()
+	enumerated := tf.Matrix.Trials()
 	if len(enumerated) != len(tf.Trials) {
 		return nil, fmt.Errorf("trace holds %d trials but its matrix enumerates %d", len(tf.Trials), len(enumerated))
 	}
@@ -161,7 +156,7 @@ func ReplayTrace(tf *TraceFile, workers int) (*campaign.Result, error) {
 			return nil, fmt.Errorf("trial %d: recorded coordinate %+v does not match the matrix enumeration %+v", i, rec.Trial, enumerated[i])
 		}
 	}
-	res, err := campaign.Run(tf.Name, m, workers, func(t campaign.Trial) (map[string]float64, error) {
+	res, err := campaign.Run(tf.Name, tf.Matrix, workers, func(t campaign.Trial) (map[string]float64, error) {
 		return runReplayTrial(t, arrivalsOf(tf.Trials[t.Index].Events), 0, nil, false)
 	})
 	if err != nil {
@@ -225,20 +220,15 @@ func arrivalsOf(events []trace.Event) []faultinject.Arrival {
 // schedule (and optionally tracing plus a counterfactual override) and
 // runs it through the normal scenario metrics path.
 func runReplayTrial(t campaign.Trial, arrivals []faultinject.Arrival, level int, cf *trace.Counterfactual, noRescue bool) (map[string]float64, error) {
-	opts, err := trialSiteOptions(t)
-	if err != nil {
-		return nil, err
-	}
 	if arrivals == nil {
 		arrivals = []faultinject.Arrival{}
 	}
-	opts.Replay = arrivals
-	opts.TraceLevel = level
-	opts.Counterfactual = cf
-	if noRescue {
-		opts.NoBatchRescue = true
-	}
-	site, err := buildNamedSite(t.Site, t.Seed, qoscluster.WithOptions(opts))
+	site, err := buildTrialSite(t, func(o *qoscluster.Options) {
+		o.Replay = arrivals
+		o.TraceLevel = level
+		o.Counterfactual = cf
+		o.NoBatchRescue = o.NoBatchRescue || noRescue
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -51,9 +51,7 @@ func TestShardEquivalence(t *testing.T) {
 				t.Fatalf("reference JSON: %v", err)
 			}
 			for _, shards := range []int{1, 2, 8} {
-				sm := m
-				sm.Shards = shards
-				res, err := campaign.Run("shard-equivalence", sm, 2, NewPooledRunFunc())
+				res, err := campaign.Run("shard-equivalence", m, 2, newPooledRunFunc(Exec{Shards: shards}, nil))
 				if err != nil {
 					t.Fatalf("sharded campaign (%d shards): %v", shards, err)
 				}
@@ -91,9 +89,8 @@ func TestShardReuseRaceStress(t *testing.T) {
 		Sites:     []string{"megasite-150"},
 		Modes:     []string{"manual", "agents"},
 		Days:      1,
-		Shards:    8,
 	}
-	res, err := campaign.Run("shard-stress", m, 8, NewPooledRunFunc())
+	res, err := campaign.Run("shard-stress", m, 8, newPooledRunFunc(Exec{Shards: 8}, nil))
 	if err != nil {
 		t.Fatalf("stress campaign: %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 // FormatCampaign output and byte-identical JSON at 1 and 8 workers.
 func TestCampaignMultiSiteSweep(t *testing.T) {
 	cfg := Config{
-		Seed: 7, Days: 1,
+		Seed: 7, Days: 1, Trials: 2,
 		Sites: []string{"paper", "small", "../testdata/topology-edge.json"},
 	}
 	m, err := CampaignMatrix("before", cfg, 2)
@@ -30,7 +30,9 @@ func TestCampaignMultiSiteSweep(t *testing.T) {
 	}
 
 	run := func(workers int) (*bytesAndText, error) {
-		res, err := Campaign("before", cfg, 2, workers)
+		cfg := cfg
+		cfg.Workers = workers
+		res, err := Campaign("before", cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -78,9 +80,9 @@ func TestGoVsJSONTopologyDeterminism(t *testing.T) {
 	if err := qoscluster.RegisterTopology(topo); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Seed: 11, Days: 1, Sites: []string{"detgate"}}
+	cfg := Config{Seed: 11, Days: 1, Sites: []string{"detgate"}, Trials: 2, Exec: Exec{Workers: 4}}
 	run := func() []byte {
-		res, err := Campaign("after", cfg, 2, 4)
+		res, err := Campaign("after", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +171,8 @@ func TestResolveSites(t *testing.T) {
 
 // TestRigScenariosRejectMultiSite pins that the fixed one-host overhead
 // rigs refuse a multi-site sweep instead of replicating identical
-// numbers under per-site labels.
+// numbers under per-site labels, and refuse an agent slot count their
+// agents, each on its own ticker, would never read.
 func TestRigScenariosRejectMultiSite(t *testing.T) {
 	for _, name := range []string{"fig3", "fig4", "overhead", "ablate-resident"} {
 		m, err := CampaignMatrix(name, Config{Sites: []string{"paper"}}, 2)
@@ -181,6 +184,10 @@ func TestRigScenariosRejectMultiSite(t *testing.T) {
 		}
 		if _, err := CampaignMatrix(name, Config{Sites: []string{"paper", "small"}}, 2); err == nil {
 			t.Errorf("%s should reject a multi-site list", name)
+		}
+		if _, err := CampaignMatrix(name, Config{AgentSlots: 8}, 2); err == nil ||
+			!strings.Contains(err.Error(), "drop -agentslots") {
+			t.Errorf("%s with -agentslots 8: err = %v, want a drop -agentslots refusal", name, err)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestParseTierFaultScale(t *testing.T) {
 // significance column, and stay byte-identical across worker counts.
 func TestTierFaultsCampaignAxis(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Seed: 7, Days: 5, Sites: []string{"webfarm"}, TierFaultScales: []string{"", "web=4"}}
+	cfg := Config{Seed: 7, Days: 5, Sites: []string{"webfarm"}, TierFaultScales: []string{"", "web=4"}, Trials: 2}
 	m, err := CampaignMatrix("before", cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,8 @@ func TestTierFaultsCampaignAxis(t *testing.T) {
 	if len(m.TierFaults) != 2 {
 		t.Fatalf("matrix tier-faults axis = %v", m.TierFaults)
 	}
-	res1, err := Campaign("before", cfg, 2, 1)
+	cfg.Workers = 1
+	res1, err := Campaign("before", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,8 @@ func TestTierFaultsCampaignAxis(t *testing.T) {
 		t.Errorf("FormatCampaign missing axis label or significance column:\n%s", out)
 	}
 
-	res8, err := Campaign("before", cfg, 2, 8)
+	cfg.Workers = 8
+	res8, err := Campaign("before", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +125,12 @@ func TestTierFaultsScopedToEachSite(t *testing.T) {
 	t.Parallel()
 	// webfarm declares "web"; small does not (its tiers are db/tx/fe),
 	// so the web=4 cell must scale webfarm and no-op on small.
-	cfg := Config{Seed: 7, Days: 3, Sites: []string{"small", "webfarm"}, TierFaultScales: []string{"web=4"}}
+	cfg := Config{Seed: 7, Days: 3, Sites: []string{"small", "webfarm"}, TierFaultScales: []string{"web=4"},
+		Trials: 1, Exec: Exec{Workers: 2}}
 	if _, err := CampaignMatrix("before", cfg, 1); err != nil {
 		t.Fatalf("partially-present tier rejected: %v", err)
 	}
-	res, err := Campaign("before", cfg, 1, 2)
+	res, err := Campaign("before", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,24 +53,21 @@ func (c *traceCollector) harvest(s *qoscluster.Site, t campaign.Trial) {
 }
 
 // RunTracedCampaign runs the matrix like campaign.Run with the pooled
-// runner, additionally recording every trial's decision trace, and
-// returns the campaign result plus the encoded trace file. The matrix
-// must carry a positive TraceLevel. The result is byte-identical to an
-// untraced run of the same matrix: tracing draws no randomness and
-// schedules nothing.
-func RunTracedCampaign(name string, m campaign.Matrix, workers int) (*campaign.Result, []byte, error) {
-	if m.TraceLevel <= trace.LevelOff {
-		return nil, nil, fmt.Errorf("campaign %s: tracing requested with trace level %d; need >= %d", name, m.TraceLevel, trace.LevelDecisions)
-	}
+// runner on exec's workers and shards, additionally recording every
+// trial's decision trace at exec's trace level, and returns the campaign
+// result plus the encoded trace file (exec.TracePath is not written).
+// The result is byte-identical to an untraced run of the same matrix:
+// tracing draws no randomness and schedules nothing.
+func RunTracedCampaign(name string, m campaign.Matrix, exec Exec) (*campaign.Result, []byte, error) {
 	col := &traceCollector{events: map[int][]trace.Event{}}
-	res, err := campaign.Run(name, m, workers, newPooledRunFunc(col.harvest))
+	res, err := campaign.Run(name, m, exec.Workers, newPooledRunFunc(exec, col))
 	if err != nil {
 		return nil, nil, err
 	}
 	if errs := res.Errs(); len(errs) > 0 {
 		return res, nil, fmt.Errorf("campaign %s: %d of %d trials failed; not writing a partial trace", name, len(errs), len(res.Trials))
 	}
-	buf, err := encodeTrace(name, m, res, col)
+	buf, err := encodeTrace(name, m, exec.traceLevel(), res, col)
 	if err != nil {
 		return res, nil, err
 	}
@@ -80,7 +77,7 @@ func RunTracedCampaign(name string, m campaign.Matrix, workers int) (*campaign.R
 // encodeTrace renders the trace file: one header line, then per trial (in
 // matrix order) a trial line followed by its event lines. Everything is
 // single-line JSON, so the file greps and streams line by line.
-func encodeTrace(name string, m campaign.Matrix, res *campaign.Result, col *traceCollector) ([]byte, error) {
+func encodeTrace(name string, m campaign.Matrix, level int, res *campaign.Result, col *traceCollector) ([]byte, error) {
 	rawMatrix, err := json.Marshal(m)
 	if err != nil {
 		return nil, err
@@ -92,7 +89,7 @@ func encodeTrace(name string, m campaign.Matrix, res *campaign.Result, col *trac
 	var b bytes.Buffer
 	enc := json.NewEncoder(&b) // Encode appends the newline each line needs
 	if err := enc.Encode(traceHeader{
-		Version: traceVersion, Name: name, Level: m.TraceLevel,
+		Version: traceVersion, Name: name, Level: level,
 		Matrix: rawMatrix, Topologies: topos,
 	}); err != nil {
 		return nil, err
@@ -111,7 +108,7 @@ func encodeTrace(name string, m campaign.Matrix, res *campaign.Result, col *trac
 }
 
 // topologyFingerprints hashes the canonical JSON of every site topology
-// the matrix names (the blank default resolves to "small", mirroring
+// the matrix names (the blank default resolves to defaultSite, mirroring
 // buildNamedSite). FNV-64a over topo.JSON() is plenty: the fingerprint
 // detects drift, it is not a security boundary.
 func topologyFingerprints(m campaign.Matrix) (map[string]string, error) {
@@ -123,7 +120,7 @@ func topologyFingerprints(m campaign.Matrix) (map[string]string, error) {
 	for _, name := range sites {
 		resolved := name
 		if resolved == "" {
-			resolved = "small"
+			resolved = defaultSite
 		}
 		if _, ok := out[resolved]; ok {
 			continue

@@ -16,16 +16,21 @@ import (
 )
 
 // traceMatrix is the shared one-cell trace-test matrix: two seeds of one
-// day, full evidence capture.
+// day.
 func traceMatrix(site, mode string) campaign.Matrix {
 	return campaign.Matrix{
-		Seeds:      campaign.Seeds(7, 2),
-		Scenarios:  []string{"year"},
-		Sites:      []string{site},
-		Modes:      []string{mode},
-		Days:       1,
-		TraceLevel: trace.LevelFull,
+		Seeds:     campaign.Seeds(7, 2),
+		Scenarios: []string{"year"},
+		Sites:     []string{site},
+		Modes:     []string{mode},
+		Days:      1,
 	}
+}
+
+// fullTrace is the trace tests' execution: full evidence capture on the
+// given workers.
+func fullTrace(workers int) Exec {
+	return Exec{Workers: workers, TraceLevel: trace.LevelFull}
 }
 
 // registerFastFaults installs an override that drives faults hard enough
@@ -63,7 +68,7 @@ func TestTraceEquivalence(t *testing.T) {
 				t.Skip("long cell; run without -short for the full gate")
 			}
 			m := traceMatrix(cell.site, cell.mode)
-			_, want, err := RunTracedCampaign("trace-equivalence", m, 1)
+			_, want, err := RunTracedCampaign("trace-equivalence", m, fullTrace(1))
 			if err != nil {
 				t.Fatalf("baseline traced campaign: %v", err)
 			}
@@ -72,9 +77,9 @@ func TestTraceEquivalence(t *testing.T) {
 					if workers == 1 && shards == 1 {
 						continue
 					}
-					sm := m
-					sm.Shards = shards
-					_, got, err := RunTracedCampaign("trace-equivalence", sm, workers)
+					exec := fullTrace(workers)
+					exec.Shards = shards
+					_, got, err := RunTracedCampaign("trace-equivalence", m, exec)
 					if err != nil {
 						t.Fatalf("traced campaign (%d workers, %d shards): %v", workers, shards, err)
 					}
@@ -97,11 +102,11 @@ func TestTraceReuseReset(t *testing.T) {
 	pooledM := traceMatrix("small", "agents") // seeds {7, 8}, one worker => one reused site
 	freshM := pooledM
 	freshM.Seeds = campaign.Seeds(8, 1)
-	_, pooledBuf, err := RunTracedCampaign("trace-reuse", pooledM, 1)
+	_, pooledBuf, err := RunTracedCampaign("trace-reuse", pooledM, fullTrace(1))
 	if err != nil {
 		t.Fatalf("pooled traced campaign: %v", err)
 	}
-	_, freshBuf, err := RunTracedCampaign("trace-fresh", freshM, 1)
+	_, freshBuf, err := RunTracedCampaign("trace-fresh", freshM, fullTrace(1))
 	if err != nil {
 		t.Fatalf("fresh traced campaign: %v", err)
 	}
@@ -132,18 +137,16 @@ func TestTraceReuseReset(t *testing.T) {
 func TestTracedCampaignMatchesUntraced(t *testing.T) {
 	t.Parallel()
 	m := traceMatrix("small", "agents")
-	traced, _, err := RunTracedCampaign("knob", m, 2)
+	traced, _, err := RunTracedCampaign("knob", m, fullTrace(2))
 	if err != nil {
 		t.Fatalf("traced campaign: %v", err)
 	}
-	um := m
-	um.TraceLevel = 0
-	untraced, err := campaign.Run("knob", um, 2, NewPooledRunFunc())
+	untraced, err := campaign.Run("knob", m, 2, NewPooledRunFunc())
 	if err != nil {
 		t.Fatalf("untraced campaign: %v", err)
 	}
-	// TraceLevel is excluded from the JSON, so the records must agree
-	// byte for byte.
+	// The trace level is no part of the matrix, so the records must
+	// agree byte for byte.
 	want, err := untraced.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +169,7 @@ func TestTraceEventOrder(t *testing.T) {
 	m := traceMatrix("small", "agents")
 	m.Overrides = []string{"trace-order-faults"}
 	m.Days = 2
-	_, buf, err := RunTracedCampaign("trace-order", m, 2)
+	_, buf, err := RunTracedCampaign("trace-order", m, fullTrace(2))
 	if err != nil {
 		t.Fatalf("traced campaign: %v", err)
 	}
@@ -189,7 +192,7 @@ func TestTraceEventOrder(t *testing.T) {
 	if total == 0 {
 		t.Fatal("fast-fault trace recorded no events; the order check tested nothing")
 	}
-	_, again, err := RunTracedCampaign("trace-order", m, 2)
+	_, again, err := RunTracedCampaign("trace-order", m, fullTrace(2))
 	if err != nil {
 		t.Fatalf("repeat traced campaign: %v", err)
 	}
@@ -207,7 +210,7 @@ func TestReplayReproducesCampaign(t *testing.T) {
 	m := traceMatrix("small", "agents")
 	m.Overrides = []string{"trace-replay-faults"}
 	m.Days = 2
-	res, buf, err := RunTracedCampaign("trace-replay", m, 2)
+	res, buf, err := RunTracedCampaign("trace-replay", m, fullTrace(2))
 	if err != nil {
 		t.Fatalf("traced campaign: %v", err)
 	}
@@ -242,7 +245,7 @@ func TestCounterfactualTable(t *testing.T) {
 	m.Seeds = campaign.Seeds(7, 1)
 	m.Overrides = []string{"trace-cf-faults"}
 	m.Days = 2
-	_, buf, err := RunTracedCampaign("trace-cf", m, 1)
+	_, buf, err := RunTracedCampaign("trace-cf", m, fullTrace(1))
 	if err != nil {
 		t.Fatalf("traced campaign: %v", err)
 	}

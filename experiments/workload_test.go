@@ -104,7 +104,7 @@ func TestResolveWorkloads(t *testing.T) {
 // byte-identical across worker counts.
 func TestWorkloadCampaignAxis(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Seed: 7, Days: 3, Sites: []string{"small"}, Workloads: []string{"", "flashcrowd"}}
+	cfg := Config{Seed: 7, Days: 3, Sites: []string{"small"}, Workloads: []string{"", "flashcrowd"}, Trials: 2}
 	m, err := CampaignMatrix("before", cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,8 @@ func TestWorkloadCampaignAxis(t *testing.T) {
 	if len(m.Workloads) != 2 || m.Workloads[1] != "flashcrowd" {
 		t.Fatalf("matrix workload axis = %v", m.Workloads)
 	}
-	res1, err := Campaign("before", cfg, 2, 1)
+	cfg.Workers = 1
+	res1, err := Campaign("before", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,8 @@ func TestWorkloadCampaignAxis(t *testing.T) {
 		t.Errorf("FormatCampaign missing workload label:\n%s", out)
 	}
 
-	res8, err := Campaign("before", cfg, 2, 8)
+	cfg.Workers = 8
+	res8, err := Campaign("before", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,8 @@ func TestWorkloadCampaignAxis(t *testing.T) {
 // matrix-build time, and a real sweep aggregates per cell.
 func TestTierLoadCampaignAxis(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Seed: 7, Days: 3, Sites: []string{"small"}, TierLoadScales: []string{"", "db=3"}}
+	cfg := Config{Seed: 7, Days: 3, Sites: []string{"small"}, TierLoadScales: []string{"", "db=3"},
+		Trials: 1, Exec: Exec{Workers: 2}}
 	m, err := CampaignMatrix("before", cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +157,7 @@ func TestTierLoadCampaignAxis(t *testing.T) {
 	if len(m.TierLoads) != 2 {
 		t.Fatalf("matrix tier-load axis = %v", m.TierLoads)
 	}
-	res, err := Campaign("before", cfg, 1, 2)
+	res, err := Campaign("before", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +238,7 @@ func TestWorkloadSpecEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		for _, shards := range []int{1, 8} {
-			sm := m
-			sm.Shards = shards
-			res, err := campaign.Run("workload-equivalence", sm, workers, NewPooledRunFunc())
+			res, err := campaign.Run("workload-equivalence", m, workers, newPooledRunFunc(Exec{Shards: shards}, nil))
 			if err != nil {
 				t.Fatalf("campaign (%d workers, %d shards): %v", workers, shards, err)
 			}
@@ -267,7 +268,7 @@ func TestTierLoadShiftsWork(t *testing.T) {
 	t.Parallel()
 	build := func(opts ...qoscluster.Option) *qoscluster.Site {
 		t.Helper()
-		site, err := buildNamedSite("small", 7, append(opts, qoscluster.WithNoFaults())...)
+		site, err := buildNamedSite("small", "", 7, append(opts, qoscluster.WithNoFaults())...)
 		if err != nil {
 			t.Fatal(err)
 		}

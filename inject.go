@@ -64,7 +64,7 @@ func (s *Site) hasTierFaultDomains() bool {
 		return true
 	}
 	for _, tier := range s.Topo.Tiers {
-		if s.resolvedFaults(tier) != nil {
+		if tier.Faults != nil {
 			return true
 		}
 	}
@@ -86,7 +86,7 @@ func (s *Site) faultDomains(cat metrics.Category) []faultinject.Domain {
 		if tierEligible(tier, cat) {
 			d.Weight = 1
 		}
-		if fs := s.resolvedFaults(tier); fs != nil {
+		if fs := tier.Faults; fs != nil {
 			if len(fs.Only) > 0 && !slices.Contains(fs.Only, string(cat)) {
 				d.Weight = 0
 			} else if r, ok := fs.Rates[string(cat)]; ok && d.Weight > 0 {

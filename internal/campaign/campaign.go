@@ -33,7 +33,9 @@ import (
 // matrix does not sweep are left as their zero values; a zero option axis
 // means "the scenario's default" (e.g. CronPeriod 0 is the paper's 5
 // minutes). Trial and Group embed it untagged, so encoding/json flattens
-// its fields into their records in declaration order.
+// its fields into their records in declaration order. Every field is a
+// model coordinate: how a trial executes (workers, shards, tracing) is
+// the run function's business and never appears here.
 type Cell struct {
 	Scenario string `json:"scenario,omitempty"`
 	Site     string `json:"site,omitempty"`
@@ -63,40 +65,35 @@ type Cell struct {
 	// twin of TierFaults: "web=2,db=0.5" multiplies the named tiers'
 	// resolved workload-domain weights. "" means unscaled.
 	TierLoad string `json:"tier_load,omitempty"`
+	// AgentSlots is the agent cron dispatch slot count, set from
+	// Matrix.AgentSlots like Days. It is a model knob: quantizing agent
+	// wake-ups onto the slot grid changes the simulated trajectory, so it
+	// belongs in the canonical JSON. 0 (omitted) keeps the continuous
+	// per-agent phases. It is the last field, so a Trial record keeps it
+	// after the other coordinates.
+	AgentSlots int `json:"agent_slots,omitempty"`
 }
 
-// Trial is one coordinate of the campaign matrix: a seed of one Cell.
+// Trial is one coordinate of the campaign matrix: a seed of one Cell,
+// and nothing else — a RunFunc takes how to execute it from whoever
+// built the RunFunc.
 type Trial struct {
 	Index int    `json:"index"`
 	Seed  uint64 `json:"seed"`
 	Cell
-	// AgentSlots is the agent cron dispatch slot count, copied from
-	// Matrix.AgentSlots. Unlike Shards it is a model knob: quantizing
-	// agent wake-ups onto the slot grid changes the simulated trajectory,
-	// so it belongs in the canonical JSON. 0 (omitted) keeps the
-	// continuous per-agent phases.
-	AgentSlots int `json:"agent_slots,omitempty"`
-	// Shards is the intra-trial parallelism degree, copied from
-	// Matrix.Shards. It is an execution knob, not an axis coordinate:
-	// results are byte-identical at any shard count, so it is excluded
-	// from the canonical JSON exactly like the worker count.
-	Shards int `json:"-"`
-	// TraceLevel is the decision-trace recorder level, copied from
-	// Matrix.TraceLevel — an execution knob like Shards: tracing changes
-	// no result, so it too stays out of the canonical JSON.
-	TraceLevel int `json:"-"`
 }
 
 // Matrix enumerates the campaign: the cross product of its axes, one Trial
 // per combination. Empty axes contribute a single zero-valued coordinate,
-// so a plain multi-seed sweep is just Matrix{Seeds: Seeds(7, 16)}.
+// so a plain multi-seed sweep is just Matrix{Seeds: Seeds(7, 16)}. Like
+// Cell, it holds model coordinates only.
 type Matrix struct {
 	Seeds     []uint64 `json:"seeds"`
 	Scenarios []string `json:"scenarios,omitempty"`
 	Sites     []string `json:"sites,omitempty"`
 	Modes     []string `json:"modes,omitempty"`
 	Days      int      `json:"days,omitempty"`
-	// Option axes (see Trial). A boolean axis sweeps explicit values —
+	// Option axes (see Cell). A boolean axis sweeps explicit values —
 	// []bool{false, true} is the usual with/without ablation pair.
 	CronPeriods       []simclock.Time `json:"cron_periods,omitempty"`
 	AgentSets         []string        `json:"agent_sets,omitempty"`
@@ -105,24 +102,18 @@ type Matrix struct {
 	BaselineMonitors  []bool          `json:"baseline_monitors,omitempty"`
 	Overrides         []string        `json:"overrides,omitempty"`
 	// TierFaults sweeps per-tier fault-intensity specs (see
-	// Trial.TierFaults); the usual axis pairs the default "" against one
+	// Cell.TierFaults); the usual axis pairs the default "" against one
 	// or more scaled cells.
 	TierFaults []string `json:"tier_faults,omitempty"`
 	// Workloads sweeps statistical workload specs by registered name
-	// (see Trial.Workload); "" in the list means the site's default.
+	// (see Cell.Workload); "" in the list means the site's default.
 	Workloads []string `json:"workloads,omitempty"`
 	// TierLoads sweeps per-tier load-intensity specs (see
-	// Trial.TierLoad).
+	// Cell.TierLoad).
 	TierLoads []string `json:"tier_loads,omitempty"`
-	// AgentSlots is stamped onto every trial (see Trial.AgentSlots). Not
-	// an axis here, but a model knob recorded in the JSON.
+	// AgentSlots is set on every cell (see Cell.AgentSlots). Not an axis
+	// here, but a model knob recorded in the JSON.
 	AgentSlots int `json:"agent_slots,omitempty"`
-	// Shards is stamped onto every trial (see Trial.Shards). Not an
-	// axis: like the worker count it must not change any result, so
-	// sweeping it would only measure wall-clock.
-	Shards int `json:"-"`
-	// TraceLevel is stamped onto every trial (see Trial.TraceLevel).
-	TraceLevel int `json:"-"`
 }
 
 // Seeds returns n sequential seeds starting at base — the conventional way
@@ -142,7 +133,7 @@ func Seeds(base uint64, n int) []uint64 {
 // load-intensity spec, with the seed axis innermost so that one
 // aggregation group's trials are contiguous.
 func (m Matrix) Trials() []Trial {
-	cells := []Cell{{Days: m.Days}}
+	cells := []Cell{{Days: m.Days, AgentSlots: m.AgentSlots}}
 	cells = expand(cells, m.Scenarios, func(c *Cell, v string) { c.Scenario = v })
 	cells = expand(cells, m.Sites, func(c *Cell, v string) { c.Site = v })
 	cells = expand(cells, m.Modes, func(c *Cell, v string) { c.Mode = v })
@@ -158,8 +149,7 @@ func (m Matrix) Trials() []Trial {
 	var out []Trial
 	for _, c := range cells {
 		for _, seed := range m.Seeds {
-			out = append(out, Trial{Index: len(out), Seed: seed, Cell: c,
-				AgentSlots: m.AgentSlots, Shards: m.Shards, TraceLevel: m.TraceLevel})
+			out = append(out, Trial{Index: len(out), Seed: seed, Cell: c})
 		}
 	}
 	return out

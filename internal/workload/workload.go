@@ -68,8 +68,8 @@ func DefaultConfig() Config {
 }
 
 // TierLoad is one tier's resolved workload-domain coefficients, compiled
-// by the site builder from the topology's per-tier workload specs (plus
-// any option overrides). Every field is a multiplicative weight; the
+// by the site builder from the topology's per-tier workload specs (times
+// any per-tier load scale). Every field is a multiplicative weight; the
 // default domain is all ones (DefaultTierLoad).
 type TierLoad struct {
 	Share float64 // interactive analyst-share weight

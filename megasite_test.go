@@ -217,8 +217,10 @@ func TestMegaSiteJSONRoundTrip(t *testing.T) {
 // identical simulation outcome — using >= 10x fewer scheduler events for
 // the probe subsystem.
 func TestProbeEventReduction(t *testing.T) {
+	topo := PaperTopology()
+	topo.Probes = &ProbeSpec{}
 	run := func(opts ...Option) *Site {
-		site, err := NewSite(PaperTopology(), append([]Option{WithSeed(11), WithProbes(ProbeSpec{})}, opts...)...)
+		site, err := NewSite(topo, append([]Option{WithSeed(11)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +258,9 @@ func TestProbeEventReduction(t *testing.T) {
 // timeouts (exit 124, growing fail streak), and a registered service
 // fault is detected by the next probe cycle.
 func TestProbeDetection(t *testing.T) {
-	site, err := NewSite(SmallTopology(), WithSeed(3), WithNoFaults(), WithProbes(ProbeSpec{}))
+	topo := SmallTopology()
+	topo.Probes = &ProbeSpec{}
+	site, err := NewSite(topo, WithSeed(3), WithNoFaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,30 +62,16 @@ type Options struct {
 	// numbers are exactly what the generator offers. nil = DefaultConfig
 	// scaled to the site's LSF-target pool.
 	Workload *workload.Config
-	// WorkloadSpec overrides the topology's statistical workload spec
-	// (Topology.Workload): batch submissions arrive through this spec's
-	// per-class interarrival processes and surge scenarios. It wins over
-	// the topology's named spec; nil resolves the topology name (empty
-	// name = the generator's default, the `paper` spec).
-	WorkloadSpec *workload.Spec
-	// TierLoadScale multiplies the resolved per-tier workload-domain
-	// weights — analyst share, batch intensity and feed weight at once,
-	// leaving the diurnal amplitude alone — by tier name: the campaign's
-	// per-tier load-intensity axis (`-tierload`), the workload twin of
-	// TierFaultScale. It composes with (multiplies into) topology specs
-	// and TierWorkloads overrides.
+	// TierLoadScale multiplies each tier's workload-domain weights —
+	// analyst share, batch intensity and feed weight at once, leaving the
+	// diurnal amplitude alone — by tier name: the campaign's per-tier
+	// load-intensity axis (`-tierload`), the workload twin of
+	// TierFaultScale. It multiplies into the tier's Tier.Workload spec.
 	TierLoadScale map[string]float64
-	// TierWorkloads overrides per-tier workload specs by tier name. An
-	// entry replaces the topology's spec for that tier wholesale (it does
-	// not merge); tiers without an entry keep their topology spec.
-	TierWorkloads map[string]WorkloadSpec
-	// TierFaults overrides per-tier fault specs by tier name, with the
-	// same replace-not-merge semantics as TierWorkloads.
-	TierFaults map[string]FaultsSpec
-	// TierFaultScale multiplies the resolved per-tier fault selection
-	// weight — every category at once — by tier name: the campaign's
-	// per-tier fault-intensity axis. It composes with (multiplies into)
-	// topology specs and TierFaults overrides.
+	// TierFaultScale multiplies each tier's fault selection weight —
+	// every category at once — by tier name: the campaign's per-tier
+	// fault-intensity axis. It multiplies into the tier's Tier.Faults
+	// spec.
 	TierFaultScale map[string]float64
 	// BaselineMonitors installs BMC-style monitors on every database host
 	// (always installed in ModeManual on database hosts regardless).
@@ -97,14 +83,11 @@ type Options struct {
 	NoBatchRescue bool
 	// OperatorTiming overrides the manual-operations constants (ablation).
 	OperatorTiming *operators.Timing
-	// Probes overrides the topology's probe-dispatcher spec: non-nil
-	// enables (or reconfigures) the batched probe engine regardless of
-	// what the topology declares. nil keeps the topology's spec.
-	Probes *ProbeSpec
 	// ReferenceProbes runs the probe engine with one independent repeating
 	// event per service instead of coalesced batch walks — the baseline
 	// TestMegaSite equivalence compares the batched dispatcher against.
-	// Meaningless unless a probe spec is in effect.
+	// Meaningless unless the topology declares a probe spec
+	// (Topology.Probes).
 	ReferenceProbes bool
 	// Shards is the intra-trial parallelism degree: batch work — the
 	// probe sub-ranges and, under AgentSlots, the agent observe batches —
@@ -172,13 +155,6 @@ func WithNoFaults() Option { return func(o *Options) { o.Faults = []faultinject.
 // no site-size scaling, no OvernightJobs floor).
 func WithWorkload(cfg workload.Config) Option { return func(o *Options) { o.Workload = &cfg } }
 
-// WithWorkloadSpec installs a statistical workload spec (see
-// Options.WorkloadSpec), overriding any spec the topology names. The
-// spec is validated by NewSite exactly as a registered one would be.
-func WithWorkloadSpec(s workload.Spec) Option {
-	return func(o *Options) { o.WorkloadSpec = &s }
-}
-
 // WithTierLoadScale multiplies one tier's resolved workload-domain
 // weights (see Options.TierLoadScale) — the per-tier load-intensity
 // knob campaigns sweep as a matrix axis.
@@ -188,28 +164,6 @@ func WithTierLoadScale(tier string, scale float64) Option {
 			o.TierLoadScale = map[string]float64{}
 		}
 		o.TierLoadScale[tier] = scale
-	}
-}
-
-// WithTierWorkload replaces one tier's workload spec (see
-// Options.TierWorkloads). The spec is validated by NewSite exactly as a
-// topology-declared one would be.
-func WithTierWorkload(tier string, ws WorkloadSpec) Option {
-	return func(o *Options) {
-		if o.TierWorkloads == nil {
-			o.TierWorkloads = map[string]WorkloadSpec{}
-		}
-		o.TierWorkloads[tier] = ws
-	}
-}
-
-// WithTierFaults replaces one tier's fault spec (see Options.TierFaults).
-func WithTierFaults(tier string, fs FaultsSpec) Option {
-	return func(o *Options) {
-		if o.TierFaults == nil {
-			o.TierFaults = map[string]FaultsSpec{}
-		}
-		o.TierFaults[tier] = fs
 	}
 }
 
@@ -237,11 +191,6 @@ func WithoutBatchRescue() Option { return func(o *Options) { o.NoBatchRescue = t
 
 // WithOperatorTiming overrides the manual-operations timing constants.
 func WithOperatorTiming(t operators.Timing) Option { return func(o *Options) { o.OperatorTiming = &t } }
-
-// WithProbes overrides the topology's probe-dispatcher spec (see
-// Options.Probes); WithProbes(ProbeSpec{}) enables the engine with
-// defaults on a topology that declares none.
-func WithProbes(ps ProbeSpec) Option { return func(o *Options) { o.Probes = &ps } }
 
 // WithReferenceProbes selects the per-service probe scheduling path that
 // the batched dispatcher is equivalence-tested against.
