@@ -164,16 +164,28 @@ agent-shard-smoke:
 	cmp agent-serial-smoke.json agent-shard-smoke.json
 
 # Trace smoke: record a one-seed paper-site week with decision tracing,
-# replay the trace (injections scripted from the file instead of the
-# random processes), and cmp the replayed campaign JSON against the
-# original byte for byte — the end-to-end record/replay determinism
-# proof, across two separate qossim processes. CI uploads
-# trace-smoke.jsonl with the other artifacts.
+# replay the trace (every trial re-run from its seed, its metrics
+# checked against the recorded ones), and cmp the replayed campaign
+# JSON against the original byte for byte — the end-to-end
+# record/replay determinism proof, across two separate qossim
+# processes. Then take the trace's first diagnose event (fail if there
+# is none), print its reboot-host counterfactual table in two more
+# processes and cmp the tables. CI uploads trace-smoke.jsonl and
+# trace-counterfactual.txt with the other artifacts.
 trace-smoke:
 	$(GO) run ./cmd/qossim campaign -trials 1 -workers 1 -days 7 -seed 7 \
 		-site paper -trace trace-smoke.jsonl -out trace-original.json after
 	$(GO) run ./cmd/qossim replay -trace trace-smoke.jsonl -out trace-replay.json
 	cmp trace-original.json trace-replay.json
+	@set -e; \
+	id=$$(grep -m1 '"kind":"diagnose"' trace-smoke.jsonl | sed -n 's/^{"id":\([0-9]*\),.*/\1/p'); \
+	if [ -z "$$id" ]; then echo "trace-smoke.jsonl holds no diagnose event"; exit 1; fi; \
+	echo "counterfactual target 0:$$id"; \
+	$(GO) run ./cmd/qossim replay -trace trace-smoke.jsonl -counterfactual 0:$$id \
+		-alt reboot-host > trace-counterfactual.txt; \
+	$(GO) run ./cmd/qossim replay -trace trace-smoke.jsonl -counterfactual 0:$$id \
+		-alt reboot-host > trace-counterfactual-2.txt; \
+	cmp trace-counterfactual.txt trace-counterfactual-2.txt
 
 # Workload smoke: a one-seed campaign driven by the checked-in
 # flash-crowd workload spec, re-run at -workers 8. Spec-driven arrivals
@@ -213,4 +225,4 @@ fmt:
 	gofmt -w .
 
 clean:
-	rm -f campaign-smoke.json ablate-smoke.json topology-smoke.json tiers-smoke.json megasite-smoke.json shard-smoke.json agent-serial-smoke.json agent-shard-smoke.json trace-smoke.jsonl trace-original.json trace-replay.json workload-smoke.json workload-smoke-w8.json bench.txt bench-agentday.txt bench-proof.txt bench-megasite-proof.txt bench-megasite-shards-proof.txt bench-megasite-shards-renamed.txt bench-agent-slots-proof.txt bench-agent-shards-proof.txt bench-agent-shards-renamed.txt
+	rm -f campaign-smoke.json ablate-smoke.json topology-smoke.json tiers-smoke.json megasite-smoke.json shard-smoke.json agent-serial-smoke.json agent-shard-smoke.json trace-smoke.jsonl trace-original.json trace-replay.json trace-counterfactual.txt trace-counterfactual-2.txt workload-smoke.json workload-smoke-w8.json bench.txt bench-agentday.txt bench-proof.txt bench-megasite-proof.txt bench-megasite-shards-proof.txt bench-megasite-shards-renamed.txt bench-agent-slots-proof.txt bench-agent-shards-proof.txt bench-agent-shards-renamed.txt

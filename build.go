@@ -125,9 +125,6 @@ func NewSite(topo Topology, options ...Option) (*Site, error) {
 	s.Ledger = metrics.NewLedger()
 	s.Registry = faultinject.NewRegistry(s.Ledger)
 	s.Team = operators.NewTeam(s.Sim.Rand().Fork(0x09e7))
-	if opts.OperatorTiming != nil {
-		s.Team.SetTiming(*opts.OperatorTiming)
-	}
 	if opts.TraceLevel > trace.LevelOff {
 		s.Trace = trace.New(opts.TraceLevel)
 		// The closure reads s.tierOf at emission time, after buildHosts
@@ -259,15 +256,6 @@ func (s *Site) Tiered() bool {
 		}
 	}
 	return false
-}
-
-// TierNames lists the topology's tiers in declaration order.
-func (s *Site) TierNames() []string {
-	names := make([]string, len(s.Topo.Tiers))
-	for i, tier := range s.Topo.Tiers {
-		names[i] = tier.Name
-	}
-	return names
 }
 
 // TierOf maps a host name to its topology tier ("" for the mode-added
@@ -487,11 +475,7 @@ func (s *Site) Run(until simclock.Time) error {
 			}
 			s.Campaign = faultinject.NewCampaign(s.Sim, s.inject)
 			s.Campaign.Trace = s.Trace
-			if s.Opts.Replay != nil {
-				s.Campaign.StartScript(s.faultSpecs(), s.Opts.Replay)
-			} else {
-				s.Campaign.Start(s.faultSpecs())
-			}
+			s.Campaign.Start(s.faultSpecs())
 		}
 	}
 	if s.deployErr != nil {

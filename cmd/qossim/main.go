@@ -78,12 +78,11 @@
 // detections, diagnosis rule firings, repairs, operator pages — to a
 // JSONL file (-tracelevel 2 adds diagnosis evidence). Tracing is an
 // execution knob like -shards: the campaign output is byte-identical
-// with or without it. The replay subcommand re-runs a recorded trace
-// (injections from the file instead of the random processes), verifies
-// every trial reproduces its recorded metrics, and with -counterfactual
-// re-simulates from one recorded diagnose decision under alternative
-// repair actions (-alt, default two picked automatically) and prints the
-// outcome diff table.
+// with or without it. The replay subcommand re-runs every trial of a
+// recorded trace from its seed, verifies each reproduces its recorded
+// metrics, and with -counterfactual re-simulates one recorded trial with
+// a diagnose decision overridden by alternative repair actions (-alt,
+// default two picked automatically) and prints the outcome diff table.
 package main
 
 import (
@@ -304,11 +303,11 @@ func (f *sharedFlags) config(prog string) experiments.Config {
 		Exec: experiments.Exec{Workers: *f.workers, Shards: *f.shards, TracePath: *f.tracePath, TraceLevel: *f.traceLevel}}
 }
 
-// runReplay re-runs a recorded trace: injections come from the file
-// instead of the random processes, and every trial must reproduce its
-// recorded metrics exactly. With -counterfactual it instead replays one
-// trial under alternative repair actions for the targeted diagnose
-// decision and prints the outcome diff table.
+// runReplay re-runs a recorded trace: every trial runs again from its
+// seed and must reproduce its recorded metrics exactly. With
+// -counterfactual it instead re-runs one trial under alternative repair
+// actions for the targeted diagnose decision and prints the outcome diff
+// table.
 func runReplay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	tracePath := fs.String("trace", "", "trace file recorded by a traced campaign run (required)")

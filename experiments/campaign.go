@@ -463,7 +463,7 @@ func scopeTierScale(scale map[string]float64, site string) map[string]float64 {
 }
 
 // buildTrialSite assembles the site one trial's coordinates call for,
-// with extra options (execution settings, replay inputs) applied after
+// with extra options (execution settings, a counterfactual) applied after
 // the trial's own.
 func buildTrialSite(t campaign.Trial, extra ...qoscluster.Option) (*qoscluster.Site, error) {
 	opts, err := trialSiteOptions(t)

@@ -15,8 +15,6 @@ import (
 
 	qoscluster "repro"
 	"repro/internal/campaign"
-	"repro/internal/faultinject"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -117,8 +115,8 @@ func readTrace(r io.Reader) (*TraceFile, error) {
 }
 
 // verifyTopologies refuses to replay against topologies that no longer
-// match the recorded fingerprints: arrival schedules are only meaningful
-// on the site they were recorded on.
+// match the recorded fingerprints: a seed only reproduces a run on the
+// site it was recorded on.
 func verifyTopologies(tf *TraceFile) error {
 	names := make([]string, 0, len(tf.Topologies))
 	for name := range tf.Topologies {
@@ -137,12 +135,13 @@ func verifyTopologies(tf *TraceFile) error {
 	return nil
 }
 
-// ReplayTrace re-runs every recorded trial with the fault campaign driven
-// by the recorded arrival schedule instead of its Poisson processes, and
-// verifies each trial reproduces its recorded metrics exactly. The
-// returned result aggregates the replayed trials the same way the
-// original campaign did, so its JSON is byte-identical to the original
-// campaign output.
+// ReplayTrace re-runs every recorded trial from its seed and coordinate
+// and verifies each trial reproduces its recorded metrics exactly. A
+// trial's fault arrivals come from the campaign's own forked random
+// stream, so the seed already fixes them; the recorded arrival events
+// are a record of the run, not an input. The returned result aggregates
+// the replayed trials the same way the original campaign did, so its
+// JSON is byte-identical to the original campaign output.
 func ReplayTrace(tf *TraceFile, workers int) (*campaign.Result, error) {
 	if err := verifyTopologies(tf); err != nil {
 		return nil, err
@@ -156,9 +155,7 @@ func ReplayTrace(tf *TraceFile, workers int) (*campaign.Result, error) {
 			return nil, fmt.Errorf("trial %d: recorded coordinate %+v does not match the matrix enumeration %+v", i, rec.Trial, enumerated[i])
 		}
 	}
-	res, err := campaign.Run(tf.Name, tf.Matrix, workers, func(t campaign.Trial) (map[string]float64, error) {
-		return runReplayTrial(t, arrivalsOf(tf.Trials[t.Index].Events), 0, nil, false)
-	})
+	res, err := campaign.Run(tf.Name, tf.Matrix, workers, RunTrial)
 	if err != nil {
 		return nil, err
 	}
@@ -204,27 +201,12 @@ func firstMetricDiff(want, got map[string]float64) string {
 	return "maps differ" // unreachable when called after DeepEqual failed on real data
 }
 
-// arrivalsOf projects a trial's recorded events down to the fault-arrival
-// schedule that drives its replay.
-func arrivalsOf(events []trace.Event) []faultinject.Arrival {
-	out := []faultinject.Arrival{} // non-nil: an event-free trial replays quiet
-	for _, e := range events {
-		if e.Kind == trace.KindArrival {
-			out = append(out, faultinject.Arrival{At: e.At, Category: metrics.Category(e.Category), Tier: e.Tier})
-		}
-	}
-	return out
-}
-
-// runReplayTrial builds the trial's site with the recorded arrival
-// schedule (and optionally tracing plus a counterfactual override) and
-// runs it through the normal scenario metrics path.
-func runReplayTrial(t campaign.Trial, arrivals []faultinject.Arrival, level int, cf *trace.Counterfactual, noRescue bool) (map[string]float64, error) {
-	if arrivals == nil {
-		arrivals = []faultinject.Arrival{}
-	}
+// runReplayTrial rebuilds a recorded trial's site from its coordinate,
+// with tracing at level, an optional counterfactual override and an
+// optional batch-rescue ablation, and runs it through the normal scenario
+// metrics path.
+func runReplayTrial(t campaign.Trial, level int, cf *trace.Counterfactual, noRescue bool) (map[string]float64, error) {
 	site, err := buildTrialSite(t, func(o *qoscluster.Options) {
-		o.Replay = arrivals
 		o.TraceLevel = level
 		o.Counterfactual = cf
 		o.NoBatchRescue = o.NoBatchRescue || noRescue
@@ -335,7 +317,6 @@ func CounterfactualTable(tf *TraceFile, target string, alts []string, workers in
 	// Replay each alternative at the recorded trace level: the recorder
 	// reproduces the original event IDs, so the override anchors to the
 	// same decision the trace recorded.
-	arrivals := arrivalsOf(rec.Events)
 	results := make([]map[string]float64, len(alts))
 	errs := make([]error, len(alts))
 	if workers <= 0 || workers > len(alts) {
@@ -358,7 +339,7 @@ func CounterfactualTable(tf *TraceFile, target string, alts []string, workers in
 			if cf == nil {
 				level = 0 // nothing to anchor; skip re-recording
 			}
-			results[i], errs[i] = runReplayTrial(rec.Trial, arrivals, level, cf, noRescue)
+			results[i], errs[i] = runReplayTrial(rec.Trial, level, cf, noRescue)
 		}(i, alt)
 	}
 	wg.Wait()

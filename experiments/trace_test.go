@@ -201,38 +201,67 @@ func TestTraceEventOrder(t *testing.T) {
 	}
 }
 
-// TestReplayReproducesCampaign is the replay gate: re-running a recorded
-// trace with scripted injections must reproduce the original campaign
-// record byte for byte.
+// TestReplayReproducesCampaign is the replay gate: re-running every
+// recorded trial from its seed must reproduce the original campaign
+// record byte for byte. The tiered manual cell records tier-scoped
+// arrivals, so the gate also covers the campaign's domain draws.
 func TestReplayReproducesCampaign(t *testing.T) {
 	t.Parallel()
 	defer registerFastFaults("trace-replay-faults")()
-	m := traceMatrix("small", "agents")
-	m.Overrides = []string{"trace-replay-faults"}
-	m.Days = 2
-	res, buf, err := RunTracedCampaign("trace-replay", m, fullTrace(2))
-	if err != nil {
-		t.Fatalf("traced campaign: %v", err)
+	agents := traceMatrix("small", "agents")
+	tiered := traceMatrix("webfarm", "manual")
+	tiered.TierFaults = []string{"web=2"}
+	for _, tc := range []struct {
+		name       string
+		m          campaign.Matrix
+		tierScoped bool
+	}{
+		{"small-agents", agents, false},
+		{"webfarm-manual-tiered", tiered, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			m.Overrides = []string{"trace-replay-faults"}
+			m.Days = 2
+			res, buf, err := RunTracedCampaign("trace-replay", m, fullTrace(2))
+			if err != nil {
+				t.Fatalf("traced campaign: %v", err)
+			}
+			tf, err := readTrace(bytes.NewReader(buf))
+			if err != nil {
+				t.Fatalf("parse trace: %v", err)
+			}
+			if tc.tierScoped && !hasTierScopedArrival(tf) {
+				t.Fatal("tiered trace recorded no tier-scoped arrival; the domain draw went untested")
+			}
+			replayed, err := ReplayTrace(tf, 2)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			want, err := res.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := replayed.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, got) {
+				t.Errorf("replay diverged from the recorded campaign:\n%s", firstDiff(want, got))
+			}
+		})
 	}
-	tf, err := readTrace(bytes.NewReader(buf))
-	if err != nil {
-		t.Fatalf("parse trace: %v", err)
+}
+
+func hasTierScopedArrival(tf *TraceFile) bool {
+	for _, tr := range tf.Trials {
+		for _, e := range tr.Events {
+			if e.Kind == trace.KindArrival && e.Tier != "" {
+				return true
+			}
+		}
 	}
-	replayed, err := ReplayTrace(tf, 2)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	want, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := replayed.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Errorf("replay diverged from the recorded campaign:\n%s", firstDiff(want, got))
-	}
+	return false
 }
 
 // TestCounterfactualTable drives the counterfactual path end to end: pick

@@ -338,9 +338,6 @@ func (a *Agent) Counters() Counters { return a.counters }
 // Overhead returns the configured footprint.
 func (a *Agent) Overhead() Overhead { return a.overhead }
 
-// FlagDir reports the agent's flag directory.
-func (a *Agent) FlagDir() string { return a.flagDir }
-
 // flagName builds a conventional flag file name.
 func flagName(status, detail string) string {
 	if detail == "" {

@@ -4,9 +4,12 @@
 // thresholds trip — and repairs nothing ("to our knowledge, there are no
 // commercial tools that automatically correct performance problems", §2).
 //
-// Its purpose in the reproduction is twofold: it is the overhead comparator
-// of Figures 3 and 4, and it is the detection front-end of the manual
-// operations pipeline in the "before" year.
+// In the reproduction it is the overhead comparator of Figures 3 and 4,
+// and the "before" year installs it on every database host, where it
+// polls and raises console alerts as the real one did. Nothing reads
+// those alerts: manual detection is the operator model's
+// (operators.Team.PageDelay, drawn when a fault is injected), so no
+// campaign metric depends on the polls.
 package baseline
 
 import (

@@ -424,9 +424,6 @@ func (h *Host) InjectSensorFault(component string) {
 // SensorFaults reports degraded components.
 func (h *Host) SensorFaults() []string { return append([]string(nil), h.sensorFaults...) }
 
-// ClearSensorFaults removes all sensor faults (after physical repair).
-func (h *Host) ClearSensorFaults() { h.sensorFaults = nil }
-
 // InjectNICErrors records NIC errors for netstat to report.
 func (h *Host) InjectNICErrors(n int) { h.nicErrors += n }
 

@@ -278,11 +278,14 @@ type Campaign struct {
 	inject     func(cat metrics.Category, tier string, now simclock.Time)
 	counts     map[metrics.Category]int
 	tierCounts map[string]int // "tier/category" -> injections
-	// Trace, when non-nil, records every arrival — the replay schedule.
+	// Trace, when non-nil, records every arrival: a record of the run,
+	// which the seed, specs and start time already fix.
 	Trace *trace.Recorder
 }
 
-// NewCampaign returns a campaign using its own forked random stream.
+// NewCampaign returns a campaign using its own forked random stream, so
+// its arrival schedule depends only on the seed, the specs and the start
+// time, whatever the injector draws or schedules. Replay rests on this.
 func NewCampaign(sim *simclock.Sim, inject func(cat metrics.Category, tier string, now simclock.Time)) *Campaign {
 	return &Campaign{
 		sim:        sim,
@@ -359,62 +362,5 @@ func (c *Campaign) scheduleNext(s Spec) {
 		}
 		c.inject(s.Category, tier, now)
 		c.scheduleNext(s)
-	})
-}
-
-// Arrival is one recorded campaign arrival: the replay schedule's unit.
-// Re-firing a recorded run's arrivals at their recorded times, in the
-// same per-category order, against the same seed reproduces the recorded
-// incident stream exactly — the campaign's own forked random stream is
-// isolated, so the skipped interarrival/domain draws are invisible to the
-// rest of the simulation.
-type Arrival struct {
-	At       simclock.Time    `json:"at"`
-	Category metrics.Category `json:"cat"`
-	Tier     string           `json:"tier,omitempty"`
-}
-
-// StartScript drives the campaign from a recorded arrival schedule
-// instead of the Poisson processes: each spec's arrivals fire at their
-// recorded times with the recorded tier scoping, chaining one scheduled
-// event per category at a time exactly like the live path so scheduling
-// order (and therefore every same-time tie-break) matches the recorded
-// run. Specs Start would skip are skipped here too; categories with no
-// recorded arrivals schedule nothing.
-func (c *Campaign) StartScript(specs []Spec, arrivals []Arrival) {
-	byCat := make(map[metrics.Category][]Arrival)
-	for _, a := range arrivals {
-		byCat[a.Category] = append(byCat[a.Category], a)
-	}
-	// Iterate specs, not the map: Start's per-spec scheduling order is the
-	// determinism contract.
-	for _, s := range specs {
-		if s.MeanInterarrival <= 0 {
-			continue
-		}
-		if len(s.Domains) > 0 && !hasPositiveWeight(s.Domains) {
-			continue
-		}
-		q := byCat[s.Category]
-		if len(q) == 0 {
-			continue
-		}
-		delete(byCat, s.Category) // a category appears in one spec at most once per run
-		c.scheduleScripted(s.Category, q, 0)
-	}
-}
-
-func (c *Campaign) scheduleScripted(cat metrics.Category, q []Arrival, i int) {
-	a := q[i]
-	c.sim.Schedule(a.At, "fault:"+string(cat), func(now simclock.Time) {
-		c.Trace.Arrival(now, string(cat), a.Tier)
-		c.counts[cat]++
-		if a.Tier != "" {
-			c.tierCounts[a.Tier+"/"+string(cat)]++
-		}
-		c.inject(cat, a.Tier, now)
-		if i+1 < len(q) {
-			c.scheduleScripted(cat, q, i+1)
-		}
 	})
 }

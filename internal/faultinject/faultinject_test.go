@@ -144,25 +144,56 @@ func TestCampaignZeroRateSkipped(t *testing.T) {
 	}
 }
 
+// TestCampaignDeterminism pins the property replay rests on: a seed's
+// arrival schedule (time, category and drawn tier) depends only on the
+// seed, the specs and the start time. The second run's injector draws
+// from the simulation's shared stream and schedules events at every
+// arrival instant, as real injectors and healers do; the schedule must not
+// move, which fails if the campaign ever draws from the shared stream.
 func TestCampaignDeterminism(t *testing.T) {
-	run := func() []simclock.Time {
+	type arrival struct {
+		at   simclock.Time
+		cat  metrics.Category
+		tier string
+	}
+	run := func(busy bool) []arrival {
 		sim := simclock.New(99)
-		var arrivals []simclock.Time
-		c := NewCampaign(sim, func(cat metrics.Category, _ string, now simclock.Time) { arrivals = append(arrivals, now) })
+		var arrivals []arrival
+		c := NewCampaign(sim, func(cat metrics.Category, tier string, now simclock.Time) {
+			arrivals = append(arrivals, arrival{now, cat, tier})
+			if busy {
+				sim.Rand().Float64()
+				sim.Schedule(now, "busy", func(simclock.Time) { sim.Rand().Intn(10) })
+				sim.After(sim.Rand().ExpDuration(simclock.Hour), "busy", func(simclock.Time) {})
+			}
+		})
 		c.Start([]Spec{
 			{Category: metrics.CatMidCrash, MeanInterarrival: simclock.Day},
 			{Category: metrics.CatHuman, MeanInterarrival: 2 * simclock.Day, Window: Daytime},
+			{Category: metrics.CatFrontEnd, MeanInterarrival: 18 * simclock.Hour, Domains: []Domain{
+				{Tier: "web", Weight: 2, Blackouts: []Blackout{{From: 22, To: 6}}},
+				{Tier: "db", Weight: 1},
+			}},
 		})
 		sim.RunUntil(30 * simclock.Day)
 		return arrivals
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
+	a, b, busy := run(false), run(false), run(true)
+	tiers := map[string]int{}
+	for _, x := range a {
+		tiers[x.tier]++
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("diverged at %d", i)
+	if len(a) < 60 || tiers["web"] == 0 || tiers["db"] == 0 {
+		t.Fatalf("schedule too thin to pin: %d arrivals, tiers %v", len(a), tiers)
+	}
+	for name, other := range map[string][]arrival{"rerun": b, "busy injector": busy} {
+		if len(a) != len(other) {
+			t.Fatalf("%s: lengths differ: %d vs %d", name, len(a), len(other))
+		}
+		for i := range a {
+			if a[i] != other[i] {
+				t.Fatalf("%s: diverged at %d: %+v vs %+v", name, i, a[i], other[i])
+			}
 		}
 	}
 }

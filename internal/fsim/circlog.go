@@ -24,9 +24,6 @@ func NewCircLog(fs *FS, path string, max int) (*CircLog, error) {
 // Max reports the configured maximum line count.
 func (c *CircLog) Max() int { return c.max }
 
-// Path reports the backing file path.
-func (c *CircLog) Path() string { return c.path }
-
 // Append adds a line, discarding the oldest lines once the file exceeds the
 // maximum. The write is a single capped append on the backing file, not a
 // read-modify-rewrite: dropping the oldest line only moves the start of the

@@ -150,7 +150,7 @@ func EnsureServiceRunning(sim *simclock.Sim, s *svc.Service) func(now simclock.T
 		if err := s.Start(nil); err != nil {
 			return false
 		}
-		s.ForceRunning(now)
+		s.ForceRunning()
 		return true
 	}
 }
@@ -168,7 +168,7 @@ func EnsureHostUp(sim *simclock.Sim, h *cluster.Host, services []*svc.Service) f
 			if !s.Running() {
 				s.Stop()
 				if s.Start(nil) == nil {
-					s.ForceRunning(now)
+					s.ForceRunning()
 				}
 			}
 		}

@@ -69,12 +69,6 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// LogNormal returns a log-normal sample whose underlying normal has the
-// given mu and sigma.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // ExpDuration returns an exponentially distributed duration with the given
 // mean, the inter-arrival law of a Poisson process.
 func (r *Rand) ExpDuration(mean Time) Time {

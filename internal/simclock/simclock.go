@@ -57,9 +57,6 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // Hours reports the time as fractional hours since epoch.
 func (t Time) Hours() float64 { return time.Duration(t).Hours() }
 
-// Minutes reports the time as fractional minutes since epoch.
-func (t Time) Minutes() float64 { return time.Duration(t).Minutes() }
-
 // DayOfWeek reports the day index 0..6 of t, with day 0 being a Monday so
 // that days 5 and 6 form the weekend.
 func (t Time) DayOfWeek() int { return int(t/Day) % 7 }

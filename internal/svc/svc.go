@@ -138,11 +138,10 @@ type Service struct {
 	Spec Spec
 	Host *cluster.Host
 
-	sim       *simclock.Sim
-	state     State
-	pids      []int
-	startedAt simclock.Time
-	conns     int // current client connections
+	sim   *simclock.Sim
+	state State
+	pids  []int
+	conns int // current client connections
 	// Wedged marks a corruption the paper's "completely unavailable
 	// (corruptions, bugs)" category causes: restarts fail until a human
 	// repairs the underlying damage and clears the flag.
@@ -188,9 +187,6 @@ func (s *Service) Disconnect() {
 	}
 }
 
-// UpSince reports when the service last entered Running (zero if never).
-func (s *Service) UpSince() simclock.Time { return s.startedAt }
-
 // Start launches the startup sequence: components spawn in order, the
 // service becomes Running after StartupTime. Starting an already-running or
 // starting service is a no-op. Starting on a down host fails.
@@ -225,7 +221,6 @@ func (s *Service) Start(onRunning func(now simclock.Time)) error {
 			return
 		}
 		s.state = StateRunning
-		s.startedAt = now
 		if onRunning != nil {
 			onRunning(now)
 		}
@@ -236,10 +231,9 @@ func (s *Service) Start(onRunning func(now simclock.Time)) error {
 // ForceRunning promotes a Starting service to Running immediately — the
 // manual-repair path, where the operator's repair delay already covers the
 // startup work. The pending startup event becomes a no-op.
-func (s *Service) ForceRunning(now simclock.Time) {
+func (s *Service) ForceRunning() {
 	if s.state == StateStarting && s.Host.Up() {
 		s.state = StateRunning
-		s.startedAt = now
 	}
 }
 
@@ -349,12 +343,8 @@ func (s *Service) AllProcsPresent() bool {
 func (s *Service) Reset() {
 	s.state = StateStopped
 	s.pids = nil
-	s.startedAt = 0
 	s.conns = 0
 	s.Wedged = false
 	s.Crashes = 0
 	s.Restarts = 0
 }
-
-// PIDs returns the service's process IDs.
-func (s *Service) PIDs() []int { return append([]int(nil), s.pids...) }

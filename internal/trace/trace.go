@@ -5,7 +5,9 @@
 // the simulated time, the host/tier/aspect it concerns and a stable
 // monotonically-assigned ID, so a trace is byte-identical at any campaign
 // worker and shard count and an individual decision can be addressed for
-// replay or counterfactual re-simulation.
+// counterfactual re-simulation. A trace is a record of the run, not an
+// input to it: replay re-runs each recorded trial from its seed, which
+// re-emits the same events with the same IDs.
 //
 // The Recorder is nil-safe: every method has a nil-receiver fast path, so
 // emission sites pay one pointer compare when tracing is off. Emission
@@ -32,8 +34,9 @@ const (
 const (
 	// KindArrival is a fault-campaign arrival: the moment the campaign
 	// fires a category (possibly tier-scoped), before the injector picks a
-	// target. Arrivals are the replay schedule: re-running them against
-	// the same seed reproduces the recorded incident stream exactly.
+	// target. Arrivals are drawn from the campaign's own forked random
+	// stream, so the seed fixes them; the event records them and replay
+	// does not read it.
 	KindArrival = "arrival"
 	// KindFault is a concrete injected fault registered on a host.
 	KindFault = "fault"

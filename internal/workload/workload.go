@@ -52,8 +52,6 @@ type Config struct {
 	OvernightJobs int
 	// JobWork is the mean job duration on a reference server.
 	JobWork simclock.Time
-	// FeedLoad is constant CPU demand per feed handler host.
-	FeedLoad float64
 }
 
 // DefaultConfig returns a load shape proportionate to the paper's site.
@@ -63,7 +61,6 @@ func DefaultConfig() Config {
 		DayJobsPerHour: 12,
 		OvernightJobs:  40,
 		JobWork:        2 * simclock.Hour,
-		FeedLoad:       0.6,
 	}
 }
 

@@ -2,7 +2,6 @@ package qoscluster
 
 import (
 	"repro/internal/faultinject"
-	"repro/internal/operators"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -81,8 +80,6 @@ type Options struct {
 	// NoBatchRescue stops the admin tier resubmitting failed jobs from the
 	// DGSPL (ablation of the paper's §4 mechanism).
 	NoBatchRescue bool
-	// OperatorTiming overrides the manual-operations constants (ablation).
-	OperatorTiming *operators.Timing
 	// ReferenceProbes runs the probe engine with one independent repeating
 	// event per service instead of coalesced batch walks — the baseline
 	// TestMegaSite equivalence compares the batched dispatcher against.
@@ -117,14 +114,10 @@ type Options struct {
 	// simulated behaviour and campaign JSON are byte-identical to an
 	// untraced one. Like Shards, it is an execution knob, not a model axis.
 	TraceLevel int
-	// Replay, when non-nil, drives the fault campaign from a recorded
-	// arrival schedule instead of the Poisson processes (an empty non-nil
-	// slice replays a quiet run). The campaign's forked random stream goes
-	// undrawn; every other stream is untouched, so replaying a run's own
-	// arrivals under its seed reproduces it exactly.
-	Replay []faultinject.Arrival
-	// Counterfactual, during a replay with tracing enabled, overrides one
-	// recorded diagnose decision's action (see trace.Counterfactual).
+	// Counterfactual overrides one diagnose decision's action (see
+	// trace.Counterfactual). It needs tracing enabled: the override
+	// anchors to the decision's trace event ID, which a re-run of a
+	// recorded trial at the recorded trace level reproduces from the seed.
 	Counterfactual *trace.Counterfactual
 }
 
@@ -188,9 +181,6 @@ func WithoutPrivateNet() Option { return func(o *Options) { o.DisablePrivateNet 
 
 // WithoutBatchRescue disables DGSPL-driven job resubmission (ablation).
 func WithoutBatchRescue() Option { return func(o *Options) { o.NoBatchRescue = true } }
-
-// WithOperatorTiming overrides the manual-operations timing constants.
-func WithOperatorTiming(t operators.Timing) Option { return func(o *Options) { o.OperatorTiming = &t } }
 
 // WithReferenceProbes selects the per-service probe scheduling path that
 // the batched dispatcher is equivalence-tested against.

@@ -241,6 +241,9 @@ func GroupLabel(g campaign.Cell) string {
 	if g.TierLoad != "" {
 		parts = append(parts, "tierload="+g.TierLoad)
 	}
+	if g.AgentSlots > 0 {
+		parts = append(parts, fmt.Sprintf("agentslots=%d", g.AgentSlots))
+	}
 	if len(parts) == 0 {
 		return "all"
 	}

@@ -124,6 +124,26 @@ metric                               mean    ±95% CI          min          max
 v                                   9.000      0.000        9.000        9.000
 `,
 		},
+		{
+			name: "slotted agents",
+			m: campaign.Matrix{
+				Seeds:      campaign.Seeds(1, 3),
+				Scenarios:  []string{"year"},
+				Sites:      []string{"small"},
+				Modes:      []string{"agents"},
+				Days:       1,
+				AgentSlots: 8,
+			},
+			fn: func(tr campaign.Trial) (map[string]float64, error) {
+				return map[string]float64{"v": float64(tr.Seed)}, nil
+			},
+			want: `=== campaign golden: 3 trials, 1 groups ===
+
+--- scenario=year site=small mode=agents days=1 agentslots=8 (3 seeds) ---
+metric                               mean    ±95% CI          min          max
+v                                   2.000      2.484        1.000        3.000
+`,
+		},
 	}
 	for _, c := range cases {
 		c := c

@@ -221,7 +221,7 @@ func TestTopologyRegistry(t *testing.T) {
 func TestWorkloadOverrideVerbatim(t *testing.T) {
 	override := workload.Config{
 		PeakAnalysts: 7, DayJobsPerHour: 0.5, OvernightJobs: 1,
-		JobWork: simclock.Hour, FeedLoad: 0.1,
+		JobWork: simclock.Hour,
 	}
 	site, err := NewSite(SmallTopology(), WithSeed(1), WithWorkload(override))
 	if err != nil {
