@@ -198,11 +198,7 @@ func gatherServiceEvidence(s *svc.Service, exitCode int) *diagnose.Evidence {
 	ev.Fact("wedged", s.Wedged)
 	ev.Observe("host-util", s.Host.CPUUtilisation())
 
-	present, hung := 0, 0
-	for _, c := range s.Spec.Components {
-		present += s.Host.CountProcs(c.ProcName)
-		hung += s.Host.CountHungProcs(c.ProcName)
-	}
+	present, hung := s.ProcCounts()
 	ev.Fact("procs-present", present > 0)
 	ev.Fact("procs-hung", hung > 0)
 	ev.Fact("missing-components", exitCode == svc.ExitError && len(s.MissingProcs()) > 0)

@@ -53,7 +53,11 @@ type Monitor struct {
 	bus  *notify.Bus
 	cons string // console address for notifications
 
+	// proc is the daemon's process and pid its PID, recorded at spawn.
+	// The host recycles a killed process's object for a later spawn, so
+	// proc is the daemon only while the table still maps pid to it.
 	proc *cluster.Process
+	pid  int
 	cron *simclock.CronEntry
 
 	// Alerts counts threshold notifications raised.
@@ -96,6 +100,9 @@ func (m *Monitor) spawn() {
 	m.lastMem = m.fp.MemBaseMB
 	m.proc = m.host.Spawn("bmcpatrol", "root", "/opt/bmc/bin/PatrolAgent",
 		m.cpuDemand(m.lastCPU), m.lastMem)
+	if m.proc != nil {
+		m.pid = m.proc.PID
+	}
 }
 
 // cpuDemand converts a whole-system percentage into CPUs-worth of demand.
@@ -111,7 +118,7 @@ func (m *Monitor) poll(now simclock.Time, services *svc.Directory) {
 		m.proc = nil
 		return
 	}
-	if m.proc == nil || m.host.Proc(m.proc.PID) == nil {
+	if !m.Resident() {
 		m.spawn()
 		if m.proc == nil {
 			return
@@ -165,14 +172,14 @@ func (m *Monitor) MemMB() float64 {
 
 // Resident reports whether the daemon process is alive.
 func (m *Monitor) Resident() bool {
-	return m.proc != nil && m.host.Proc(m.proc.PID) != nil
+	return m.proc != nil && m.host.Proc(m.pid) == m.proc
 }
 
 // Stop kills the daemon and its polling (scenario teardown / ablations).
 func (m *Monitor) Stop() {
 	m.cron.Stop()
-	if m.proc != nil {
-		m.host.Kill(m.proc.PID)
-		m.proc = nil
+	if m.Resident() {
+		m.host.Kill(m.pid)
 	}
+	m.proc = nil
 }

@@ -95,6 +95,28 @@ func TestDaemonDiesWithHostAndRespawns(t *testing.T) {
 	}
 }
 
+// TestKilledDaemonObjectRecycled: the host hands a killed process's object
+// to its next spawn, so a monitor whose daemon was killed must not take
+// the next process for its daemon — it respawns the daemon at the next
+// poll and leaves the other process alone.
+func TestKilledDaemonObjectRecycled(t *testing.T) {
+	sim := simclock.New(31)
+	h := newHost(sim)
+	m := Install(simclock.NewWheel(sim), h, DefaultFootprint(), nil, "", 5*simclock.Minute, nil)
+	h.Kill(h.PGrep("bmcpatrol")[0].PID)
+	busy := h.Spawn("busywork", "analyst1", "", 2.0, 100)
+	if m.Resident() {
+		t.Error("killed daemon reported resident")
+	}
+	sim.RunUntil(sim.Now() + 6*simclock.Minute)
+	if !m.Resident() || len(h.PGrep("bmcpatrol")) != 1 {
+		t.Errorf("daemon not respawned: resident=%v bmcpatrol=%d", m.Resident(), len(h.PGrep("bmcpatrol")))
+	}
+	if busy.Name != "busywork" || busy.CPUDemand != 2.0 || busy.MemMB != 100 {
+		t.Errorf("poll rewrote another process: %v", busy)
+	}
+}
+
 func TestStop(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -77,6 +78,116 @@ func TestPIDsUnique(t *testing.T) {
 		}
 		seen[p.PID] = true
 	}
+}
+
+// TestProcIndexMatchesScan drives hosts through seeded random sequences
+// of spawns (pinned, repeated and unique job names), kills, running↔hung
+// transitions, crashes, hardware faults and repairs, boots and resets.
+// After every step the process-count index must agree with a scan of
+// PS(): each pinned cell is still the index's cell for its name and
+// holds the scanned counts, every live process points at its name's
+// cell, and no unpinned name without processes stays indexed.
+func TestProcIndexMatchesScan(t *testing.T) {
+	pinnable := []string{"ora_pmon", "ora_dbwr", "httpd", "lim"}
+	repeated := []string{"sshd", "iagent_status", "hog_simulation"}
+	for seed := uint64(1); seed <= 20; seed++ {
+		sim := simclock.New(seed)
+		rng := sim.Rand()
+		h := newHost(sim)
+		pinned := map[string]*ProcTally{}
+		for _, name := range pinnable[:2] {
+			pinned[name] = h.PinTally(name)
+		}
+		jobs := 0
+		for step := 0; step < 400; step++ {
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 20:
+				op = "spawn pinned"
+				h.Spawn(pinnable[rng.Intn(len(pinnable))], "u", "", 0.1, 8)
+			case r < 30:
+				op = "spawn repeated"
+				h.Spawn(repeated[rng.Intn(len(repeated))], "u", "", 0.1, 8)
+			case r < 40:
+				op = "spawn job"
+				jobs++
+				h.Spawn(fmt.Sprintf("lsf_job_%d", jobs), "u", "", 0.5, 64)
+			case r < 43:
+				// Pinning late, possibly a name with live processes.
+				op = "pin"
+				name := pinnable[rng.Intn(len(pinnable))]
+				pinned[name] = h.PinTally(name)
+			case r < 63:
+				op = "kill"
+				if ps := h.PS(); len(ps) > 0 {
+					h.Kill(ps[rng.Intn(len(ps))].PID)
+				}
+			case r < 83:
+				op = "set state"
+				if ps := h.PS(); len(ps) > 0 {
+					p := ps[rng.Intn(len(ps))]
+					st := ProcHung
+					if p.State == ProcHung {
+						st = ProcRunning
+					}
+					h.SetProcState(p, st)
+				}
+			case r < 87:
+				op = "crash"
+				h.Crash()
+			case r < 89:
+				op = "hardware fail"
+				h.HardwareFail()
+			case r < 91:
+				op = "repair hardware"
+				h.RepairHardware()
+			case r < 98:
+				op = "boot"
+				h.Boot(simclock.Minute, nil)
+				sim.RunUntil(sim.Now() + 2*simclock.Minute)
+			default:
+				op = "reset"
+				h.Reset()
+			}
+			if err := checkProcIndex(h, pinned); err != nil {
+				t.Fatalf("seed %d step %d (%s): %v", seed, step, op, err)
+			}
+		}
+	}
+}
+
+// checkProcIndex compares h's process-count index with a scan of PS().
+func checkProcIndex(h *Host, pinned map[string]*ProcTally) error {
+	n, hung := map[string]int{}, map[string]int{}
+	for _, p := range h.PS() {
+		n[p.Name]++
+		if p.State == ProcHung {
+			hung[p.Name]++
+		}
+		if p.tally != h.tallies[p.Name] {
+			return fmt.Errorf("pid %d (%s) does not point at its name's cell", p.PID, p.Name)
+		}
+	}
+	for name, cell := range pinned {
+		if h.tallies[name] != cell {
+			return fmt.Errorf("pinned cell for %s left the index", name)
+		}
+	}
+	for name, cell := range h.tallies {
+		if cell.Procs() != n[name] || cell.Hung() != hung[name] {
+			return fmt.Errorf("%s: cell %d procs %d hung, scan %d procs %d hung",
+				name, cell.Procs(), cell.Hung(), n[name], hung[name])
+		}
+		if cell.Procs() == 0 && pinned[name] == nil {
+			return fmt.Errorf("unpinned %s indexed with no processes", name)
+		}
+	}
+	for name := range n {
+		if h.tallies[name] == nil {
+			return fmt.Errorf("live name %s missing from the index", name)
+		}
+	}
+	return nil
 }
 
 func TestCrashKillsProcesses(t *testing.T) {

@@ -88,19 +88,22 @@ type Host struct {
 	bank *StatsBank
 	slot int
 
-	// Process-count indexes by process name, maintained on the same
-	// mutation paths as the demand aggregates, so CountProcs and
-	// CountHungProcs (every service health check, every probe walk) are
-	// map lookups instead of process-table scans. Entries are deleted at
-	// zero: job processes carry unique per-job names, and a year of batch
-	// churn must not grow the maps unboundedly.
-	procCount map[string]int32
-	hungCount map[string]int32
+	// tallies is the process-count index: one ProcTally cell per process
+	// name, maintained on the same mutation paths as the demand
+	// aggregates. Services pin their components' cells (PinTally), so
+	// every service health check and probe walk reads counts through a
+	// pointer instead of hashing a name or scanning the table. Unpinned
+	// cells leave the index at zero and go to tallyFree for reuse: job
+	// processes carry unique per-job names, and a year of batch churn
+	// must not grow the index.
+	tallies   map[string]*ProcTally
+	tallyFree []*ProcTally
 
 	// procFree recycles Process objects through the spawn/kill churn of
-	// short-lived agent processes. Callers must not retain *Process across
-	// simulated events (none do — snapshots like PS are consumed within
-	// one callback).
+	// short-lived agent processes. A *Process is therefore valid only
+	// while its process lives: a caller that keeps one across simulated
+	// events must check it is still the table's entry for its PID
+	// (Proc(pid) == p) before using it, as baseline.Monitor does.
 	procFree []*Process
 }
 
@@ -120,10 +123,9 @@ func NewHost(sim *simclock.Sim, name, ip string, model HardwareModel, role Role,
 		procs: make(map[int]*Process),
 		users: make(map[string]int),
 		// PIDs start above the "kernel" range for realism in ps output.
-		nextPID:   100,
-		bank:      soloBank(),
-		procCount: make(map[string]int32),
-		hungCount: make(map[string]int32),
+		nextPID: 100,
+		bank:    soloBank(),
+		tallies: make(map[string]*ProcTally),
 	}
 }
 
@@ -147,8 +149,7 @@ func (h *Host) Reset() {
 	h.lastAccounted = 0
 	h.bank.cpuMicro[h.slot] = 0
 	h.bank.memMicro[h.slot] = 0
-	clear(h.procCount)
-	clear(h.hungCount)
+	h.zeroTallies()
 	h.FS.Reset()
 }
 
@@ -177,13 +178,52 @@ func (h *Host) account(p *Process, sign int64) {
 	h.bank.memMicro[h.slot] += sign * memQuantum(p)
 }
 
-// countHung adjusts the hung-process index for one process by delta,
-// deleting the entry at zero.
-func (h *Host) countHung(name string, delta int32) {
-	if n := h.hungCount[name] + delta; n == 0 {
-		delete(h.hungCount, name)
+// PinTally returns the count cell for the process name, creating it if
+// the index has none, and pins it: the cell stays in the index when its
+// count falls to zero, and Crash and Reset zero it in place, so the
+// returned pointer stays this host's cell for the name for good.
+// Services pin one cell per component when they bind to the host.
+func (h *Host) PinTally(name string) *ProcTally {
+	t := h.tally(name)
+	t.pinned = true
+	return t
+}
+
+// tally returns the index's cell for name, adding an empty one (a dropped
+// cell when there is one to reuse) if it has none.
+func (h *Host) tally(name string) *ProcTally {
+	if t := h.tallies[name]; t != nil {
+		return t
+	}
+	var t *ProcTally
+	if n := len(h.tallyFree); n > 0 {
+		t = h.tallyFree[n-1]
+		h.tallyFree = h.tallyFree[:n-1]
 	} else {
-		h.hungCount[name] = n
+		t = new(ProcTally)
+	}
+	h.tallies[name] = t
+	return t
+}
+
+// dropTally removes an unpinned cell from the index for reuse.
+func (h *Host) dropTally(name string, t *ProcTally) {
+	delete(h.tallies, name)
+	*t = ProcTally{}
+	h.tallyFree = append(h.tallyFree, t)
+}
+
+// zeroTallies empties the counts once the whole process table is gone:
+// pinned cells are zeroed in place and unpinned ones dropped. The map
+// order in which dropped cells join the free list is unobservable: they
+// are all zero.
+func (h *Host) zeroTallies() {
+	for name, t := range h.tallies {
+		if t.pinned {
+			t.n, t.hung = 0, 0
+		} else {
+			h.dropTally(name, t)
+		}
 	}
 }
 
@@ -196,13 +236,13 @@ func (h *Host) SetProcState(p *Process, st ProcState) {
 		return
 	}
 	if p.State == ProcHung {
-		h.countHung(p.Name, -1)
+		p.tally.hung--
 	}
 	h.account(p, -1)
 	p.State = st
 	h.account(p, +1)
 	if p.State == ProcHung {
-		h.countHung(p.Name, +1)
+		p.tally.hung++
 	}
 }
 
@@ -234,8 +274,7 @@ func (h *Host) Crash() {
 	h.diskActivity = 0
 	h.bank.cpuMicro[h.slot] = 0
 	h.bank.memMicro[h.slot] = 0
-	clear(h.procCount)
-	clear(h.hungCount)
+	h.zeroTallies()
 }
 
 // HardwareFail marks the host as needing physical repair.
@@ -306,6 +345,8 @@ func (h *Host) Spawn(name, user, args string, cpuDemand, memMB float64) *Process
 	} else {
 		p = &Process{}
 	}
+	t := h.tally(name)
+	t.n++
 	*p = Process{
 		PID:       h.nextPID,
 		Name:      name,
@@ -315,10 +356,10 @@ func (h *Host) Spawn(name, user, args string, cpuDemand, memMB float64) *Process
 		MemMB:     memMB,
 		State:     ProcRunning,
 		Started:   h.sim.Now(),
+		tally:     t,
 	}
 	h.procs[p.PID] = p
 	h.account(p, +1)
-	h.procCount[p.Name]++
 	return p
 }
 
@@ -331,13 +372,13 @@ func (h *Host) Kill(pid int) bool {
 	}
 	h.accountMicrostates()
 	h.account(p, -1)
-	if n := h.procCount[p.Name] - 1; n == 0 {
-		delete(h.procCount, p.Name)
-	} else {
-		h.procCount[p.Name] = n
-	}
+	t := p.tally
+	t.n--
 	if p.State == ProcHung {
-		h.countHung(p.Name, -1)
+		t.hung--
+	}
+	if t.n == 0 && !t.pinned {
+		h.dropTally(p.Name, t)
 	}
 	delete(h.procs, pid)
 	h.procFree = append(h.procFree, p)
@@ -367,17 +408,6 @@ func (h *Host) PGrep(name string) []*Process {
 	}
 	return out
 }
-
-// CountProcs reports how many processes have exactly the given name — the
-// allocation-free pgrep -c that hot monitoring paths use in place of
-// len(PGrep(name)). Served from the name-count index maintained on
-// spawn/kill, so probe walks over thousands of services do not scan
-// process tables.
-func (h *Host) CountProcs(name string) int { return int(h.procCount[name]) }
-
-// CountHungProcs reports how many processes with the given name are hung,
-// from the index SetProcState maintains.
-func (h *Host) CountHungProcs(name string) int { return int(h.hungCount[name]) }
 
 // NProcs reports the process count.
 func (h *Host) NProcs() int { return len(h.procs) }

@@ -50,7 +50,27 @@ type Process struct {
 	UserTime simclock.Time
 	SysTime  simclock.Time
 	WaitTime simclock.Time
+
+	// tally is the host's count cell for Name, resolved once at spawn so
+	// exit and state changes update the counts without hashing the name.
+	tally *ProcTally
 }
+
+// ProcTally is one process name's cell in a host's process-count index:
+// how many live processes carry the name and how many of those are hung,
+// the pgrep -c a health check reads. A cell Host.PinTally returned stays
+// in the index at zero, so its holder can keep reading it; other cells
+// leave the index when their last process exits.
+type ProcTally struct {
+	n, hung int32
+	pinned  bool
+}
+
+// Procs reports how many live processes carry the cell's name.
+func (t *ProcTally) Procs() int { return int(t.n) }
+
+// Hung reports how many of those processes are hung.
+func (t *ProcTally) Hung() int { return int(t.hung) }
 
 func (p *Process) String() string {
 	return fmt.Sprintf("%5d %-8s %-12s %s %4.2fcpu %6.1fMB", p.PID, p.User, p.Name, p.State, p.CPUDemand, p.MemMB)

@@ -142,6 +142,10 @@ type Service struct {
 	state State
 	pids  []int
 	conns int // current client connections
+	// tallies holds Host's pinned process-count cell for each spec
+	// component, in Spec.Components order: the health checks read the
+	// counts the SLKT compares against without a lookup by name.
+	tallies []*cluster.ProcTally
 	// Wedged marks a corruption the paper's "completely unavailable
 	// (corruptions, bugs)" category causes: restarts fail until a human
 	// repairs the underlying damage and clears the flag.
@@ -151,12 +155,17 @@ type Service struct {
 	Restarts int
 }
 
-// New binds a spec to a host. The service starts stopped.
+// New binds a spec to a host, pinning the host's process-count cell for
+// each component. The service starts stopped.
 func New(sim *simclock.Sim, spec Spec, host *cluster.Host) (*Service, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Service{Spec: spec, Host: host, sim: sim}, nil
+	tallies := make([]*cluster.ProcTally, len(spec.Components))
+	for i, c := range spec.Components {
+		tallies[i] = host.PinTally(c.ProcName)
+	}
+	return &Service{Spec: spec, Host: host, sim: sim, tallies: tallies}, nil
 }
 
 // State reports the lifecycle state, observing host death: a service whose
@@ -317,8 +326,8 @@ func (s *Service) reapProcs() {
 // intelliagent checks against the SLKT.
 func (s *Service) MissingProcs() []string {
 	var missing []string
-	for _, c := range s.Spec.Components {
-		if s.Host.CountProcs(c.ProcName) < c.Count {
+	for i, c := range s.Spec.Components {
+		if s.tallies[i].Procs() < c.Count {
 			missing = append(missing, c.ProcName)
 		}
 	}
@@ -329,12 +338,22 @@ func (s *Service) MissingProcs() []string {
 // count — the allocation-free check probes use before the more detailed
 // MissingProcs.
 func (s *Service) AllProcsPresent() bool {
-	for _, c := range s.Spec.Components {
-		if s.Host.CountProcs(c.ProcName) < c.Count {
+	for i, c := range s.Spec.Components {
+		if s.tallies[i].Procs() < c.Count {
 			return false
 		}
 	}
 	return true
+}
+
+// ProcCounts sums the live and hung processes carrying the components'
+// names on the host, one term per component, as pgrep -c would count them.
+func (s *Service) ProcCounts() (present, hung int) {
+	for _, t := range s.tallies {
+		present += t.Procs()
+		hung += t.Hung()
+	}
+	return present, hung
 }
 
 // Reset returns the service to the state New leaves it in — stopped, no

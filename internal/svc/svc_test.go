@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -365,5 +366,112 @@ func TestRestartAfterCrash(t *testing.T) {
 	}
 	if r := s.Probe(); !r.OK() {
 		t.Errorf("probe after restart: %v", r)
+	}
+}
+
+// TestProcChecksMatchPGrep runs services that share a host — two Oracle
+// instances with the same process names, and a web server — through
+// starts, component kills, hangs, a stop, a batch job, a host crash and
+// boot, and a reset.
+// After every step AllProcsPresent, MissingProcs and ProcCounts must agree
+// with a PGrep recount of the process table.
+func TestProcChecksMatchPGrep(t *testing.T) {
+	sim := simclock.New(1)
+	h := testHost(sim)
+	ora1, _ := New(sim, OracleSpec("ORA-01", 1521), h)
+	ora2, _ := New(sim, OracleSpec("ORA-02", 1522), h)
+	web, _ := New(sim, WebSpec("WEB-01", 80), h)
+	all := []*Service{ora1, ora2, web}
+	var stray int
+	startAll := func() {
+		for _, s := range all {
+			_ = s.Start(nil)
+		}
+		sim.RunUntil(sim.Now() + 10*simclock.Minute)
+	}
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"new", func() {}},
+		{"start", startAll},
+		{"kill component", func() { ora1.KillComponent("ora_dbwr", 2) }},
+		{"kill shared name", func() { ora2.KillComponent("ora_pmon", 1) }},
+		{"hang", func() { web.Hang() }},
+		{"stray process", func() { stray = h.Spawn("httpd", "www", "", 0.01, 4).PID }},
+		{"restart", func() { ora1.Stop(); startAll() }},
+		{"stop", func() { web.Stop(); h.Kill(stray) }},
+		{"batch job", func() { h.Spawn("lsf_job_1", "analyst1", "", 0.5, 64) }},
+		{"start after stop", startAll},
+		{"host crash", func() { h.Crash() }},
+		{"boot", func() { h.Boot(simclock.Minute, nil); sim.RunUntil(sim.Now() + 2*simclock.Minute) }},
+		{"start after boot", startAll},
+		{"hang after boot", func() { ora2.Hang() }},
+		{"reset", func() {
+			h.Reset()
+			for _, s := range all {
+				s.Reset()
+			}
+		}},
+		{"start after reset", startAll},
+	}
+	for _, st := range steps {
+		st.do()
+		for _, s := range all {
+			var want []string
+			present, hung := 0, 0
+			for _, c := range s.Spec.Components {
+				ps := h.PGrep(c.ProcName)
+				if len(ps) < c.Count {
+					want = append(want, c.ProcName)
+				}
+				present += len(ps)
+				for _, p := range ps {
+					if p.State == cluster.ProcHung {
+						hung++
+					}
+				}
+			}
+			if got := s.MissingProcs(); !slices.Equal(got, want) {
+				t.Errorf("%s: %s MissingProcs = %v, PGrep says %v", st.name, s.Spec.Name, got, want)
+			}
+			if got := s.AllProcsPresent(); got != (len(want) == 0) {
+				t.Errorf("%s: %s AllProcsPresent = %v, PGrep says missing %v", st.name, s.Spec.Name, got, want)
+			}
+			if p, hg := s.ProcCounts(); p != present || hg != hung {
+				t.Errorf("%s: %s ProcCounts = %d, %d, PGrep says %d, %d", st.name, s.Spec.Name, p, hg, present, hung)
+			}
+		}
+	}
+}
+
+// BenchmarkServiceProbe measures the health check every probe walk and
+// BMC poll runs on a healthy service: a five-component Oracle instance
+// sharing its host with LSF daemons and a batch job, and a one-component
+// web server. It must not allocate.
+func BenchmarkServiceProbe(b *testing.B) {
+	sim := simclock.New(1)
+	db := testHost(sim)
+	web := cluster.NewHost(sim, "web001", "10.0.1.1", cluster.ModelLinux, cluster.RoleFrontEnd, "london", "UK")
+	ora, _ := New(sim, OracleSpec("ORA-01", 1521), db)
+	lsfd, _ := New(sim, LSFSpec("LSF-01"), db)
+	httpd, _ := New(sim, WebSpec("WEB-01", 80), web)
+	for _, s := range []*Service{ora, lsfd, httpd} {
+		if err := s.Start(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	db.Spawn("lsf_job_1", "analyst1", "jobid=1", 1.5, 256)
+	sim.RunUntil(10 * simclock.Minute)
+	for _, s := range []*Service{ora, httpd} {
+		b.Run(string(s.Spec.Kind), func(b *testing.B) {
+			if r := s.Probe(); !r.OK() {
+				b.Fatalf("probe of healthy %s: %v", s.Spec.Name, r)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				_ = s.Probe()
+			}
+		})
 	}
 }
