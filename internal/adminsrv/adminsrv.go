@@ -69,8 +69,16 @@ type Pair struct {
 	servers [2]*Server
 	active  int // index into servers
 
-	// latest DLSP per origin server, as received over the network.
+	// latest DLSP per origin server, as received over the network. A push
+	// decodes into spare, which then trades places with the profile it
+	// replaces, so profiles are reused from push to push and a push that
+	// fails to decode leaves the stored one as it was.
 	profiles map[string]*ontology.DLSP
+	spare    *ontology.DLSP
+	// buf and lines are GenerateDGSPL's scratch: each per-type file's text
+	// and the lines sliced from it.
+	buf   []byte
+	lines []string
 	// flagDirs is the watch list with precomputed flag-directory paths
 	// (host -> one path per expected agent), and hostOrder keeps the
 	// watched host names sorted — the sweep runs every few simulated
@@ -197,10 +205,15 @@ func (p *Pair) receive(now simclock.Time, msg netsim.Message) {
 	}
 	switch msg.Kind {
 	case "dlsp":
-		prof, err := ontology.DecodeDLSPText(msg.Payload)
-		if err != nil {
+		prof := p.spare
+		if prof == nil {
+			prof = new(ontology.DLSP)
+		}
+		if err := ontology.DecodeDLSPTextInto(prof, msg.Payload); err != nil {
+			p.spare = prof
 			return
 		}
+		p.spare = p.profiles[prof.Server]
 		p.profiles[prof.Server] = prof
 		p.DLSPReceived++
 	case "agent-escalation":

@@ -2,7 +2,6 @@ package adminsrv
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -22,12 +21,14 @@ func (p *Pair) GenerateDGSPL(now simclock.Time) *ontology.DGSPL {
 	if !p.Active().Host.Up() {
 		return nil
 	}
-	list := &ontology.DGSPL{GeneratedAt: now}
 	servers := make([]string, 0, len(p.profiles))
-	for s := range p.profiles {
+	n := 0
+	for s, prof := range p.profiles {
 		servers = append(servers, s)
+		n += len(prof.Services)
 	}
 	sort.Strings(servers)
+	list := &ontology.DGSPL{GeneratedAt: now, Entries: make([]ontology.DGSPLEntry, 0, n)}
 	for _, server := range servers {
 		prof := p.profiles[server]
 		h := p.hosts[server]
@@ -59,28 +60,30 @@ func (p *Pair) GenerateDGSPL(now simclock.Time) *ontology.DGSPL {
 			list.Entries = append(list.Entries, e)
 		}
 	}
-	// One file per application type on the shared pool.
-	byType := map[string][]string{}
+	// One file per application type on the shared pool, written in sorted
+	// type order: map order would vary the pool volume's file-creation
+	// sequence run to run, and everything downstream of the simulation is
+	// held to bit-for-bit replay. Each file's text is one string, and its
+	// lines slice it.
+	var types []string
 	for _, e := range list.Entries {
-		single := &ontology.DGSPL{GeneratedAt: now, Entries: []ontology.DGSPLEntry{e}}
-		// Strip header lines after the first entry of a type.
-		lines := single.Encode()
-		if len(byType[e.AppType]) == 0 {
-			byType[e.AppType] = lines
-		} else {
-			byType[e.AppType] = append(byType[e.AppType], lines[2:]...)
+		if !slices.Contains(types, e.AppType) {
+			types = append(types, e.AppType)
 		}
 	}
-	// Write in sorted type order: map order would vary the pool volume's
-	// file-creation sequence run to run, and everything downstream of the
-	// simulation is held to bit-for-bit replay.
+	slices.Sort(types)
 	fs := p.Active().Host.FS
-	for _, appType := range slices.Sorted(maps.Keys(byType)) {
-		_ = fs.WriteLines(fmt.Sprintf("%s/dgspl-%s.txt", PoolMount, appType), byType[appType])
+	for _, appType := range types {
+		p.buf = list.AppendText(p.buf[:0], appType)
+		p.lines = ontology.AppendLines(p.lines[:0], string(p.buf))
+		_ = fs.WriteLines(dgsplPath(appType), p.lines)
 	}
 	p.latestDGSPL = list
 	return list
 }
+
+// dgsplPath is where the per-type list for appType lives on the pool.
+func dgsplPath(appType string) string { return PoolMount + "/dgspl-" + appType + ".txt" }
 
 func versionOf(p *Pair, svcName string) string {
 	if p.cfg.Dir == nil {
@@ -99,7 +102,7 @@ func (p *Pair) LatestDGSPL() *ontology.DGSPL { return p.latestDGSPL }
 // ReadPoolDGSPL decodes the per-type list from the shared pool, as another
 // consumer (or a grid resource-discovery mechanism, §5) would.
 func (p *Pair) ReadPoolDGSPL(appType string) (*ontology.DGSPL, error) {
-	lines, err := p.Active().Host.FS.ReadLines(fmt.Sprintf("%s/dgspl-%s.txt", PoolMount, appType))
+	lines, err := p.Active().Host.FS.ReadLines(dgsplPath(appType))
 	if err != nil {
 		return nil, err
 	}

@@ -227,12 +227,12 @@ type Agent struct {
 
 	// Hot-loop scratch state. rc is the reusable run context handed to the
 	// parts each run (parts must not retain it past the run, which none
-	// do); logBuf backs Logf's formatting; lockLine backs the lock file
-	// write; exitFn is the preallocated end-of-run reaper; flagsOK records
-	// that the flag directory holds exactly ok.flag — the self-maintenance
-	// fast path: an ok run following an ok run leaves the flag state
-	// byte-identical, so neither the sweep nor the rewrite needs to touch
-	// the filesystem.
+	// do); logBuf backs the formatting of Logf's lines and of the lock
+	// line; lockLine backs the lock file write; exitFn is the
+	// preallocated end-of-run reaper; flagsOK records that the flag
+	// directory holds exactly ok.flag — the self-maintenance fast path: an
+	// ok run following an ok run leaves the flag state byte-identical, so
+	// neither the sweep nor the rewrite needs to touch the filesystem.
 	rc       RunContext
 	logBuf   []byte
 	lockLine [1]string

@@ -118,7 +118,8 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 	if proc == nil {
 		return
 	}
-	a.lockLine[0] = "pid=" + strconv.Itoa(proc.PID)
+	a.logBuf = strconv.AppendInt(append(a.logBuf[:0], "pid="...), int64(proc.PID), 10)
+	a.lockLine[0] = string(a.logBuf)
 	_ = a.host.FS.WriteLines(a.lockPath, a.lockLine[:])
 	a.counters.CPUSeconds += a.overhead.CPUDemand * float64(a.overhead.RunDuration) / float64(simclock.Second)
 	if a.exitFn == nil {

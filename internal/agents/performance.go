@@ -2,6 +2,7 @@ package agents
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/agent"
 	"repro/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/heal"
 	"repro/internal/notify"
+	"repro/internal/simclock"
 )
 
 // PerfLogDir holds the five measurement groups' circular logs, classified
@@ -55,6 +57,7 @@ func NewPerformanceAgent(cfg agent.Config, pc PerfConfig) (*agent.Agent, error) 
 	cfg.Name = "performance-" + host.Name
 	cfg.Category = agent.CatPerformance
 	admin := cfg.AdminEmail
+	var line []byte // the measurement-line buffer, grown on first use
 
 	cfg.Parts = agent.Parts{
 		// Measurement logging appends to circular logs and may notify, so
@@ -68,15 +71,17 @@ func NewPerformanceAgent(cfg agent.Config, pc PerfConfig) (*agent.Agent, error) 
 			// of this agent's run, so it is taken exactly once.
 			ps := host.PS()
 			// Measurement groups 1 (OS), 3 (disks), 4/5 (processes),
-			// recorded as timestamped ASCII for timeline association.
-			_ = logFor("os").Append(fmt.Sprintf("%d|sr=%.0f|po=%.0f|free=%.0f|runq=%d|idle=%.1f|blocked=%d",
-				int64(rc.Now), vm.ScanRate, vm.PageOuts, vm.FreeMemMB, vm.RunQueue, vm.CPUIdlePct, vm.BlockedProcs))
-			_ = logFor("disk").Append(fmt.Sprintf("%d|busy=%.0f|asvc=%.1f|wsvc=%.1f",
-				int64(rc.Now), io.BusyPct, io.AsvcMS, io.WsvcMS))
+			// recorded as timestamped ASCII for timeline association. Each
+			// line is formatted in the agent's own buffer, so it costs one
+			// string.
+			line = appendOSLine(line[:0], rc.Now, vm)
+			_ = logFor("os").Append(string(line))
+			line = appendDiskLine(line[:0], rc.Now, io)
+			_ = logFor("disk").Append(string(line))
 			for _, p := range ps {
 				if p.CPUDemand >= 0.5 {
-					_ = logFor("procs").Append(fmt.Sprintf("%d|pid=%d|user=%s|cmd=%s|cpu=%.2f|mem=%.0f",
-						int64(rc.Now), p.PID, p.User, p.Name, p.CPUDemand, p.MemMB))
+					line = appendProcLine(line[:0], rc.Now, p)
+					_ = logFor("procs").Append(string(line))
 				}
 			}
 
@@ -152,6 +157,43 @@ func NewPerformanceAgent(cfg agent.Config, pc PerfConfig) (*agent.Agent, error) 
 		},
 	}
 	return agent.New(cfg)
+}
+
+// appendOSLine appends measurement group 1's log line, the vmstat sample:
+//
+//	<now>|sr=%.0f|po=%.0f|free=%.0f|runq=%d|idle=%.1f|blocked=%d
+func appendOSLine(b []byte, now simclock.Time, vm cluster.VMStat) []byte {
+	b = strconv.AppendInt(b, int64(now), 10)
+	b = strconv.AppendFloat(append(b, "|sr="...), vm.ScanRate, 'f', 0, 64)
+	b = strconv.AppendFloat(append(b, "|po="...), vm.PageOuts, 'f', 0, 64)
+	b = strconv.AppendFloat(append(b, "|free="...), vm.FreeMemMB, 'f', 0, 64)
+	b = strconv.AppendInt(append(b, "|runq="...), int64(vm.RunQueue), 10)
+	b = strconv.AppendFloat(append(b, "|idle="...), vm.CPUIdlePct, 'f', 1, 64)
+	return strconv.AppendInt(append(b, "|blocked="...), int64(vm.BlockedProcs), 10)
+}
+
+// appendDiskLine appends measurement group 3's log line, the iostat
+// sample:
+//
+//	<now>|busy=%.0f|asvc=%.1f|wsvc=%.1f
+func appendDiskLine(b []byte, now simclock.Time, io cluster.IOStat) []byte {
+	b = strconv.AppendInt(b, int64(now), 10)
+	b = strconv.AppendFloat(append(b, "|busy="...), io.BusyPct, 'f', 0, 64)
+	b = strconv.AppendFloat(append(b, "|asvc="...), io.AsvcMS, 'f', 1, 64)
+	return strconv.AppendFloat(append(b, "|wsvc="...), io.WsvcMS, 'f', 1, 64)
+}
+
+// appendProcLine appends one busy process's line to measurement groups 4
+// and 5, the ps sample:
+//
+//	<now>|pid=%d|user=%s|cmd=%s|cpu=%.2f|mem=%.0f
+func appendProcLine(b []byte, now simclock.Time, p *cluster.Process) []byte {
+	b = strconv.AppendInt(b, int64(now), 10)
+	b = strconv.AppendInt(append(b, "|pid="...), int64(p.PID), 10)
+	b = append(append(b, "|user="...), p.User...)
+	b = append(append(b, "|cmd="...), p.Name...)
+	b = strconv.AppendFloat(append(b, "|cpu="...), p.CPUDemand, 'f', 2, 64)
+	return strconv.AppendFloat(append(b, "|mem="...), p.MemMB, 'f', 0, 64)
 }
 
 // findRunaway returns the non-service process with the largest CPU demand

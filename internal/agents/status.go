@@ -1,8 +1,6 @@
 package agents
 
 import (
-	"strings"
-
 	"repro/internal/agent"
 	"repro/internal/ontology"
 )
@@ -10,12 +8,14 @@ import (
 // DLSPPath is where the status agent leaves the freshest local profile.
 const DLSPPath = "/logs/intelliagents/status/dlsp.txt"
 
-// BuildDLSP compiles the host's dynamic local service profile from live
-// observation (§3.4: "its local status intelliagent ... compiles
-// dynamically its local DLSP").
-func BuildDLSP(rc *agent.RunContext) *ontology.DLSP {
+// buildDLSP compiles the host's dynamic local service profile from live
+// observation into p (§3.4: "its local status intelliagent ... compiles
+// dynamically its local DLSP"). Every field is overwritten; the service
+// list reuses p's storage.
+func buildDLSP(p *ontology.DLSP, rc *agent.RunContext) {
 	h := rc.Host
-	p := &ontology.DLSP{
+	clear(p.Services)
+	*p = ontology.DLSP{
 		Server:      h.Name,
 		GeneratedAt: rc.Now,
 		Model:       h.Model.Name,
@@ -26,6 +26,7 @@ func BuildDLSP(rc *agent.RunContext) *ontology.DLSP {
 		RunQueue:    h.RunQueue(),
 		MemUsedMB:   h.MemUsedMB(),
 		Users:       h.UsersLoggedIn(),
+		Services:    p.Services[:0],
 	}
 	if rc.Services != nil {
 		for _, s := range rc.Services.OnHost(h.Name) {
@@ -38,7 +39,30 @@ func BuildDLSP(rc *agent.RunContext) *ontology.DLSP {
 			})
 		}
 	}
-	return p
+}
+
+// statusAgent is the status intelliagent's state carried from run to run:
+// the profile it rebuilds, the buffer the profile's text is encoded into
+// and the line slice it writes. A run therefore allocates one string, the
+// text itself, which the local file's lines and the push both share.
+type statusAgent struct {
+	prof  ontology.DLSP
+	buf   []byte
+	lines []string
+}
+
+func (st *statusAgent) monitor(rc *agent.RunContext) []agent.Finding {
+	buildDLSP(&st.prof, rc)
+	st.buf = st.prof.AppendText(st.buf[:0])
+	text := string(st.buf)
+	st.lines = ontology.AppendLines(st.lines[:0], text)
+	_ = rc.FS.WriteLines(DLSPPath, st.lines)
+	if rc.Report != nil {
+		rc.Report("dlsp", text)
+	}
+	// Status generation is not fault detection; service agents own
+	// that. A clean run reports nothing.
+	return nil
 }
 
 // NewStatusAgent builds the status intelliagent: each run it regenerates
@@ -57,17 +81,7 @@ func NewStatusAgent(cfg agent.Config) (*agent.Agent, error) {
 		// The DLSP write and admin report happen inside monitoring, so this
 		// monitor runs in the serial apply phase under sharded dispatch.
 		MonitorMutates: true,
-		Monitor: func(rc *agent.RunContext) []agent.Finding {
-			p := BuildDLSP(rc)
-			lines := p.Encode()
-			_ = rc.FS.WriteLines(DLSPPath, lines)
-			if rc.Report != nil {
-				rc.Report("dlsp", strings.Join(lines, "\n"))
-			}
-			// Status generation is not fault detection; service agents own
-			// that. A clean run reports nothing.
-			return nil
-		},
+		Monitor:        new(statusAgent).monitor,
 	}
 	return agent.New(cfg)
 }

@@ -10,6 +10,7 @@ package diagnose
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -116,10 +117,11 @@ func DecodeBaseline(lines []string) (*Baseline, error) {
 		}
 		var c Constraint
 		c.Aspect = f[1]
-		if _, err := fmt.Sscanf(f[2], "%g", &c.Min); err != nil {
+		var err error
+		if c.Min, err = strconv.ParseFloat(f[2], 64); err != nil {
 			return nil, fmt.Errorf("diagnose: baseline line %d bad min: %q", i+1, f[2])
 		}
-		if _, err := fmt.Sscanf(f[3], "%g", &c.Max); err != nil {
+		if c.Max, err = strconv.ParseFloat(f[3], 64); err != nil {
 			return nil, fmt.Errorf("diagnose: baseline line %d bad max: %q", i+1, f[3])
 		}
 		c.Unit = f[4]

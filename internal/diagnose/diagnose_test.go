@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -69,8 +70,23 @@ func TestBaselineRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBaselineErrors(t *testing.T) {
-	if _, err := DecodeBaseline([]string{"limit|x|a|1|u"}); err == nil {
-		t.Error("bad min should fail")
+	for _, line := range []string{
+		"limit|x|a|1|u",
+		"limit|cpu.idlepct|5abc|10x|pct", // trailing garbage in both bounds
+		"limit|cpu.idlepct|5|10x|pct",
+		"limit|cpu.idlepct| 5|10|pct",
+		"limit|cpu.idlepct|5||pct",
+	} {
+		if _, err := DecodeBaseline([]string{line}); err == nil {
+			t.Errorf("bad bound should fail: %q", line)
+		}
+	}
+	b, err := DecodeBaseline([]string{"limit|disk.asvc|-0.5|+Inf|ms"})
+	if err != nil {
+		t.Fatalf("%%g-rendered bounds should parse: %v", err)
+	}
+	if c, ok := b.Get("disk.asvc"); !ok || c.Min != -0.5 || !math.IsInf(c.Max, 1) {
+		t.Errorf("decoded %+v", c)
 	}
 	if _, err := DecodeBaseline([]string{"nonsense"}); err == nil {
 		t.Error("malformed line should fail")

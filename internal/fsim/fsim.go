@@ -416,9 +416,8 @@ func (v *Volume) list(p string) ([]string, error) {
 	if !v.dirs[p] && p != "/" {
 		// A directory exists implicitly if any file lives under it.
 		found := false
-		prefix := p + "/"
 		for fp := range v.files {
-			if strings.HasPrefix(fp, prefix) {
+			if _, ok := below(fp, p); ok {
 				found = true
 				break
 			}
@@ -428,20 +427,27 @@ func (v *Volume) list(p string) ([]string, error) {
 		}
 	}
 	var names []string
-	prefix := p + "/"
-	if p == "/" {
-		prefix = "/"
-	}
 	for fp := range v.files {
-		if strings.HasPrefix(fp, prefix) {
-			rest := strings.TrimPrefix(fp, prefix)
-			if !strings.Contains(rest, "/") {
-				names = append(names, rest)
-			}
+		if rest, ok := below(fp, p); ok && !strings.Contains(rest, "/") {
+			names = append(names, rest)
 		}
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// below reports whether the clean path fp lies under the clean directory
+// p, and returns the rest of fp past p's separator. It matches the prefix
+// in place: building p + "/" would allocate for every path longer than the
+// compiler's 32-byte stack buffer, as agent flag directories are.
+func below(fp, p string) (string, bool) {
+	if p == "/" {
+		return fp[1:], true
+	}
+	if len(fp) > len(p) && fp[len(p)] == '/' && fp[:len(p)] == p {
+		return fp[len(p)+1:], true
+	}
+	return "", false
 }
 
 // HasFileWithSuffix reports whether directory p directly contains a file
@@ -454,16 +460,9 @@ func (v *Volume) HasFileWithSuffix(p, suffix string) bool {
 func (v *Volume) hasFileWithSuffix(p, suffix string) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	prefix := p + "/"
-	if prefix == "//" {
-		prefix = "/"
-	}
 	for fp := range v.files {
-		if strings.HasPrefix(fp, prefix) {
-			rest := fp[len(prefix):]
-			if !strings.Contains(rest, "/") && strings.HasSuffix(rest, suffix) {
-				return true
-			}
+		if rest, ok := below(fp, p); ok && !strings.Contains(rest, "/") && strings.HasSuffix(rest, suffix) {
+			return true
 		}
 	}
 	return false
@@ -486,14 +485,13 @@ func (v *Volume) removeAll(p string) error {
 		return nil
 	}
 	delete(v.files, p)
-	prefix := p + "/"
 	for fp := range v.files {
-		if strings.HasPrefix(fp, prefix) {
+		if _, ok := below(fp, p); ok {
 			delete(v.files, fp)
 		}
 	}
 	for dp := range v.dirs {
-		if strings.HasPrefix(dp, prefix) {
+		if _, ok := below(dp, p); ok {
 			delete(v.dirs, dp)
 		}
 	}

@@ -55,6 +55,7 @@ type Stats struct {
 // Network is a broadcast domain with uniform latency.
 type Network struct {
 	name     string
+	label    string // the delivery events' label
 	sim      *simclock.Sim
 	latency  simclock.Time
 	jitter   float64
@@ -62,6 +63,33 @@ type Network struct {
 	handlers map[string]Handler
 	linkUp   map[string]bool
 	stats    Stats
+	free     []*delivery // delivered records, reused by the next Send
+}
+
+// delivery is one message in flight. Records are pooled per network, and
+// each binds its deliver method to fn once, when it is first made, so a
+// Send posts a pooled record with no closure and no allocation.
+type delivery struct {
+	n   *Network
+	msg Message
+	fn  func(now simclock.Time)
+}
+
+// deliver hands the message to the destination's handler, or counts a
+// drop when the fabric, the destination's link or its attachment went away
+// in flight. The record returns to the pool first, so a handler that sends
+// can reuse it.
+func (d *delivery) deliver(now simclock.Time) {
+	n, msg := d.n, d.msg
+	d.msg = Message{}
+	n.free = append(n.free, d)
+	h, ok := n.handlers[msg.To]
+	if !ok || !n.up || !n.linkUp[msg.To] {
+		n.stats.Dropped++
+		return
+	}
+	n.stats.Delivered++
+	h(now, msg)
 }
 
 // New returns an operational network delivering with the given base
@@ -69,6 +97,7 @@ type Network struct {
 func New(sim *simclock.Sim, name string, latency simclock.Time, jitter float64) *Network {
 	return &Network{
 		name:     name,
+		label:    "netsim:" + name + ":deliver",
 		sim:      sim,
 		latency:  latency,
 		jitter:   jitter,
@@ -91,8 +120,10 @@ func (n *Network) SetUp(up bool) { n.up = up }
 func (n *Network) Stats() Stats { return n.stats }
 
 // Reset returns the network to the state New leaves it in — fabric up, no
-// attachments, zero counters — keeping map storage allocated. Site reuse
-// calls this between trials and re-attaches the skeleton's hosts.
+// attachments, zero counters — keeping map storage and the delivery pool
+// allocated. Site reuse calls this between trials and re-attaches the
+// skeleton's hosts. A message still in flight is delivered against the
+// reset network (a drop, unless its destination was re-attached).
 func (n *Network) Reset() {
 	n.up = true
 	clear(n.handlers)
@@ -164,15 +195,15 @@ func (n *Network) Send(msg Message) error {
 	if n.jitter > 0 {
 		lat = n.sim.Rand().Jitter(n.latency, n.jitter)
 	}
-	n.sim.PostAfter(lat, "netsim:"+n.name+":deliver", func(now simclock.Time) {
-		h, ok := n.handlers[msg.To]
-		if !ok || !n.up || !n.linkUp[msg.To] {
-			n.stats.Dropped++
-			return
-		}
-		n.stats.Delivered++
-		h(now, msg)
-	})
+	var d *delivery
+	if k := len(n.free); k > 0 {
+		d, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		d = &delivery{n: n}
+		d.fn = d.deliver
+	}
+	d.msg = msg
+	n.sim.PostAfter(lat, n.label, d.fn)
 	return nil
 }
 

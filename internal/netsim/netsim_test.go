@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/simclock"
@@ -198,5 +199,121 @@ func TestReattachPreservesLinkState(t *testing.T) {
 	n.Attach("a", func(simclock.Time, Message) {})
 	if n.LinkUp("a") {
 		t.Error("reattach must not silently repair a downed link")
+	}
+}
+
+// A handler that sends from inside its own delivery gets the message it
+// was handed intact, although its send reuses the delivery record that
+// carried it.
+func TestSendFromHandler(t *testing.T) {
+	sim, n := newNet(t)
+	var got []string
+	n.Attach("a", func(now simclock.Time, m Message) { got = append(got, "a:"+m.Payload) })
+	n.Attach("b", func(now simclock.Time, m Message) {
+		if err := n.Send(Message{From: "b", To: "a", Kind: "reply", Payload: "pong"}); err != nil {
+			t.Error(err)
+		}
+		got = append(got, "b:"+m.Kind+":"+m.Payload)
+	})
+	for _, p := range []string{"ping1", "ping2"} {
+		if err := n.Send(Message{From: "a", To: "b", Kind: "req", Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.Run()
+	want := []string{"b:req:ping1", "b:req:ping2", "a:pong", "a:pong"}
+	if !slices.Equal(got, want) {
+		t.Errorf("deliveries = %q, want %q", got, want)
+	}
+	if st := n.Stats(); st.Sent != 4 || st.Delivered != 4 || st.Dropped != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+	if len(n.free) != 2 {
+		t.Errorf("%d pooled records after two concurrent exchanges, want 2", len(n.free))
+	}
+}
+
+// A message whose destination detaches in flight is dropped, and the
+// record that carried it delivers the next message unchanged.
+func TestDropToDetachedHost(t *testing.T) {
+	sim, n := newNet(t)
+	var got []string
+	handler := func(now simclock.Time, m Message) { got = append(got, m.Payload) }
+	n.Attach("a", nil)
+	n.Attach("b", handler)
+	if err := n.Send(Message{From: "a", To: "b", Payload: "lost"}); err != nil {
+		t.Fatal(err)
+	}
+	n.Detach("b")
+	sim.Run()
+	if len(got) != 0 || n.Stats().Dropped != 1 {
+		t.Fatalf("detached host got %q, dropped %d", got, n.Stats().Dropped)
+	}
+	n.Attach("b", handler)
+	if err := n.Send(Message{From: "a", To: "b", Payload: "kept"}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if !slices.Equal(got, []string{"kept"}) {
+		t.Errorf("after re-attach got %q", got)
+	}
+	if st := n.Stats(); st.Sent != 2 || st.Delivered != 1 || st.Dropped != 1 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
+// Messages in flight across Reset are delivered against the reset
+// network: dropped when their destination is gone, delivered to the new
+// handler when it was re-attached.
+func TestResetWithMessagesInFlight(t *testing.T) {
+	sim, n := newNet(t)
+	var got []string
+	n.Attach("a", nil)
+	n.Attach("b", func(now simclock.Time, m Message) { got = append(got, "old:"+m.Payload) })
+	n.Attach("c", nil)
+	for _, to := range []string{"b", "c"} {
+		if err := n.Send(Message{From: "a", To: to, Payload: "to-" + to}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Reset()
+	n.Attach("c", func(now simclock.Time, m Message) { got = append(got, "new:"+m.Payload) })
+	sim.Run()
+	if !slices.Equal(got, []string{"new:to-c"}) {
+		t.Errorf("deliveries = %q", got)
+	}
+	if st := n.Stats(); st != (Stats{Delivered: 1, Dropped: 1}) {
+		t.Errorf("stats after reset: %+v", st)
+	}
+	n.Attach("a", nil)
+	if err := n.Send(Message{From: "a", To: "c", Payload: "again"}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if !slices.Equal(got, []string{"new:to-c", "new:again"}) {
+		t.Errorf("deliveries after reset = %q", got)
+	}
+}
+
+// A warmed Send and its delivery allocate nothing.
+func TestSendDeliverAllocs(t *testing.T) {
+	sim := simclock.New(1)
+	n := New(sim, "private", 2*simclock.Second, 0.2)
+	delivered := 0
+	n.Attach("a", nil)
+	n.Attach("b", func(simclock.Time, Message) { delivered++ })
+	msg := Message{From: "a", To: "b", Kind: "agent-ok", Payload: "status-db001"}
+	send := func() {
+		if err := n.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("warmed Send plus delivery: %v allocs, want 0", allocs)
+	}
+	if delivered != 102 {
+		t.Errorf("delivered %d, want 102", delivered)
 	}
 }

@@ -3,6 +3,7 @@ package ontology
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/simclock"
 )
@@ -101,42 +102,67 @@ func (l *DGSPL) Shortlist(appType string, powerOf func(model string, cpus int) f
 //
 //	gen|generated_ns
 //	svc|server|serverType|os|cpus|memMB|appName|appType|version|load|users|geo|site|state|jobsRun|jobsWait|jobLimit
-func (l *DGSPL) Encode() []string {
-	lines := []string{
-		"# DGSPL dynamic global service profile list",
-		joinRecord("gen", fmt.Sprintf("%d", int64(l.GeneratedAt))),
+func (l *DGSPL) Encode() []string { return AppendLines(nil, string(l.AppendText(nil, ""))) }
+
+// AppendText appends the lines Encode renders, joined by newlines with no
+// trailing newline, and returns the extended buffer. A non-empty appType
+// keeps only the entries of that application type: the per-type lists the
+// administration servers write to the shared pool.
+func (l *DGSPL) AppendText(b []byte, appType string) []byte {
+	b = append(b, "# DGSPL dynamic global service profile list\ngen"...)
+	b = appendInt(b, int64(l.GeneratedAt))
+	for i := range l.Entries {
+		if e := &l.Entries[i]; appType == "" || e.AppType == appType {
+			b = e.AppendText(append(b, '\n'))
+		}
 	}
-	for _, e := range l.Entries {
-		lines = append(lines, joinRecord("svc",
-			escape(e.Server), escape(e.ServerType), escape(e.OS), itoa(e.CPUs), itoa(e.MemoryMB),
-			escape(e.AppName), escape(e.AppType), escape(e.AppVersion),
-			ftoa(e.Load), itoa(e.Users), escape(e.Geo), escape(e.Site), escape(e.State),
-			itoa(e.JobsRunning), itoa(e.JobsWaiting), itoa(e.JobLimit)))
-	}
-	return lines
+	return b
+}
+
+// AppendText appends the entry's svc record, as Encode renders it, and
+// returns the extended buffer.
+func (e *DGSPLEntry) AppendText(b []byte) []byte {
+	b = append(b, "svc"...)
+	b = appendField(b, e.Server)
+	b = appendField(b, e.ServerType)
+	b = appendField(b, e.OS)
+	b = appendInt(b, int64(e.CPUs))
+	b = appendInt(b, int64(e.MemoryMB))
+	b = appendField(b, e.AppName)
+	b = appendField(b, e.AppType)
+	b = appendField(b, e.AppVersion)
+	b = appendFloat(b, e.Load)
+	b = appendInt(b, int64(e.Users))
+	b = appendField(b, e.Geo)
+	b = appendField(b, e.Site)
+	b = appendField(b, e.State)
+	b = appendInt(b, int64(e.JobsRunning))
+	b = appendInt(b, int64(e.JobsWaiting))
+	return appendInt(b, int64(e.JobLimit))
 }
 
 // DecodeDGSPL parses lines produced by Encode.
 func DecodeDGSPL(lines []string) (*DGSPL, error) {
 	l := &DGSPL{}
+	var f [maxFields]string
 	for i, line := range lines {
 		if isComment(line) {
 			continue
 		}
-		f := splitRecord(line)
+		n := splitRecord(line, &f)
 		switch f[0] {
 		case "gen":
-			if len(f) != 2 {
+			if n != 2 {
 				return nil, fmt.Errorf("ontology: DGSPL line %d: gen wants 2 fields", i+1)
 			}
-			var gen int64
-			if _, err := fmt.Sscanf(f[1], "%d", &gen); err != nil {
-				return nil, fmt.Errorf("ontology: DGSPL line %d: bad timestamp", i+1)
+			gen, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("ontology: DGSPL line %d: bad timestamp %q", i+1, f[1])
 			}
 			l.GeneratedAt = simclock.Time(gen)
 		case "svc":
-			if len(f) != 17 {
-				return nil, fmt.Errorf("ontology: DGSPL line %d: svc wants 17 fields, got %d", i+1, len(f))
+			if n != 17 {
+				return nil, fmt.Errorf("ontology: DGSPL line %d: svc wants 17 fields, got %d", i+1, n)
 			}
 			var e DGSPLEntry
 			var err error

@@ -1,6 +1,7 @@
 package ontology
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -52,18 +53,34 @@ func (p *DLSP) Service(name string) *DLSPService {
 //	prof|server|generated_ns|model|os|cpus|memMB
 //	load|cpuutil|runq|memusedMB|users
 //	svc|name|kind|state|port|conns
-func (p *DLSP) Encode() []string {
-	lines := []string{
-		"# DLSP dynamic local service profile",
-		joinRecord("prof", escape(p.Server), fmt.Sprintf("%d", int64(p.GeneratedAt)),
-			escape(p.Model), escape(p.OS), itoa(p.CPUs), itoa(p.MemoryMB)),
-		joinRecord("load", ftoa(p.CPUUtil), itoa(p.RunQueue), ftoa(p.MemUsedMB), itoa(p.Users)),
+func (p *DLSP) Encode() []string { return AppendLines(nil, string(p.AppendText(nil))) }
+
+// AppendText appends the lines Encode renders, joined by newlines with no
+// trailing newline — the text a status agent stores and pushes — and
+// returns the extended buffer.
+func (p *DLSP) AppendText(b []byte) []byte {
+	b = append(b, "# DLSP dynamic local service profile\nprof"...)
+	b = appendField(b, p.Server)
+	b = appendInt(b, int64(p.GeneratedAt))
+	b = appendField(b, p.Model)
+	b = appendField(b, p.OS)
+	b = appendInt(b, int64(p.CPUs))
+	b = appendInt(b, int64(p.MemoryMB))
+	b = append(b, "\nload"...)
+	b = appendFloat(b, p.CPUUtil)
+	b = appendInt(b, int64(p.RunQueue))
+	b = appendFloat(b, p.MemUsedMB)
+	b = appendInt(b, int64(p.Users))
+	for i := range p.Services {
+		s := &p.Services[i]
+		b = append(b, "\nsvc"...)
+		b = appendField(b, s.Name)
+		b = appendField(b, s.Kind)
+		b = appendField(b, s.State)
+		b = appendInt(b, int64(s.Port))
+		b = appendInt(b, int64(s.Conns))
 	}
-	for _, s := range p.Services {
-		lines = append(lines, joinRecord("svc", escape(s.Name), escape(s.Kind),
-			escape(s.State), itoa(s.Port), itoa(s.Conns)))
-	}
-	return lines
+	return b
 }
 
 // DecodeDLSP parses lines produced by Encode.
@@ -76,29 +93,42 @@ func DecodeDLSP(lines []string) (*DLSP, error) {
 		}
 	}
 	if !seenProf {
-		return nil, fmt.Errorf("ontology: DLSP missing prof record")
+		return nil, errNoProf
 	}
 	return p, nil
 }
 
 // DecodeDLSPText parses an Encode output joined with newlines — the wire
-// form status agents push — without allocating an intermediate line slice.
+// form status agents push.
 func DecodeDLSPText(text string) (*DLSP, error) {
 	p := &DLSP{}
-	seenProf := false
-	i := 0
-	for line := range strings.Lines(text) {
-		line = strings.TrimSuffix(line, "\n")
-		if err := decodeDLSPLine(p, line, i, &seenProf); err != nil {
-			return nil, err
-		}
-		i++
-	}
-	if !seenProf {
-		return nil, fmt.Errorf("ontology: DLSP missing prof record")
+	if err := DecodeDLSPTextInto(p, text); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
+
+// DecodeDLSPTextInto is DecodeDLSPText into an existing profile: p is
+// overwritten, its Services storage reused, and the decoded strings slice
+// text wherever a field holds no escape. On error p holds a partial decode.
+func DecodeDLSPTextInto(p *DLSP, text string) error {
+	clear(p.Services)
+	*p = DLSP{Services: p.Services[:0]}
+	seenProf := false
+	for i := 0; text != ""; i++ {
+		line, rest, _ := strings.Cut(text, "\n")
+		if err := decodeDLSPLine(p, line, i, &seenProf); err != nil {
+			return err
+		}
+		text = rest
+	}
+	if !seenProf {
+		return errNoProf
+	}
+	return nil
+}
+
+var errNoProf = errors.New("ontology: DLSP missing prof record")
 
 // decodeDLSPLine folds one record line into p; i is the zero-based line
 // index for error context.
@@ -106,10 +136,11 @@ func decodeDLSPLine(p *DLSP, line string, i int, seenProf *bool) error {
 	if isComment(line) {
 		return nil
 	}
-	f := splitRecord(line)
+	var f [maxFields]string
+	n := splitRecord(line, &f)
 	switch f[0] {
 	case "prof":
-		if len(f) != 7 {
+		if n != 7 {
 			return fmt.Errorf("ontology: DLSP line %d: prof wants 7 fields", i+1)
 		}
 		p.Server = unescape(f[1])
@@ -128,7 +159,7 @@ func decodeDLSPLine(p *DLSP, line string, i int, seenProf *bool) error {
 		}
 		*seenProf = true
 	case "load":
-		if len(f) != 5 {
+		if n != 5 {
 			return fmt.Errorf("ontology: DLSP line %d: load wants 5 fields", i+1)
 		}
 		var err error
@@ -145,7 +176,7 @@ func decodeDLSPLine(p *DLSP, line string, i int, seenProf *bool) error {
 			return err
 		}
 	case "svc":
-		if len(f) != 6 {
+		if n != 6 {
 			return fmt.Errorf("ontology: DLSP line %d: svc wants 6 fields", i+1)
 		}
 		port, err := parseInt(f[4], "port")

@@ -82,13 +82,14 @@ func (l *ISSL) Encode() []string {
 // DecodeISSL parses lines produced by Encode (comments skipped).
 func DecodeISSL(lines []string) (*ISSL, error) {
 	l := &ISSL{}
+	var f [maxFields]string
 	for i, line := range lines {
 		if isComment(line) {
 			continue
 		}
-		f := splitRecord(line)
-		if len(f) != 3 {
-			return nil, fmt.Errorf("ontology: ISSL line %d: %d fields, want 3", i+1, len(f))
+		n := splitRecord(line, &f)
+		if n != 3 {
+			return nil, fmt.Errorf("ontology: ISSL line %d: %d fields, want 3", i+1, n)
 		}
 		var svcs []string
 		if f[2] != "" {

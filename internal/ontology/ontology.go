@@ -7,6 +7,10 @@
 // Static ontologies (ISSL, SLKT) are maintained by hand and represent the
 // constraints in the agents' causal reasoning; dynamic ontologies (DLSP,
 // DGSPL) are generated at run time from the static ones plus observation.
+//
+// The dynamic ontologies are written every few simulated minutes on every
+// host, so their encoders append into a buffer the caller owns and their
+// decoders slice fields out of the text instead of copying them.
 package ontology
 
 import (
@@ -15,16 +19,47 @@ import (
 	"strings"
 )
 
-// field escaping: the codecs are line- and pipe-delimited, so the two
-// metacharacters are replaced on encode and restored on decode.
-func escape(s string) string {
-	s = strings.ReplaceAll(s, "\\", "\\\\")
-	s = strings.ReplaceAll(s, "|", "\\p")
-	s = strings.ReplaceAll(s, "\n", "\\n")
-	return s
+// appendEscaped appends s with the codecs' metacharacters escaped: the
+// codecs are line- and pipe-delimited, so '|' becomes `\p`, a newline `\n`
+// and the escape byte itself `\\`. Runs without a metacharacter are copied
+// in one piece.
+func appendEscaped(b []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var esc byte
+		switch s[i] {
+		case '\\':
+			esc = '\\'
+		case '|':
+			esc = 'p'
+		case '\n':
+			esc = 'n'
+		default:
+			continue
+		}
+		b = append(b, s[start:i]...)
+		b = append(b, '\\', esc)
+		start = i + 1
+	}
+	return append(b, s[start:]...)
 }
 
+// escape returns s escaped as appendEscaped would append it, or s itself
+// when it holds no metacharacter.
+func escape(s string) string {
+	if !strings.ContainsAny(s, "\\|\n") {
+		return s
+	}
+	return string(appendEscaped(nil, s))
+}
+
+// unescape restores an escaped field. A field without an escape byte — the
+// machine-written profiles' common case — is returned as it is, so decoded
+// strings slice the text they came from.
 func unescape(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s
+	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		if s[i] != '\\' || i+1 == len(s) {
@@ -46,9 +81,31 @@ func unescape(s string) string {
 	return b.String()
 }
 
-func itoa(n int) string { return strconv.Itoa(n) }
+// appendField, appendInt and appendFloat append one '|'-led field of a
+// record.
+func appendField(b []byte, s string) []byte { return appendEscaped(append(b, '|'), s) }
 
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+func appendInt(b []byte, n int64) []byte { return strconv.AppendInt(append(b, '|'), n, 10) }
+
+func appendFloat(b []byte, f float64) []byte {
+	return strconv.AppendFloat(append(b, '|'), f, 'g', -1, 64)
+}
+
+// AppendLines appends the newline-separated lines of text to dst, each a
+// substring of text, and returns the extended slice. It inverts the
+// encoders' AppendText: their lines, joined by newlines, are the text.
+func AppendLines(dst []string, text string) []string {
+	for {
+		line, rest, more := strings.Cut(text, "\n")
+		dst = append(dst, line)
+		if !more {
+			return dst
+		}
+		text = rest
+	}
+}
+
+func itoa(n int) string { return strconv.Itoa(n) }
 
 func parseInt(s, what string) (int, error) {
 	n, err := strconv.Atoi(s)
@@ -66,30 +123,31 @@ func parseFloat(s, what string) (float64, error) {
 	return f, nil
 }
 
-// splitRecord splits a pipe-delimited record respecting escapes. Records
-// without escapes — the overwhelmingly common case for the machine-written
-// profiles — split without per-field building.
-func splitRecord(line string) []string {
-	if !strings.Contains(line, "\\") {
-		return strings.Split(line, "|")
-	}
-	var fields []string
-	var b strings.Builder
+// maxFields is the widest record a decoder reads: a DGSPL svc line.
+const maxFields = 17
+
+// splitRecord splits a pipe-delimited record into f, respecting escapes:
+// each field is the raw, still-escaped text between two unescaped pipes,
+// sliced from line. It returns the record's field count, which can exceed
+// len(f); only the first len(f) fields are stored.
+func splitRecord(line string, f *[maxFields]string) int {
+	n, start := 0, 0
 	for i := 0; i < len(line); i++ {
-		switch {
-		case line[i] == '\\' && i+1 < len(line):
-			b.WriteByte(line[i])
-			i++
-			b.WriteByte(line[i])
-		case line[i] == '|':
-			fields = append(fields, b.String())
-			b.Reset()
-		default:
-			b.WriteByte(line[i])
+		switch line[i] {
+		case '\\':
+			i++ // the escaped byte cannot end a field
+		case '|':
+			if n < len(f) {
+				f[n] = line[start:i]
+			}
+			n++
+			start = i + 1
 		}
 	}
-	fields = append(fields, b.String())
-	return fields
+	if n < len(f) {
+		f[n] = line[start:]
+	}
+	return n + 1
 }
 
 func joinRecord(fields ...string) string { return strings.Join(fields, "|") }

@@ -28,9 +28,10 @@ func TestQuickEscapeRoundTrip(t *testing.T) {
 
 func TestSplitRecordRespectsEscapes(t *testing.T) {
 	rec := joinRecord(escape("a|b"), escape("c"), escape("d\\e"))
-	f := splitRecord(rec)
-	if len(f) != 3 || unescape(f[0]) != "a|b" || unescape(f[2]) != "d\\e" {
-		t.Errorf("splitRecord = %q", f)
+	var f [maxFields]string
+	n := splitRecord(rec, &f)
+	if n != 3 || unescape(f[0]) != "a|b" || unescape(f[2]) != "d\\e" {
+		t.Errorf("splitRecord = %d %q", n, f[:min(n, maxFields)])
 	}
 }
 
@@ -295,8 +296,10 @@ func TestDGSPLShortlist(t *testing.T) {
 }
 
 func TestDGSPLDecodeErrors(t *testing.T) {
-	if _, err := DecodeDGSPL([]string{"gen|abc"}); err == nil {
-		t.Error("bad gen should fail")
+	for _, gen := range []string{"gen|abc", "gen|12abc", "gen| 7", "gen|7 ", "gen|"} {
+		if _, err := DecodeDGSPL([]string{gen}); err == nil {
+			t.Errorf("bad gen %q should fail", gen)
+		}
 	}
 	if _, err := DecodeDGSPL([]string{"svc|too|few"}); err == nil {
 		t.Error("short svc should fail")

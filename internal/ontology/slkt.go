@@ -105,14 +105,15 @@ func joinComma(parts []string) string {
 func DecodeSLKT(lines []string) (*SLKT, error) {
 	t := &SLKT{}
 	appIdx := map[string]int{}
+	var f [maxFields]string
 	for i, line := range lines {
 		if isComment(line) {
 			continue
 		}
-		f := splitRecord(line)
+		n := splitRecord(line, &f)
 		switch f[0] {
 		case "hw":
-			if len(f) != 5 {
+			if n != 5 {
 				return nil, fmt.Errorf("ontology: SLKT line %d: hw wants 5 fields", i+1)
 			}
 			t.Server = unescape(f[1])
@@ -125,7 +126,7 @@ func DecodeSLKT(lines []string) (*SLKT, error) {
 				return nil, err
 			}
 		case "app":
-			if len(f) != 7 {
+			if n != 7 {
 				return nil, fmt.Errorf("ontology: SLKT line %d: app wants 7 fields", i+1)
 			}
 			port, err := parseInt(f[4], "port")
@@ -144,7 +145,7 @@ func DecodeSLKT(lines []string) (*SLKT, error) {
 			appIdx[a.Name] = len(t.Apps)
 			t.Apps = append(t.Apps, a)
 		case "seq":
-			if len(f) != 3 {
+			if n != 3 {
 				return nil, fmt.Errorf("ontology: SLKT line %d: seq wants 3 fields", i+1)
 			}
 			idx, ok := appIdx[unescape(f[1])]
@@ -155,7 +156,7 @@ func DecodeSLKT(lines []string) (*SLKT, error) {
 				t.Apps[idx].StartupSeq = append(t.Apps[idx].StartupSeq, unescape(p))
 			}
 		case "proc":
-			if len(f) != 4 {
+			if n != 4 {
 				return nil, fmt.Errorf("ontology: SLKT line %d: proc wants 4 fields", i+1)
 			}
 			idx, ok := appIdx[unescape(f[1])]
@@ -168,7 +169,7 @@ func DecodeSLKT(lines []string) (*SLKT, error) {
 			}
 			t.Apps[idx].ProcCounts[unescape(f[2])] = c
 		case "dep":
-			if len(f) != 3 {
+			if n != 3 {
 				return nil, fmt.Errorf("ontology: SLKT line %d: dep wants 3 fields", i+1)
 			}
 			idx, ok := appIdx[unescape(f[1])]
