@@ -58,9 +58,11 @@ type Config struct {
 	// AgentPeriod is X, the agents' cron period; the flag sweep runs every
 	// X+5 minutes as the paper prescribes.
 	AgentPeriod simclock.Time
-	// DGSPLPeriod defaults to the paper's 15 minutes.
-	DGSPLPeriod simclock.Time
 }
+
+// dgsplPeriod is how often the pair regenerates the DGSPL files:
+// every 15 minutes, as in the paper.
+const dgsplPeriod = 15 * simclock.Minute
 
 // Pair is the running administration tier.
 type Pair struct {
@@ -101,8 +103,6 @@ type Pair struct {
 	AgentRestarts int
 	Resubmissions int
 	Escalations   int
-
-	tickers []*simclock.Ticker
 }
 
 // New assembles and starts the administration tier: mounts the pool on
@@ -114,9 +114,6 @@ func New(cfg Config) (*Pair, error) {
 	}
 	if cfg.AgentPeriod <= 0 {
 		cfg.AgentPeriod = 5 * simclock.Minute
-	}
-	if cfg.DGSPLPeriod <= 0 {
-		cfg.DGSPLPeriod = 15 * simclock.Minute
 	}
 	p := &Pair{
 		cfg:      cfg,
@@ -135,28 +132,19 @@ func New(cfg Config) (*Pair, error) {
 	p.attachVIP()
 
 	// Heartbeat: failover within a minute of the active server dying.
-	p.tickers = append(p.tickers, p.sim.Every(p.sim.Now()+simclock.Minute, simclock.Minute,
-		"adminsrv-heartbeat", p.heartbeat))
+	p.sim.Every(p.sim.Now()+simclock.Minute, simclock.Minute, "adminsrv-heartbeat", p.heartbeat)
 	// Flag sweep every X+5 minutes.
-	p.tickers = append(p.tickers, p.sim.Every(p.sim.Now()+cfg.AgentPeriod+5*simclock.Minute,
-		cfg.AgentPeriod+5*simclock.Minute, "adminsrv-flagsweep", p.flagSweep))
+	p.sim.Every(p.sim.Now()+cfg.AgentPeriod+5*simclock.Minute,
+		cfg.AgentPeriod+5*simclock.Minute, "adminsrv-flagsweep", p.flagSweep)
 	// DGSPL generation every 15 minutes.
-	p.tickers = append(p.tickers, p.sim.Every(p.sim.Now()+cfg.DGSPLPeriod, cfg.DGSPLPeriod,
-		"adminsrv-dgspl", func(now simclock.Time) { p.GenerateDGSPL(now) }))
+	p.sim.Every(p.sim.Now()+dgsplPeriod, dgsplPeriod,
+		"adminsrv-dgspl", func(now simclock.Time) { p.GenerateDGSPL(now) })
 	// Batch rescue sweep at the agent period (the paper's agents check
 	// job health every 5 minutes).
 	if cfg.LSF != nil {
-		p.tickers = append(p.tickers, p.sim.Every(p.sim.Now()+cfg.AgentPeriod, cfg.AgentPeriod,
-			"adminsrv-batch", p.batchSweep))
+		p.sim.Every(p.sim.Now()+cfg.AgentPeriod, cfg.AgentPeriod, "adminsrv-batch", p.batchSweep)
 	}
 	return p, nil
-}
-
-// Stop cancels the pair's loops (scenario teardown).
-func (p *Pair) Stop() {
-	for _, t := range p.tickers {
-		t.Stop()
-	}
 }
 
 // Active returns the currently active server.

@@ -154,21 +154,6 @@ type Parts struct {
 	MonitorMutates bool
 }
 
-// Enabled toggles each of the five parts; the paper allows parts to be
-// activated or deactivated at installation or later.
-type Enabled struct {
-	Monitor      bool
-	Diagnose     bool
-	Heal         bool
-	Communicate  bool
-	SelfMaintain bool
-}
-
-// AllEnabled returns the default: every part active.
-func AllEnabled() Enabled {
-	return Enabled{Monitor: true, Diagnose: true, Heal: true, Communicate: true, SelfMaintain: true}
-}
-
 // Overhead is the agent's resource footprint while awake; the paper's
 // Figures 3 and 4 measure exactly this against BMC Patrol.
 type Overhead struct {
@@ -177,17 +162,18 @@ type Overhead struct {
 	MemMB       float64       // resident memory while running
 }
 
-// DefaultOverhead reflects the paper's measurements: ~1.6 MB resident while
-// awake, and a CPU cost calibrated so a host's typical five-agent
+// Every agent's footprint, from the paper's measurements: ~1.6 MB resident
+// while awake, and a CPU cost calibrated so a host's typical five-agent
 // complement averages ~0.045% of an 8-CPU system over a half-hour window
 // (5 agents x 6 runs x 0.216 CPU-s per run / (1800 s x 8 CPUs) ≈ 0.045%).
-func DefaultOverhead() Overhead {
-	return Overhead{
-		RunDuration: 4 * simclock.Second,
-		CPUDemand:   0.054,
-		MemMB:       1.6,
-	}
-}
+const (
+	runDuration  = 4 * simclock.Second
+	runCPUDemand = 0.054
+	runMemMB     = 1.6
+)
+
+// logLines caps each agent's circular activity log.
+const logLines = 500
 
 // Counters accumulate over an agent's life for reports.
 type Counters struct {
@@ -207,8 +193,6 @@ type Agent struct {
 	services *svc.Directory
 	bus      *notify.Bus
 	parts    Parts
-	enabled  Enabled
-	overhead Overhead
 
 	flagDir   string
 	lockPath  string
@@ -261,8 +245,6 @@ type Config struct {
 	Services *svc.Directory
 	Notify   *notify.Bus
 	Parts    Parts
-	Enabled  *Enabled  // nil = all enabled
-	Overhead *Overhead // nil = defaults
 	// Report/Detected/Repaired hooks; any may be nil.
 	Report   func(kind, payload string)
 	Detected func(aspect string, now simclock.Time)
@@ -271,8 +253,6 @@ type Config struct {
 	Trace *trace.Recorder
 	// AdminEmail receives escalations.
 	AdminEmail string
-	// LogLines caps the circular activity log (default 500).
-	LogLines int
 }
 
 // New installs an intelliagent on its host.
@@ -290,8 +270,6 @@ func New(cfg Config) (*Agent, error) {
 		services:  cfg.Services,
 		bus:       cfg.Notify,
 		parts:     cfg.Parts,
-		enabled:   AllEnabled(),
-		overhead:  DefaultOverhead(),
 		flagDir:   FlagRoot + "/" + cfg.Name,
 		lockPath:  InstallDir + "/" + cfg.Name + ".lock",
 		logPath:   FlagRoot + "/" + cfg.Name + "/activity.log",
@@ -302,21 +280,11 @@ func New(cfg Config) (*Agent, error) {
 		repaired:  cfg.Repaired,
 		trace:     cfg.Trace,
 	}
-	if cfg.Enabled != nil {
-		a.enabled = *cfg.Enabled
-	}
-	if cfg.Overhead != nil {
-		a.overhead = *cfg.Overhead
-	}
 	if cfg.AdminEmail != "" {
 		a.admins = append(a.admins, cfg.AdminEmail)
 	}
-	lines := cfg.LogLines
-	if lines == 0 {
-		lines = 500
-	}
 	var err error
-	a.log, err = fsim.NewCircLog(cfg.Host.FS, a.logPath, lines)
+	a.log, err = fsim.NewCircLog(cfg.Host.FS, a.logPath, logLines)
 	if err != nil {
 		return nil, err
 	}
@@ -335,8 +303,10 @@ func (a *Agent) Host() *cluster.Host { return a.host }
 // Counters returns a copy of the lifetime counters.
 func (a *Agent) Counters() Counters { return a.counters }
 
-// Overhead returns the configured footprint.
-func (a *Agent) Overhead() Overhead { return a.overhead }
+// Overhead returns the agent's footprint while awake.
+func (a *Agent) Overhead() Overhead {
+	return Overhead{RunDuration: runDuration, CPUDemand: runCPUDemand, MemMB: runMemMB}
+}
 
 // flagName builds a conventional flag file name.
 func flagName(status, detail string) string {

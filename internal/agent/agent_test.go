@@ -203,26 +203,37 @@ func TestSelfMaintenanceClearsOldFlags(t *testing.T) {
 	}
 }
 
+// TestDisabledParts: an agent installed without a diagnosing or a healing
+// part escalates every fault it finds instead of acting on it — by email
+// to its administrators, with an escalated flag — and heals nothing.
 func TestDisabledParts(t *testing.T) {
-	r := newRig()
-	en := AllEnabled()
-	en.Heal = false
-	a := r.agent(t, Config{Name: "x", Parts: faultParts(true), Enabled: &en, AdminEmail: "ops@site"})
-	a.Run(r.sim)
-	if a.Counters().Healed != 0 {
-		t.Error("healing disabled but healed")
-	}
-	if a.Counters().Escalated != 1 {
-		t.Error("disabled healing should escalate")
-	}
-
-	r2 := newRig()
-	en2 := AllEnabled()
-	en2.Monitor = false
-	b, _ := New(Config{Name: "y", Host: r2.host, Notify: r2.bus, Parts: faultParts(true), Enabled: &en2})
-	b.Run(r2.sim)
-	if b.Counters().Findings != 0 || !b.HasFlag("disabled") {
-		t.Errorf("monitor disabled: counters=%+v flags=%v", b.Counters(), b.Flags())
+	noHeal := faultParts(true)
+	noHeal.Heal = nil
+	noDiagnose := faultParts(true)
+	noDiagnose.Diagnose = nil
+	for _, c := range []struct {
+		name  string
+		parts Parts
+		why   string
+	}{
+		{"no-heal", noHeal, "healing disabled: crashed"},
+		{"no-diagnose", noDiagnose, "diagnosis disabled"},
+	} {
+		r := newRig()
+		a := r.agent(t, Config{Name: "x", Parts: c.parts, AdminEmail: "ops@site"})
+		a.Run(r.sim)
+		if got := a.Counters(); got.Findings != 1 || got.Healed != 0 || got.Escalated != 1 {
+			t.Errorf("%s: counters = %+v, want 1 finding, 0 healed, 1 escalated", c.name, got)
+		}
+		if !a.HasFlag("escalated") || a.HasFlag("healed") {
+			t.Errorf("%s: flags = %v", c.name, a.Flags())
+		}
+		if r.bus.CountByTag("agent-escalation") != 1 {
+			t.Fatalf("%s: %d escalation emails, want 1", c.name, r.bus.CountByTag("agent-escalation"))
+		}
+		if n := r.bus.History()[0]; n.To != "ops@site" || !strings.Contains(n.Body, c.why) {
+			t.Errorf("%s: escalation %+v, want one to ops@site giving %q", c.name, n, c.why)
+		}
 	}
 }
 

@@ -56,8 +56,8 @@ func (a *Agent) Observe(now simclock.Time) {
 		a.obsState = obsDown
 	case a.host.FS.Exists(a.lockPath):
 		a.obsState = obsLocked
-	case !a.enabled.Monitor || a.parts.MonitorMutates:
-		// Disabled or mutating monitors run (if at all) inside Apply.
+	case a.parts.MonitorMutates:
+		// Mutating monitors run inside Apply.
 		a.obsState = obsDeferred
 	default:
 		a.obsState = obsRun
@@ -114,14 +114,14 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 	// the end of the run window, charging the CPU it burned. The reaper
 	// closure is built once per agent (it reads exitPID at fire time) and
 	// posted through the Sim's pooled no-handle path.
-	proc := a.host.Spawn(a.procName, "iagent", InstallDir, a.overhead.CPUDemand, a.overhead.MemMB)
+	proc := a.host.Spawn(a.procName, "iagent", InstallDir, runCPUDemand, runMemMB)
 	if proc == nil {
 		return
 	}
 	a.logBuf = strconv.AppendInt(append(a.logBuf[:0], "pid="...), int64(proc.PID), 10)
 	a.lockLine[0] = string(a.logBuf)
 	_ = a.host.FS.WriteLines(a.lockPath, a.lockLine[:])
-	a.counters.CPUSeconds += a.overhead.CPUDemand * float64(a.overhead.RunDuration) / float64(simclock.Second)
+	a.counters.CPUSeconds += runCPUDemand * float64(runDuration) / float64(simclock.Second)
 	if a.exitFn == nil {
 		a.exitFn = func(simclock.Time) {
 			a.host.Kill(a.exitPID)
@@ -129,7 +129,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 		}
 	}
 	a.exitPID = proc.PID
-	sim.PostAfter(a.overhead.RunDuration, a.exitLabel, a.exitFn)
+	sim.PostAfter(runDuration, a.exitLabel, a.exitFn)
 
 	rc := &a.rc
 	*rc = RunContext{
@@ -152,17 +152,10 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 	// ok.flag (flagsOK), the sweep has nothing to do — the only flag
 	// present is the one an ok run would rewrite.
 	cleanOK := a.flagsOK
-	if a.enabled.SelfMaintain && !cleanOK {
+	if !cleanOK {
 		a.clearFlags()
 	}
 
-	if !a.enabled.Monitor {
-		if cleanOK {
-			a.dirtyFlags()
-		}
-		a.writeFlag("disabled", "")
-		return
-	}
 	findings := observed
 	if !haveObserved {
 		findings = a.parts.Monitor(rc)
@@ -172,15 +165,11 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 	if len(findings) == 0 {
 		if !cleanOK {
 			a.writeFlag("ok", "")
-			if a.enabled.SelfMaintain {
-				a.flagsOK = true
-			}
+			a.flagsOK = true
 		}
-		if a.enabled.Communicate {
-			rc.Logf("run ok, no findings")
-			if a.report != nil {
-				a.report("agent-ok", a.name)
-			}
+		rc.Logf("run ok, no findings")
+		if a.report != nil {
+			a.report("agent-ok", a.name)
 		}
 		return
 	}
@@ -190,24 +179,20 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 
 	for _, f := range findings {
 		a.writeFlag("fault", sanitize(f.Aspect))
-		if a.enabled.Communicate {
-			rc.Logf("finding: %s [%s] %s", f.Aspect, f.Severity, f.Detail)
-		}
+		rc.Logf("finding: %s [%s] %s", f.Aspect, f.Severity, f.Detail)
 		if rc.Detected != nil && f.Severity >= SevFault {
 			rc.Detected(f.Aspect, rc.Now)
 		}
 	}
 
-	if !a.enabled.Diagnose || a.parts.Diagnose == nil {
+	if a.parts.Diagnose == nil {
 		a.escalateAll(rc, findings, "diagnosis disabled")
 		return
 	}
 	diags := a.parts.Diagnose(rc, findings)
 	for _, d := range diags {
-		if a.enabled.Communicate {
-			rc.Logf("diagnosis: %s -> root cause %q, action %s (confident=%v)",
-				d.Finding.Aspect, d.RootCause, d.Action, d.Confident)
-		}
+		rc.Logf("diagnosis: %s -> root cause %q, action %s (confident=%v)",
+			d.Finding.Aspect, d.RootCause, d.Action, d.Confident)
 		// The diagnose event is the counterfactual anchor: when a replay
 		// armed an alternative for exactly this decision, the healing part
 		// runs the alternative action instead of the prescription.
@@ -216,7 +201,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 		if alt, ok := rc.Trace.Alternative(id); ok {
 			d.Action = alt
 		}
-		if !a.enabled.Heal || a.parts.Heal == nil {
+		if a.parts.Heal == nil {
 			a.escalate(rc, d.Finding, "healing disabled: "+d.RootCause)
 			continue
 		}
@@ -229,14 +214,10 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 			if rc.Repaired != nil && !res.Deferred {
 				rc.Repaired(d.Finding.Aspect, rc.Now)
 			}
-			if a.enabled.Communicate {
-				rc.Logf("healed: %s via %s (%s)", d.Finding.Aspect, res.Action, res.Detail)
-			}
+			rc.Logf("healed: %s via %s (%s)", d.Finding.Aspect, res.Action, res.Detail)
 			continue
 		}
-		if a.enabled.Communicate {
-			rc.Logf("heal failed: %s via %s (%s)", d.Finding.Aspect, res.Action, res.Detail)
-		}
+		rc.Logf("heal failed: %s via %s (%s)", d.Finding.Aspect, res.Action, res.Detail)
 		if res.Escalate {
 			a.escalate(rc, d.Finding, res.Detail)
 		}
@@ -249,7 +230,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 func (a *Agent) escalate(rc *RunContext, f Finding, why string) {
 	a.counters.Escalated++
 	a.writeFlag("escalated", sanitize(f.Aspect))
-	if !a.enabled.Communicate || a.bus == nil {
+	if a.bus == nil {
 		return
 	}
 	for _, admin := range a.admins {

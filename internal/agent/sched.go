@@ -31,7 +31,6 @@ type Scheduler struct {
 	groups  map[schedKey]*schedGroup
 	order   []*schedGroup
 	started bool
-	agents  int
 }
 
 type schedKey struct {
@@ -92,7 +91,6 @@ func (s *Scheduler) Add(a *Agent, phase, period simclock.Time) {
 		s.order = append(s.order, g)
 	}
 	g.members = append(g.members, a)
-	s.agents++
 }
 
 // Start registers the wheel entries. Every group lays out one prepared
@@ -122,12 +120,6 @@ func (s *Scheduler) Start() {
 		}
 	}
 }
-
-// Agents reports how many agents have been enrolled.
-func (s *Scheduler) Agents() int { return s.agents }
-
-// Groups reports how many distinct (phase, period) batches exist.
-func (s *Scheduler) Groups() int { return len(s.order) }
 
 // schedBatch is one contiguous member sub-range of one cron group — the
 // unit of work a shard prepares. The apply closure is preallocated so the

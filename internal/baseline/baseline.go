@@ -9,7 +9,8 @@
 // polls and raises console alerts as the real one did. Nothing reads
 // those alerts: manual detection is the operator model's
 // (operators.Team.PageDelay, drawn when a fault is injected), so no
-// campaign metric depends on the polls.
+// campaign metric depends on the polls. A monitor, once installed, polls
+// until its simulation ends.
 package baseline
 
 import (
@@ -58,7 +59,6 @@ type Monitor struct {
 	// proc is the daemon only while the table still maps pid to it.
 	proc *cluster.Process
 	pid  int
-	cron *simclock.CronEntry
 
 	// Alerts counts threshold notifications raised.
 	Alerts int
@@ -85,7 +85,7 @@ func Install(w *simclock.Wheel, host *cluster.Host, fp Footprint, bus *notify.Bu
 		bus: bus, cons: console,
 	}
 	m.spawn()
-	m.cron = w.Add(sim.Now()+pollEvery, pollEvery, "bmc-poll:"+host.Name, func(now simclock.Time) {
+	w.Add(sim.Now()+pollEvery, pollEvery, "bmc-poll:"+host.Name, func(now simclock.Time) {
 		m.poll(now, services)
 	})
 	return m
@@ -173,13 +173,4 @@ func (m *Monitor) MemMB() float64 {
 // Resident reports whether the daemon process is alive.
 func (m *Monitor) Resident() bool {
 	return m.proc != nil && m.host.Proc(m.pid) == m.proc
-}
-
-// Stop kills the daemon and its polling (scenario teardown / ablations).
-func (m *Monitor) Stop() {
-	m.cron.Stop()
-	if m.Resident() {
-		m.host.Kill(m.pid)
-	}
-	m.proc = nil
 }

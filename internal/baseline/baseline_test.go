@@ -117,16 +117,6 @@ func TestKilledDaemonObjectRecycled(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	sim := simclock.New(31)
-	h := newHost(sim)
-	m := Install(simclock.NewWheel(sim), h, DefaultFootprint(), nil, "", 5*simclock.Minute, nil)
-	m.Stop()
-	if m.Resident() || len(h.PGrep("bmcpatrol")) != 0 {
-		t.Error("Stop should remove the daemon")
-	}
-}
-
 // TestDeadDaemonReportsNoFootprint: a host crash kills the daemon at once,
 // so its footprint reads zero before the next poll notices, not only
 // after it.
@@ -210,27 +200,5 @@ func TestMonitorsShareOneBucket(t *testing.T) {
 	}
 	if got := sim.Pending(); got != 1 {
 		t.Errorf("Pending() = %d after two rounds, want 1", got)
-	}
-}
-
-// TestStoppedMonitorNeverPollsAgain: Stop takes the monitor off the
-// wheel, so its host's crashed service raises no further alerts while
-// the rest of the fleet keeps polling.
-func TestStoppedMonitorNeverPollsAgain(t *testing.T) {
-	sim, w, bus, ms := fleet(t, "db001", "db002")
-	sim.RunUntil(sim.Now() + 5*simclock.Minute)
-	before := len(alertSenders(bus))
-	ms[0].Stop()
-	if got := w.Len(); got != len(ms)-1 {
-		t.Fatalf("wheel Len() = %d after Stop, want %d", got, len(ms)-1)
-	}
-	sim.RunUntil(sim.Now() + simclock.Hour)
-	for _, from := range alertSenders(bus)[before:] {
-		if from == "bmc@db001" {
-			t.Fatal("stopped monitor raised an alert")
-		}
-	}
-	if ms[0].Alerts != 1 || ms[1].Alerts != 13 {
-		t.Errorf("alerts = %d, %d; want 1 (before Stop) and 13 (one per round)", ms[0].Alerts, ms[1].Alerts)
 	}
 }

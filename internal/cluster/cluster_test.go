@@ -378,21 +378,6 @@ func TestLoginLogout(t *testing.T) {
 	}
 }
 
-func TestMicrostateAccounting(t *testing.T) {
-	sim := simclock.New(1)
-	h := newHost(sim)
-	p := h.Spawn("oracle", "dba", "", 1, 100)
-	sim.After(simclock.Hour, "tick", func(now simclock.Time) { h.Tick(now) })
-	sim.Run()
-	total := p.UserTime + p.SysTime + p.WaitTime
-	if total != simclock.Hour {
-		t.Errorf("microstates should sum to elapsed time: %v", total)
-	}
-	if p.UserTime <= p.SysTime {
-		t.Errorf("user time should dominate: user=%v sys=%v", p.UserTime, p.SysTime)
-	}
-}
-
 func TestDatacentre(t *testing.T) {
 	sim := simclock.New(1)
 	d := NewDatacentre()

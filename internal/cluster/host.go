@@ -73,15 +73,12 @@ type Host struct {
 	// before the box dies.
 	sensorFaults []string
 
-	// lastAccounted is the last time microstate accounting ran.
-	lastAccounted simclock.Time
-
 	// Running demand aggregates, maintained incrementally on spawn, exit,
 	// state transitions and demand changes so the hot probe paths
-	// (cpuDemand, MemUsedMB — called by every agent run and microstate
-	// account) cost O(1) instead of a process-table walk. Kept in the same
-	// per-process rounded integer micro-units the walk summed, so the
-	// aggregate is bit-identical to the walk in any mutation order. The
+	// (cpuDemand, MemUsedMB — called by every agent run) cost O(1)
+	// instead of a process-table walk. Kept in the same per-process
+	// rounded integer micro-units the walk summed, so the aggregate is
+	// bit-identical to the walk in any mutation order. The
 	// values live in a struct-of-arrays StatsBank slot — private until the
 	// host joins a Datacentre, shared and densely indexed after — so
 	// datacentre-scale walks read them linearly.
@@ -146,7 +143,6 @@ func (h *Host) Reset() {
 	h.diskActivity = 0
 	h.nicErrors = 0
 	h.sensorFaults = nil
-	h.lastAccounted = 0
 	h.bank.cpuMicro[h.slot] = 0
 	h.bank.memMicro[h.slot] = 0
 	h.zeroTallies()
@@ -335,7 +331,6 @@ func (h *Host) Spawn(name, user, args string, cpuDemand, memMB float64) *Process
 	if h.state != HostUp {
 		return nil
 	}
-	h.accountMicrostates()
 	h.nextPID++
 	var p *Process
 	if n := len(h.procFree); n > 0 {
@@ -370,7 +365,6 @@ func (h *Host) Kill(pid int) bool {
 	if !ok {
 		return false
 	}
-	h.accountMicrostates()
 	h.account(p, -1)
 	t := p.tally
 	t.n--
@@ -516,34 +510,6 @@ func (h *Host) MemFreeMB() float64 { return float64(h.Model.MemoryMB) - h.MemUse
 // sustainable load, the condition under which the paper says databases
 // crash mid-job.
 func (h *Host) Overloaded() bool { return h.CPUUtilisation() > h.Model.MaxLoad }
-
-// accountMicrostates charges elapsed time to each process's microstate
-// counters, at the microsecond-ish fidelity the paper gets from modern
-// CPUs. Costs are split by whether the process was runnable.
-func (h *Host) accountMicrostates() {
-	now := h.sim.Now()
-	dt := now - h.lastAccounted
-	h.lastAccounted = now
-	if dt <= 0 || h.state != HostUp {
-		return
-	}
-	util := h.CPUUtilisation()
-	for _, p := range h.procs {
-		switch p.State {
-		case ProcRunning:
-			// Crude split: 80% user, 20% sys, waiting grows with contention.
-			run := simclock.Time(float64(dt) * (1 - 0.5*util))
-			p.UserTime += simclock.Time(float64(run) * 0.8)
-			p.SysTime += simclock.Time(float64(run) * 0.2)
-			p.WaitTime += dt - run
-		case ProcSleeping, ProcHung:
-			p.WaitTime += dt
-		}
-	}
-}
-
-// Tick runs periodic host accounting; call it from a scenario ticker.
-func (h *Host) Tick(now simclock.Time) { h.accountMicrostates() }
 
 func (h *Host) String() string {
 	return fmt.Sprintf("%s (%s, %s, %s) %s", h.Name, h.IP, h.Model.Name, h.Role, h.state)

@@ -45,12 +45,6 @@ type Process struct {
 	State     ProcState
 	Started   simclock.Time
 
-	// Microstate accounting (paper §3.5): per-process user/system/wait
-	// times at microsecond resolution.
-	UserTime simclock.Time
-	SysTime  simclock.Time
-	WaitTime simclock.Time
-
 	// tally is the host's count cell for Name, resolved once at spawn so
 	// exit and state changes update the counts without hashing the name.
 	tally *ProcTally

@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -39,19 +40,18 @@ func TestAppendLineCappedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAppendLineCappedErrors pins the error surface shared with AppendLine.
+// TestAppendLineCappedErrors pins the error surface shared with
+// WriteLines: a directory or a path below a file cannot be appended to.
 func TestAppendLineCappedErrors(t *testing.T) {
 	fs := NewFS()
-	if err := fs.Mkdir("/d"); err != nil {
+	if err := fs.WriteLines("/d/f", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.AppendLineCapped("/d", "x", 5); err == nil {
-		t.Error("appending to a directory succeeded")
+	if err := fs.AppendLineCapped("/d", "x", 5); !errors.Is(err, ErrIsDir) {
+		t.Errorf("appending to a directory = %v, want ErrIsDir", err)
 	}
-	v := NewVolume()
-	v.SetReadOnly(true)
-	if err := v.AppendLineCapped("/f", "x", 5); err != ErrReadOnly {
-		t.Errorf("read-only append error = %v, want ErrReadOnly", err)
+	if err := fs.AppendLineCapped("/d/f/g", "x", 5); !errors.Is(err, ErrNotDir) {
+		t.Errorf("appending below a file = %v, want ErrNotDir", err)
 	}
 }
 
@@ -103,14 +103,14 @@ func TestVolumeAndFSReset(t *testing.T) {
 	if fs.Exists("/nfs/pool/shared") {
 		t.Error("mount survived FS.Reset (path still resolves to the shared volume)")
 	}
-	if !shared.Exists("/shared") {
+	if !view(shared).Exists("/v/shared") {
 		t.Error("FS.Reset wiped a shared volume it does not own")
 	}
 	if err := fs.WriteLines("/again", nil); err != nil {
 		t.Fatalf("write after Reset: %v", err)
 	}
 	shared.Reset()
-	if shared.Exists("/shared") || shared.FileCount() != 0 {
+	if view(shared).Exists("/v/shared") || len(shared.files) != 0 {
 		t.Error("Volume.Reset left files behind")
 	}
 }

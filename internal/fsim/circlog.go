@@ -21,9 +21,6 @@ func NewCircLog(fs *FS, path string, max int) (*CircLog, error) {
 	return &CircLog{fs: fs, path: path, max: max}, nil
 }
 
-// Max reports the configured maximum line count.
-func (c *CircLog) Max() int { return c.max }
-
 // Append adds a line, discarding the oldest lines once the file exceeds the
 // maximum. The write is a single capped append on the backing file, not a
 // read-modify-rewrite: dropping the oldest line only moves the start of the
@@ -37,25 +34,6 @@ func (c *CircLog) Append(line string) error {
 // Lines returns the current contents, oldest first.
 func (c *CircLog) Lines() []string {
 	lines, err := c.fs.ReadLines(c.path)
-	if err != nil {
-		return nil
-	}
-	return lines
-}
-
-// Len reports the current number of lines without copying them.
-func (c *CircLog) Len() int {
-	n, err := c.fs.LineCount(c.path)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// Tail returns the newest n lines (fewer if the log is shorter), copying
-// only those.
-func (c *CircLog) Tail(n int) []string {
-	lines, err := c.fs.TailLines(c.path, n)
 	if err != nil {
 		return nil
 	}

@@ -3,9 +3,11 @@
 // under /logs/intelliagents, circular-queue performance logs, and NFS
 // mounts shared between the administration servers.
 //
-// An FS is a single host's namespace. Mounting grafts a shared *Volume into
-// several namespaces so writes through one host are visible to the others,
-// exactly like the paper's common pool of NFS mounted disks.
+// An FS is a single host's namespace and the only way to read or write
+// files. Mounting grafts a shared *Volume into several namespaces so writes
+// through one host are visible to the others, exactly like the paper's
+// common pool of NFS mounted disks. Directories are created implicitly by
+// the writes below them and never removed, except by Reset.
 package fsim
 
 import (
@@ -22,8 +24,6 @@ var (
 	ErrNotExist = errors.New("fsim: file does not exist")
 	ErrIsDir    = errors.New("fsim: path is a directory")
 	ErrNotDir   = errors.New("fsim: path component is not a directory")
-	ErrExist    = errors.New("fsim: file already exists")
-	ErrReadOnly = errors.New("fsim: volume is read-only")
 )
 
 // file is a flat ASCII file. Content is held as lines, matching the
@@ -33,9 +33,8 @@ var (
 // its oldest line) advances head rather than shifting the survivors down;
 // see push for when the window moves back to the front of the array.
 type file struct {
-	buf   []string
-	head  int
-	mtime int64 // opaque modification stamp, monotonically increasing
+	buf  []string
+	head int
 }
 
 // lines returns the live window, aliasing the file's storage: callers that
@@ -88,19 +87,16 @@ func (f *file) push(line string, max int) {
 	f.buf = append(f.buf, line)
 }
 
-// Volume is a mountable tree of files. Volumes are safe for concurrent use;
-// the simulation is single-goroutine but examples may not be.
-//
-// Every exported method that takes a path cleans it and delegates to an
-// unexported helper taking an already-clean volume-local path; FS, which
-// cleans once while resolving mounts, calls the helpers directly.
+// Volume is a mountable tree of files, read and written only through an
+// FS: as a namespace's private root, or mounted into one or more
+// namespaces. Its helpers take a clean volume-local path, since FS cleans
+// each path once while resolving mounts. Volumes are safe for concurrent
+// use; the simulation is single-goroutine but examples may not be.
 type Volume struct {
-	mu       sync.Mutex
-	files    map[string]*file // cleaned absolute path -> file
-	dirs     map[string]bool  // cleaned absolute path -> exists; ancestor-closed
-	stamp    int64
-	readOnly bool
-	spare    *file // last removed file, recycled by the next creation
+	mu    sync.Mutex
+	files map[string]*file // cleaned absolute path -> file
+	dirs  map[string]bool  // cleaned absolute path -> exists; ancestor-closed
+	spare *file            // last removed file, recycled by the next creation
 }
 
 // NewVolume returns an empty volume containing only the root directory.
@@ -109,14 +105,6 @@ func NewVolume() *Volume {
 		files: make(map[string]*file),
 		dirs:  map[string]bool{"/": true},
 	}
-}
-
-// SetReadOnly marks the volume read-only; subsequent writes fail with
-// ErrReadOnly. Used to simulate disk faults on shared storage.
-func (v *Volume) SetReadOnly(ro bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.readOnly = ro
 }
 
 func clean(p string) string {
@@ -173,7 +161,8 @@ func parent(p string) string {
 // ensureDirs creates the missing parent directories of the clean path p,
 // like mkdir -p. If a parent is a file it fails with ErrNotDir and creates
 // nothing. Directories are ancestor-closed — every directory's parents
-// exist — so both walks stop at the first existing directory.
+// exist — so both walks stop at the first existing directory. Every file's
+// parent directories are therefore recorded for as long as it exists.
 func (v *Volume) ensureDirs(p string) error {
 	for d := parent(p); d != "/" && !v.dirs[d]; d = parent(d) {
 		if v.files[d] != nil {
@@ -189,8 +178,7 @@ func (v *Volume) ensureDirs(p string) error {
 // open returns the file at the clean path p, creating an empty one (and
 // its parent directories) if absent. An existing file costs one map lookup
 // and no further checks: it cannot also be a directory, and its parents
-// exist for as long as it does, because RemoveAll drops a directory only
-// together with every file below it.
+// exist for as long as it does.
 func (v *Volume) open(p string) (*file, error) {
 	if f := v.files[p]; f != nil {
 		return f, nil
@@ -228,82 +216,30 @@ func (v *Volume) takeSpare() *file {
 	return &file{}
 }
 
-// WriteLines replaces the file at p with the given lines, creating parent
-// directories as needed (like a shell redirection after mkdir -p).
-func (v *Volume) WriteLines(p string, lines []string) error {
-	return v.writeLines(clean(p), lines)
-}
+// The operations below take the volume's lock for one step each; the FS
+// method of the same name documents what they do.
 
 func (v *Volume) writeLines(p string, lines []string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.readOnly {
-		return ErrReadOnly
-	}
 	f, err := v.open(p)
 	if err != nil {
 		return err
 	}
-	v.stamp++
 	f.set(lines)
-	f.mtime = v.stamp
 	return nil
-}
-
-// AppendLineCapped appends one line and then discards the oldest lines
-// beyond max, in one step — the primitive circular logs are built on. The
-// resulting content is exactly what AppendLine followed by a trimming
-// WriteLines would leave. Dropping the oldest line moves the start of the
-// file's window instead of shifting the rest, and the window is compacted
-// only when it reaches the end of its backing array (about 1.25×max
-// slots), so the cost is amortised O(1) in max. A max <= 0 means no cap.
-func (v *Volume) AppendLineCapped(p, line string, max int) error {
-	return v.appendLine(clean(p), line, max)
-}
-
-// AppendLine appends one line to the file at p, creating it if absent.
-func (v *Volume) AppendLine(p, line string) error {
-	return v.appendLine(clean(p), line, 0)
 }
 
 func (v *Volume) appendLine(p, line string, max int) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.readOnly {
-		return ErrReadOnly
-	}
 	f, err := v.open(p)
 	if err != nil {
 		return err
 	}
-	v.stamp++
 	f.push(line, max)
-	f.mtime = v.stamp
 	return nil
 }
-
-// Touch creates an empty file at p if absent; otherwise it advances only
-// the file's modification stamp, leaving the content as it is. This is how
-// agents drop status flags.
-func (v *Volume) Touch(p string) error { return v.touch(clean(p)) }
-
-func (v *Volume) touch(p string) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.readOnly {
-		return ErrReadOnly
-	}
-	f, err := v.open(p)
-	if err != nil {
-		return err
-	}
-	v.stamp++
-	f.mtime = v.stamp
-	return nil
-}
-
-// ReadLines returns a copy of the file's lines.
-func (v *Volume) ReadLines(p string) ([]string, error) { return v.readLines(clean(p)) }
 
 func (v *Volume) readLines(p string) ([]string, error) {
 	v.mu.Lock()
@@ -315,68 +251,15 @@ func (v *Volume) readLines(p string) ([]string, error) {
 	return append([]string(nil), f.lines()...), nil
 }
 
-// LineCount reports the number of lines in the file at p without copying
-// them.
-func (v *Volume) LineCount(p string) (int, error) { return v.lineCount(clean(p)) }
-
-func (v *Volume) lineCount(p string) (int, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	f, err := v.lookup(p)
-	if err != nil {
-		return 0, err
-	}
-	return len(f.lines()), nil
-}
-
-// TailLines returns a copy of the newest n lines of the file at p (all of
-// them if the file is shorter, none if n <= 0), copying only those.
-func (v *Volume) TailLines(p string, n int) ([]string, error) { return v.tailLines(clean(p), n) }
-
-func (v *Volume) tailLines(p string, n int) ([]string, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	f, err := v.lookup(p)
-	if err != nil {
-		return nil, err
-	}
-	lines := f.lines()
-	n = min(max(n, 0), len(lines))
-	return append([]string(nil), lines[len(lines)-n:]...), nil
-}
-
-// Exists reports whether a file (not directory) exists at p.
-func (v *Volume) Exists(p string) bool { return v.exists(clean(p)) }
-
 func (v *Volume) exists(p string) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.files[p] != nil
 }
 
-// MTime reports the opaque modification stamp of the file at p; larger is
-// newer. It returns 0 for missing files.
-func (v *Volume) MTime(p string) int64 { return v.mtime(clean(p)) }
-
-func (v *Volume) mtime(p string) int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if f := v.files[p]; f != nil {
-		return f.mtime
-	}
-	return 0
-}
-
-// Remove deletes the file at p. Removing a missing file returns
-// ErrNotExist, matching rm semantics.
-func (v *Volume) Remove(p string) error { return v.remove(clean(p)) }
-
 func (v *Volume) remove(p string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.readOnly {
-		return ErrReadOnly
-	}
 	f := v.files[p]
 	if f == nil {
 		return fmt.Errorf("%w: %s", ErrNotExist, p)
@@ -388,43 +271,11 @@ func (v *Volume) remove(p string) error {
 	return nil
 }
 
-// Mkdir creates the directory p and its parents.
-func (v *Volume) Mkdir(p string) error { return v.mkdir(clean(p)) }
-
-func (v *Volume) mkdir(p string) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.readOnly {
-		return ErrReadOnly
-	}
-	if v.files[p] != nil {
-		return fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	if err := v.ensureDirs(p); err != nil {
-		return err
-	}
-	v.dirs[p] = true
-	return nil
-}
-
-// List returns the sorted basenames of files directly inside directory p.
-func (v *Volume) List(p string) ([]string, error) { return v.list(clean(p)) }
-
 func (v *Volume) list(p string) ([]string, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if !v.dirs[p] && p != "/" {
-		// A directory exists implicitly if any file lives under it.
-		found := false
-		for fp := range v.files {
-			if _, ok := below(fp, p); ok {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
-		}
+	if !v.dirs[p] {
+		return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
 	var names []string
 	for fp := range v.files {
@@ -450,13 +301,6 @@ func below(fp, p string) (string, bool) {
 	return "", false
 }
 
-// HasFileWithSuffix reports whether directory p directly contains a file
-// whose name ends in suffix — the allocation-free existence probe sweep
-// loops use in place of List. A missing or empty directory reports false.
-func (v *Volume) HasFileWithSuffix(p, suffix string) bool {
-	return v.hasFileWithSuffix(clean(p), suffix)
-}
-
 func (v *Volume) hasFileWithSuffix(p, suffix string) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -468,55 +312,15 @@ func (v *Volume) hasFileWithSuffix(p, suffix string) bool {
 	return false
 }
 
-// RemoveAll deletes every file and directory under directory p, and p
-// itself — except the root, which RemoveAll("/") empties but keeps.
-func (v *Volume) RemoveAll(p string) error { return v.removeAll(clean(p)) }
-
-func (v *Volume) removeAll(p string) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.readOnly {
-		return ErrReadOnly
-	}
-	if p == "/" {
-		clear(v.files)
-		clear(v.dirs)
-		v.dirs["/"] = true
-		return nil
-	}
-	delete(v.files, p)
-	for fp := range v.files {
-		if _, ok := below(fp, p); ok {
-			delete(v.files, fp)
-		}
-	}
-	for dp := range v.dirs {
-		if _, ok := below(dp, p); ok {
-			delete(v.dirs, dp)
-		}
-	}
-	delete(v.dirs, p)
-	return nil
-}
-
 // Reset wipes the volume back to the state NewVolume returns — no files,
-// only the root directory, stamp zero, writable — while keeping the map
-// storage allocated for reuse.
+// only the root directory — while keeping the map storage allocated for
+// reuse.
 func (v *Volume) Reset() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	clear(v.files)
 	clear(v.dirs)
 	v.dirs["/"] = true
-	v.stamp = 0
-	v.readOnly = false
-}
-
-// FileCount reports the number of files on the volume.
-func (v *Volume) FileCount() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.files)
 }
 
 // mount maps a namespace prefix onto a volume.
@@ -544,18 +348,6 @@ func (fs *FS) Mount(prefix string, vol *Volume) {
 	})
 }
 
-// Unmount removes the mount at prefix, reporting whether one existed.
-func (fs *FS) Unmount(prefix string) bool {
-	prefix = clean(prefix)
-	for i, m := range fs.mounts {
-		if m.prefix == prefix {
-			fs.mounts = append(fs.mounts[:i], fs.mounts[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // resolve maps a namespace path to (volume, clean volume-local path). It is
 // the only place an FS operation cleans its path.
 func (fs *FS) resolve(p string) (*Volume, string) {
@@ -574,92 +366,57 @@ func (fs *FS) resolve(p string) (*Volume, string) {
 	return fs.root, p
 }
 
-// WriteLines writes through the namespace. See Volume.WriteLines.
+// WriteLines replaces the file at p with the given lines, creating parent
+// directories as needed (like a shell redirection after mkdir -p).
 func (fs *FS) WriteLines(p string, lines []string) error {
 	v, vp := fs.resolve(p)
 	return v.writeLines(vp, lines)
 }
 
-// AppendLine appends through the namespace. See Volume.AppendLine.
-func (fs *FS) AppendLine(p, line string) error {
-	v, vp := fs.resolve(p)
-	return v.appendLine(vp, line, 0)
-}
-
-// AppendLineCapped appends through the namespace with a line cap. See
-// Volume.AppendLineCapped.
+// AppendLineCapped appends one line to the file at p, creating it if
+// absent, and then discards the oldest lines beyond max, in one step — the
+// primitive circular logs are built on. A max <= 0 means no cap. Dropping
+// the oldest line moves the start of the file's window instead of shifting
+// the rest, and the window is compacted only when it reaches the end of
+// its backing array (about 1.25×max slots), so the cost is amortised O(1)
+// in max.
 func (fs *FS) AppendLineCapped(p, line string, max int) error {
 	v, vp := fs.resolve(p)
 	return v.appendLine(vp, line, max)
 }
 
-// Touch creates an empty file at p if absent, otherwise advances its
-// modification stamp. See Volume.Touch.
-func (fs *FS) Touch(p string) error {
-	v, vp := fs.resolve(p)
-	return v.touch(vp)
-}
-
-// ReadLines reads through the namespace. See Volume.ReadLines.
+// ReadLines returns a copy of the lines of the file at p.
 func (fs *FS) ReadLines(p string) ([]string, error) {
 	v, vp := fs.resolve(p)
 	return v.readLines(vp)
 }
 
-// LineCount counts lines through the namespace. See Volume.LineCount.
-func (fs *FS) LineCount(p string) (int, error) {
-	v, vp := fs.resolve(p)
-	return v.lineCount(vp)
-}
-
-// TailLines reads the newest lines through the namespace. See
-// Volume.TailLines.
-func (fs *FS) TailLines(p string, n int) ([]string, error) {
-	v, vp := fs.resolve(p)
-	return v.tailLines(vp, n)
-}
-
-// Exists reports file existence through the namespace.
+// Exists reports whether a file (not a directory) exists at p.
 func (fs *FS) Exists(p string) bool {
 	v, vp := fs.resolve(p)
 	return v.exists(vp)
 }
 
-// MTime reports the modification stamp through the namespace.
-func (fs *FS) MTime(p string) int64 {
-	v, vp := fs.resolve(p)
-	return v.mtime(vp)
-}
-
-// Remove deletes through the namespace.
+// Remove deletes the file at p. Removing a missing file returns
+// ErrNotExist, matching rm semantics.
 func (fs *FS) Remove(p string) error {
 	v, vp := fs.resolve(p)
 	return v.remove(vp)
 }
 
-// Mkdir creates a directory through the namespace.
-func (fs *FS) Mkdir(p string) error {
-	v, vp := fs.resolve(p)
-	return v.mkdir(vp)
-}
-
-// List lists a directory through the namespace.
+// List returns the sorted basenames of the files directly inside
+// directory p.
 func (fs *FS) List(p string) ([]string, error) {
 	v, vp := fs.resolve(p)
 	return v.list(vp)
 }
 
-// HasFileWithSuffix probes through the namespace. See
-// Volume.HasFileWithSuffix.
+// HasFileWithSuffix reports whether directory p directly contains a file
+// whose name ends in suffix — the allocation-free existence probe sweep
+// loops use in place of List. A missing or empty directory reports false.
 func (fs *FS) HasFileWithSuffix(p, suffix string) bool {
 	v, vp := fs.resolve(p)
 	return v.hasFileWithSuffix(vp, suffix)
-}
-
-// RemoveAll removes a subtree through the namespace.
-func (fs *FS) RemoveAll(p string) error {
-	v, vp := fs.resolve(p)
-	return v.removeAll(vp)
 }
 
 // Reset wipes the namespace back to the state NewFS returns: the private

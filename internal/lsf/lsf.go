@@ -153,9 +153,6 @@ func (c *Cluster) WaitingFor(service string) int {
 // PendingCount reports total queued jobs.
 func (c *Cluster) PendingCount() int { return len(c.pending) }
 
-// Job looks a job up by ID (bjobs), or nil.
-func (c *Cluster) Job(id int) *Job { return c.jobs[id] }
-
 // Jobs returns all jobs in submission order.
 func (c *Cluster) Jobs() []*Job {
 	out := make([]*Job, 0, len(c.order))

@@ -219,9 +219,6 @@ type Router struct {
 // NewRouter returns a router preferring nets in the given order.
 func NewRouter(nets ...*Network) *Router { return &Router{nets: nets} }
 
-// Networks returns the preference list.
-func (r *Router) Networks() []*Network { return r.nets }
-
 // Send delivers msg over the first usable network. It reports which network
 // carried the message.
 func (r *Router) Send(msg Message) (*Network, error) {

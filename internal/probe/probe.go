@@ -3,18 +3,17 @@
 // per cycle; instead of one repeating scheduler event per service (tens
 // of thousands of heap entries on a megasite), each tier's members are
 // split across a handful of evenly-phased batch slots and one coalesced
-// wheel entry per (tier, slot) walks its contiguous member range. Probe
-// bookkeeping (last exit code, consecutive-failure streak) is held in
-// struct-of-arrays slices indexed like the member slice, so a batch walk
-// is a linear scan.
+// wheel entry per (tier, slot) walks its contiguous member range, a linear
+// scan of the tier's dense member slice.
 //
 // The engine consumes no random numbers and mutates no simulation state
-// beyond its own bookkeeping: a probe reads the service and reports
-// failures through the OnFail hook. Reference mode schedules one
-// independent repeating event per member at the same instants — because
-// same-instant events fire in FIFO scheduling order, which equals the
-// batch's walk order, the two paths are behaviourally identical; the
-// equivalence tests pin exactly that. (As with the cron wheel, work
+// beyond its own counters: a probe reads the service, and a failing probe
+// is counted and reported through the OnFail hook; the engine keeps no
+// per-member history. Reference mode schedules one independent repeating
+// event per member at the same instants — because same-instant events
+// fire in FIFO scheduling order, which equals the batch's walk order, the
+// two paths are behaviourally identical; the equivalence tests pin
+// exactly that. (As with the cron wheel, work
 // scheduled by an OnFail callback for the precise instant of a *later*
 // probe in the same batch would interleave differently between the two
 // paths — unreachable in practice, since repair delays are drawn from
@@ -23,8 +22,7 @@
 // With a shard pool (Config.Pool) each (tier, slot) range is further
 // split into one prepared wheel entry per shard. Inside a tick the
 // shards walk their sub-ranges concurrently — Service.Probe is a pure
-// read and the struct-of-arrays bookkeeping is indexed by member, so
-// sub-ranges touch disjoint elements — buffering failures locally; at
+// read, and each sub-range buffers its failures in a list of its own; at
 // the tick barrier the wheel replays each sub-range's counter updates
 // and OnFail callbacks serially in registration order, which is exactly
 // the serial walk order. The observable effect sequence (ledger writes,
@@ -63,12 +61,10 @@ type Config struct {
 }
 
 // tierSched is one tier's probe schedule: a dense member slice in
-// deployment order plus struct-of-arrays bookkeeping indexed like it.
+// deployment order.
 type tierSched struct {
-	name       string
-	members    []*svc.Service
-	lastExit   []int8  // last probe exit code (ExitOK..ExitTimeout fit int8)
-	failStreak []int32 // consecutive failing probes
+	name    string
+	members []*svc.Service
 }
 
 // Engine owns the probe schedules for one site. Zero value is unusable;
@@ -105,12 +101,7 @@ func (e *Engine) AddTier(name string, members []*svc.Service) {
 	if e.started {
 		panic("probe: AddTier after Start")
 	}
-	e.tiers = append(e.tiers, &tierSched{
-		name:       name,
-		members:    members,
-		lastExit:   make([]int8, len(members)),
-		failStreak: make([]int32, len(members)),
-	})
+	e.tiers = append(e.tiers, &tierSched{name: name, members: members})
 }
 
 // Start lays out the schedules: tier t's slot s first fires at
@@ -170,11 +161,10 @@ func (e *Engine) Start() {
 }
 
 // shardRange is one shard's contiguous slice of a (tier, slot) batch. Its
-// prepare walks the slice — pure service reads plus writes to the
-// member-indexed bookkeeping elements this range owns — buffering
-// failures; its merge publishes counters and fires OnFail serially at the
-// tick barrier. The apply closure is allocated once at Start so a tick
-// allocates nothing.
+// prepare walks the slice — pure service reads — buffering failures; its
+// merge publishes counters and fires OnFail serially at the tick barrier.
+// The apply closure is allocated once at Start so a tick allocates
+// nothing.
 type shardRange struct {
 	e      *Engine
 	t      *tierSched
@@ -194,14 +184,9 @@ func (r *shardRange) prepare(now simclock.Time) func(now simclock.Time) {
 	r.fails = r.fails[:0]
 	t := r.t
 	for i := r.lo; i < r.hi; i++ {
-		res := t.members[i].Probe()
-		t.lastExit[i] = int8(res.ExitCode)
-		if res.OK() {
-			t.failStreak[i] = 0
-			continue
+		if res := t.members[i].Probe(); !res.OK() {
+			r.fails = append(r.fails, failedProbe{i: i, res: res})
 		}
-		t.failStreak[i]++
-		r.fails = append(r.fails, failedProbe{i: i, res: res})
 	}
 	return r.apply
 }
@@ -220,17 +205,13 @@ func (r *shardRange) merge(now simclock.Time) {
 	}
 }
 
-// probeOne issues one probe and updates the slot's bookkeeping (reference
-// path).
+// probeOne issues one probe and counts it (reference path).
 func (e *Engine) probeOne(t *tierSched, i int, now simclock.Time) {
 	res := t.members[i].Probe()
 	e.probes++
-	t.lastExit[i] = int8(res.ExitCode)
 	if res.OK() {
-		t.failStreak[i] = 0
 		return
 	}
-	t.failStreak[i]++
 	e.fails++
 	if e.cfg.OnFail != nil {
 		e.cfg.OnFail(t.members[i], res, now)
@@ -239,16 +220,12 @@ func (e *Engine) probeOne(t *tierSched, i int, now simclock.Time) {
 
 // Reset returns the engine to its pre-Start state for site reuse: the
 // simulator's Reset has already dropped the scheduled events, so only the
-// bookkeeping and counters are cleared. Tier membership is retained —
-// pooled site reuse resets services in place.
+// counters are cleared. Tier membership is retained — pooled site reuse
+// resets services in place.
 func (e *Engine) Reset() {
 	e.started = false
 	e.wheel = nil
 	e.probes, e.fails, e.batches = 0, 0, 0
-	for _, t := range e.tiers {
-		clear(t.lastExit)
-		clear(t.failStreak)
-	}
 }
 
 // Probes reports the probes issued since Start (or Reset).
@@ -260,28 +237,3 @@ func (e *Engine) Fails() int64 { return e.fails }
 // Batches reports the coalesced batch walks fired — one per (tier, slot,
 // shard) sub-range per tick; 0 in reference mode.
 func (e *Engine) Batches() int64 { return e.batches }
-
-// Tiers reports the number of registered tiers.
-func (e *Engine) Tiers() int { return len(e.tiers) }
-
-// LastExit reports the most recent probe exit code for the i-th member of
-// the named tier (deployment order), or -1 if the tier or index is
-// unknown. Exposed for tests and diagnostics.
-func (e *Engine) LastExit(tier string, i int) int {
-	for _, t := range e.tiers {
-		if t.name == tier && i >= 0 && i < len(t.lastExit) {
-			return int(t.lastExit[i])
-		}
-	}
-	return -1
-}
-
-// FailStreak reports the i-th member's consecutive-failure count, or -1.
-func (e *Engine) FailStreak(tier string, i int) int {
-	for _, t := range e.tiers {
-		if t.name == tier && i >= 0 && i < len(t.failStreak) {
-			return int(t.failStreak[i])
-		}
-	}
-	return -1
-}

@@ -189,37 +189,6 @@ func TestPreparedNilApplySkips(t *testing.T) {
 	}
 }
 
-// TestPreparedStopDuringApply pins the stop semantics under sharding: an
-// apply that stops a later prepared entry must suppress that entry's
-// apply this tick (its prepare already ran, harmlessly) and all its work
-// on later ticks.
-func TestPreparedStopDuringApply(t *testing.T) {
-	for _, pool := range []*Pool{nil, NewPool(4)} {
-		sim := New(1)
-		w := NewWheel(sim)
-		w.SetPool(pool)
-		var fired []string
-		var victim *CronEntry
-		w.AddPrepared(Minute, Minute, "assassin", func(now Time) func(Time) {
-			return func(Time) {
-				fired = append(fired, "assassin")
-				victim.Stop()
-			}
-		})
-		victim = w.AddPrepared(Minute, Minute, "victim", func(now Time) func(Time) {
-			return func(Time) { fired = append(fired, "victim") }
-		})
-		sim.RunUntil(3 * Minute)
-		want := []string{"assassin", "assassin", "assassin"}
-		if !reflect.DeepEqual(fired, want) {
-			t.Errorf("pool %v: fired %v, want %v", pool.Shards(), fired, want)
-		}
-		if w.Len() != 1 {
-			t.Errorf("pool %v: Len() = %d after stop, want 1", pool.Shards(), w.Len())
-		}
-	}
-}
-
 func TestAddPreparedRejectsNil(t *testing.T) {
 	sim := New(1)
 	w := NewWheel(sim)

@@ -21,7 +21,6 @@ const (
 	Minute = Time(time.Minute)
 	Hour   = Time(time.Hour)
 	Day    = 24 * Hour
-	Week   = 7 * Day
 	Year   = 365 * Day
 )
 
@@ -221,7 +220,7 @@ func (s *Sim) Every(start, period Time, label string, fn func(now Time)) *Ticker
 	if period <= 0 {
 		panic("simclock: non-positive ticker period for " + label)
 	}
-	t := &Ticker{sim: s, period: period, label: label, fn: fn}
+	t := &Ticker{sim: s, period: period, fn: fn}
 	t.ev = s.Schedule(start, label, t.fire)
 	return t
 }
@@ -230,7 +229,6 @@ func (s *Sim) Every(start, period Time, label string, fn func(now Time)) *Ticker
 type Ticker struct {
 	sim     *Sim
 	period  Time
-	label   string
 	fn      func(now Time)
 	ev      *Event
 	stopped bool
@@ -261,9 +259,6 @@ func (t *Ticker) Stop() {
 		t.ev.Cancel()
 	}
 }
-
-// Period reports the ticker's period.
-func (t *Ticker) Period() Time { return t.period }
 
 // Step executes the next pending event, advancing the clock to its firing
 // time. It reports false when no events remain.

@@ -9,9 +9,9 @@ package simclock
 //
 // Semantics match scheduling each entry with Sim.Every individually:
 // entries in a bucket fire in FIFO registration order (exactly the
-// tie-break the event heap would apply to individually scheduled events),
-// a stopped entry never fires again, and a bucket whose entries have all
-// stopped cancels its pending event.
+// tie-break the event heap would apply to individually scheduled events).
+// Entries are never removed: an entry fires until its simulation ends,
+// and Sim.Reset drops every bucket's event with the rest of the queue.
 //
 // One caveat bounds the equivalence: a bucket walks all its entries
 // back-to-back, so when a coordinate's registrations are *interleaved*
@@ -69,20 +69,16 @@ type bucket struct {
 	wheel    *Wheel
 	key      wheelKey
 	entries  []*CronEntry
-	live     int // entries not yet stopped
-	prepared int // live entries with a prepare phase
+	prepared int // entries with a prepare phase
 	ev       *Event
-	walking  bool             // inside fire: defer compaction until the walk ends
 	applies  []func(now Time) // reusable per-tick apply buffer (sharded fire)
 }
 
 // CronEntry is one registered callback on a wheel.
 type CronEntry struct {
-	b       *bucket
 	fn      func(now Time)
 	prepare func(now Time) func(now Time) // non-nil for prepared entries
 	label   string
-	stopped bool
 }
 
 // NewWheel returns an empty wheel scheduling on sim.
@@ -95,23 +91,7 @@ func NewWheel(sim *Sim) *Wheel {
 // period) coordinate. A non-positive period panics, as does a start in the
 // past — the same contract as Sim.Every. The label is diagnostic.
 func (w *Wheel) Add(start, period Time, label string, fn func(now Time)) *CronEntry {
-	if period <= 0 {
-		panic("simclock: non-positive wheel period for " + label)
-	}
-	if start < w.sim.Now() {
-		panic("simclock: wheel start in the past for " + label)
-	}
-	key := wheelKey{start: start, period: period}
-	b := w.buckets[key]
-	if b == nil {
-		b = &bucket{wheel: w, key: key}
-		b.ev = w.sim.Schedule(start, "cron-wheel", b.fire)
-		w.buckets[key] = b
-	}
-	e := &CronEntry{b: b, fn: fn, label: label}
-	b.entries = append(b.entries, e)
-	b.live++
-	return e
+	return w.add(start, period, &CronEntry{fn: fn, label: label})
 }
 
 // AddPrepared registers a two-phase entry on the same (start, period)
@@ -128,54 +108,62 @@ func (w *Wheel) AddPrepared(start, period Time, label string, prepare func(now T
 	if prepare == nil {
 		panic("simclock: nil prepare for " + label)
 	}
-	e := w.Add(start, period, label, nil)
-	e.prepare = prepare
-	e.b.prepared++
+	return w.add(start, period, &CronEntry{prepare: prepare, label: label})
+}
+
+// add appends e to the bucket of its (start, period) coordinate, creating
+// the bucket and scheduling its first fire if the coordinate is new.
+func (w *Wheel) add(start, period Time, e *CronEntry) *CronEntry {
+	if period <= 0 {
+		panic("simclock: non-positive wheel period for " + e.label)
+	}
+	if start < w.sim.Now() {
+		panic("simclock: wheel start in the past for " + e.label)
+	}
+	key := wheelKey{start: start, period: period}
+	b := w.buckets[key]
+	if b == nil {
+		b = &bucket{wheel: w, key: key}
+		b.ev = w.sim.Schedule(start, "cron-wheel", b.fire)
+		w.buckets[key] = b
+	}
+	b.entries = append(b.entries, e)
+	if e.prepare != nil {
+		b.prepared++
+	}
 	return e
 }
 
-// Len reports the number of live (unstopped) entries on the wheel.
+// Len reports the number of entries on the wheel.
 func (w *Wheel) Len() int {
 	n := 0
 	for _, b := range w.buckets {
-		n += b.live
+		n += len(b.entries)
 	}
 	return n
 }
 
-// Buckets reports the number of distinct (start, period) buckets with a
-// pending event — the coalescing factor Len()/Buckets() is the win over
-// per-entry tickers.
+// Buckets reports the number of distinct (start, period) buckets, each
+// with one pending event — the coalescing factor Len()/Buckets() is the
+// win over per-entry tickers.
 func (w *Wheel) Buckets() int { return len(w.buckets) }
 
 // fire walks the bucket's entries in registration order, then re-queues the
-// bucket's (reused) event one period on. Entries stopped during the walk —
-// including by their own callback — do not fire again. With a multi-shard
-// pool and prepared entries present, the walk splits into a parallel
-// prepare sweep and a serial apply sweep (fireSharded); the apply order is
-// registration order either way.
+// bucket's (reused) event one period on. With a multi-shard pool and
+// prepared entries present, the walk splits into a parallel prepare sweep
+// and a serial apply sweep (fireSharded); the apply order is registration
+// order either way.
 func (b *bucket) fire(now Time) {
-	b.walking = true
 	if p := b.wheel.pool; p.Shards() > 1 && b.prepared > 0 {
 		b.fireSharded(now, p)
 	} else {
 		for _, e := range b.entries {
-			switch {
-			case e.stopped:
-			case e.prepare != nil:
-				if apply := e.prepare(now); apply != nil {
-					apply(now)
-				}
-			default:
+			if e.prepare == nil {
 				e.fn(now)
+			} else if apply := e.prepare(now); apply != nil {
+				apply(now)
 			}
 		}
-	}
-	b.walking = false
-	b.compact()
-	if b.live == 0 {
-		delete(b.wheel.buckets, b.key)
-		return
 	}
 	// The key keeps the original start so entries added later for the same
 	// (start, period) coordinate join this bucket rather than forking a
@@ -188,11 +176,7 @@ func (b *bucket) fire(now Time) {
 // callers that register one sub-range per shard per workload get one
 // sub-range per worker regardless of how workloads interleave), then the
 // barrier merge applies every entry's effects serially in registration
-// order. Entries stopped before the tick don't prepare; entries stopped
-// during the apply sweep — by an earlier entry's apply — still had their
-// prepare run, but their apply is skipped, matching what the serial walk
-// would have done (the prepare phase is read-only, so running it for a
-// doomed entry is unobservable).
+// order.
 func (b *bucket) fireSharded(now Time, p *Pool) {
 	entries := b.entries
 	if cap(b.applies) < len(entries) {
@@ -202,76 +186,21 @@ func (b *bucket) fireSharded(now Time, p *Pool) {
 	shards := p.Shards()
 	p.Run(func(shard int) {
 		for i := shard; i < len(entries); i += shards {
-			e := entries[i]
-			if e.stopped || e.prepare == nil {
-				applies[i] = nil
-				continue
+			if e := entries[i]; e.prepare != nil {
+				applies[i] = e.prepare(now)
 			}
-			applies[i] = e.prepare(now)
 		}
 	})
 	for i, e := range entries {
 		apply := applies[i]
 		applies[i] = nil // don't retain closures across ticks
-		switch {
-		case e.stopped:
-		case e.prepare != nil:
-			if apply != nil {
-				apply(now)
-			}
-		default:
+		if e.prepare == nil {
 			e.fn(now)
+		} else if apply != nil {
+			apply(now)
 		}
 	}
 }
-
-// compact drops stopped entries, preserving registration order.
-func (b *bucket) compact() {
-	if b.live == len(b.entries) {
-		return
-	}
-	kept := b.entries[:0]
-	for _, e := range b.entries {
-		if !e.stopped {
-			kept = append(kept, e)
-		}
-	}
-	for i := len(kept); i < len(b.entries); i++ {
-		b.entries[i] = nil
-	}
-	b.entries = kept
-}
-
-// Stop deactivates the entry: it never fires again. Stopping the last live
-// entry of a bucket cancels the bucket's pending event (mid-walk, the walk
-// finishes first). Stop is idempotent and safe to call from the entry's own
-// callback.
-func (e *CronEntry) Stop() {
-	if e.stopped {
-		return
-	}
-	e.stopped = true
-	b := e.b
-	b.live--
-	if e.prepare != nil {
-		b.prepared--
-	}
-	if b.walking {
-		return // fire() compacts and handles an emptied bucket
-	}
-	if b.live == 0 {
-		b.ev.Cancel()
-		delete(b.wheel.buckets, b.key)
-		return
-	}
-	b.compact()
-}
-
-// Stopped reports whether the entry has been stopped.
-func (e *CronEntry) Stopped() bool { return e.stopped }
 
 // Label reports the entry's diagnostic label.
 func (e *CronEntry) Label() string { return e.label }
-
-// Period reports the entry's period.
-func (e *CronEntry) Period() Time { return e.b.key.period }

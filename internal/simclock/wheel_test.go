@@ -242,14 +242,9 @@ func FuzzScheduleOrder(f *testing.F) {
 
 // --- Wheel vs per-entry tickers ---
 
-// cronSpec describes one repeating entry plus an optional stop: stopAt is
-// an absolute time at which a separately scheduled event stops the entry,
-// and stopBy optionally names another entry whose callback performs the
-// stop instead (stopping a co-bucketed entry mid-walk).
+// cronSpec describes one repeating entry.
 type cronSpec struct {
 	phase, period Time
-	stopAt        Time // 0 = never
-	stopByPeer    int  // -1, or index of the entry whose callback stops us at its first fire
 }
 
 // genCrons generates coordinate groups registered contiguously: entries
@@ -274,15 +269,7 @@ func genCrons(rng *splitmix) []cronSpec {
 		}
 		seen[[2]Time{phase, period}] = true
 		for k := 1 + rng.intn(3); k > 0; k-- {
-			specs = append(specs, cronSpec{phase: phase, period: period, stopByPeer: -1})
-		}
-	}
-	for i := range specs {
-		switch rng.intn(4) {
-		case 0:
-			specs[i].stopAt = Time(1+rng.intn(10)) * Second
-		case 1:
-			specs[i].stopByPeer = rng.intn(len(specs))
+			specs = append(specs, cronSpec{phase: phase, period: period})
 		}
 	}
 	return specs
@@ -294,63 +281,33 @@ type firing struct {
 }
 
 // runCrons executes the cron specs to the horizon under either scheme and
-// records every (time, entry) firing in order.
+// records every (time, entry) firing in order. Each firing also posts a
+// same-instant event, so the wheel's buckets and the tickers' events
+// interleave with callback-scheduled work as well as with each other.
 func runCrons(specs []cronSpec, horizon Time, wheel bool) []firing {
 	sim := New(1)
+	w := NewWheel(sim)
 	var out []firing
-	stops := make([]func(), len(specs))
-	fired := make([]bool, len(specs))
 	for i, spec := range specs {
-		i, spec := i, spec
 		fn := func(now Time) {
 			out = append(out, firing{now, i})
-			first := !fired[i]
-			fired[i] = true
-			if first {
-				for j, s := range specs {
-					if s.stopByPeer == i && stops[j] != nil {
-						stops[j]()
-					}
-				}
-			}
+			sim.Post(now, "echo", func(now Time) { out = append(out, firing{now, -1 - i}) })
 		}
 		if wheel {
-			w := simWheel(sim)
-			e := w.Add(sim.Now()+spec.phase, spec.period, fmt.Sprintf("e%d", i), fn)
-			stops[i] = e.Stop
+			w.Add(sim.Now()+spec.phase, spec.period, fmt.Sprintf("e%d", i), fn)
 		} else {
-			tk := sim.Every(sim.Now()+spec.phase, spec.period, fmt.Sprintf("e%d", i), fn)
-			stops[i] = tk.Stop
-		}
-	}
-	for i, spec := range specs {
-		if spec.stopAt > 0 {
-			i := i
-			sim.Schedule(spec.stopAt, "stop", func(Time) { stops[i]() })
+			sim.Every(sim.Now()+spec.phase, spec.period, fmt.Sprintf("e%d", i), fn)
 		}
 	}
 	sim.RunUntil(horizon)
 	return out
 }
 
-// one wheel per sim, lazily.
-var wheels = map[*Sim]*Wheel{}
-
-func simWheel(s *Sim) *Wheel {
-	if w, ok := wheels[s]; ok {
-		return w
-	}
-	w := NewWheel(s)
-	wheels[s] = w
-	return w
-}
-
 // TestWheelMatchesEveryUnderRandomInterleavings is the wheel's equivalence
 // property: random sets of repeating entries — with colliding phases and
-// periods so buckets hold several entries — fire at identical times in
-// identical order whether scheduled as individual tickers or coalesced on
-// a wheel, under random stop interleavings including entries stopped from
-// a co-bucketed peer's callback mid-walk.
+// periods so buckets hold several entries, and distinct coordinates that
+// collide in firing time — fire at identical times in identical order
+// whether scheduled as individual tickers or coalesced on a wheel.
 func TestWheelMatchesEveryUnderRandomInterleavings(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		rng := splitmix(trial*7919 + 3)
@@ -364,17 +321,20 @@ func TestWheelMatchesEveryUnderRandomInterleavings(t *testing.T) {
 	}
 }
 
-// TestWheelBucketMembership pins the Cancel-vs-bucket rules: entries on a
-// shared coordinate coalesce into one pending event, stopping one entry
-// keeps the bucket alive, stopping the last cancels the bucket's event,
-// and a later Add on a live coordinate re-joins the existing bucket.
+// TestWheelBucketMembership pins the bucket rules: entries on a shared
+// coordinate coalesce into one pending event and fire in registration
+// order, same-instant buckets keep the heap's FIFO tie-break, and a later
+// Add on a live coordinate joins the existing bucket.
 func TestWheelBucketMembership(t *testing.T) {
 	sim := New(1)
 	w := NewWheel(sim)
 	var order []string
-	a := w.Add(Second, Second, "a", func(Time) { order = append(order, "a") })
-	b := w.Add(Second, Second, "b", func(Time) { order = append(order, "b") })
-	w.Add(2*Second, Second, "c", func(Time) { order = append(order, "c") })
+	add := func(start Time, label string) {
+		w.Add(start, Second, label, func(Time) { order = append(order, label) })
+	}
+	add(Second, "a")
+	add(Second, "b")
+	add(2*Second, "c")
 	if got := w.Buckets(); got != 2 {
 		t.Fatalf("Buckets() = %d, want 2 (a+b coalesced, c separate)", got)
 	}
@@ -390,52 +350,29 @@ func TestWheelBucketMembership(t *testing.T) {
 		t.Fatalf("first tick order = %v, want %v (registration order)", order, want)
 	}
 
-	a.Stop()
-	if a.Stopped() != true || w.Len() != 2 {
-		t.Fatalf("after a.Stop: Stopped=%v Len=%d", a.Stopped(), w.Len())
-	}
-	if got := w.Buckets(); got != 2 {
-		t.Fatalf("Buckets() = %d after stopping one of two entries, want 2", got)
-	}
-
 	order = nil
-	// At 2s both c (initial event, early sequence number) and b's bucket
+	// At 2s both c (initial event, early sequence number) and a+b's bucket
 	// (rescheduled at 1s, fresh sequence number) fire: FIFO puts c first —
 	// exactly what per-entry tickers would do.
 	sim.RunUntil(2 * Second)
-	if want := []string{"c", "b"}; !reflect.DeepEqual(order, want) {
+	if want := []string{"c", "a", "b"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("second tick order = %v, want %v", order, want)
 	}
 
-	// Stopping the last live entry of b's bucket cancels its heap event.
-	pendingBefore := sim.Pending()
-	b.Stop()
-	if got := w.Buckets(); got != 1 {
-		t.Fatalf("Buckets() = %d after emptying a bucket, want 1", got)
+	// An Add on a pending coordinate joins its bucket, after the entries
+	// already there, instead of forking a second event.
+	add(3*Second, "d")
+	add(3*Second, "d2")
+	if got, n := w.Buckets(), w.Len(); got != 3 || n != 5 {
+		t.Fatalf("after late adds: %d entries in %d buckets, want 5 in 3", n, got)
 	}
-	// The cancelled event may linger in the heap until popped, but firing
-	// must stop entirely.
-	order = nil
-	sim.RunUntil(4 * Second)
-	if want := []string{"c", "c"}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("after stopping b: firings = %v, want %v", order, want)
+	if got := sim.Pending(); got != 3 {
+		t.Fatalf("Pending() = %d after late adds, want 3", got)
 	}
-	_ = pendingBefore
-
-	// Double-stop is a no-op; stopping from inside the callback works.
-	b.Stop()
-	w.Add(5*Second, Second, "c2", func(Time) { order = append(order, "c2") })
-	var d *CronEntry
-	d = w.Add(5*Second, Second, "d", func(Time) {
-		order = append(order, "d")
-		d.Stop()
-	})
 	order = nil
-	sim.RunUntil(7 * Second)
-	// c fires at 5,6,7; c2+d at 5 (d stops itself), c2 at 6,7.
-	want := []string{"c", "c2", "d", "c", "c2", "c", "c2"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("self-stop sequence = %v, want %v", order, want)
+	sim.RunUntil(3 * Second)
+	if want := []string{"c", "a", "b", "d", "d2"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("third tick order = %v, want %v", order, want)
 	}
 }
 
