@@ -13,17 +13,43 @@ import (
 )
 
 // TestAgentTextDigest pins the text the agents write and push over one
-// paper-site agents day (seed 7): every agent's activity log and flags,
-// every host's performance logs and local DLSP, every file on the admin
-// pair's shared pool, the latest DGSPL and the DLSP push count. The
-// campaign goldens hash only the site report, so a changed DLSP line,
+// agents day at seed 7: every agent's activity log and flags, every
+// host's performance logs and local DLSP, every file on the admin pair's
+// shared pool, the latest DGSPL and the DLSP push count. The campaign
+// goldens hash only the site report, so a changed DLSP line,
 // performance-log line or pool DGSPL file would pass them unseen; this
-// digest sees it (405,112 lines when it was recorded, 5,126 of them
-// process-log lines). Each kind of text must be present, so an empty run
+// digest sees it. Each kind of text must be present, so an empty run
 // cannot pass.
+//
+// The paper case runs the default agent set on the paper site (405,112
+// lines when it was recorded, 5,126 of them process-log lines). The full
+// case runs the full agent set on the small site, the only place the
+// cpu, memory, disk, hardware, database and end-to-end agents deploy; it
+// also hashes every file in each host's performance-log directory (the
+// database agents' db-<service>.log, six of them at 286 lines each when
+// it was recorded) and each agent's counters.
 func TestAgentTextDigest(t *testing.T) {
-	site := mustSite(t, PaperTopology(), WithSeed(7), WithMode(ModeAgents))
-	mustRun(t, site, simclock.Day)
+	for _, tc := range []struct {
+		name string
+		topo Topology
+		opts []Option
+		full bool
+		want uint64
+	}{
+		{name: "paper", topo: PaperTopology(), want: 0x75b7c304c0538bd7},
+		{name: "small-full", topo: SmallTopology(), opts: []Option{WithAgentSet(AgentsFull)}, full: true, want: 0x5e0a337b53f8e854},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]Option{WithSeed(7), WithMode(ModeAgents)}, tc.opts...)
+			site := mustSite(t, tc.topo, opts...)
+			mustRun(t, site, simclock.Day)
+			checkAgentText(t, site, tc.full, tc.want)
+		})
+	}
+}
+
+func checkAgentText(t *testing.T, site *Site, full bool, want uint64) {
+	t.Helper()
 	h := fnv.New64a()
 	counts := map[string]int{}
 	hash := func(kind, name string, lines []string) {
@@ -37,12 +63,24 @@ func TestAgentTextDigest(t *testing.T) {
 	for _, a := range site.Agents {
 		hash("log", a.Name(), a.LogLines())
 		hash("flags", a.Name(), a.Flags())
+		if full {
+			fmt.Fprintf(h, "counters %s %+v\n", a.Name(), a.Counters())
+		}
 	}
 	for _, host := range site.DC.Hosts() {
-		for _, group := range []string{"os", "disk", "procs"} {
-			p := agents.PerfLogDir(host.Name) + "/" + group + ".log"
+		dir := agents.PerfLogDir(host.Name)
+		names := []string{"os.log", "disk.log", "procs.log"}
+		if full {
+			names, _ = host.FS.List(dir)
+		}
+		for _, name := range names {
+			p := dir + "/" + name
 			if lines, err := host.FS.ReadLines(p); err == nil {
-				hash(group, p, lines)
+				kind := strings.TrimSuffix(name, ".log")
+				if strings.HasPrefix(kind, "db-") {
+					kind = "db"
+				}
+				hash(kind, p, lines)
 			}
 		}
 		if lines, err := host.FS.ReadLines(agents.DLSPPath); err == nil {
@@ -78,8 +116,12 @@ func TestAgentTextDigest(t *testing.T) {
 	}
 	fmt.Fprintf(h, "received %d\n", site.Admin.DLSPReceived)
 
+	kinds := []string{"log", "flags", "os", "disk", "procs", "dlsp", "pool", "dgspl"}
+	if full {
+		kinds = append(kinds, "db")
+	}
 	total := 0
-	for _, kind := range []string{"log", "flags", "os", "disk", "procs", "dlsp", "pool", "dgspl"} {
+	for _, kind := range kinds {
 		if counts[kind] == 0 {
 			t.Errorf("no %s lines: the digest pins nothing of that kind", kind)
 		}
@@ -88,9 +130,8 @@ func TestAgentTextDigest(t *testing.T) {
 	if site.Admin.DLSPReceived == 0 || len(latest.Entries) == 0 {
 		t.Errorf("admin pair received %d DLSPs and listed %d services", site.Admin.DLSPReceived, len(latest.Entries))
 	}
-	const want = 0x75b7c304c0538bd7
 	if got := h.Sum64(); got != want {
 		t.Errorf("agent text digest = %#x over %d lines (%v), want %#x: agent-written text moved",
-			got, total, counts, uint64(want))
+			got, total, counts, want)
 	}
 }

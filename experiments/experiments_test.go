@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"hash/fnv"
+	"io"
 	"strings"
 	"testing"
 
@@ -60,6 +62,7 @@ func TestFig3Output(t *testing.T) {
 			t.Errorf("fig3 output missing %q", want)
 		}
 	}
+	checkTextDigest(t, "fig3", out, 0x621593c41c715156)
 }
 
 func TestFig4Output(t *testing.T) {
@@ -69,6 +72,19 @@ func TestFig4Output(t *testing.T) {
 	}
 	if !strings.Contains(out, "Figure 4") || !strings.Contains(out, "agent-MB") {
 		t.Errorf("fig4 output malformed:\n%s", out)
+	}
+	checkTextDigest(t, "fig4", out, 0x25ce645b39c2aa8b)
+}
+
+// checkTextDigest pins a figure's whole text by its FNV-64a digest. The
+// overhead rig behind figures 3 and 4 builds its own performance and
+// network agents, which no campaign golden or agent-text digest covers.
+func checkTextDigest(t *testing.T, name, out string, want uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	io.WriteString(h, out)
+	if got := h.Sum64(); got != want {
+		t.Errorf("%s text digest = %#x, want %#x: the figure's text moved:\n%s", name, got, want, out)
 	}
 }
 
