@@ -231,10 +231,18 @@ fmt:
 	gofmt -w .
 
 # Non-test Go lines of the simulator, bench/ excluded: the size figure
-# ROADMAP tracks for "the same behaviour from less code". Counts the files
-# git tracks, so stage new files first. Informational; nothing gates on it.
+# ROADMAP tracks for "the same behaviour from less code". Counts the
+# tracked files that exist (git grep skips one deleted but not yet
+# staged), so stage new files first. `make loc BASE=<rev>` also counts
+# the files at that revision, by the same rule, and prints the
+# difference. Informational; nothing gates on it.
+LOC_FILES := -- '*.go' ':!:*_test.go' ':!:bench/**'
 loc:
-	@git ls-files '*.go' ':!:*_test.go' ':!:bench/**' | xargs cat | wc -l
+	@set -e; \
+	now=$$(git grep -c '' $(LOC_FILES) | awk -F: '{ n += $$NF } END { print n + 0 }'); \
+	if [ -z "$(BASE)" ]; then echo $$now; exit 0; fi; \
+	base=$$(git grep -c '' '$(BASE)' $(LOC_FILES) | awk -F: '{ n += $$NF } END { print n + 0 }'); \
+	echo "$(BASE): $$base"; echo "now: $$now"; echo "delta: $$((now - base))"
 
 clean:
 	rm -f campaign-smoke.json ablate-smoke.json topology-smoke.json tiers-smoke.json megasite-smoke.json shard-smoke.json agent-serial-smoke.json agent-shard-smoke.json trace-smoke.jsonl trace-original.json trace-replay.json trace-counterfactual.txt trace-counterfactual-2.txt workload-smoke.json workload-smoke-w8.json bench.txt bench-agentday.txt bench-proof.txt bench-megasite-proof.txt bench-megasite-shards-proof.txt bench-megasite-shards-renamed.txt bench-agent-slots-proof.txt bench-agent-shards-proof.txt bench-agent-shards-renamed.txt

@@ -679,20 +679,20 @@ func (s *Site) deployHostAgents(h *cluster.Host, bridge *agents.RegistryBridge,
 	if err := add(agents.NewStatusAgent(baseCfg())); err != nil {
 		return fmt.Errorf("status agent: %w", err)
 	}
-	if err := add(agents.NewPerformanceAgent(baseCfg(), agents.PerfConfig{})); err != nil {
+	if err := add(agents.NewPerformanceAgent(baseCfg())); err != nil {
 		return fmt.Errorf("performance agent: %w", err)
 	}
-	if err := add(agents.NewNetworkAgent(baseCfg(), nil, s.networks()...)); err != nil {
+	if err := add(agents.NewNetworkAgent(baseCfg(), s.networks()...)); err != nil {
 		return fmt.Errorf("network agent: %w", err)
 	}
 	if s.Opts.AgentSet == AgentsFull {
-		if err := add(agents.NewCPUAgent(baseCfg(), nil)); err != nil {
+		if err := add(agents.NewCPUAgent(baseCfg())); err != nil {
 			return fmt.Errorf("cpu agent: %w", err)
 		}
-		if err := add(agents.NewMemoryAgent(baseCfg(), nil)); err != nil {
+		if err := add(agents.NewMemoryAgent(baseCfg())); err != nil {
 			return fmt.Errorf("memory agent: %w", err)
 		}
-		if err := add(agents.NewDiskAgent(baseCfg(), nil)); err != nil {
+		if err := add(agents.NewDiskAgent(baseCfg())); err != nil {
 			return fmt.Errorf("disk agent: %w", err)
 		}
 		if err := add(agents.NewHardwareAgent(baseCfg())); err != nil {
@@ -701,7 +701,7 @@ func (s *Site) deployHostAgents(h *cluster.Host, bridge *agents.RegistryBridge,
 		for _, sv := range s.Dir.OnHost(h.Name) {
 			switch sv.Spec.Kind {
 			case svc.KindOracle, svc.KindSybase:
-				if err := add(agents.NewDatabaseAgent(baseCfg(), sv, nil)); err != nil {
+				if err := add(agents.NewDatabaseAgent(baseCfg(), sv)); err != nil {
 					return fmt.Errorf("database agent for %s: %w", sv.Spec.Name, err)
 				}
 			case svc.KindFront:

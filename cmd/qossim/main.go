@@ -291,9 +291,19 @@ func registerShared(fs *flag.FlagSet, trials int) *sharedFlags {
 }
 
 // config returns the experiment config the parsed shared flags describe,
-// exiting with a usage error (prefixed by prog) when -tracelevel has no
-// -trace file to write to.
+// exiting with a usage error (prefixed by prog) when -days, -trials or
+// -workers is negative, or when -tracelevel has no -trace file to write
+// to.
 func (f *sharedFlags) config(prog string) experiments.Config {
+	for _, n := range []struct {
+		flag string
+		v    int
+	}{{"days", *f.days}, {"trials", *f.trials}, {"workers", *f.workers}} {
+		if n.v < 0 {
+			fmt.Fprintf(os.Stderr, "%s: -%s %d is negative\n", prog, n.flag, n.v)
+			os.Exit(2)
+		}
+	}
 	if *f.traceLevel != 0 && *f.tracePath == "" {
 		fmt.Fprintln(os.Stderr, prog+": -tracelevel needs -trace to name the file the trace is written to")
 		os.Exit(2)

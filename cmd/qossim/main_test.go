@@ -225,6 +225,30 @@ func TestTraceFlagValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsRejected: a negative -days, -trials or -workers is a
+// usage error on both flag sets, not a panic in the seed list or a
+// silent fall-back to the scenario default or NumCPU.
+func TestNegativeCountsRejected(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-trials", []string{"campaign", "-trials", "-2", "before"}},
+		{"-days", []string{"campaign", "-days", "-3", "before"}},
+		{"-days", []string{"-days", "-2", "before"}},
+		{"-workers", []string{"campaign", "-workers", "-3", "before"}},
+	} {
+		_, stderr, code := runQossim(t, c.args...)
+		if code != 2 || !strings.Contains(stderr, c.flag) {
+			t.Errorf("%v: exit %d, want 2 naming %s; stderr:\n%s", c.args, code, c.flag, stderr)
+		}
+		if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine ") {
+			t.Errorf("%v: goroutine dump on stderr:\n%s", c.args, stderr)
+		}
+	}
+}
+
 // TestTraceRecordReplayRoundTrip records a tiny traced campaign through
 // the real CLI, replays it, and checks the two campaign JSON files are
 // byte-identical — the CI trace smoke in miniature.

@@ -74,6 +74,12 @@ func CampaignMatrix(name string, cfg Config, trials int) (campaign.Matrix, error
 	if cfg.AgentSlots < 0 {
 		return campaign.Matrix{}, fmt.Errorf("-agentslots %d is negative", cfg.AgentSlots)
 	}
+	if trials < 0 {
+		return campaign.Matrix{}, fmt.Errorf("-trials %d is negative", trials)
+	}
+	if cfg.Days < 0 {
+		return campaign.Matrix{}, fmt.Errorf("-days %d is negative", cfg.Days)
+	}
 	if cfg.TraceLevel < 0 || cfg.TraceLevel > trace.MaxLevel {
 		return campaign.Matrix{}, fmt.Errorf("-tracelevel %d outside [0, %d]", cfg.TraceLevel, trace.MaxLevel)
 	}

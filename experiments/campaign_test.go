@@ -30,6 +30,23 @@ func TestCampaignMatrixNames(t *testing.T) {
 	}
 }
 
+// TestCampaignMatrixRejectsNegativeCounts: a negative trial count or span
+// is refused with the flag named, before Seeds sizes a slice by it.
+func TestCampaignMatrixRejectsNegativeCounts(t *testing.T) {
+	for _, c := range []struct {
+		flag   string
+		cfg    Config
+		trials int
+	}{
+		{"-trials", Config{Seed: 7}, -2},
+		{"-days", Config{Seed: 7, Days: -3}, 2},
+	} {
+		if _, err := CampaignMatrix("before", c.cfg, c.trials); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("negative %s: err = %v, want an error naming the flag", c.flag, err)
+		}
+	}
+}
+
 // TestCampaignBeforeAfterShort runs a real (short) before/after matrix and
 // checks the aggregates carry the paper's headline metrics.
 func TestCampaignBeforeAfterShort(t *testing.T) {

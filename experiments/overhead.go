@@ -76,8 +76,8 @@ func newOverheadRig(seed uint64) *overheadRig {
 	add(agents.NewServiceAgent(cfg(), ora))
 	add(agents.NewServiceAgent(cfg(), lsfd))
 	add(agents.NewStatusAgent(cfg()))
-	add(agents.NewPerformanceAgent(cfg(), agents.PerfConfig{}))
-	add(agents.NewNetworkAgent(cfg(), nil))
+	add(agents.NewPerformanceAgent(cfg()))
+	add(agents.NewNetworkAgent(cfg()))
 	return r
 }
 

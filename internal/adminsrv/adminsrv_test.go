@@ -1,7 +1,6 @@
 package adminsrv
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/agent"
@@ -277,17 +276,6 @@ func TestUnplaceableJobEscalates(t *testing.T) {
 	}
 	if r.bus.CountByTag("job-unplaceable") != 1 {
 		t.Errorf("unplaceable emails = %d, want exactly 1", r.bus.CountByTag("job-unplaceable"))
-	}
-}
-
-func TestDailySummary(t *testing.T) {
-	r := newRig(t, 2)
-	r.sim.RunUntil(r.sim.Now() + 30*simclock.Minute)
-	sum := r.pair.DailySummary(r.sim.Now())
-	for _, want := range []string{"profiles=2", "jobs:", "flag-sweeps"} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("summary missing %q:\n%s", want, sum)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/lsf"
@@ -236,20 +235,4 @@ func (p *Pair) escalateJob(j *lsf.Job) {
 		fmt.Sprintf("batch job %d unplaceable", j.ID),
 		fmt.Sprintf("job %q failed on %s (%s); no database server available for resubmission",
 			j.Name, j.Server, j.FailReason), "job-unplaceable")
-}
-
-// DailySummary renders the measurement summary the agents email to
-// nominated administrators on a daily basis (§4).
-func (p *Pair) DailySummary(now simclock.Time) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "daily summary at %v\n", now)
-	fmt.Fprintf(&b, "profiles=%d dlsp-received=%d flag-sweeps=%d agent-restarts=%d\n",
-		len(p.profiles), p.DLSPReceived, p.FlagSweeps, p.AgentRestarts)
-	if p.cfg.LSF != nil {
-		counts := p.cfg.LSF.CountByState()
-		fmt.Fprintf(&b, "jobs: done=%d failed=%d running=%d pending=%d resubmitted=%d\n",
-			counts[lsf.JobDone], counts[lsf.JobFailed], counts[lsf.JobRunning],
-			counts[lsf.JobPending], p.Resubmissions)
-	}
-	return b.String()
 }

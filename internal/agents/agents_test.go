@@ -1,14 +1,17 @@
 package agents
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/agent"
 	"repro/internal/cluster"
+	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/notify"
+	"repro/internal/ontology"
 	"repro/internal/simclock"
 	"repro/internal/svc"
 )
@@ -182,10 +185,7 @@ func TestStatusAgentGeneratesDLSP(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Run(r.sim)
-	p, err := ReadLocalDLSP(r.host.FS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := r.localDLSP(t)
 	if p.Server != "db001" || p.CPUs != 8 {
 		t.Errorf("dlsp: %+v", p)
 	}
@@ -200,16 +200,31 @@ func TestStatusAgentGeneratesDLSP(t *testing.T) {
 	s.Crash()
 	r.sim.RunUntil(r.sim.Now() + simclock.Minute)
 	a.Run(r.sim)
-	p, _ = ReadLocalDLSP(r.host.FS)
+	p = r.localDLSP(t)
 	if p.Service("ORA-01").State != "crashed" {
 		t.Errorf("state = %s", p.Service("ORA-01").State)
 	}
 }
 
+// localDLSP decodes the profile the status agent last stored on the rig's
+// host.
+func (r *rig) localDLSP(t *testing.T) *ontology.DLSP {
+	t.Helper()
+	lines, err := r.host.FS.ReadLines(DLSPPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &ontology.DLSP{}
+	if err := ontology.DecodeDLSPTextInto(p, strings.Join(lines, "\n")); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestPerformanceAgentKillsHog(t *testing.T) {
 	r := newRig(t)
 	r.oracle(t)
-	a, err := NewPerformanceAgent(r.cfg(), PerfConfig{})
+	a, err := NewPerformanceAgent(r.cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +250,7 @@ func TestPerformanceAgentKillsHog(t *testing.T) {
 func TestPerformanceAgentNeverKillsServiceProcs(t *testing.T) {
 	r := newRig(t)
 	s := r.oracle(t)
-	a, _ := NewPerformanceAgent(r.cfg(), PerfConfig{})
+	a, _ := NewPerformanceAgent(r.cfg())
 	// Saturate using a *service* process (big database workload).
 	p := r.host.Spawn("ora_huge_query", "oracle", "", 9, 100)
 	a.Run(r.sim)
@@ -250,7 +265,7 @@ func TestPerformanceAgentNeverKillsServiceProcs(t *testing.T) {
 func TestPerformanceAgentKillsLeaker(t *testing.T) {
 	r := newRig(t)
 	r.oracle(t)
-	a, _ := NewPerformanceAgent(r.cfg(), PerfConfig{})
+	a, _ := NewPerformanceAgent(r.cfg())
 	leak := r.host.Spawn("leak_model", "analyst3", "", 0.1, 7000) // 7 GB of 8 GB
 	a.Run(r.sim)
 	if r.host.Proc(leak.PID) != nil {
@@ -260,8 +275,14 @@ func TestPerformanceAgentKillsLeaker(t *testing.T) {
 
 func TestPerformanceAgentWritesCircularLogs(t *testing.T) {
 	r := newRig(t)
-	a, _ := NewPerformanceAgent(r.cfg(), PerfConfig{LogLines: 5})
-	for i := 0; i < 8; i++ {
+	a, _ := NewPerformanceAgent(r.cfg())
+	// Three runs past the cap: the oldest kept line is the fourth run's.
+	const runs = perfLogLines + 3
+	var oldest simclock.Time
+	for i := 0; i < runs; i++ {
+		if i == runs-perfLogLines {
+			oldest = r.sim.Now()
+		}
 		a.Run(r.sim)
 		r.sim.RunUntil(r.sim.Now() + simclock.Minute)
 	}
@@ -269,17 +290,17 @@ func TestPerformanceAgentWritesCircularLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 5 {
-		t.Errorf("circular log length = %d, want 5", len(lines))
+	if len(lines) != perfLogLines {
+		t.Fatalf("circular log length = %d, want %d", len(lines), perfLogLines)
 	}
-	if !strings.Contains(lines[0], "sr=") {
-		t.Errorf("log format: %s", lines[0])
+	if want := strconv.FormatInt(int64(oldest), 10) + "|sr="; !strings.HasPrefix(lines[0], want) {
+		t.Errorf("oldest kept line = %s, want it to start %s", lines[0], want)
 	}
 }
 
 func TestCPUAgentKillsRunaway(t *testing.T) {
 	r := newRig(t)
-	a, err := NewCPUAgent(r.cfg(), nil)
+	a, err := NewCPUAgent(r.cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +313,7 @@ func TestCPUAgentKillsRunaway(t *testing.T) {
 
 func TestMemoryAgentKillsLeaker(t *testing.T) {
 	r := newRig(t)
-	a, err := NewMemoryAgent(r.cfg(), nil)
+	a, err := NewMemoryAgent(r.cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +326,7 @@ func TestMemoryAgentKillsLeaker(t *testing.T) {
 
 func TestDiskAgentWarnsOnly(t *testing.T) {
 	r := newRig(t)
-	a, err := NewDiskAgent(r.cfg(), nil)
+	a, err := NewDiskAgent(r.cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +346,7 @@ func TestNetworkAgentEscalatesLinkFault(t *testing.T) {
 	pub := netsim.New(r.sim, "public", simclock.Second, 0)
 	priv.Attach("db001", nil)
 	pub.Attach("db001", nil)
-	a, err := NewNetworkAgent(r.cfg(), nil, priv, pub)
+	a, err := NewNetworkAgent(r.cfg(), priv, pub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +367,7 @@ func TestNetworkAgentEscalatesLinkFault(t *testing.T) {
 
 func TestNetworkAgentNICErrors(t *testing.T) {
 	r := newRig(t)
-	a, _ := NewNetworkAgent(r.cfg(), nil)
+	a, _ := NewNetworkAgent(r.cfg())
 	r.host.InjectNICErrors(25)
 	a.Run(r.sim)
 	if len(r.detected) != 1 || r.detected[0] != AspectNet {
@@ -381,7 +402,7 @@ func TestServiceAgentWithRegistry(t *testing.T) {
 	r := newRig(t)
 	s := r.oracle(t)
 	led := metrics.NewLedger()
-	bridge := NewRegistryBridge(led)
+	bridge := &RegistryBridge{Reg: faultinject.NewRegistry(led)}
 	cfg := r.cfg()
 	cfg.Detected = bridge.Detected(r.host.Name)
 	cfg.Repaired = bridge.Repaired(r.host.Name)

@@ -2,7 +2,6 @@ package agents
 
 import (
 	"repro/internal/faultinject"
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -11,11 +10,6 @@ import (
 // bridge serves the whole deployment; hooks are minted per host.
 type RegistryBridge struct {
 	Reg *faultinject.Registry
-}
-
-// NewRegistryBridge wraps a registry over the given ledger.
-func NewRegistryBridge(ledger *metrics.Ledger) *RegistryBridge {
-	return &RegistryBridge{Reg: faultinject.NewRegistry(ledger)}
 }
 
 // Detected returns the detection hook for agents installed on host.

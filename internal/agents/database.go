@@ -22,13 +22,11 @@ import (
 // This agent measures and reports; repair of a broken database belongs to
 // the service agent (the two run in parallel and do not depend on each
 // other, as the paper's agents do).
-func NewDatabaseAgent(cfg agent.Config, db *svc.Service, b *diagnose.Baseline) (*agent.Agent, error) {
+func NewDatabaseAgent(cfg agent.Config, db *svc.Service) (*agent.Agent, error) {
 	if db.Spec.Kind != svc.KindOracle && db.Spec.Kind != svc.KindSybase {
 		return nil, fmt.Errorf("agents: database agent wants a database, got %s", db.Spec.Kind)
 	}
-	if b == nil {
-		b = diagnose.DefaultDBBaseline()
-	}
+	b := diagnose.DefaultDBBaseline()
 	host := cfg.Host
 	if host == nil {
 		cfg.Host = db.Host

@@ -11,7 +11,7 @@ import (
 func TestDatabaseAgentMeasures(t *testing.T) {
 	r := newRig(t)
 	db := r.oracle(t)
-	a, err := NewDatabaseAgent(r.cfg(), db, nil)
+	a, err := NewDatabaseAgent(r.cfg(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDatabaseAgentRejectsNonDatabase(t *testing.T) {
 	r := newRig(t)
 	web, _ := svc.New(r.sim, svc.WebSpec("WEB-01", 80), r.host)
 	r.dir.Add(web)
-	if _, err := NewDatabaseAgent(r.cfg(), web, nil); err == nil {
+	if _, err := NewDatabaseAgent(r.cfg(), web); err == nil {
 		t.Error("web server should be rejected")
 	}
 }
@@ -40,7 +40,7 @@ func TestDatabaseAgentRejectsNonDatabase(t *testing.T) {
 func TestDatabaseAgentThresholdAlert(t *testing.T) {
 	r := newRig(t)
 	db := r.oracle(t)
-	a, _ := NewDatabaseAgent(r.cfg(), db, nil)
+	a, _ := NewDatabaseAgent(r.cfg(), db)
 	// Load the host until connect/request times blow past the DBA
 	// baseline (connect > 5s needs heavy contention).
 	r.host.Spawn("batch1", "analyst1", "", 7.7, 100)
@@ -59,7 +59,7 @@ func TestDatabaseAgentThresholdAlert(t *testing.T) {
 func TestDatabaseAgentStandsAsideWhenDown(t *testing.T) {
 	r := newRig(t)
 	db := r.oracle(t)
-	a, _ := NewDatabaseAgent(r.cfg(), db, nil)
+	a, _ := NewDatabaseAgent(r.cfg(), db)
 	db.Crash()
 	a.Run(r.sim)
 	if a.Counters().Findings != 0 {

@@ -16,11 +16,9 @@ import (
 // repairs them itself. It does handle the one network action the agents do
 // perform: noticing the private intelliagent network is unusable (the
 // Router fails over automatically; the agent records that it happened).
-func NewNetworkAgent(cfg agent.Config, b *diagnose.Baseline, nets ...*netsim.Network) (*agent.Agent, error) {
+func NewNetworkAgent(cfg agent.Config, nets ...*netsim.Network) (*agent.Agent, error) {
 	host := cfg.Host
-	if b == nil {
-		b = diagnose.DefaultNetBaseline()
-	}
+	b := diagnose.DefaultNetBaseline()
 	cfg.Name = "network-" + host.Name
 	cfg.Category = agent.CatOSNetwork
 	cfg.Parts = agent.Parts{

@@ -17,12 +17,13 @@ import (
 // first by server name and then by measurement group (§3.5).
 func PerfLogDir(host string) string { return "/logs/performance/" + host }
 
-// PerfConfig tunes the performance intelliagent.
-type PerfConfig struct {
-	OSBaseline  *diagnose.Baseline
-	LogLines    int     // circular-queue length per measurement file
-	HogFraction float64 // a process demanding more than this fraction of the host's CPUs is a runaway
-}
+const (
+	// perfLogLines is the circular-queue length of each measurement file.
+	perfLogLines = 1000
+	// hogFraction: a process demanding more than this fraction of the
+	// host's CPUs is a runaway.
+	hogFraction = 0.5
+)
 
 // NewPerformanceAgent builds the performance intelliagent for a host: each
 // run it samples the operating-system, disk and process measurement groups
@@ -32,24 +33,16 @@ type PerfConfig struct {
 // troubleshooting capability is exactly what the paper grants it: it can
 // identify and kill runaway user processes (CPU hogs and memory leakers);
 // anything else it reports.
-func NewPerformanceAgent(cfg agent.Config, pc PerfConfig) (*agent.Agent, error) {
+func NewPerformanceAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
-	if pc.OSBaseline == nil {
-		pc.OSBaseline = diagnose.DefaultOSBaseline(host.Model)
-	}
-	if pc.LogLines == 0 {
-		pc.LogLines = 1000
-	}
-	if pc.HogFraction == 0 {
-		pc.HogFraction = 0.5
-	}
+	osBaseline := diagnose.DefaultOSBaseline(host.Model)
 	dir := PerfLogDir(host.Name)
 	logs := map[string]*fsim.CircLog{}
 	logFor := func(group string) *fsim.CircLog {
 		if l, ok := logs[group]; ok {
 			return l
 		}
-		l, _ := fsim.NewCircLog(host.FS, dir+"/"+group+".log", pc.LogLines)
+		l, _ := fsim.NewCircLog(host.FS, dir+"/"+group+".log", perfLogLines)
 		logs[group] = l
 		return l
 	}
@@ -87,7 +80,7 @@ func NewPerformanceAgent(cfg agent.Config, pc PerfConfig) (*agent.Agent, error) 
 
 			var out []agent.Finding
 			check := func(aspect string, v float64) {
-				if msg, bad := pc.OSBaseline.Check(aspect, v); bad {
+				if msg, bad := osBaseline.Check(aspect, v); bad {
 					sev := agent.SevWarning
 					out = append(out, agent.Finding{Aspect: aspect, Severity: sev, Detail: msg, Metric: v})
 					if rc.Notify != nil && admin != "" {
@@ -107,7 +100,7 @@ func NewPerformanceAgent(cfg agent.Config, pc PerfConfig) (*agent.Agent, error) 
 
 			// Runaway detection upgrades the generic threshold warnings to
 			// an actionable fault with the aspect the registry knows.
-			if hog := findRunaway(ps, host, pc.HogFraction); hog != nil {
+			if hog := findRunaway(ps, host, hogFraction); hog != nil {
 				out = append(out, agent.Finding{
 					Aspect: AspectHog, Severity: agent.SevFault,
 					Detail: fmt.Sprintf("runaway process %d (%s) using %.1f CPUs", hog.PID, hog.Name, hog.CPUDemand),

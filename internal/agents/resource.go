@@ -17,11 +17,9 @@ import (
 
 // NewCPUAgent watches the run queue and idle time (§3.6 measurements 2–3)
 // and kills runaway processes when the CPU constraint trips.
-func NewCPUAgent(cfg agent.Config, b *diagnose.Baseline) (*agent.Agent, error) {
+func NewCPUAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
-	if b == nil {
-		b = diagnose.DefaultOSBaseline(host.Model)
-	}
+	b := diagnose.DefaultOSBaseline(host.Model)
 	cfg.Name = "cpu-" + host.Name
 	cfg.Category = agent.CatResource
 	cfg.Parts = agent.Parts{
@@ -35,7 +33,7 @@ func NewCPUAgent(cfg agent.Config, b *diagnose.Baseline) (*agent.Agent, error) {
 				out = append(out, agent.Finding{Aspect: "cpu.idlepct", Severity: agent.SevWarning, Detail: msg, Metric: vm.CPUIdlePct})
 			}
 			if len(out) > 0 {
-				if hog := findRunaway(host.PS(), host, 0.5); hog != nil {
+				if hog := findRunaway(host.PS(), host, hogFraction); hog != nil {
 					out = append(out, agent.Finding{Aspect: AspectHog, Severity: agent.SevFault,
 						Detail: fmt.Sprintf("runaway pid %d (%s)", hog.PID, hog.Name), Metric: float64(hog.PID)})
 				}
@@ -59,11 +57,9 @@ func NewCPUAgent(cfg agent.Config, b *diagnose.Baseline) (*agent.Agent, error) {
 // NewMemoryAgent watches scan rate, page-outs and free memory (§3.6
 // measurement 1) and kills the leaking process when pressure has an
 // identifiable culprit.
-func NewMemoryAgent(cfg agent.Config, b *diagnose.Baseline) (*agent.Agent, error) {
+func NewMemoryAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
-	if b == nil {
-		b = diagnose.DefaultOSBaseline(host.Model)
-	}
+	b := diagnose.DefaultOSBaseline(host.Model)
 	cfg.Name = "memory-" + host.Name
 	cfg.Category = agent.CatResource
 	cfg.Parts = agent.Parts{
@@ -109,11 +105,9 @@ func NewMemoryAgent(cfg agent.Config, b *diagnose.Baseline) (*agent.Agent, error
 // NewDiskAgent watches service times (§3.6 measurement 6). Disks it cannot
 // fix; sustained saturation is reported for human capacity planning, so its
 // findings stay warnings unless a runaway I/O producer is identifiable.
-func NewDiskAgent(cfg agent.Config, b *diagnose.Baseline) (*agent.Agent, error) {
+func NewDiskAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
-	if b == nil {
-		b = diagnose.DefaultOSBaseline(host.Model)
-	}
+	b := diagnose.DefaultOSBaseline(host.Model)
 	cfg.Name = "disk-" + host.Name
 	cfg.Category = agent.CatResource
 	cfg.Parts = agent.Parts{

@@ -85,15 +85,3 @@ func NewStatusAgent(cfg agent.Config) (*agent.Agent, error) {
 	}
 	return agent.New(cfg)
 }
-
-// ReadLocalDLSP loads the profile the status agent last generated on a
-// host's filesystem.
-func ReadLocalDLSP(fs interface {
-	ReadLines(string) ([]string, error)
-}) (*ontology.DLSP, error) {
-	lines, err := fs.ReadLines(DLSPPath)
-	if err != nil {
-		return nil, err
-	}
-	return ontology.DecodeDLSP(lines)
-}

@@ -271,9 +271,6 @@ func TestCPUAccounting(t *testing.T) {
 	if h.RunQueue() != 2 {
 		t.Errorf("run queue = %d, want 2", h.RunQueue())
 	}
-	if !h.Overloaded() {
-		t.Error("host should be overloaded")
-	}
 }
 
 func TestHungProcessUsesNoCPU(t *testing.T) {

@@ -506,11 +506,6 @@ func (h *Host) MemUsedMB() float64 {
 // MemFreeMB reports free memory.
 func (h *Host) MemFreeMB() float64 { return float64(h.Model.MemoryMB) - h.MemUsedMB() }
 
-// Overloaded reports whether utilisation exceeds the model's maximum
-// sustainable load, the condition under which the paper says databases
-// crash mid-job.
-func (h *Host) Overloaded() bool { return h.CPUUtilisation() > h.Model.MaxLoad }
-
 func (h *Host) String() string {
 	return fmt.Sprintf("%s (%s, %s, %s) %s", h.Name, h.IP, h.Model.Name, h.Role, h.state)
 }

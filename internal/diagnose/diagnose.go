@@ -10,8 +10,6 @@ package diagnose
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Constraint bounds one measured aspect. A measurement violates the
@@ -31,18 +29,17 @@ func (c Constraint) String() string {
 }
 
 // Baseline is a set of constraints for one server/application combination,
-// set with expert help and adjusted from observation (§3.6: "every time a
+// set with expert help (§3.6). The paper's tuning loop ("every time a
 // baseline setting was not proven to be correct, we adjusted it
-// accordingly").
+// accordingly") is administrator work outside the measured year, so the
+// simulated agents run the tuned tables as fixed ones.
 type Baseline struct {
 	byAspect map[string]Constraint
-	// Adjustments counts how often each aspect's bounds were corrected.
-	Adjustments map[string]int
 }
 
 // NewBaseline returns an empty baseline.
 func NewBaseline() *Baseline {
-	return &Baseline{byAspect: make(map[string]Constraint), Adjustments: make(map[string]int)}
+	return &Baseline{byAspect: make(map[string]Constraint)}
 }
 
 // Set installs or replaces a constraint.
@@ -54,16 +51,6 @@ func (b *Baseline) Get(aspect string) (Constraint, bool) {
 	return c, ok
 }
 
-// Aspects lists constrained aspects, sorted.
-func (b *Baseline) Aspects() []string {
-	out := make([]string, 0, len(b.byAspect))
-	for a := range b.byAspect {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Check evaluates a measurement; it returns a violation description and
 // true when the constraint is broken.
 func (b *Baseline) Check(aspect string, v float64) (string, bool) {
@@ -72,62 +59,6 @@ func (b *Baseline) Check(aspect string, v float64) (string, bool) {
 		return "", false
 	}
 	return fmt.Sprintf("%s=%g outside [%g, %g] %s", aspect, v, c.Min, c.Max, c.Unit), true
-}
-
-// Adjust widens the constraint to admit v (the observed-correct value) and
-// records the adjustment, mirroring the paper's baseline tuning loop.
-func (b *Baseline) Adjust(aspect string, v float64) {
-	c, ok := b.byAspect[aspect]
-	if !ok {
-		return
-	}
-	if v < c.Min {
-		c.Min = v
-	}
-	if v > c.Max {
-		c.Max = v
-	}
-	b.byAspect[aspect] = c
-	b.Adjustments[aspect]++
-}
-
-// Encode renders the baseline as a flat constraint table:
-//
-//	limit|aspect|min|max|unit
-func (b *Baseline) Encode() []string {
-	lines := []string{"# baseline constraint table"}
-	for _, a := range b.Aspects() {
-		c := b.byAspect[a]
-		lines = append(lines, fmt.Sprintf("limit|%s|%g|%g|%s", c.Aspect, c.Min, c.Max, c.Unit))
-	}
-	return lines
-}
-
-// DecodeBaseline parses lines produced by Encode.
-func DecodeBaseline(lines []string) (*Baseline, error) {
-	b := NewBaseline()
-	for i, line := range lines {
-		t := strings.TrimSpace(line)
-		if t == "" || strings.HasPrefix(t, "#") {
-			continue
-		}
-		f := strings.Split(t, "|")
-		if len(f) != 5 || f[0] != "limit" {
-			return nil, fmt.Errorf("diagnose: baseline line %d malformed: %q", i+1, line)
-		}
-		var c Constraint
-		c.Aspect = f[1]
-		var err error
-		if c.Min, err = strconv.ParseFloat(f[2], 64); err != nil {
-			return nil, fmt.Errorf("diagnose: baseline line %d bad min: %q", i+1, f[2])
-		}
-		if c.Max, err = strconv.ParseFloat(f[3], 64); err != nil {
-			return nil, fmt.Errorf("diagnose: baseline line %d bad max: %q", i+1, f[3])
-		}
-		c.Unit = f[4]
-		b.Set(c)
-	}
-	return b, nil
 }
 
 // Evidence is what the diagnosing part gathered: numeric observations
@@ -175,12 +106,6 @@ func (e *Evidence) Holds(key string) bool { return e.facts[key] }
 func (e *Evidence) Above(key string, x float64) bool {
 	v, ok := e.values[key]
 	return ok && v > x
-}
-
-// Below reports whether a recorded value is under x.
-func (e *Evidence) Below(key string, x float64) bool {
-	v, ok := e.values[key]
-	return ok && v < x
 }
 
 // Lines renders the evidence deterministically for decision traces:
@@ -238,17 +163,6 @@ func NewEngine(rules ...Rule) *Engine {
 	sort.SliceStable(e.rules, func(i, j int) bool { return e.rules[i].Priority > e.rules[j].Priority })
 	return e
 }
-
-// AddRule inserts a rule, keeping priority order. The paper grows this set
-// over time: "every time a fault was dealt with manually, we added a new
-// troubleshooting procedure to the intelliagent source code".
-func (e *Engine) AddRule(r Rule) {
-	e.rules = append(e.rules, r)
-	sort.SliceStable(e.rules, func(i, j int) bool { return e.rules[i].Priority > e.rules[j].Priority })
-}
-
-// Len reports the number of rules.
-func (e *Engine) Len() int { return len(e.rules) }
 
 // Diagnose evaluates the evidence and returns conclusions in priority
 // order. With no matching rule it returns nil — the fault is obscure and

@@ -1,7 +1,6 @@
 package diagnose
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -32,70 +31,6 @@ func TestBaselineCheck(t *testing.T) {
 	}
 }
 
-func TestBaselineAdjust(t *testing.T) {
-	b := NewBaseline()
-	b.Set(Constraint{Aspect: "x", Min: 0, Max: 10})
-	b.Adjust("x", 15)
-	if _, bad := b.Check("x", 15); bad {
-		t.Error("adjusted bound should admit the value")
-	}
-	if b.Adjustments["x"] != 1 {
-		t.Errorf("adjustments = %v", b.Adjustments)
-	}
-	b.Adjust("x", -5)
-	if _, bad := b.Check("x", -5); bad {
-		t.Error("adjusted lower bound should admit the value")
-	}
-	b.Adjust("ghost", 1) // no-op
-	if b.Adjustments["ghost"] != 0 {
-		t.Error("adjusting unknown aspect should not record")
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	b := NewBaseline()
-	b.Set(Constraint{Aspect: "memory.scanrate", Min: 0, Max: 200, Unit: "pages/s"})
-	b.Set(Constraint{Aspect: "disk.asvc", Min: 0, Max: 50.5, Unit: "ms"})
-	got, err := DecodeBaseline(b.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range b.Aspects() {
-		want, _ := b.Get(a)
-		have, ok := got.Get(a)
-		if !ok || have != want {
-			t.Errorf("aspect %s: want %v got %v %v", a, want, have, ok)
-		}
-	}
-}
-
-func TestDecodeBaselineErrors(t *testing.T) {
-	for _, line := range []string{
-		"limit|x|a|1|u",
-		"limit|cpu.idlepct|5abc|10x|pct", // trailing garbage in both bounds
-		"limit|cpu.idlepct|5|10x|pct",
-		"limit|cpu.idlepct| 5|10|pct",
-		"limit|cpu.idlepct|5||pct",
-	} {
-		if _, err := DecodeBaseline([]string{line}); err == nil {
-			t.Errorf("bad bound should fail: %q", line)
-		}
-	}
-	b, err := DecodeBaseline([]string{"limit|disk.asvc|-0.5|+Inf|ms"})
-	if err != nil {
-		t.Fatalf("%%g-rendered bounds should parse: %v", err)
-	}
-	if c, ok := b.Get("disk.asvc"); !ok || c.Min != -0.5 || !math.IsInf(c.Max, 1) {
-		t.Errorf("decoded %+v", c)
-	}
-	if _, err := DecodeBaseline([]string{"nonsense"}); err == nil {
-		t.Error("malformed line should fail")
-	}
-	if _, err := DecodeBaseline([]string{"# comment", ""}); err != nil {
-		t.Errorf("comments should parse: %v", err)
-	}
-}
-
 func TestDefaultBaselinesScale(t *testing.T) {
 	big := DefaultOSBaseline(cluster.ModelE10K)
 	small := DefaultOSBaseline(cluster.ModelUltra10)
@@ -109,8 +44,8 @@ func TestDefaultBaselinesScale(t *testing.T) {
 	if mb.Min <= ms.Min {
 		t.Error("free memory floor should scale with RAM")
 	}
-	if DefaultNetBaseline().Aspects()[0] != "net.collisions" {
-		t.Error("net baseline missing")
+	if _, ok := DefaultNetBaseline().Get("net.errors"); !ok {
+		t.Error("net baseline missing errors constraint")
 	}
 	if _, ok := DefaultDBBaseline().Get("db.connect"); !ok {
 		t.Error("db baseline missing connect constraint")
@@ -133,9 +68,6 @@ func TestEvidence(t *testing.T) {
 	}
 	if !ev.Above("scanrate", 800) || ev.Above("scanrate", 1000) || ev.Above("missing", 0) {
 		t.Error("Above broken")
-	}
-	if !ev.Below("scanrate", 1000) || ev.Below("missing", 1e9) {
-		t.Error("Below broken")
 	}
 	if len(ev.Notes) != 1 || !strings.Contains(ev.Notes[0], "ORA-600") {
 		t.Errorf("notes = %v", ev.Notes)
@@ -171,18 +103,6 @@ func TestEngineNoMatch(t *testing.T) {
 	}
 }
 
-func TestEngineAddRule(t *testing.T) {
-	e := NewEngine(Rule{Name: "base", Priority: 1, When: func(*Evidence) bool { return true }, Cause: "c", Action: "a"})
-	e.AddRule(Rule{Name: "learned", Priority: 5, When: func(ev *Evidence) bool { return ev.Holds("new-fault") }, Cause: "nc", Action: "na"})
-	if e.Len() != 2 {
-		t.Errorf("len = %d", e.Len())
-	}
-	got := e.Diagnose(NewEvidence().Fact("new-fault", true))
-	if len(got) != 1 || got[0].Rule != "learned" {
-		t.Errorf("learned rule should win: %v", got)
-	}
-}
-
 // Property: a constraint admits exactly the closed interval [Min, Max].
 func TestQuickConstraintInterval(t *testing.T) {
 	f := func(min, max, v float64) bool {
@@ -194,20 +114,6 @@ func TestQuickConstraintInterval(t *testing.T) {
 		return c.Violated(v) == !inRange
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: baseline Adjust always makes the adjusted value admissible.
-func TestQuickAdjustAdmits(t *testing.T) {
-	f := func(v float64) bool {
-		b := NewBaseline()
-		b.Set(Constraint{Aspect: "x", Min: -1, Max: 1})
-		b.Adjust("x", v)
-		_, bad := b.Check("x", v)
-		return !bad
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

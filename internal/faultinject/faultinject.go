@@ -273,11 +273,10 @@ type Spec struct {
 // the domain draw. The injector's tier argument is "" for a site-wide
 // arrival, else the tier the arrival must land on.
 type Campaign struct {
-	sim        *simclock.Sim
-	rng        *simclock.Rand
-	inject     func(cat metrics.Category, tier string, now simclock.Time)
-	counts     map[metrics.Category]int
-	tierCounts map[string]int // "tier/category" -> injections
+	sim    *simclock.Sim
+	rng    *simclock.Rand
+	inject func(cat metrics.Category, tier string, now simclock.Time)
+	counts map[metrics.Category]int
 	// Trace, when non-nil, records every arrival: a record of the run,
 	// which the seed, specs and start time already fix.
 	Trace *trace.Recorder
@@ -288,22 +287,15 @@ type Campaign struct {
 // time, whatever the injector draws or schedules. Replay rests on this.
 func NewCampaign(sim *simclock.Sim, inject func(cat metrics.Category, tier string, now simclock.Time)) *Campaign {
 	return &Campaign{
-		sim:        sim,
-		rng:        sim.Rand().Fork(0xfa01),
-		inject:     inject,
-		counts:     make(map[metrics.Category]int),
-		tierCounts: make(map[string]int),
+		sim:    sim,
+		rng:    sim.Rand().Fork(0xfa01),
+		inject: inject,
+		counts: make(map[metrics.Category]int),
 	}
 }
 
 // Injections reports how many faults of a category have been injected.
 func (c *Campaign) Injections(cat metrics.Category) int { return c.counts[cat] }
-
-// TierInjections reports how many of a category's faults were scoped to
-// the named tier (zero for campaigns without domain-scoped specs).
-func (c *Campaign) TierInjections(tier string, cat metrics.Category) int {
-	return c.tierCounts[tier+"/"+string(cat)]
-}
 
 // Start schedules the first arrival of every spec. Arrivals repeat until
 // the simulation ends. A domain-scoped spec whose weights are all zero is
@@ -357,9 +349,6 @@ func (c *Campaign) scheduleNext(s Spec) {
 	c.sim.Schedule(at, "fault:"+string(s.Category), func(now simclock.Time) {
 		c.Trace.Arrival(now, string(s.Category), tier)
 		c.counts[s.Category]++
-		if tier != "" {
-			c.tierCounts[tier+"/"+string(s.Category)]++
-		}
 		c.inject(s.Category, tier, now)
 		c.scheduleNext(s)
 	})

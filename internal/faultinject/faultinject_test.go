@@ -228,9 +228,6 @@ func TestCampaignDomainWeights(t *testing.T) {
 	if ratio := float64(web) / float64(db); ratio < 2 || ratio > 4.5 {
 		t.Errorf("3:1 weighting produced %d:%d (ratio %.2f)", web, db, ratio)
 	}
-	if got := c.TierInjections("web", metrics.CatHuman); got != web {
-		t.Errorf("TierInjections(web) = %d, observed %d", got, web)
-	}
 }
 
 // TestCampaignDomainBlackout: arrivals for a blacked-out domain slide

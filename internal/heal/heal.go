@@ -93,18 +93,6 @@ func RestartStack(sim *simclock.Sim, dir *svc.Directory, root *svc.Service, onAl
 // KillProcess kills one process by PID, reporting success.
 func KillProcess(h *cluster.Host, pid int) bool { return h.Kill(pid) }
 
-// KillByName kills every process with the given name; it returns the count
-// killed (the fix for runaway user processes the performance agents find).
-func KillByName(h *cluster.Host, name string) int {
-	n := 0
-	for _, p := range h.PGrep(name) {
-		if h.Kill(p.PID) {
-			n++
-		}
-	}
-	return n
-}
-
 // RebootHost boots a down host and restarts the given services when it
 // comes up. Hosts with hardware faults do not boot; the caller must check.
 func RebootHost(sim *simclock.Sim, h *cluster.Host, bootTime simclock.Time, services []*svc.Service, onUp func(now simclock.Time)) {

@@ -149,22 +149,6 @@ func TestRestartStackAllHealthyCallsBack(t *testing.T) {
 	}
 }
 
-func TestKillByName(t *testing.T) {
-	r := newRig(t)
-	r.host.Spawn("runaway", "analyst", "", 6, 100)
-	r.host.Spawn("runaway", "analyst", "", 6, 100)
-	r.host.Spawn("innocent", "analyst", "", 0.1, 10)
-	if n := KillByName(r.host, "runaway"); n != 2 {
-		t.Errorf("killed %d", n)
-	}
-	if len(r.host.PGrep("innocent")) != 1 {
-		t.Error("innocent process killed")
-	}
-	if KillByName(r.host, "runaway") != 0 {
-		t.Error("second sweep should kill nothing")
-	}
-}
-
 func TestKillProcess(t *testing.T) {
 	r := newRig(t)
 	p := r.host.Spawn("x", "u", "", 0, 1)

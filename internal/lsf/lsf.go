@@ -341,16 +341,6 @@ func (c *Cluster) Requeue(id int, server string) error {
 	return nil
 }
 
-// TimeLeft reports the remaining run time of a running job (the agents
-// check "the time batch jobs had left to complete").
-func (c *Cluster) TimeLeft(id int) (simclock.Time, bool) {
-	j := c.jobs[id]
-	if j == nil || j.State != JobRunning || j.finishEv == nil {
-		return 0, false
-	}
-	return j.finishEv.At() - c.sim.Now(), true
-}
-
 // CountByState tallies jobs per state (bjobs summary).
 func (c *Cluster) CountByState() map[JobState]int {
 	out := make(map[JobState]int)

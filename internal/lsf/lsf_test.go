@@ -54,13 +54,12 @@ func TestSubmitAndComplete(t *testing.T) {
 	if len(host.PGrep("lsf_job_risk-calc")) != 1 {
 		t.Error("job process missing from host")
 	}
-	left, ok := r.lsf.TimeLeft(j.ID)
-	if !ok || left <= 0 {
-		t.Errorf("TimeLeft = %v %v", left, ok)
-	}
 	r.sim.RunUntil(r.sim.Now() + 3*simclock.Hour)
 	if j.State != JobDone {
 		t.Fatalf("job state = %s (%s)", j.State, j.FailReason)
+	}
+	if j.FinishedAt <= j.StartedAt {
+		t.Errorf("job finished at %v, started at %v", j.FinishedAt, j.StartedAt)
 	}
 	if r.lsf.Completed != 1 || r.lsf.RunningOn("ORA-A") != 0 {
 		t.Error("completion accounting broken")
@@ -206,9 +205,11 @@ func TestPowerAffectsRuntime(t *testing.T) {
 	c.SetSlotLimit("SLOW", 4)
 	jf := c.Submit("a", "u", "FAST", 0.5, 64, 0, simclock.Hour)
 	js := c.Submit("b", "u", "SLOW", 0.5, 64, 0, simclock.Hour)
-	lf, _ := c.TimeLeft(jf.ID)
-	ls, _ := c.TimeLeft(js.ID)
-	if lf >= ls {
+	sim.RunUntil(sim.Now() + 4*simclock.Hour)
+	if jf.State != JobDone || js.State != JobDone {
+		t.Fatalf("job states = %s, %s", jf.State, js.State)
+	}
+	if lf, ls := jf.FinishedAt-jf.StartedAt, js.FinishedAt-js.StartedAt; lf >= ls {
 		t.Errorf("fast server should finish sooner: fast=%v slow=%v", lf, ls)
 	}
 }

@@ -143,17 +143,6 @@ func (l *Ledger) Resolve(inc *Incident, now simclock.Time, by string) {
 // Incidents returns all incidents in open order.
 func (l *Ledger) Incidents() []*Incident { return l.incidents }
 
-// Open incidents (unresolved), oldest first.
-func (l *Ledger) OpenIncidents() []*Incident {
-	var out []*Incident
-	for _, inc := range l.incidents {
-		if !inc.Resolved {
-			out = append(out, inc)
-		}
-	}
-	return out
-}
-
 // Count reports total incidents in a category.
 func (l *Ledger) Count(cat Category) int {
 	n := 0

@@ -73,17 +73,6 @@ func TestDowntimeByCategory(t *testing.T) {
 	}
 }
 
-func TestOpenIncidents(t *testing.T) {
-	l := NewLedger()
-	a := l.Open(CatHuman, "h", "", "", 0)
-	l.Open(CatHuman, "h2", "", "", 0)
-	l.Resolve(a, simclock.Hour, "x")
-	open := l.OpenIncidents()
-	if len(open) != 1 || open[0].Host != "h2" {
-		t.Errorf("open = %v", open)
-	}
-}
-
 func TestDetectionLatenciesAndMTTRs(t *testing.T) {
 	l := NewLedger()
 	for i, lat := range []simclock.Time{5 * simclock.Minute, 2 * simclock.Minute, 9 * simclock.Minute} {
@@ -164,8 +153,8 @@ func TestSeries(t *testing.T) {
 	if s.Max() != 1.1 || s.Min() != 0.33 {
 		t.Errorf("max=%v min=%v", s.Max(), s.Min())
 	}
-	if got := s.Values(); len(got) != 3 || got[2] != 1.1 {
-		t.Errorf("values = %v", got)
+	if got := s.Points; len(got) != 3 || got[2] != (Point{T: simclock.Hour, V: 1.1}) {
+		t.Errorf("points = %v", got)
 	}
 }
 

@@ -28,15 +28,6 @@ func (s *Series) Add(t simclock.Time, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
 
-// Values returns just the sample values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}
-
 // Mean reports the mean sample value (zero for an empty series).
 func (s *Series) Mean() float64 {
 	if len(s.Points) == 0 {

@@ -33,26 +33,18 @@ func (n Notification) String() string {
 	return fmt.Sprintf("[%v] %s %s -> %s: %s", n.At, n.Channel, n.From, n.To, n.Subject)
 }
 
-// Bus records notifications and fans them out to subscribers (the operator
-// model subscribes to react to pages).
+// Bus records notifications.
 type Bus struct {
 	sim  *simclock.Sim
 	sent []Notification
-	subs []func(Notification)
 }
 
 // NewBus returns an empty bus.
 func NewBus(sim *simclock.Sim) *Bus { return &Bus{sim: sim} }
 
-// Reset drops all recorded notifications and subscribers, returning the
-// bus to the state NewBus gives it. Site reuse calls this between trials.
-func (b *Bus) Reset() {
-	b.sent = b.sent[:0]
-	b.subs = nil
-}
-
-// Subscribe registers a callback invoked for every future notification.
-func (b *Bus) Subscribe(fn func(Notification)) { b.subs = append(b.subs, fn) }
+// Reset drops all recorded notifications, returning the bus to the state
+// NewBus gives it. Site reuse calls this between trials.
+func (b *Bus) Reset() { b.sent = b.sent[:0] }
 
 // Send delivers a notification immediately (delivery latency is negligible
 // against the paper's hour-scale dynamics).
@@ -62,9 +54,6 @@ func (b *Bus) Send(ch Channel, from, to, subject, body, tag string) Notification
 		Subject: subject, Body: body, Tag: tag,
 	}
 	b.sent = append(b.sent, n)
-	for _, fn := range b.subs {
-		fn(n)
-	}
 	return n
 }
 

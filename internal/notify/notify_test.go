@@ -22,17 +22,6 @@ func TestSendAndHistory(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	sim := simclock.New(1)
-	b := NewBus(sim)
-	var got []Notification
-	b.Subscribe(func(n Notification) { got = append(got, n) })
-	b.Send(SMS, "a", "b", "s", "", "page")
-	if len(got) != 1 || got[0].Channel != SMS {
-		t.Errorf("subscriber: %v", got)
-	}
-}
-
 func TestCountByTagAndSince(t *testing.T) {
 	sim := simclock.New(1)
 	b := NewBus(sim)

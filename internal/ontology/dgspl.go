@@ -98,16 +98,14 @@ func (l *DGSPL) Shortlist(appType string, powerOf func(model string, cpus int) f
 	return cands
 }
 
-// Encode renders the list:
+// AppendText appends the list's lines, joined by newlines with no trailing
+// newline, and returns the extended buffer. A non-empty appType keeps only
+// the entries of that application type: the per-type lists the
+// administration servers write to the shared pool.
 //
+//	# DGSPL dynamic global service profile list
 //	gen|generated_ns
 //	svc|server|serverType|os|cpus|memMB|appName|appType|version|load|users|geo|site|state|jobsRun|jobsWait|jobLimit
-func (l *DGSPL) Encode() []string { return AppendLines(nil, string(l.AppendText(nil, ""))) }
-
-// AppendText appends the lines Encode renders, joined by newlines with no
-// trailing newline, and returns the extended buffer. A non-empty appType
-// keeps only the entries of that application type: the per-type lists the
-// administration servers write to the shared pool.
 func (l *DGSPL) AppendText(b []byte, appType string) []byte {
 	b = append(b, "# DGSPL dynamic global service profile list\ngen"...)
 	b = appendInt(b, int64(l.GeneratedAt))
@@ -119,8 +117,8 @@ func (l *DGSPL) AppendText(b []byte, appType string) []byte {
 	return b
 }
 
-// AppendText appends the entry's svc record, as Encode renders it, and
-// returns the extended buffer.
+// AppendText appends the entry's svc record, as the list's AppendText
+// renders it, and returns the extended buffer.
 func (e *DGSPLEntry) AppendText(b []byte) []byte {
 	b = append(b, "svc"...)
 	b = appendField(b, e.Server)
@@ -141,7 +139,7 @@ func (e *DGSPLEntry) AppendText(b []byte) []byte {
 	return appendInt(b, int64(e.JobLimit))
 }
 
-// DecodeDGSPL parses lines produced by Encode.
+// DecodeDGSPL parses the lines of a text AppendText rendered.
 func DecodeDGSPL(lines []string) (*DGSPL, error) {
 	l := &DGSPL{}
 	var f [maxFields]string

@@ -35,9 +35,6 @@ type DLSP struct {
 	Services    []DLSPService
 }
 
-// Capacity reports remaining CPU headroom as a fraction of total.
-func (p *DLSP) Capacity() float64 { return 1 - p.CPUUtil }
-
 // Service finds a service record by name, or nil.
 func (p *DLSP) Service(name string) *DLSPService {
 	for i := range p.Services {
@@ -48,16 +45,14 @@ func (p *DLSP) Service(name string) *DLSPService {
 	return nil
 }
 
-// Encode renders the profile:
+// AppendText appends the profile's lines, joined by newlines with no
+// trailing newline — the text a status agent stores and pushes — and
+// returns the extended buffer:
 //
+//	# DLSP dynamic local service profile
 //	prof|server|generated_ns|model|os|cpus|memMB
 //	load|cpuutil|runq|memusedMB|users
 //	svc|name|kind|state|port|conns
-func (p *DLSP) Encode() []string { return AppendLines(nil, string(p.AppendText(nil))) }
-
-// AppendText appends the lines Encode renders, joined by newlines with no
-// trailing newline — the text a status agent stores and pushes — and
-// returns the extended buffer.
 func (p *DLSP) AppendText(b []byte) []byte {
 	b = append(b, "# DLSP dynamic local service profile\nprof"...)
 	b = appendField(b, p.Server)
@@ -83,34 +78,10 @@ func (p *DLSP) AppendText(b []byte) []byte {
 	return b
 }
 
-// DecodeDLSP parses lines produced by Encode.
-func DecodeDLSP(lines []string) (*DLSP, error) {
-	p := &DLSP{}
-	seenProf := false
-	for i, line := range lines {
-		if err := decodeDLSPLine(p, line, i, &seenProf); err != nil {
-			return nil, err
-		}
-	}
-	if !seenProf {
-		return nil, errNoProf
-	}
-	return p, nil
-}
-
-// DecodeDLSPText parses an Encode output joined with newlines — the wire
-// form status agents push.
-func DecodeDLSPText(text string) (*DLSP, error) {
-	p := &DLSP{}
-	if err := DecodeDLSPTextInto(p, text); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// DecodeDLSPTextInto is DecodeDLSPText into an existing profile: p is
-// overwritten, its Services storage reused, and the decoded strings slice
-// text wherever a field holds no escape. On error p holds a partial decode.
+// DecodeDLSPTextInto parses the text AppendText renders — the wire form
+// status agents push — into an existing profile: p is overwritten, its
+// Services storage reused, and the decoded strings slice text wherever a
+// field holds no escape. On error p holds a partial decode.
 func DecodeDLSPTextInto(p *DLSP, text string) error {
 	clear(p.Services)
 	*p = DLSP{Services: p.Services[:0]}

@@ -1,12 +1,17 @@
-// Package ontology implements the paper's four ontology families — ISSL,
-// DLSP, SLKT and DGSPL (§3.1) — as flat ASCII, pipe-delimited text exactly
-// in the spirit of the original: "all ontologies, templates, files and logs
-// produced are flat ASCII files generated by I/O Unix pipes, readable by
-// most Unix tools and human administrators".
+// Package ontology implements the paper's ISSL, DLSP and DGSPL ontology
+// families (§3.1) as flat ASCII, pipe-delimited text exactly in the spirit
+// of the original: "all ontologies, templates, files and logs produced are
+// flat ASCII files generated by I/O Unix pipes, readable by most Unix
+// tools and human administrators".
 //
-// Static ontologies (ISSL, SLKT) are maintained by hand and represent the
-// constraints in the agents' causal reasoning; dynamic ontologies (DLSP,
-// DGSPL) are generated at run time from the static ones plus observation.
+// Static ontologies are maintained by hand and represent the constraints
+// in the agents' causal reasoning; dynamic ontologies (DLSP, DGSPL) are
+// generated at run time from the static ones plus observation. Of the two
+// static families, the ISSL is written to the administration pool as
+// text. The fourth family, the SLKT (what a server should run: ports,
+// process names and counts, start order and dependencies), is the
+// simulator's svc.Spec, which the agents read directly; no run writes it
+// as text.
 //
 // The dynamic ontologies are written every few simulated minutes on every
 // host, so their encoders append into a buffer the caller owns and their
@@ -104,8 +109,6 @@ func AppendLines(dst []string, text string) []string {
 		text = rest
 	}
 }
-
-func itoa(n int) string { return strconv.Itoa(n) }
 
 func parseInt(s, what string) (int, error) {
 	n, err := strconv.Atoi(s)

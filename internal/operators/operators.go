@@ -16,8 +16,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Timing is the manual-operations timing model. Zero fields fall back to
-// the paper's constants via DefaultTiming.
+// Timing is the manual-operations timing model. Every team runs the
+// paper's, DefaultTiming.
 type Timing struct {
 	// Mean detection delays by window (paper's customer data).
 	DetectDay       simclock.Time
@@ -47,18 +47,17 @@ func DefaultTiming() Timing {
 type Team struct {
 	rng    *simclock.Rand
 	timing Timing
-	// EscalationP is the probability a fault cannot be fixed remotely and
+	// escalationP is the probability a fault cannot be fixed remotely and
 	// needs the 4-hour expert path, per category.
 	escalationP map[metrics.Category]float64
 	// Trace, when non-nil, records page and dispatch decision events via
-	// PageDelay/DispatchDelay. The sampling itself is unchanged: the traced
-	// wrappers draw exactly what DetectionDelay/RepairDelay draw.
+	// PageDelay/DispatchDelay. The sampling itself is unchanged: the
+	// wrappers draw the same with the recorder on or off.
 	Trace *trace.Recorder
 }
 
 // Reseed replaces the team's random stream — on site reuse the team gets a
 // fresh fork of the reseeded simulation source, exactly as NewTeam would.
-// Timing and escalation configuration are preserved.
 func (t *Team) Reseed(rng *simclock.Rand) { t.rng = rng }
 
 // NewTeam returns a team with the paper's timing and per-category
@@ -80,12 +79,6 @@ func NewTeam(rng *simclock.Rand) *Team {
 	}
 }
 
-// SetTiming overrides the timing model (for ablations).
-func (t *Team) SetTiming(tm Timing) { t.timing = tm }
-
-// Timing returns the current timing model.
-func (t *Team) Timing() Timing { return t.timing }
-
 // DetectionDelay samples how long a fault occurring at 'now' goes unnoticed
 // under manual operations: the window mean (day/overnight/weekend), spread
 // ±50% — operators sometimes spot things fast, sometimes a report sits
@@ -103,15 +96,10 @@ func (t *Team) DetectionDelay(now simclock.Time) simclock.Time {
 	return t.rng.Jitter(mean, 0.5)
 }
 
-// RepairDelay samples how long the manual fix takes once detected: either a
+// repairDelay samples how long the manual fix takes once detected: either a
 // diagnosed restart (uniform in [RestartMin, RestartMax]) or, with the
 // category's escalation probability, the expert path (mean EscalatedMean,
 // ±50%).
-func (t *Team) RepairDelay(cat metrics.Category) simclock.Time {
-	d, _ := t.repairDelay(cat)
-	return d
-}
-
 func (t *Team) repairDelay(cat metrics.Category) (delay simclock.Time, escalated bool) {
 	if t.rng.Bool(t.escalationP[cat]) {
 		return t.rng.Jitter(t.timing.EscalatedMean, 0.5), true
@@ -128,17 +116,11 @@ func (t *Team) PageDelay(now simclock.Time, cat metrics.Category, host, aspect s
 	return d
 }
 
-// DispatchDelay is RepairDelay plus a dispatch decision event on the
-// team's trace: the sampled manual repair delay and whether it took the
+// DispatchDelay samples the manual repair delay and records a dispatch
+// decision event on the team's trace: the delay and whether it took the
 // escalated expert path.
 func (t *Team) DispatchDelay(now simclock.Time, cat metrics.Category, host, aspect string) simclock.Time {
 	d, escalated := t.repairDelay(cat)
 	t.Trace.Dispatch(now, string(cat), host, aspect, d, escalated)
 	return d
 }
-
-// EscalationP reports the escalation probability for a category.
-func (t *Team) EscalationP(cat metrics.Category) float64 { return t.escalationP[cat] }
-
-// SetEscalationP overrides one category's escalation probability.
-func (t *Team) SetEscalationP(cat metrics.Category, p float64) { t.escalationP[cat] = p }

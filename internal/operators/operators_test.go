@@ -36,20 +36,23 @@ func TestDetectionDelayWindows(t *testing.T) {
 
 func TestRepairDelayPaths(t *testing.T) {
 	team := NewTeam(simclock.NewRand(2))
+	dispatch := func(cat metrics.Category) simclock.Time {
+		return team.DispatchDelay(0, cat, "db001", "service.ORA-01")
+	}
 	// Force no escalation: uniform restart window.
-	team.SetEscalationP(metrics.CatLSF, 0)
+	team.escalationP[metrics.CatLSF] = 0
 	for i := 0; i < 200; i++ {
-		d := team.RepairDelay(metrics.CatLSF)
+		d := dispatch(metrics.CatLSF)
 		if d < 30*simclock.Minute || d > 2*simclock.Hour {
 			t.Fatalf("restart delay out of window: %v", d)
 		}
 	}
 	// Force escalation: mean ~4h.
-	team.SetEscalationP(metrics.CatHardware, 1)
+	team.escalationP[metrics.CatHardware] = 1
 	var sum simclock.Time
 	const n = 500
 	for i := 0; i < n; i++ {
-		sum += team.RepairDelay(metrics.CatHardware)
+		sum += dispatch(metrics.CatHardware)
 	}
 	mean := sum / n
 	if mean < 3*simclock.Hour || mean > 5*simclock.Hour {
@@ -59,33 +62,14 @@ func TestRepairDelayPaths(t *testing.T) {
 
 func TestEscalationProbabilitiesOrdering(t *testing.T) {
 	team := NewTeam(simclock.NewRand(3))
-	if team.EscalationP(metrics.CatHardware) <= team.EscalationP(metrics.CatLSF) {
+	if team.escalationP[metrics.CatHardware] <= team.escalationP[metrics.CatLSF] {
 		t.Error("hardware should escalate more than LSF faults")
 	}
 	for _, c := range metrics.Categories {
-		p := team.EscalationP(c)
-		if p < 0 || p > 1 {
+		p, ok := team.escalationP[c]
+		if !ok || p < 0 || p > 1 {
 			t.Errorf("escalation probability out of range for %s: %v", c, p)
 		}
-	}
-}
-
-func TestSetTiming(t *testing.T) {
-	team := NewTeam(simclock.NewRand(4))
-	tm := DefaultTiming()
-	tm.DetectDay = 10 * simclock.Minute
-	team.SetTiming(tm)
-	if team.Timing().DetectDay != 10*simclock.Minute {
-		t.Error("SetTiming not applied")
-	}
-	var sum simclock.Time
-	const n = 300
-	for i := 0; i < n; i++ {
-		sum += team.DetectionDelay(2*simclock.Day + 11*simclock.Hour)
-	}
-	mean := sum / n
-	if mean > 15*simclock.Minute {
-		t.Errorf("custom day detection mean = %v", mean)
 	}
 }
 

@@ -38,17 +38,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
@@ -61,12 +50,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Normal returns a normal sample with the given mean and standard
-// deviation.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
 }
 
 // ExpDuration returns an exponentially distributed duration with the given

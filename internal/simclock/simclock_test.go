@@ -264,18 +264,6 @@ func TestRandIntnPanics(t *testing.T) {
 	NewRand(1).Intn(0)
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(3)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("bad permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestExpDurationMean(t *testing.T) {
 	r := NewRand(11)
 	const n = 20000
@@ -303,14 +291,14 @@ func TestNormalMoments(t *testing.T) {
 	const n = 50000
 	var sum, sq float64
 	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
+		v := r.NormFloat64()
 		sum += v
 		sq += v * v
 	}
 	mean := sum / n
 	std := math.Sqrt(sq/n - mean*mean)
-	if math.Abs(mean-10) > 0.1 || math.Abs(std-2) > 0.1 {
-		t.Errorf("Normal(10,2): mean=%.3f std=%.3f", mean, std)
+	if math.Abs(mean) > 0.05 || math.Abs(std-1) > 0.05 {
+		t.Errorf("NormFloat64: mean=%.3f std=%.3f, want 0 and 1", mean, std)
 	}
 }
 

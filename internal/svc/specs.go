@@ -6,8 +6,8 @@ import (
 	"repro/internal/simclock"
 )
 
-// Canonical specs for the application kinds at the paper's site. These are
-// the templates the SLKTs are generated from; instance names and ports are
+// Canonical specs for the application kinds at the paper's site. They hold
+// what the paper's SLKTs record for each kind; instance names and ports are
 // filled in per deployment.
 
 // OracleSpec returns a spec for an Oracle database instance.

@@ -558,16 +558,12 @@ func (t Tier) hostName(i int) string { return fmt.Sprintf("%s%03d", t.Name, i+1)
 // declared block (byte-identical to the single-block scheme every
 // pre-existing topology used); later hosts spill into consecutive /24
 // blocks by incrementing the third octet, as Validate guarantees is safe.
+// Validate has parsed every tier's block before the site builds a host.
 func (t Tier) hostIP(i int) string {
 	if i < hostsPerBlock {
 		return fmt.Sprintf("%s.%d", t.IPBlock, i+1)
 	}
-	prefix, base, err := splitIPBlock(t.IPBlock)
-	if err != nil {
-		// Unvalidated tier with an unparseable block: keep the legacy
-		// single-block form rather than inventing an address.
-		return fmt.Sprintf("%s.%d", t.IPBlock, i+1)
-	}
+	prefix, base, _ := splitIPBlock(t.IPBlock)
 	return fmt.Sprintf("%s.%d.%d", prefix, base+i/hostsPerBlock, i%hostsPerBlock+1)
 }
 
