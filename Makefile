@@ -9,7 +9,7 @@ PKGS := ./...
 # not when tee does.
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all build test test-race bench-check bench bench-agentday perf-proof megasite-seed golden-check lint staticcheck fmt loc campaign-smoke topology-smoke megasite-smoke shard-smoke agent-shard-smoke trace-smoke workload-smoke benchdiff clean
+.PHONY: all build test test-race bench-check bench bench-agentday perf-proof megasite-seed golden-check lint staticcheck fmt loc campaign-smoke topology-smoke megasite-smoke shard-smoke agent-shard-smoke trace-smoke workload-smoke manual-year-smoke benchdiff clean
 
 all: lint build test
 
@@ -38,8 +38,9 @@ bench:
 
 # The perf-gate data points: the agent cron hot loop on the scaled and
 # paper-size sites (untraced and with the decision-trace recorder on),
-# the pooled-vs-fresh campaign trial pair, the paper-site manual day (BMC
-# polls on the cron wheel), and the 10k-host megasite day, plus the
+# the pooled-vs-fresh campaign trial pair, the paper-site manual day
+# (workload refresh, LSF and operator repair; the BMC monitors resident
+# but not polling), and the 10k-host megasite day, plus the
 # circular-log append at three caps (internal/fsim; its ns/op must stay
 # flat as the cap grows, at 0 allocs/op), the event queue's hold model
 # at two depths (internal/simclock; 0 allocs/op) and the service health
@@ -207,6 +208,21 @@ workload-smoke:
 		-out workload-smoke-w8.json before
 	cmp workload-smoke.json workload-smoke-w8.json
 
+# Manual-year smoke: a four-trial paper-site manual year over the
+# built-in and flash-crowd workload cells, run at -workers 1 and again at
+# -workers 4. Pooled trials reuse a site that Reset rewinds, so the
+# per-trial state Reset clears (LSF's job table and failed index, the
+# workload generator's feed record) is exercised at year scale; the JSON
+# must match byte for byte at any worker count, and cmp enforces that
+# across two separate qossim processes. CI uploads manual-year-smoke.json
+# with the other artifacts.
+manual-year-smoke:
+	$(GO) run ./cmd/qossim campaign -site paper -trials 4 -workers 1 -days 365 \
+		-workload ,flashcrowd -seed 7 -out manual-year-smoke.json before
+	$(GO) run ./cmd/qossim campaign -site paper -trials 4 -workers 4 -days 365 \
+		-workload ,flashcrowd -seed 7 -out manual-year-smoke-w4.json before
+	cmp manual-year-smoke.json manual-year-smoke-w4.json
+
 # Compare two bench data points (fails on >20% ns/op regression):
 #   make benchdiff OLD=prev/bench-agentday.txt NEW=bench-agentday.txt
 benchdiff:
@@ -245,4 +261,4 @@ loc:
 	echo "$(BASE): $$base"; echo "now: $$now"; echo "delta: $$((now - base))"
 
 clean:
-	rm -f campaign-smoke.json ablate-smoke.json topology-smoke.json tiers-smoke.json megasite-smoke.json shard-smoke.json agent-serial-smoke.json agent-shard-smoke.json trace-smoke.jsonl trace-original.json trace-replay.json trace-counterfactual.txt trace-counterfactual-2.txt workload-smoke.json workload-smoke-w8.json bench.txt bench-agentday.txt bench-proof.txt bench-megasite-proof.txt bench-megasite-shards-proof.txt bench-megasite-shards-renamed.txt bench-agent-slots-proof.txt bench-agent-shards-proof.txt bench-agent-shards-renamed.txt
+	rm -f campaign-smoke.json ablate-smoke.json topology-smoke.json tiers-smoke.json megasite-smoke.json shard-smoke.json agent-serial-smoke.json agent-shard-smoke.json trace-smoke.jsonl trace-original.json trace-replay.json trace-counterfactual.txt trace-counterfactual-2.txt workload-smoke.json workload-smoke-w8.json manual-year-smoke.json manual-year-smoke-w4.json bench.txt bench-agentday.txt bench-proof.txt bench-megasite-proof.txt bench-megasite-shards-proof.txt bench-megasite-shards-renamed.txt bench-agent-slots-proof.txt bench-agent-shards-proof.txt bench-agent-shards-renamed.txt

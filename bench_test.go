@@ -328,10 +328,10 @@ func BenchmarkMegaSiteDay(b *testing.B) {
 }
 
 // BenchmarkPaperManualDay measures one simulated manual-mode day on the
-// paper site: 100 BMC monitors polling every 5 minutes from one shared
-// cron-wheel bucket, plus fault injection, alerts and operator repair —
-// the per-trial inner loop of a fig2 "before" campaign. Built once and
-// Reset per iteration, the pooled-campaign usage pattern.
+// paper site: the workload refresh and batch arrivals through LSF, fault
+// injection and operator repair, with the BMC monitors resident but not
+// polling — the per-trial inner loop of a fig2 "before" campaign. Built
+// once and Reset per iteration, the pooled-campaign usage pattern.
 func BenchmarkPaperManualDay(b *testing.B) {
 	site := mustSite(b, PaperTopology(), WithSeed(1), WithMode(ModeManual))
 	b.ReportAllocs()

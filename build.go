@@ -558,21 +558,30 @@ func (s *Site) Reset(seed uint64) error {
 	return nil
 }
 
-// deployManual installs the before-year operations: BMC-style monitors on
-// database hosts feeding operator consoles. The monitors are installed
-// back to back at one instant on one wheel, so they share one bucket: one
-// heap event per poll round for the whole site. The wheel is their own,
+// deployManual installs the before-year operations: a BMC-style
+// monitor's resident daemon on every database host. Each install forks
+// the site stream, so a manual site always installs them, and the draws
+// after deployment do not depend on whether the monitors poll. The polls
+// raise console alerts that no metric reads (manual detection is the
+// operator model's), so they are registered only under
+// Options.BaselineMonitors, back to back at one instant on one wheel:
+// they share one bucket, one heap event per poll round for the whole
+// site. The wheel is their own,
 // without the shard pool: on the agents' wheel a slot batch on the poll
 // instant would join the bucket, and a sharded tick runs its observes
 // before the polls, which change the CPU load those observes read. On a
 // wheel of its own the polls fire ahead of any agent batch registered
 // after them, as per-host tickers did.
 func (s *Site) deployManual() {
-	w := simclock.NewWheel(s.Sim)
 	for _, h := range s.DC.ByRole(cluster.RoleDatabase) {
 		s.Monitors = append(s.Monitors, baseline.Install(
-			w, h, baseline.DefaultFootprint(), s.Bus, "noc-console",
-			5*simclock.Minute, s.Dir))
+			s.Sim, h, baseline.DefaultFootprint(), s.Bus, "noc-console"))
+	}
+	if s.Opts.BaselineMonitors {
+		w := simclock.NewWheel(s.Sim)
+		for _, m := range s.Monitors {
+			m.StartPolling(w, 5*simclock.Minute, s.Dir)
+		}
 	}
 }
 

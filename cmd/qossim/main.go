@@ -339,6 +339,10 @@ func runReplay(args []string) {
 		fmt.Fprintln(os.Stderr, "qossim replay: -alt needs -counterfactual to name the decision it varies")
 		os.Exit(2)
 	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "qossim replay: -workers %d is negative\n", *workers)
+		os.Exit(2)
+	}
 	tf, err := experiments.ReadTraceFile(*tracePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qossim replay:", err)

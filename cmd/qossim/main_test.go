@@ -238,6 +238,8 @@ func TestNegativeCountsRejected(t *testing.T) {
 		{"-days", []string{"campaign", "-days", "-3", "before"}},
 		{"-days", []string{"-days", "-2", "before"}},
 		{"-workers", []string{"campaign", "-workers", "-3", "before"}},
+		// Checked before the trace file is opened: the file does not exist.
+		{"-workers", []string{"replay", "-trace", "no-such-trace.jsonl", "-workers", "-3"}},
 	} {
 		_, stderr, code := runQossim(t, c.args...)
 		if code != 2 || !strings.Contains(stderr, c.flag) {

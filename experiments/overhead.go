@@ -61,7 +61,8 @@ func newOverheadRig(seed uint64) *overheadRig {
 	})
 
 	bus := notify.NewBus(sim)
-	r.bmc = baseline.Install(simclock.NewWheel(sim), r.host, baseline.DefaultFootprint(), bus, "noc", 5*simclock.Minute, dir)
+	r.bmc = baseline.Install(sim, r.host, baseline.DefaultFootprint(), bus, "noc")
+	r.bmc.StartPolling(simclock.NewWheel(sim), 5*simclock.Minute, dir)
 
 	cfg := func() agent.Config {
 		return agent.Config{Host: r.host, Services: dir, Notify: bus}

@@ -130,6 +130,9 @@ func (p *Pair) Shortlist(appType string) []ontology.DGSPLEntry {
 // available database server from the DGSPL, preferring servers of equal or
 // higher power than the one that failed (§4, SLKT-guided selection). Jobs
 // that cannot be placed anywhere are escalated to the operators by email.
+// It visits the failed jobs in ID order through LSF's failed index, so a
+// job that fails during the sweep is visited only if its ID is above the
+// sweep's position.
 func (p *Pair) batchSweep(now simclock.Time) {
 	if !p.Active().Host.Up() || p.cfg.LSF == nil {
 		return
@@ -137,10 +140,7 @@ func (p *Pair) batchSweep(now simclock.Time) {
 	if p.latestDGSPL == nil {
 		p.GenerateDGSPL(now)
 	}
-	for _, j := range p.cfg.LSF.Jobs() {
-		if j.State != lsf.JobFailed {
-			continue
-		}
+	for j := p.cfg.LSF.FailedAfter(0); j != nil; j = p.cfg.LSF.FailedAfter(j.ID) {
 		target := p.pickResubmitTarget(j)
 		if target == "" {
 			p.escalateJob(j)

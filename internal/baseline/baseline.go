@@ -5,12 +5,14 @@
 // commercial tools that automatically correct performance problems", §2).
 //
 // In the reproduction it is the overhead comparator of Figures 3 and 4,
-// and the "before" year installs it on every database host, where it
-// polls and raises console alerts as the real one did. Nothing reads
-// those alerts: manual detection is the operator model's
+// whose rig polls it to plot the footprint. The "before" year installs
+// the resident daemon on every database host, but nothing reads its
+// polls: manual detection is the operator model's
 // (operators.Team.PageDelay, drawn when a fault is injected), so no
-// campaign metric depends on the polls. A monitor, once installed, polls
-// until its simulation ends.
+// campaign metric depends on them, and a site registers them only under
+// its BaselineMonitors option. Install spawns the daemon at its idle
+// footprint; StartPolling puts it on a cron wheel, where it polls and
+// raises console alerts as the real one did until its simulation ends.
 package baseline
 
 import (
@@ -67,28 +69,33 @@ type Monitor struct {
 	lastMem float64
 }
 
-// Install starts the resident daemon on the host and begins polling every
-// pollEvery on the cron wheel w (the daemon lives on w's simulator).
-// Services, if non-nil, are probed each poll; failed probes raise console
-// alerts (detection is then up to the humans watching).
-//
-// Monitors installed on one wheel at the same instant with the same
-// period share one wheel bucket — one pending heap event per poll round,
-// however many hosts — and poll in install order. That matches one
-// ticker per monitor exactly, because a poll schedules no event of its
-// own (see simclock.Wheel for the equivalence condition).
-func Install(w *simclock.Wheel, host *cluster.Host, fp Footprint, bus *notify.Bus,
-	console string, pollEvery simclock.Time, services *svc.Directory) *Monitor {
-	sim := w.Sim()
+// Install starts the resident daemon on the host at its idle footprint.
+// It forks the simulator's random stream for the poll noise whether or
+// not the monitor ever polls, so a site that installs monitors draws the
+// same stream either way. The monitor polls nothing until StartPolling.
+func Install(sim *simclock.Sim, host *cluster.Host, fp Footprint, bus *notify.Bus, console string) *Monitor {
 	m := &Monitor{
 		rng: sim.Rand().Fork(0xb3c), host: host, fp: fp,
 		bus: bus, cons: console,
 	}
 	m.spawn()
-	w.Add(sim.Now()+pollEvery, pollEvery, "bmc-poll:"+host.Name, func(now simclock.Time) {
+	return m
+}
+
+// StartPolling polls the monitor every pollEvery on the cron wheel w,
+// from one period after the wheel's current time. Services, if non-nil,
+// are probed each poll; failed probes raise console alerts (detection is
+// then up to the humans watching).
+//
+// Monitors registered on one wheel at the same instant with the same
+// period share one wheel bucket — one pending heap event per poll round,
+// however many hosts — and poll in registration order. That matches one
+// ticker per monitor exactly, because a poll schedules no event of its
+// own (see simclock.Wheel for the equivalence condition).
+func (m *Monitor) StartPolling(w *simclock.Wheel, pollEvery simclock.Time, services *svc.Directory) {
+	w.Add(w.Sim().Now()+pollEvery, pollEvery, "bmc-poll:"+m.host.Name, func(now simclock.Time) {
 		m.poll(now, services)
 	})
-	return m
 }
 
 // spawn creates the resident process at the idle footprint.

@@ -15,10 +15,41 @@ func newHost(sim *simclock.Sim) *cluster.Host {
 	return cluster.NewHost(sim, "db001", "10.0.0.1", cluster.ModelE4500, cluster.RoleDatabase, "london", "UK")
 }
 
+// polling installs a monitor on h and polls it every 5 minutes on a
+// wheel of its own.
+func polling(sim *simclock.Sim, h *cluster.Host, bus *notify.Bus, console string, services *svc.Directory) *Monitor {
+	m := Install(sim, h, DefaultFootprint(), bus, console)
+	m.StartPolling(simclock.NewWheel(sim), 5*simclock.Minute, services)
+	return m
+}
+
+// TestInstallWithoutPolling: Install alone spawns the daemon at its idle
+// footprint and schedules nothing, so the footprint holds however the
+// host's load moves.
+func TestInstallWithoutPolling(t *testing.T) {
+	sim := simclock.New(31)
+	h := newHost(sim)
+	pending := sim.Pending()
+	m := Install(sim, h, DefaultFootprint(), nil, "")
+	if got := sim.Pending(); got != pending {
+		t.Fatalf("Install scheduled %d events, want none", got-pending)
+	}
+	if !m.Resident() || len(h.PGrep("bmcpatrol")) != 1 {
+		t.Fatal("daemon should be resident immediately")
+	}
+	h.Spawn("busywork", "analyst1", "", 6.5, 1000)
+	sim.RunUntil(simclock.Hour)
+	fp := DefaultFootprint()
+	if m.CPUPercent() != fp.CPUBasePct || m.MemMB() != fp.MemBaseMB {
+		t.Errorf("unpolled footprint = %.3f%% / %.1f MB, want the idle %.3f%% / %.1f MB",
+			m.CPUPercent(), m.MemMB(), fp.CPUBasePct, fp.MemBaseMB)
+	}
+}
+
 func TestResidentDaemon(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := Install(simclock.NewWheel(sim), h, DefaultFootprint(), nil, "", 5*simclock.Minute, nil)
+	m := polling(sim, h, nil, "", nil)
 	if !m.Resident() {
 		t.Fatal("daemon should be resident immediately")
 	}
@@ -34,7 +65,7 @@ func TestResidentDaemon(t *testing.T) {
 func TestFootprintGrowsWithLoad(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := Install(simclock.NewWheel(sim), h, DefaultFootprint(), nil, "", 5*simclock.Minute, nil)
+	m := polling(sim, h, nil, "", nil)
 	sim.RunUntil(simclock.Hour)
 	idleCPU, idleMem := m.CPUPercent(), m.MemMB()
 	h.Spawn("busywork", "analyst1", "", 6.5, 1000)
@@ -64,7 +95,7 @@ func TestAlertsOnFailedProbe(t *testing.T) {
 	s.Start(nil)
 	sim.RunUntil(10 * simclock.Minute)
 	bus := notify.NewBus(sim)
-	m := Install(simclock.NewWheel(sim), h, DefaultFootprint(), bus, "console@noc", 5*simclock.Minute, dir)
+	m := polling(sim, h, bus, "console@noc", dir)
 	sim.RunUntil(sim.Now() + 20*simclock.Minute)
 	if m.Alerts != 0 {
 		t.Fatalf("healthy service alerted %d times", m.Alerts)
@@ -82,7 +113,7 @@ func TestAlertsOnFailedProbe(t *testing.T) {
 func TestDaemonDiesWithHostAndRespawns(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := Install(simclock.NewWheel(sim), h, DefaultFootprint(), nil, "", 5*simclock.Minute, nil)
+	m := polling(sim, h, nil, "", nil)
 	h.Crash()
 	sim.RunUntil(sim.Now() + 6*simclock.Minute)
 	if m.Resident() || m.CPUPercent() != 0 || m.MemMB() != 0 {
@@ -102,7 +133,7 @@ func TestDaemonDiesWithHostAndRespawns(t *testing.T) {
 func TestKilledDaemonObjectRecycled(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := Install(simclock.NewWheel(sim), h, DefaultFootprint(), nil, "", 5*simclock.Minute, nil)
+	m := polling(sim, h, nil, "", nil)
 	h.Kill(h.PGrep("bmcpatrol")[0].PID)
 	busy := h.Spawn("busywork", "analyst1", "", 2.0, 100)
 	if m.Resident() {
@@ -123,7 +154,7 @@ func TestKilledDaemonObjectRecycled(t *testing.T) {
 func TestDeadDaemonReportsNoFootprint(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := Install(simclock.NewWheel(sim), h, DefaultFootprint(), nil, "", 5*simclock.Minute, nil)
+	m := polling(sim, h, nil, "", nil)
 	sim.RunUntil(simclock.Hour)
 	if m.CPUPercent() == 0 || m.MemMB() == 0 {
 		t.Fatalf("live daemon footprint: cpu=%.3f mem=%.1f, want non-zero", m.CPUPercent(), m.MemMB())
@@ -137,8 +168,8 @@ func TestDeadDaemonReportsNoFootprint(t *testing.T) {
 	}
 }
 
-// fleet installs one monitor per host on a shared wheel, in the given
-// order, each host carrying a crashed Oracle so every poll raises an
+// fleet installs one monitor per host and polls each on a shared wheel,
+// in the given order, each host carrying a crashed Oracle so every poll raises an
 // alert naming its host.
 func fleet(t *testing.T, names ...string) (*simclock.Sim, *simclock.Wheel, *notify.Bus, []*Monitor) {
 	t.Helper()
@@ -165,7 +196,9 @@ func fleet(t *testing.T, names ...string) (*simclock.Sim, *simclock.Wheel, *noti
 	w := simclock.NewWheel(sim)
 	var ms []*Monitor
 	for _, h := range hosts {
-		ms = append(ms, Install(w, h, DefaultFootprint(), bus, "console@noc", 5*simclock.Minute, dir))
+		m := Install(sim, h, DefaultFootprint(), bus, "console@noc")
+		m.StartPolling(w, 5*simclock.Minute, dir)
+		ms = append(ms, m)
 	}
 	return sim, w, bus, ms
 }
@@ -181,9 +214,9 @@ func alertSenders(bus *notify.Bus) []string {
 	return out
 }
 
-// TestMonitorsShareOneBucket pins the coalescing: monitors installed on
+// TestMonitorsShareOneBucket pins the coalescing: monitors registered on
 // one wheel at the same instant keep one pending heap event between
-// them, and poll in install order every round.
+// them, and poll in registration order every round.
 func TestMonitorsShareOneBucket(t *testing.T) {
 	sim, w, bus, ms := fleet(t, "db003", "db001", "db002")
 	if w.Len() != len(ms) || w.Buckets() != 1 {
@@ -196,7 +229,7 @@ func TestMonitorsShareOneBucket(t *testing.T) {
 	round := []string{"bmc@db003", "bmc@db001", "bmc@db002"}
 	want := append(append([]string{}, round...), round...)
 	if got := alertSenders(bus); !reflect.DeepEqual(got, want) {
-		t.Errorf("poll order = %v, want install order twice %v", got, want)
+		t.Errorf("poll order = %v, want registration order twice %v", got, want)
 	}
 	if got := sim.Pending(); got != 1 {
 		t.Errorf("Pending() = %d after two rounds, want 1", got)

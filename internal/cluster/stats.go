@@ -208,10 +208,9 @@ func (d *Datacentre) Hosts() []*Host {
 	return append([]*Host(nil), d.order...)
 }
 
-// ByRole returns hosts with the given role, in registration order. Served
-// from a role index maintained on Add/Remove, so the per-tick workload
-// refresh does not rescan every host at datacentre scale. The slice is a
-// copy; callers may keep or reorder it.
+// ByRole returns hosts with the given role, in registration order, from
+// a role index maintained on Add/Remove rather than a scan of every host.
+// The slice is a copy; callers may keep or reorder it.
 func (d *Datacentre) ByRole(role Role) []*Host {
 	return append([]*Host(nil), d.byRole[role]...)
 }

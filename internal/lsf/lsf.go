@@ -8,7 +8,9 @@ package lsf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/simclock"
 	"repro/internal/svc"
@@ -79,19 +81,12 @@ func (j *Job) String() string {
 type Cluster struct {
 	sim     *simclock.Sim
 	dir     *svc.Directory
-	limits  map[string]int // service name -> slot limit
-	jobs    map[int]*Job
-	order   []int // job IDs in submit order
-	nextID  int
+	limits  map[string]int          // service name -> slot limit
+	jobs    []*Job                  // every job, indexed by ID-1: IDs are dense from 1 in submit order
+	failed  []int                   // IDs of the jobs now in JobFailed, ascending
 	running map[string]map[int]*Job // service name -> running jobs
 	pending []*Job
 	targets []string // sorted execution-target names (the limits keys)
-
-	// OnJobFailed, if set, is called whenever a running job fails (the
-	// agents' batch watcher hooks this to resubmit from the DGSPL).
-	OnJobFailed func(now simclock.Time, j *Job)
-	// OnJobDone, if set, is called when a job completes.
-	OnJobDone func(now simclock.Time, j *Job)
 
 	// Completed/failed counters for reports.
 	Completed int
@@ -103,7 +98,6 @@ func NewCluster(sim *simclock.Sim, dir *svc.Directory) *Cluster {
 	return &Cluster{
 		sim: sim, dir: dir,
 		limits:  make(map[string]int),
-		jobs:    make(map[int]*Job),
 		running: make(map[string]map[int]*Job),
 	}
 }
@@ -118,17 +112,15 @@ func (c *Cluster) SetSlotLimit(service string, limit int) {
 }
 
 // Reset returns the cluster to the state NewCluster leaves it in — no
-// jobs, zeroed counters, unhooked callbacks — while keeping the slot-limit
-// configuration (it is derived from the static site topology) and map
-// storage. Site reuse calls this between trials.
+// jobs, zeroed counters — while keeping the slot-limit configuration (it
+// is derived from the static site topology) and the job table's storage.
+// Site reuse calls this between trials.
 func (c *Cluster) Reset() {
 	clear(c.jobs)
-	c.order = c.order[:0]
-	c.nextID = 0
+	c.jobs = c.jobs[:0]
+	c.failed = c.failed[:0]
 	clear(c.running)
 	c.pending = nil
-	c.OnJobFailed = nil
-	c.OnJobDone = nil
 	c.Completed = 0
 	c.Failed = 0
 }
@@ -154,25 +146,33 @@ func (c *Cluster) WaitingFor(service string) int {
 func (c *Cluster) PendingCount() int { return len(c.pending) }
 
 // Jobs returns all jobs in submission order.
-func (c *Cluster) Jobs() []*Job {
-	out := make([]*Job, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
+func (c *Cluster) Jobs() []*Job { return slices.Clone(c.jobs) }
+
+// FailedAfter returns the failed job with the lowest ID above id, or nil
+// if there is none. A walk that starts at FailedAfter(0) and continues
+// from each visited job's ID sees every job failed when the walk began,
+// in ID order; a job that fails during the walk is visited only if its ID
+// is above the walk's position.
+func (c *Cluster) FailedAfter(id int) *Job {
+	i, found := slices.BinarySearch(c.failed, id)
+	if found {
+		i++
 	}
-	return out
+	if i == len(c.failed) {
+		return nil
+	}
+	return c.jobs[c.failed[i]-1]
 }
 
 // Submit queues a job (bsub). wantServer may be empty for scheduler
 // placement; users at the paper's site mostly picked servers by hand.
 func (c *Cluster) Submit(name, user, wantServer string, cpu, memMB, disk float64, work simclock.Time) *Job {
-	c.nextID++
 	j := &Job{
-		ID: c.nextID, Name: name, User: user, WantServer: wantServer,
+		ID: len(c.jobs) + 1, Name: name, User: user, WantServer: wantServer,
 		CPUDemand: cpu, MemMB: memMB, DiskLoad: disk, Work: work,
 		State: JobPending, SubmittedAt: c.sim.Now(),
 	}
-	c.jobs[j.ID] = j
-	c.order = append(c.order, j.ID)
+	c.jobs = append(c.jobs, j)
 	c.pending = append(c.pending, j)
 	c.Dispatch()
 	return j
@@ -224,7 +224,7 @@ func (c *Cluster) Dispatch() {
 func (c *Cluster) start(j *Job, service string) {
 	s := c.dir.Get(service)
 	host := s.Host
-	p := host.Spawn("lsf_job_"+j.Name, j.User, fmt.Sprintf("jobid=%d", j.ID), j.CPUDemand, j.MemMB)
+	p := host.Spawn("lsf_job_"+j.Name, j.User, "jobid="+strconv.Itoa(j.ID), j.CPUDemand, j.MemMB)
 	if p == nil {
 		c.fail(j, "exec host down at dispatch")
 		return
@@ -247,7 +247,7 @@ func (c *Cluster) start(j *Job, service string) {
 		slow *= 1 + 3*(u-0.7) // contention tax up to 1.9x at saturation
 	}
 	dur := simclock.Time(float64(j.Work) * slow)
-	j.finishEv = c.sim.After(dur, fmt.Sprintf("lsf-finish:%d", j.ID), func(now simclock.Time) {
+	j.finishEv = c.sim.After(dur, "lsf-finish", func(now simclock.Time) {
 		c.finish(j, now)
 	})
 }
@@ -266,9 +266,6 @@ func (c *Cluster) finish(j *Job, now simclock.Time) {
 	j.State = JobDone
 	j.FinishedAt = now
 	c.Completed++
-	if c.OnJobDone != nil {
-		c.OnJobDone(now, j)
-	}
 	c.Dispatch()
 }
 
@@ -289,15 +286,15 @@ func (c *Cluster) release(j *Job) {
 	}
 }
 
-// fail marks a pending/unstarted job failed.
+// fail marks a pending/unstarted job failed and enters it in the failed
+// index.
 func (c *Cluster) fail(j *Job, reason string) {
 	j.State = JobFailed
 	j.FailReason = reason
 	j.FinishedAt = c.sim.Now()
 	c.Failed++
-	if c.OnJobFailed != nil {
-		c.OnJobFailed(c.sim.Now(), j)
-	}
+	i, _ := slices.BinarySearch(c.failed, j.ID)
+	c.failed = slices.Insert(c.failed, i, j.ID)
 }
 
 // failRunning releases and fails a running job.
@@ -326,12 +323,15 @@ func (c *Cluster) FailJobsOn(service, reason string) []*Job {
 // operation the intelliagents drive from the DGSPL shortlist. An empty
 // server re-enters the default queue.
 func (c *Cluster) Requeue(id int, server string) error {
-	j := c.jobs[id]
-	if j == nil {
+	if id < 1 || id > len(c.jobs) {
 		return fmt.Errorf("lsf: no such job %d", id)
 	}
+	j := c.jobs[id-1]
 	if j.State != JobFailed {
 		return fmt.Errorf("lsf: job %d is %s, not EXIT", id, j.State)
+	}
+	if i, found := slices.BinarySearch(c.failed, id); found {
+		c.failed = slices.Delete(c.failed, i, i+1)
 	}
 	j.State = JobPending
 	j.WantServer = server

@@ -1,6 +1,8 @@
 package lsf
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,8 +104,6 @@ func TestCrashMidJobFailsJobs(t *testing.T) {
 	r := newRig(t, 1)
 	j1 := r.lsf.Submit("batch1", "u", "ORA-A", 0.5, 64, 0.1, 4*simclock.Hour)
 	j2 := r.lsf.Submit("batch2", "u", "ORA-A", 0.5, 64, 0.1, 4*simclock.Hour)
-	var failed []*Job
-	r.lsf.OnJobFailed = func(now simclock.Time, j *Job) { failed = append(failed, j) }
 	r.sim.RunUntil(r.sim.Now() + simclock.Hour)
 	r.dbs[0].Crash()
 	got := r.lsf.FailJobsOn("ORA-A", "database crashed mid-job")
@@ -113,8 +113,8 @@ func TestCrashMidJobFailsJobs(t *testing.T) {
 	if j1.State != JobFailed || j2.State != JobFailed {
 		t.Error("states not EXIT")
 	}
-	if len(failed) != 2 {
-		t.Errorf("OnJobFailed fired %d times", len(failed))
+	if got := failedIDs(r.lsf, 0); !slices.Equal(got, []int{j1.ID, j2.ID}) {
+		t.Errorf("failed index = %v, want [%d %d]", got, j1.ID, j2.ID)
 	}
 	if r.lsf.Failed != 2 {
 		t.Errorf("Failed = %d", r.lsf.Failed)
@@ -164,6 +164,137 @@ func TestRequeueErrors(t *testing.T) {
 	j := r.lsf.Submit("x", "u", "ORA-A", 0.5, 64, 0, simclock.Hour)
 	if err := r.lsf.Requeue(j.ID, "ORA-A"); err == nil {
 		t.Error("requeue of a running job should error")
+	}
+	n := len(r.lsf.Jobs())
+	for _, id := range []int{0, -1, n + 1} {
+		if err := r.lsf.Requeue(id, "ORA-A"); err == nil {
+			t.Errorf("Requeue(%d) of %d jobs should error", id, n)
+		}
+	}
+}
+
+// failedIDs walks the failed index from a cursor, the way the
+// administration pair's batch sweep does.
+func failedIDs(c *Cluster, after int) []int {
+	var ids []int
+	for j := c.FailedAfter(after); j != nil; j = c.FailedAfter(j.ID) {
+		ids = append(ids, j.ID)
+	}
+	return ids
+}
+
+// filteredIDs is the reference for failedIDs: the failed jobs above a
+// cursor, read off a Jobs() walk.
+func filteredIDs(c *Cluster, after int) []int {
+	var ids []int
+	for _, j := range c.Jobs() {
+		if j.State == JobFailed && j.ID > after {
+			ids = append(ids, j.ID)
+		}
+	}
+	return ids
+}
+
+// TestFailedIndexMatchesJobs drives two identical clusters through the
+// same random submits, database crashes and restarts, completions and
+// resubmission sweeps. One sweeps by the failed index (FailedAfter from a
+// cursor), the other as a filtered walk over a Jobs() snapshot, the way
+// the sweep did before the index existed. After every step the index
+// walk must equal the filtered walk from any cursor, and the two clusters
+// must hold the same jobs in the same states.
+func TestFailedIndexMatchesJobs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 7))
+	a, b := newRig(t, 3), newRig(t, 3)
+	servers := []string{"", "ORA-A", "ORA-B", "ORA-C"}
+	for step := 0; step < 3000; step++ {
+		switch op := rng.IntN(10); {
+		case op < 4:
+			want := servers[rng.IntN(len(servers))]
+			work := simclock.Time(rng.IntN(180)+1) * simclock.Minute
+			for _, r := range []*rig{a, b} {
+				r.lsf.Submit("job", "u", want, 0.5, 64, 0.1, work)
+			}
+		case op < 5:
+			// A crash that nobody cleans up: the finish events fail
+			// the jobs.
+			i := rng.IntN(3)
+			for _, r := range []*rig{a, b} {
+				r.dbs[i].Crash()
+			}
+		case op < 6:
+			i := rng.IntN(3)
+			for _, r := range []*rig{a, b} {
+				r.dbs[i].Crash()
+				r.lsf.FailJobsOn(r.dbs[i].Spec.Name, "database crashed mid-job")
+			}
+		case op < 7:
+			i := rng.IntN(3)
+			for _, r := range []*rig{a, b} {
+				_ = r.dbs[i].Start(nil)
+			}
+		case op < 8:
+			// One resubmission sweep, each failed job sent to a random
+			// server (a crashed one leaves it pending).
+			targets := make([]string, 0, 64)
+			for range 64 {
+				targets = append(targets, servers[1+rng.IntN(3)])
+			}
+			k := 0
+			for j := a.lsf.FailedAfter(0); j != nil; j = a.lsf.FailedAfter(j.ID) {
+				_ = a.lsf.Requeue(j.ID, targets[k%len(targets)])
+				k++
+			}
+			k = 0
+			for _, j := range b.lsf.Jobs() {
+				if j.State != JobFailed {
+					continue
+				}
+				_ = b.lsf.Requeue(j.ID, targets[k%len(targets)])
+				k++
+			}
+		default:
+			d := simclock.Time(rng.IntN(90)) * simclock.Minute
+			for _, r := range []*rig{a, b} {
+				r.sim.RunUntil(r.sim.Now() + d)
+			}
+		}
+		n := len(a.lsf.Jobs())
+		for _, after := range []int{0, rng.IntN(n + 2), n} {
+			if got, want := failedIDs(a.lsf, after), filteredIDs(a.lsf, after); !slices.Equal(got, want) {
+				t.Fatalf("step %d: failed index after %d = %v, filtered Jobs() = %v", step, after, got, want)
+			}
+		}
+		ja, jb := a.lsf.Jobs(), b.lsf.Jobs()
+		if len(ja) != len(jb) {
+			t.Fatalf("step %d: %d jobs vs %d", step, len(ja), len(jb))
+		}
+		for i := range ja {
+			if ja[i].ID != jb[i].ID || ja[i].State != jb[i].State || ja[i].Server != jb[i].Server || ja[i].Attempts != jb[i].Attempts {
+				t.Fatalf("step %d: index sweep left %v, Jobs() sweep %v", step, ja[i], jb[i])
+			}
+		}
+	}
+	if a.lsf.Failed == 0 || a.lsf.Completed == 0 {
+		t.Fatalf("walk exercised too little: %d failed, %d completed", a.lsf.Failed, a.lsf.Completed)
+	}
+}
+
+// TestResetClearsJobTable: Reset empties the job table and the failed
+// index, and IDs start again from 1.
+func TestResetClearsJobTable(t *testing.T) {
+	r := newRig(t, 1)
+	r.lsf.Submit("a", "u", "ORA-A", 0.5, 64, 0, simclock.Hour)
+	r.dbs[0].Crash()
+	r.lsf.FailJobsOn("ORA-A", "crash")
+	r.lsf.Reset()
+	if len(r.lsf.Jobs()) != 0 || r.lsf.FailedAfter(0) != nil || r.lsf.Failed != 0 {
+		t.Fatalf("after Reset: %d jobs, failed index head %v, Failed %d", len(r.lsf.Jobs()), r.lsf.FailedAfter(0), r.lsf.Failed)
+	}
+	if err := r.lsf.Requeue(1, "ORA-A"); err == nil {
+		t.Error("Requeue(1) after Reset should error")
+	}
+	if j := r.lsf.Submit("b", "u", "", 0.5, 64, 0, simclock.Hour); j.ID != 1 {
+		t.Errorf("first job after Reset has ID %d, want 1", j.ID)
 	}
 }
 

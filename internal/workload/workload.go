@@ -7,8 +7,8 @@
 package workload
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/lsf"
@@ -109,15 +109,31 @@ type Generator struct {
 	spec    Spec
 	classes []*classState
 
+	// Refresh tables: the hosts the 15-minute refresh retargets, one
+	// table per role in the datacentre's ByRole order (so the per-host
+	// draws keep their order), each entry carrying its host's domain
+	// coefficients, and the front-end share total the analyst split
+	// divides by. New and SetDomains compile them from the hosts
+	// registered then; Reset keeps them, like the domains.
+	fe, db, tx []hostLoad
+	sumShare   float64
+
 	// feedApplied tracks the feed disk activity currently applied per
-	// transaction host, so refreshFeed can re-apply load a crash wiped
-	// and track surge windows by delta. It outlives Stop (the load it
-	// records stays on the hosts); Reset clears it.
-	feedApplied map[string]float64
+	// transaction host, parallel to tx, so refreshFeed can re-apply load
+	// a crash wiped and track surge windows by delta. It outlives Stop
+	// (the load it records stays on the hosts); Reset zeroes it.
+	feedApplied []float64
 
 	// Counters for reports.
 	JobsSubmitted int
 	tickers       []*simclock.Ticker
+}
+
+// hostLoad is one refresh-table entry: a host and its domain
+// coefficients.
+type hostLoad struct {
+	h  *cluster.Host
+	tl TierLoad
 }
 
 // classState is one arrival class's live scheduling state: its spec, a
@@ -135,14 +151,18 @@ type classState struct {
 
 // New builds a generator over the datacentre offering PaperSpec. dbNames
 // are the database service names users submit jobs to; pass the LSF
-// cluster's targets.
+// cluster's targets. The interactive and feed load goes to the front-end,
+// database and transaction hosts registered in dc now: a host added
+// later gets none.
 func New(sim *simclock.Sim, cfg Config, dc *cluster.Datacentre, dir *svc.Directory,
 	lsfc *lsf.Cluster, dbNames []string) *Generator {
-	return &Generator{
+	g := &Generator{
 		sim: sim, rng: sim.Rand().Fork(0x301d), cfg: cfg,
 		dc: dc, dir: dir, lsfc: lsfc, dbNames: dbNames,
 		spec: PaperSpec(),
 	}
+	g.compile()
+	return g
 }
 
 // Config returns the load shape the generator offers — after any
@@ -165,6 +185,7 @@ func (g *Generator) SetDomains(tierOf map[string]string, tiers map[string]TierLo
 	g.tiers = tiers
 	g.targetW = nil
 	g.noTargets = false
+	g.compile()
 	if tiers == nil {
 		return
 	}
@@ -235,7 +256,7 @@ func (g *Generator) Reset(parent *simclock.Rand) {
 	g.JobsSubmitted = 0
 	g.tickers = nil
 	g.classes = nil
-	g.feedApplied = nil
+	clear(g.feedApplied)
 }
 
 // Start begins offering load: interactive ambience and feed load
@@ -244,9 +265,6 @@ func (g *Generator) Reset(parent *simclock.Rand) {
 // through the spec's per-class interarrival chains; and the overnight
 // drop at 22:00.
 func (g *Generator) Start() {
-	if g.feedApplied == nil {
-		g.feedApplied = map[string]float64{}
-	}
 	g.tickers = append(g.tickers,
 		g.sim.Every(g.sim.Now(), 15*simclock.Minute, "workload-interactive", g.refreshInteractive))
 	g.startClasses()
@@ -270,6 +288,26 @@ func (g *Generator) Stop() {
 	g.classes = nil
 }
 
+// compile builds the refresh tables from the datacentre's hosts and the
+// installed domains.
+func (g *Generator) compile() {
+	table := func(role cluster.Role) []hostLoad {
+		var t []hostLoad
+		for _, h := range g.dc.ByRole(role) {
+			t = append(t, hostLoad{h: h, tl: g.loadFor(h.Name)})
+		}
+		return t
+	}
+	g.fe = table(cluster.RoleFrontEnd)
+	g.db = table(cluster.RoleDatabase)
+	g.tx = table(cluster.RoleTransaction)
+	g.sumShare = 0
+	for _, e := range g.fe {
+		g.sumShare += e.tl.Share
+	}
+	g.feedApplied = make([]float64, len(g.tx))
+}
+
 func (g *Generator) nextTenPM() simclock.Time {
 	now := g.sim.Now()
 	today := now - now%simclock.Day + 22*simclock.Hour
@@ -291,40 +329,31 @@ func (g *Generator) refreshInteractive(now simclock.Time) {
 	// Surge multipliers: exactly 1 outside every surge window, so the
 	// trailing multiplications below are bit-exact no-ops there.
 	amb, feed := g.spec.ambienceFactor(now), g.spec.feedFactor(now)
-	fe := g.dc.ByRole(cluster.RoleFrontEnd)
-	db := g.dc.ByRole(cluster.RoleDatabase)
-	tx := g.dc.ByRole(cluster.RoleTransaction)
 	// Down hosts keep their share of the analyst population (users do not
-	// know the box is dead), matching the pre-domain even split.
-	var sumShare float64
-	for _, h := range fe {
-		sumShare += g.loadFor(h.Name).Share
-	}
-	for _, h := range fe {
-		if h.Up() {
-			tl := g.loadFor(h.Name)
+	// know the box is dead), matching the pre-domain even split: sumShare
+	// counts every front-end host.
+	for _, e := range g.fe {
+		if e.h.Up() {
 			// Each analyst costs ~0.02 CPUs on the front end. With every
 			// front-end share at 0 there are no analysts to spread —
 			// guard the 0/0, which would otherwise poison the host's CPU
 			// accounting with NaN.
 			perHost := 0.0
-			if sumShare > 0 {
-				perHost = float64(g.cfg.PeakAnalysts) * tl.Share / sumShare
+			if g.sumShare > 0 {
+				perHost = float64(g.cfg.PeakAnalysts) * e.tl.Share / g.sumShare
 			}
-			h.SetAmbientLoad(shaped(shape, tl.Amp) * perHost * 0.02 * g.rng.Jitterf(0.2) * amb)
+			e.h.SetAmbientLoad(shaped(shape, e.tl.Amp) * perHost * 0.02 * g.rng.Jitterf(0.2) * amb)
 		}
 	}
-	for _, h := range db {
-		if h.Up() {
-			tl := g.loadFor(h.Name)
+	for _, e := range g.db {
+		if e.h.Up() {
 			// Ad-hoc queries: a modest share of each database box.
-			h.SetAmbientLoad(shaped(shape, tl.Amp) * 0.25 * float64(h.Model.CPUs) * tl.Share * g.rng.Jitterf(0.3) * amb)
+			e.h.SetAmbientLoad(shaped(shape, e.tl.Amp) * 0.25 * float64(e.h.Model.CPUs) * e.tl.Share * g.rng.Jitterf(0.3) * amb)
 		}
 	}
-	for _, h := range tx {
-		if h.Up() {
-			tl := g.loadFor(h.Name)
-			h.SetAmbientLoad(shaped(shape, tl.Amp) * 0.3 * float64(h.Model.CPUs) * tl.Feed * g.rng.Jitterf(0.25) * feed)
+	for _, e := range g.tx {
+		if e.h.Up() {
+			e.h.SetAmbientLoad(shaped(shape, e.tl.Amp) * 0.3 * float64(e.h.Model.CPUs) * e.tl.Feed * g.rng.Jitterf(0.25) * feed)
 		}
 	}
 	g.refreshFeed(now, feed)
@@ -357,8 +386,8 @@ func (g *Generator) pickTarget() string {
 // blames for overloaded servers crashing mid-job.
 func (g *Generator) submitOne(now simclock.Time, overnight bool) {
 	g.jobSeq++
-	name := fmt.Sprintf("analysis-%d", g.jobSeq)
-	user := fmt.Sprintf("analyst%d", g.rng.Intn(50)+1)
+	name := "analysis-" + strconv.Itoa(g.jobSeq)
+	user := "analyst" + strconv.Itoa(g.rng.Intn(50)+1)
 	target := g.pickTarget()
 	work := g.rng.Jitter(g.cfg.JobWork, 0.5)
 	cpu := 0.5 + g.rng.Float64()*1.5
@@ -380,19 +409,19 @@ func (g *Generator) submitOne(now simclock.Time, overnight bool) {
 // amount again. Ticks are 15 minutes apart, so Uptime() < one interval
 // is an exact reboot-since-last-tick test.
 func (g *Generator) refreshFeed(now simclock.Time, surge float64) {
-	for _, h := range g.dc.ByRole(cluster.RoleTransaction) {
-		if !h.Up() {
-			g.feedApplied[h.Name] = 0
+	for i, e := range g.tx {
+		if !e.h.Up() {
+			g.feedApplied[i] = 0
 			continue
 		}
-		applied := g.feedApplied[h.Name]
-		if h.Uptime() < 15*simclock.Minute {
+		applied := g.feedApplied[i]
+		if e.h.Uptime() < 15*simclock.Minute {
 			applied = 0
 		}
-		want := 0.2 * g.loadFor(h.Name).Feed * surge
+		want := 0.2 * e.tl.Feed * surge
 		if want != applied {
-			h.AddDiskActivity(want - applied)
-			g.feedApplied[h.Name] = want
+			e.h.AddDiskActivity(want - applied)
+			g.feedApplied[i] = want
 		}
 	}
 }

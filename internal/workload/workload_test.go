@@ -219,3 +219,28 @@ func TestDomainsSurviveReset(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshAllocatesNothing: the 15-minute refresh walks the host
+// tables the generator compiled when it was built, so a tick allocates
+// nothing, with or without domains, and with a transaction host down.
+func TestRefreshAllocatesNothing(t *testing.T) {
+	for _, domains := range []bool{false, true} {
+		r := newRig(t)
+		if domains {
+			r.gen.SetDomains(map[string]string{"tx1": "feeds", "feA": "gui"}, map[string]TierLoad{
+				"feeds": {Share: 1, Batch: 1, Feed: 2, Amp: 1},
+				"gui":   {Share: 3, Batch: 1, Feed: 1, Amp: 0.5},
+			})
+		}
+		r.gen.Start()
+		r.sim.RunUntil(11 * simclock.Hour)
+		now := r.sim.Now()
+		if n := testing.AllocsPerRun(100, func() { r.gen.refreshInteractive(now) }); n != 0 {
+			t.Errorf("domains=%v: a refresh tick allocates %v times, want 0", domains, n)
+		}
+		r.dc.Host("tx1").Crash()
+		if n := testing.AllocsPerRun(100, func() { r.gen.refreshInteractive(now) }); n != 0 {
+			t.Errorf("domains=%v: a refresh tick with tx1 down allocates %v times, want 0", domains, n)
+		}
+	}
+}

@@ -72,8 +72,12 @@ type Options struct {
 	// fault-intensity axis. It multiplies into the tier's Tier.Faults
 	// spec.
 	TierFaultScale map[string]float64
-	// BaselineMonitors installs BMC-style monitors on every database host
-	// (always installed in ModeManual on database hosts regardless).
+	// BaselineMonitors polls BMC-style monitors on every database host
+	// every 5 minutes, raising console alerts on the notification bus.
+	// ModeManual always installs the monitors' resident daemons, at their
+	// idle footprint, but polls them only under this option: no metric
+	// reads the alerts (manual detection is the operator model's). In
+	// ModeAgents it installs the monitors alongside the agents.
 	BaselineMonitors bool
 	// DisablePrivateNet removes the private agent network (ablation).
 	DisablePrivateNet bool
@@ -172,8 +176,9 @@ func WithTierFaultScale(tier string, scale float64) Option {
 	}
 }
 
-// WithBaselineMonitors installs BMC-style monitors on database hosts even
-// in ModeAgents (the Figure-3/4 side-by-side rig).
+// WithBaselineMonitors polls BMC-style monitors on database hosts: in
+// ModeManual it turns on the resident monitors' polls and console alerts,
+// and in ModeAgents it installs polling monitors beside the agents.
 func WithBaselineMonitors() Option { return func(o *Options) { o.BaselineMonitors = true } }
 
 // WithoutPrivateNet removes the private agent network (ablation).
