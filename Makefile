@@ -45,24 +45,27 @@ bench:
 # flat as the cap grows, at 0 allocs/op), the event queue's hold model
 # at two depths (internal/simclock; 0 allocs/op) and the service health
 # check on a healthy Oracle instance and web server (internal/svc;
-# 0 allocs/op) and one status-agent run whose DLSP push reaches the
-# administration pair over netsim (internal/agents), with -benchmem so
-# scripts/benchdiff gates allocs/op alongside ns/op.
+# 0 allocs/op), one status-agent run whose DLSP push reaches the
+# administration pair over netsim (internal/agents) and one ok agent run
+# plus its reaper on a warm host (internal/agent: the apply layer's
+# per-run cost, at 2 allocs/op), with -benchmem so scripts/benchdiff
+# gates allocs/op alongside ns/op.
 # Repeated (-count 3) so the best-of values compared are stable.
 # BenchmarkAgentDay (tracing off) is the line the gate holds flat: the
 # recorder must stay zero-cost when disabled.
-BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkPaperManualDay|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend|BenchmarkEventQueue|BenchmarkServiceProbe|BenchmarkStatusPush)$$
+BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkPaperManualDay|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend|BenchmarkEventQueue|BenchmarkServiceProbe|BenchmarkStatusPush|BenchmarkAgentRun)$$
 
 # The root package's benchmarks are whole sim-days (2 iterations each);
-# the fsim, simclock, svc and agents micro-benchmarks get a fixed
-# iteration count of their own (a status push advances 5 sim-minutes, so
-# it runs fewer).
+# the fsim, simclock, svc, agents and agent micro-benchmarks get a fixed
+# iteration count of their own (a status push advances 5 sim-minutes and
+# an agent run one, so they run fewer).
 bench-agentday:
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 2x -count 3 -benchmem -run '^$$' . | tee bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/fsim | tee -a bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/simclock | tee -a bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/svc | tee -a bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 100000x -count 3 -benchmem -run '^$$' ./internal/agents | tee -a bench-agentday.txt
+	$(GO) test -bench '$(BENCH_GATE)' -benchtime 100000x -count 3 -benchmem -run '^$$' ./internal/agent | tee -a bench-agentday.txt
 
 # Speedup proofs against the checked-in seed artifacts: BenchmarkAgentDay
 # must be at least 2x faster than the pre-optimisation engine

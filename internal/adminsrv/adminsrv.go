@@ -12,7 +12,8 @@ package adminsrv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
@@ -81,16 +82,14 @@ type Pair struct {
 	// and the lines sliced from it.
 	buf   []byte
 	lines []string
-	// flagDirs is the watch list with precomputed flag-directory paths
-	// (host -> one path per expected agent), and hostOrder keeps the
-	// watched host names sorted — the sweep runs every few simulated
-	// minutes on every host, so its per-pass allocations are hoisted to
-	// Watch time.
-	flagDirs  map[string][]string
-	hostOrder []string
-	hosts     map[string]*cluster.Host
-	// hostDown tracks open whole-host faults we already escalated.
-	hostDown map[string]bool
+	// watched is the flag sweep's watch list and hosts indexes it by host
+	// name, for Watch and for the DGSPL's locations. Watch appends and
+	// marks the list unsorted when it adds a host; the next sweep sorts it
+	// by host name, once, so deploying a site's agents sorts nothing per
+	// host and the sweep still visits the hosts in name order.
+	watched  []*watch
+	hosts    map[string]*watch
+	unsorted bool
 	// latestDGSPL is the most recent generation.
 	latestDGSPL *ontology.DGSPL
 	// jobEscalated records unplaceable jobs already emailed about.
@@ -120,9 +119,7 @@ func New(cfg Config) (*Pair, error) {
 		sim:      cfg.Sim,
 		servers:  [2]*Server{{Host: cfg.Primary}, {Host: cfg.Standby}},
 		profiles: make(map[string]*ontology.DLSP),
-		flagDirs: make(map[string][]string),
-		hosts:    make(map[string]*cluster.Host),
-		hostDown: make(map[string]bool),
+		hosts:    make(map[string]*watch),
 	}
 	cfg.Primary.FS.Mount(PoolMount, cfg.Pool)
 	cfg.Standby.FS.Mount(PoolMount, cfg.Pool)
@@ -174,15 +171,29 @@ func (p *Pair) heartbeat(now simclock.Time) {
 	p.attachVIP()
 }
 
+// watch is one watched host in the flag sweep. The sweep runs every few
+// simulated minutes on every host, so the flag-directory paths are built
+// at Watch time, and the first sweep that finds the host up opens a
+// directory handle on each (not Watch, which runs while the site is being
+// built).
+type watch struct {
+	host  *cluster.Host
+	paths []string   // one flag directory per expected agent
+	dirs  []fsim.Dir // handles on paths[:len(dirs)]
+	down  bool       // an open whole-host fault, already escalated
+}
+
 // Watch registers a host and the agent names expected to drop flags there.
 func (p *Pair) Watch(h *cluster.Host, agentNames ...string) {
-	if _, known := p.hosts[h.Name]; !known {
-		p.hostOrder = append(p.hostOrder, h.Name)
-		sort.Strings(p.hostOrder)
+	w := p.hosts[h.Name]
+	if w == nil {
+		w = &watch{host: h}
+		p.hosts[h.Name] = w
+		p.watched = append(p.watched, w)
+		p.unsorted = true
 	}
-	p.hosts[h.Name] = h
 	for _, name := range agentNames {
-		p.flagDirs[h.Name] = append(p.flagDirs[h.Name], "/logs/intelliagents/"+name)
+		w.paths = append(w.paths, "/logs/intelliagents/"+name)
 	}
 }
 
@@ -221,15 +232,22 @@ func (p *Pair) flagSweep(now simclock.Time) {
 		return
 	}
 	p.FlagSweeps++
-	for _, name := range p.hostOrder {
-		h := p.hosts[name]
+	if p.unsorted {
+		slices.SortFunc(p.watched, func(a, b *watch) int { return strings.Compare(a.host.Name, b.host.Name) })
+		p.unsorted = false
+	}
+	for _, w := range p.watched {
+		h := w.host
 		if !h.Up() {
-			p.handleDeadHost(now, h)
+			p.handleDeadHost(now, w)
 			continue
 		}
-		delete(p.hostDown, name)
-		for _, flagDir := range p.flagDirs[name] {
-			if !h.FS.HasFileWithSuffix(flagDir, ".flag") {
+		w.down = false
+		for len(w.dirs) < len(w.paths) {
+			w.dirs = append(w.dirs, h.FS.OpenDir(w.paths[len(w.dirs)]))
+		}
+		for _, d := range w.dirs {
+			if !d.HasFileWithSuffix(".flag") {
 				// Missing flags: internal intelliagent problem or it never
 				// ran (§3.3). Troubleshoot the agent process.
 				p.AgentRestarts++
@@ -239,14 +257,15 @@ func (p *Pair) flagSweep(now simclock.Time) {
 }
 
 // handleDeadHost detects (and escalates once) a whole-host failure.
-func (p *Pair) handleDeadHost(now simclock.Time, h *cluster.Host) {
+func (p *Pair) handleDeadHost(now simclock.Time, w *watch) {
+	h := w.host
 	if p.cfg.Registry != nil {
 		p.cfg.Registry.Detected(h.Name, HostAspect(h.Name), now, "adminserver")
 	}
-	if p.hostDown[h.Name] {
+	if w.down {
 		return
 	}
-	p.hostDown[h.Name] = true
+	w.down = true
 	if p.cfg.Notify != nil && p.cfg.OncallEmail != "" {
 		p.cfg.Notify.Send(notify.Email, "adminserver", p.cfg.OncallEmail,
 			"server "+h.Name+" unreachable",

@@ -1,6 +1,8 @@
 package adminsrv
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/agent"
@@ -282,5 +284,60 @@ func TestUnplaceableJobEscalates(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config should fail")
+	}
+}
+
+// TestFlagSweepVisitsHostsInNameOrder: Watch appends, and the first sweep
+// after it added a host sorts the watch list once, so hosts watched in
+// reverse name order are swept in name order. Every watched host is down,
+// so each sweep's dead-host emails follow the order it visits them in,
+// both in the first sweep and in a later one after more hosts are watched.
+func TestFlagSweepVisitsHostsInNameOrder(t *testing.T) {
+	sim := simclock.New(5)
+	bus := notify.NewBus(sim)
+	admin1 := cluster.NewHost(sim, "admin1", "10.1.0.1", cluster.ModelE450, cluster.RoleAdmin, "london-dc1", "UK")
+	admin2 := cluster.NewHost(sim, "admin2", "10.1.0.2", cluster.ModelE450, cluster.RoleAdmin, "london-dc1", "UK")
+	pair, err := New(Config{
+		Sim: sim, Primary: admin1, Standby: admin2, Pool: fsim.NewVolume(),
+		Notify: bus, OncallEmail: "oncall@site", AgentPeriod: 5 * simclock.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watchDead := func(names ...string) {
+		for _, name := range names {
+			h := cluster.NewHost(sim, name, "10.0.0.1", cluster.ModelE450, cluster.RoleDatabase, "london-dc1", "UK")
+			h.Crash()
+			pair.Watch(h, "status-"+name, "network-"+name)
+		}
+	}
+	seen := 0
+	swept := func() []string {
+		var hosts []string
+		msgs := bus.History()
+		msgs, seen = msgs[seen:], len(msgs)
+		for _, m := range msgs {
+			if m.Tag == "host-down" {
+				hosts = append(hosts, strings.TrimSuffix(strings.TrimPrefix(m.Subject, "server "), " unreachable"))
+			}
+		}
+		return hosts
+	}
+	check := func(round string, got, want []string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s sweep escalated %v, want %v", round, got, want)
+		}
+	}
+
+	watchDead("db09", "db07", "db05", "db03", "db01")
+	sim.RunUntil(sim.Now() + 10*simclock.Minute) // the first sweep, at X+5 minutes
+	check("first", swept(), []string{"db01", "db03", "db05", "db07", "db09"})
+
+	watchDead("db08", "db04", "db02", "db06")
+	sim.RunUntil(sim.Now() + 10*simclock.Minute)
+	check("second", swept(), []string{"db02", "db04", "db06", "db08"})
+	if pair.FlagSweeps != 2 {
+		t.Errorf("FlagSweeps = %d, want 2", pair.FlagSweeps)
 	}
 }

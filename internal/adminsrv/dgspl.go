@@ -30,10 +30,9 @@ func (p *Pair) GenerateDGSPL(now simclock.Time) *ontology.DGSPL {
 	list := &ontology.DGSPL{GeneratedAt: now, Entries: make([]ontology.DGSPLEntry, 0, n)}
 	for _, server := range servers {
 		prof := p.profiles[server]
-		h := p.hosts[server]
 		geo, site := "", ""
-		if h != nil {
-			geo, site = h.Geo, h.Site
+		if w := p.hosts[server]; w != nil {
+			geo, site = w.host.Geo, w.host.Site
 		}
 		for _, s := range prof.Services {
 			e := ontology.DGSPLEntry{

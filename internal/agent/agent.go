@@ -196,10 +196,17 @@ type Agent struct {
 
 	flagDir   string
 	lockPath  string
-	logPath   string
-	log       *fsim.CircLog
-	procName  string // process name while awake, "intelliagent_<name>"
-	exitLabel string // event label of the end-of-run reaper
+	log       fsim.CircLog // the activity log; its first append opens it
+	procName  string       // process name while awake, "intelliagent_<name>"
+	exitLabel string       // event label of the end-of-run reaper
+
+	// lock and okFlag are handles on the lock file and on ok.flag in the
+	// flag directory. openFiles opens them in the serial phase of the
+	// agent's first run, never at construction (it would slow site set-up)
+	// and never in Observe (opening writes to the volume, which concurrent
+	// observes read). Until then they are zero, and Observe asks for the
+	// lock by path.
+	lock, okFlag fsim.File
 
 	report   func(kind, payload string)
 	detected func(aspect string, now simclock.Time)
@@ -272,7 +279,6 @@ func New(cfg Config) (*Agent, error) {
 		parts:     cfg.Parts,
 		flagDir:   FlagRoot + "/" + cfg.Name,
 		lockPath:  InstallDir + "/" + cfg.Name + ".lock",
-		logPath:   FlagRoot + "/" + cfg.Name + "/activity.log",
 		procName:  "intelliagent_" + cfg.Name,
 		exitLabel: "agent-exit:" + cfg.Name,
 		report:    cfg.Report,
@@ -284,11 +290,31 @@ func New(cfg Config) (*Agent, error) {
 		a.admins = append(a.admins, cfg.AdminEmail)
 	}
 	var err error
-	a.log, err = fsim.NewCircLog(cfg.Host.FS, a.logPath, logLines)
+	a.log, err = fsim.NewCircLog(cfg.Host.FS, a.flagDir+"/activity.log", logLines)
 	if err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// openFiles opens the agent's lock and ok-flag handles if it has not yet:
+// the serial half of its first run calls it.
+func (a *Agent) openFiles() {
+	if a.lock != (fsim.File{}) {
+		return
+	}
+	a.lock = a.host.FS.Open(a.lockPath)
+	a.okFlag = a.host.FS.Open(a.flagDir + "/ok.flag")
+}
+
+// lockHeld reports whether the agent's lock file exists: through its
+// handle once the first run has opened it, by path before, which reads
+// without opening anything.
+func (a *Agent) lockHeld() bool {
+	if a.lock == (fsim.File{}) {
+		return a.host.FS.Exists(a.lockPath)
+	}
+	return a.lock.Exists()
 }
 
 // Name reports the agent's name.

@@ -27,7 +27,7 @@ func newRig() *rig {
 	}
 }
 
-func (r *rig) agent(t *testing.T, cfg Config) *Agent {
+func (r *rig) agent(t testing.TB, cfg Config) *Agent {
 	t.Helper()
 	cfg.Host = r.host
 	cfg.Notify = r.bus
@@ -301,5 +301,54 @@ func TestSanitize(t *testing.T) {
 func TestFlagNaming(t *testing.T) {
 	if flagName("ok", "") != "ok.flag" || flagName("fault", "svc") != "fault.svc.flag" {
 		t.Error("flag naming convention broken")
+	}
+}
+
+// warmOKAgent returns a rig and an ok agent that has run, and been reaped,
+// a few times: the host's process slots, the agent's file slots and its
+// buffers have settled.
+func warmOKAgent(tb testing.TB) (*rig, *Agent) {
+	r := newRig()
+	a := r.agent(tb, Config{Name: "cpu", Category: CatResource, Parts: okParts()})
+	for i := 0; i < 5; i++ {
+		okRun(r, a)
+	}
+	return r, a
+}
+
+// okRun is one cron wake-up of an ok agent and its reaper: the run spawns
+// the agent's process, writes its lock and logs one line, and the reaper,
+// a run window later, kills the process and removes the lock.
+func okRun(r *rig, a *Agent) {
+	a.Run(r.sim)
+	r.sim.RunUntil(r.sim.Now() + simclock.Minute)
+}
+
+// TestOKRunAllocs: on a warm host, an ok run plus its reaper allocates
+// exactly two strings, the lock line and the activity-log line. The
+// process, the lock's and the log's file slots, the reaper and the event
+// that carries it are all reused.
+func TestOKRunAllocs(t *testing.T) {
+	r, a := warmOKAgent(t)
+	before := a.Counters()
+	if allocs := testing.AllocsPerRun(200, func() { okRun(r, a) }); allocs != 2 {
+		t.Errorf("ok run plus reaper: %v allocs, want 2", allocs)
+	}
+	if c := a.Counters(); c.Runs-before.Runs != 201 || c.SkippedLock != 0 || c.Findings != 0 {
+		t.Errorf("counters moved from %+v to %+v, want 201 clean runs", before, c)
+	}
+	if r.host.NProcs() != 0 || r.host.FS.Exists(InstallDir+"/cpu.lock") {
+		t.Error("a reaped run left its process or its lock behind")
+	}
+}
+
+// BenchmarkAgentRun times one ok agent run plus its reaper on a warm host:
+// the framework's per-run cost (process spawn and reap, lock write and
+// removal, one activity-log line) with a monitor that finds nothing.
+func BenchmarkAgentRun(b *testing.B) {
+	r, a := warmOKAgent(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		okRun(r, a)
 	}
 }

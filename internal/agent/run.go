@@ -24,7 +24,8 @@ func (a *Agent) Run(sim *simclock.Sim) {
 	if !a.host.Up() {
 		return
 	}
-	if a.host.FS.Exists(a.lockPath) {
+	a.openFiles()
+	if a.lock.Exists() {
 		a.counters.SkippedLock++
 		return
 	}
@@ -46,15 +47,18 @@ const (
 // Observe is the read-only half of the prepared cron protocol: it performs
 // the host-up and lock checks and — for pure monitor parts — the monitoring
 // itself, buffering the findings. It must not touch simulated state: no RNG,
-// no filesystem writes, no notifications, no trace events, no counters. The
-// sharded scheduler calls Observe concurrently across agents of one cron
-// batch; everything it learns is replayed by Apply at the tick barrier.
+// no filesystem writes, no notifications, no trace events, no counters. It
+// opens nothing either: opening a file handle adds a slot to the host's
+// volume, so an agent whose first Apply has not yet opened its lock handle
+// checks the lock by path. The sharded scheduler calls Observe concurrently
+// across agents of one cron batch; everything it learns is replayed by
+// Apply at the tick barrier.
 func (a *Agent) Observe(now simclock.Time) {
 	a.obsFindings = nil
 	switch {
 	case !a.host.Up():
 		a.obsState = obsDown
-	case a.host.FS.Exists(a.lockPath):
+	case a.lockHeld():
 		a.obsState = obsLocked
 	case a.parts.MonitorMutates:
 		// Mutating monitors run inside Apply.
@@ -97,7 +101,8 @@ func (a *Agent) Apply(sim *simclock.Sim, now simclock.Time) {
 	if !a.host.Up() {
 		return
 	}
-	if a.host.FS.Exists(a.lockPath) {
+	a.openFiles()
+	if a.lock.Exists() {
 		a.counters.SkippedLock++
 		return
 	}
@@ -120,12 +125,12 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 	}
 	a.logBuf = strconv.AppendInt(append(a.logBuf[:0], "pid="...), int64(proc.PID), 10)
 	a.lockLine[0] = string(a.logBuf)
-	_ = a.host.FS.WriteLines(a.lockPath, a.lockLine[:])
+	_ = a.lock.WriteLines(a.lockLine[:])
 	a.counters.CPUSeconds += runCPUDemand * float64(runDuration) / float64(simclock.Second)
 	if a.exitFn == nil {
 		a.exitFn = func(simclock.Time) {
 			a.host.Kill(a.exitPID)
-			_ = a.host.FS.Remove(a.lockPath)
+			_ = a.lock.Remove()
 		}
 	}
 	a.exitPID = proc.PID
@@ -143,7 +148,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 		Detected: a.detected,
 		Repaired: a.repaired,
 		Trace:    a.trace,
-		log:      a.log,
+		log:      &a.log,
 		agent:    a,
 	}
 
@@ -164,7 +169,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 
 	if len(findings) == 0 {
 		if !cleanOK {
-			a.writeFlag("ok", "")
+			_ = a.okFlag.WriteLines(nil)
 			a.flagsOK = true
 		}
 		rc.Logf("run ok, no findings")
@@ -260,7 +265,7 @@ func (a *Agent) writeFlag(status, detail string) {
 // sweep would have, before the run writes its real flags.
 func (a *Agent) dirtyFlags() {
 	a.flagsOK = false
-	_ = a.host.FS.Remove(a.flagDir + "/ok.flag")
+	_ = a.okFlag.Remove()
 }
 
 // clearFlags removes previous-run flags (self-maintenance).

@@ -32,8 +32,9 @@ func NewDatabaseAgent(cfg agent.Config, db *svc.Service) (*agent.Agent, error) {
 		cfg.Host = db.Host
 		host = db.Host
 	}
-	dir := PerfLogDir(host.Name)
-	var log *fsim.CircLog
+	// The log opens its file at its first append; its cap is positive, so
+	// NewCircLog cannot fail.
+	log, _ := fsim.NewCircLog(host.FS, PerfLogDir(host.Name)+"/db-"+db.Spec.Name+".log", 1000)
 	admin := cfg.AdminEmail
 
 	cfg.Name = "database-" + db.Spec.Name
@@ -43,9 +44,6 @@ func NewDatabaseAgent(cfg agent.Config, db *svc.Service) (*agent.Agent, error) {
 		// this monitor runs in the serial apply phase under sharded dispatch.
 		MonitorMutates: true,
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
-			if log == nil {
-				log, _ = fsim.NewCircLog(host.FS, dir+"/db-"+db.Spec.Name+".log", 1000)
-			}
 			if !db.Running() {
 				// Down databases are the service agent's problem; the
 				// measurement agent records the gap and stands aside.

@@ -36,16 +36,12 @@ const (
 func NewPerformanceAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
 	osBaseline := diagnose.DefaultOSBaseline(host.Model)
+	// One circular log per measurement group; each opens its file at its
+	// first append. perfLogLines is positive, so NewCircLog cannot fail.
 	dir := PerfLogDir(host.Name)
-	logs := map[string]*fsim.CircLog{}
-	logFor := func(group string) *fsim.CircLog {
-		if l, ok := logs[group]; ok {
-			return l
-		}
-		l, _ := fsim.NewCircLog(host.FS, dir+"/"+group+".log", perfLogLines)
-		logs[group] = l
-		return l
-	}
+	osLog, _ := fsim.NewCircLog(host.FS, dir+"/os.log", perfLogLines)
+	diskLog, _ := fsim.NewCircLog(host.FS, dir+"/disk.log", perfLogLines)
+	procLog, _ := fsim.NewCircLog(host.FS, dir+"/procs.log", perfLogLines)
 
 	cfg.Name = "performance-" + host.Name
 	cfg.Category = agent.CatPerformance
@@ -68,13 +64,13 @@ func NewPerformanceAgent(cfg agent.Config) (*agent.Agent, error) {
 			// line is formatted in the agent's own buffer, so it costs one
 			// string.
 			line = appendOSLine(line[:0], rc.Now, vm)
-			_ = logFor("os").Append(string(line))
+			_ = osLog.Append(string(line))
 			line = appendDiskLine(line[:0], rc.Now, io)
-			_ = logFor("disk").Append(string(line))
+			_ = diskLog.Append(string(line))
 			for _, p := range ps {
 				if p.CPUDemand >= 0.5 {
 					line = appendProcLine(line[:0], rc.Now, p)
-					_ = logFor("procs").Append(string(line))
+					_ = procLog.Append(string(line))
 				}
 			}
 

@@ -2,6 +2,7 @@ package agents
 
 import (
 	"repro/internal/agent"
+	"repro/internal/fsim"
 	"repro/internal/ontology"
 )
 
@@ -42,13 +43,15 @@ func buildDLSP(p *ontology.DLSP, rc *agent.RunContext) {
 }
 
 // statusAgent is the status intelliagent's state carried from run to run:
-// the profile it rebuilds, the buffer the profile's text is encoded into
-// and the line slice it writes. A run therefore allocates one string, the
-// text itself, which the local file's lines and the push both share.
+// the profile it rebuilds, the buffer the profile's text is encoded into,
+// the line slice it writes and the handle on the local copy, opened by the
+// first run. A run therefore allocates one string, the text itself, which
+// the local file's lines and the push both share.
 type statusAgent struct {
 	prof  ontology.DLSP
 	buf   []byte
 	lines []string
+	dlsp  fsim.File
 }
 
 func (st *statusAgent) monitor(rc *agent.RunContext) []agent.Finding {
@@ -56,7 +59,10 @@ func (st *statusAgent) monitor(rc *agent.RunContext) []agent.Finding {
 	st.buf = st.prof.AppendText(st.buf[:0])
 	text := string(st.buf)
 	st.lines = ontology.AppendLines(st.lines[:0], text)
-	_ = rc.FS.WriteLines(DLSPPath, st.lines)
+	if st.dlsp == (fsim.File{}) {
+		st.dlsp = rc.FS.Open(DLSPPath)
+	}
+	_ = st.dlsp.WriteLines(st.lines)
 	if rc.Report != nil {
 		rc.Report("dlsp", text)
 	}

@@ -55,8 +55,9 @@ func TestAppendLineCappedErrors(t *testing.T) {
 	}
 }
 
-// TestRemoveRecyclingIsolation: the recycled file object from a Remove
-// must not leak content or aliasing into the next file created.
+// TestRemoveRecyclingIsolation: a removed file keeps its slot and line
+// array, which its re-creation reuses; no content or aliasing may leak
+// from the removed file into the new one, or into a copy read earlier.
 func TestRemoveRecyclingIsolation(t *testing.T) {
 	fs := NewFS()
 	if err := fs.WriteLines("/a", []string{"old-1", "old-2"}); err != nil {
@@ -68,19 +69,19 @@ func TestRemoveRecyclingIsolation(t *testing.T) {
 	if fs.Exists("/a") {
 		t.Fatal("/a still exists after Remove")
 	}
-	if err := fs.WriteLines("/b", []string{"new"}); err != nil {
+	if err := fs.AppendLineCapped("/a", "new", 5); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.ReadLines("/b")
+	got, err := fs.ReadLines("/a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, []string{"new"}) {
-		t.Errorf("recycled file leaked content: %v", got)
+		t.Errorf("re-created file leaked content: %v", got)
 	}
 	// Overwrites reuse the line array; a caller's previously read copy
 	// must be unaffected.
-	if err := fs.WriteLines("/b", []string{"newer", "lines"}); err != nil {
+	if err := fs.WriteLines("/a", []string{"newer", "lines"}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, []string{"new"}) {
@@ -110,7 +111,7 @@ func TestVolumeAndFSReset(t *testing.T) {
 		t.Fatalf("write after Reset: %v", err)
 	}
 	shared.Reset()
-	if view(shared).Exists("/v/shared") || len(shared.files) != 0 {
+	if view(shared).Exists("/v/shared") || len(shared.nodes) != 1 {
 		t.Error("Volume.Reset left files behind")
 	}
 }

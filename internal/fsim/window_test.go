@@ -118,7 +118,7 @@ func TestCircLogWindowSlackBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		f := fs.root.files["/l"]
+		f := fs.root.nodes["/l"]
 		if got := len(f.lines()); got != max {
 			t.Errorf("max=%d: %d live lines", max, got)
 		}
@@ -177,7 +177,8 @@ func TestExistingFileFastPathInvariants(t *testing.T) {
 	}
 	// A refused write creates no directories on its way up.
 	v, _ := fs.resolve("/")
-	if v.dirs["/d/sub/f/g"] {
+	isDir := func(p string) bool { return v.nodes[p] != nil && v.nodes[p].dir }
+	if isDir("/d/sub/f/g") {
 		t.Error("failed write below a file left directory /d/sub/f/g behind")
 	}
 
@@ -186,7 +187,7 @@ func TestExistingFileFastPathInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dir := range []string{"/d", "/d/sub"} {
-		if !v.dirs[dir] {
+		if !isDir(dir) {
 			t.Errorf("write after Reset did not recreate %s", dir)
 		}
 		if err := fs.WriteLines(dir, nil); !errors.Is(err, ErrIsDir) {
@@ -198,60 +199,83 @@ func TestExistingFileFastPathInvariants(t *testing.T) {
 	}
 }
 
-// TestConcurrentAppendTouch: the volume's lock makes each operation one
-// step, so capped appends racing each other on one file are never lost,
-// and a reader touching the file meanwhile sees it grow whole: present
-// once written, and never shorter than at its previous read.
+// TestConcurrentAppendTouch holds the phase rule that stands in for a
+// volume lock. Each round runs a serial write phase — a capped append to a
+// log, and a flag written or removed, alternating handles and path calls —
+// then a read phase in which several goroutines read the log, the flag and
+// their directory at once, through handles opened earlier and by path,
+// while nothing writes. Every reader must see exactly what the write phase
+// left, on the private root and through a mount alike. Under -race, a read
+// that writes (one that compacted the log's window, say) or a write that
+// overlapped the readers is a reported race; CI runs it that way, ten
+// times.
 func TestConcurrentAppendTouch(t *testing.T) {
-	const writers, appends = 4, 300
-	const room = writers * appends // a cap every line fits under: a lost append shows
+	const readers, rounds, max = 4, 120, 50
 	fs := NewFS()
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < appends; i++ {
-				if err := fs.AppendLineCapped("/log", fmt.Sprintf("w%d-%d", w, i), room); err != nil {
-					t.Error(err)
-					return
-				}
+	fs.Mount("/nfs/pool", NewVolume())
+	for _, dir := range []string{"/logs/intelliagents/cpu", "/nfs/pool/agents/cpu"} {
+		logPath, flagPath := dir+"/activity.log", dir+"/ok.flag"
+		log, flag, flags := fs.Open(logPath), fs.Open(flagPath), fs.OpenDir(dir)
+		var want []string
+		for round := 0; round < rounds; round++ {
+			line := fmt.Sprintf("run %d", round)
+			var err error
+			if round%2 == 0 {
+				err = log.AppendLineCapped(line, max)
+			} else {
+				err = fs.AppendLineCapped(logPath, line, max)
 			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		seen := 0
-		for i := 0; i < writers*appends; i++ {
-			if !fs.Exists("/log") {
-				if seen > 0 {
-					t.Error("log vanished after it was written")
-					return
-				}
-				continue
+			if err != nil {
+				t.Fatal(err)
 			}
-			lines, err := fs.ReadLines("/log")
-			if err != nil || len(lines) < max(seen, 1) {
-				t.Errorf("ReadLines = %d lines (err %v) after a read of %d", len(lines), err, seen)
-				return
+			want = append(want, line)
+			if len(want) > max {
+				want = want[1:]
 			}
-			seen = len(lines)
+			switch round % 4 {
+			case 0:
+				err = flag.WriteLines(nil)
+			case 1:
+				err = fs.Remove(flagPath)
+			case 2:
+				err = fs.WriteLines(flagPath, nil)
+			case 3:
+				err = flag.Remove()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			flagged := round%4 == 0 || round%4 == 2
+			wantNames := []string{"activity.log"}
+			if flagged {
+				wantNames = append(wantNames, "ok.flag")
+			}
+
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					byHandle, err1 := log.ReadLines()
+					byPath, err2 := fs.ReadLines(logPath)
+					if err1 != nil || err2 != nil || !sameLines(byHandle, want) || !sameLines(byPath, want) {
+						t.Errorf("%s round %d: log read %d lines by handle (err %v), %d by path (err %v), want %d",
+							dir, round, len(byHandle), err1, len(byPath), err2, len(want))
+					}
+					if !log.Exists() || !fs.Exists(logPath) {
+						t.Errorf("%s round %d: log missing", dir, round)
+					}
+					if flag.Exists() != flagged || fs.Exists(flagPath) != flagged ||
+						flags.HasFileWithSuffix(".flag") != flagged || fs.HasFileWithSuffix(dir, ".flag") != flagged {
+						t.Errorf("%s round %d: flag present disagrees with %v", dir, round, flagged)
+					}
+					if names, err := fs.List(dir); err != nil || !reflect.DeepEqual(names, wantNames) {
+						t.Errorf("%s round %d: List = %v (err %v), want %v", dir, round, names, err, wantNames)
+					}
+				}()
+			}
+			wg.Wait()
 		}
-	}()
-	wg.Wait()
-	lines, err := fs.ReadLines("/log")
-	if err != nil || len(lines) != room {
-		t.Fatalf("ReadLines = %d lines (err %v), want %d", len(lines), err, room)
-	}
-	// Each writer's lines are all there, in the order it wrote them.
-	next := make([]int, writers)
-	for _, l := range lines {
-		var w, i int
-		if _, err := fmt.Sscanf(l, "w%d-%d", &w, &i); err != nil || i != next[w] {
-			t.Fatalf("line %q out of order", l)
-		}
-		next[w]++
 	}
 }
 
