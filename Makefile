@@ -9,7 +9,7 @@ PKGS := ./...
 # not when tee does.
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all build test test-race bench-check bench bench-agentday perf-proof megasite-seed golden-check lint staticcheck fmt loc campaign-smoke topology-smoke megasite-smoke shard-smoke agent-shard-smoke trace-smoke workload-smoke manual-year-smoke benchdiff clean
+.PHONY: all build test test-race bench-check bench bench-agentday bench-pairs perf-proof megasite-seed golden-check lint staticcheck fmt loc campaign-smoke topology-smoke megasite-smoke shard-smoke agent-shard-smoke trace-smoke workload-smoke manual-year-smoke benchdiff clean
 
 all: lint build test
 
@@ -38,34 +38,42 @@ bench:
 
 # The perf-gate data points: the agent cron hot loop on the scaled and
 # paper-size sites (untraced and with the decision-trace recorder on),
-# the pooled-vs-fresh campaign trial pair, the paper-site manual day
-# (workload refresh, LSF and operator repair; the BMC monitors resident
-# but not polling), and the 10k-host megasite day, plus the
-# circular-log append at three caps (internal/fsim; its ns/op must stay
-# flat as the cap grows, at 0 allocs/op), the event queue's hold model
-# at two depths (internal/simclock; 0 allocs/op) and the service health
-# check on a healthy Oracle instance and web server (internal/svc;
-# 0 allocs/op), one status-agent run whose DLSP push reaches the
-# administration pair over netsim (internal/agents) and one ok agent run
-# plus its reaper on a warm host (internal/agent: the apply layer's
-# per-run cost, at 2 allocs/op), with -benchmem so scripts/benchdiff
-# gates allocs/op alongside ns/op.
+# the pooled-vs-fresh campaign trial pair and the 10k-host megasite day,
+# plus the circular-log append at three caps (internal/fsim; its ns/op
+# must stay flat as the cap grows, at 0 allocs/op), the event queue's
+# hold model at two depths and its agents-year shape, 500 cron tickers
+# with their +4 s reapers (internal/simclock; 0 allocs/op), the service
+# health check on a healthy Oracle instance and web server
+# (internal/svc; 0 allocs/op), one status-agent run whose DLSP push
+# reaches the administration pair over netsim (internal/agents), one ok
+# agent run plus its reaper on a warm host (internal/agent: the apply
+# layer's per-run cost, at 2 allocs/op) and one router send and its
+# delivery over the private and public networks (internal/netsim;
+# 0 allocs/op), with -benchmem so scripts/benchdiff gates allocs/op
+# alongside ns/op. The paper-site manual day (workload refresh, LSF and
+# operator repair; the BMC monitors resident but not polling) has a line
+# of its own, PAPER_MANUAL_DAY.
 # Repeated (-count 3) so the best-of values compared are stable.
 # BenchmarkAgentDay (tracing off) is the line the gate holds flat: the
 # recorder must stay zero-cost when disabled.
-BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkPaperManualDay|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend|BenchmarkEventQueue|BenchmarkServiceProbe|BenchmarkStatusPush|BenchmarkAgentRun)$$
+BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend|BenchmarkEventQueue|BenchmarkServiceProbe|BenchmarkStatusPush|BenchmarkAgentRun|BenchmarkRouterSend)$$
+PAPER_MANUAL_DAY := ^BenchmarkPaperManualDay$$
 
-# The root package's benchmarks are whole sim-days (2 iterations each);
-# the fsim, simclock, svc, agents and agent micro-benchmarks get a fixed
-# iteration count of their own (a status push advances 5 sim-minutes and
-# an agent run one, so they run fewer).
+# The root package's benchmarks are whole sim-days (2 iterations each),
+# except the paper-site manual day: an iteration takes about 1.5 ms, so at
+# 2 iterations one garbage collection decided its ns/op, and 400 spread
+# several over the run. The fsim, simclock, svc, agents, agent and netsim
+# micro-benchmarks get a fixed iteration count of their own (a status
+# push advances 5 sim-minutes and an agent run one, so they run fewer).
 bench-agentday:
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 2x -count 3 -benchmem -run '^$$' . | tee bench-agentday.txt
+	$(GO) test -bench '$(PAPER_MANUAL_DAY)' -benchtime 400x -count 3 -benchmem -run '^$$' . | tee -a bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/fsim | tee -a bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/simclock | tee -a bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/svc | tee -a bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 100000x -count 3 -benchmem -run '^$$' ./internal/agents | tee -a bench-agentday.txt
 	$(GO) test -bench '$(BENCH_GATE)' -benchtime 100000x -count 3 -benchmem -run '^$$' ./internal/agent | tee -a bench-agentday.txt
+	$(GO) test -bench '$(BENCH_GATE)' -benchtime 1000000x -count 3 -benchmem -run '^$$' ./internal/netsim | tee -a bench-agentday.txt
 
 # Speedup proofs against the checked-in seed artifacts: BenchmarkAgentDay
 # must be at least 2x faster than the pre-optimisation engine
@@ -230,6 +238,24 @@ manual-year-smoke:
 #   make benchdiff OLD=prev/bench-agentday.txt NEW=bench-agentday.txt
 benchdiff:
 	$(GO) run ./scripts/benchdiff $(OLD) $(NEW)
+
+# Alternated qosbench pairs of a base revision and the working tree on one
+# workload, on one machine in one session:
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=paper-agents
+# builds qosbench from `git archive $(BASE)` (HEAD when BASE is unset) and
+# from the working tree (both under .bench_build/pairs/), then runs
+# scripts/benchpairs: $(SEEDS) pairs at seeds from 1 up (skipping 11), the
+# base first on odd seeds, plus hold-out seed 11. It fails on an incorrect
+# run, a failed operation or a pair whose digests differ.
+WORKLOAD ?= paper-agents
+SEEDS ?= 10
+bench-pairs:
+	rm -rf .bench_build/pairs && mkdir -p .bench_build/pairs/base
+	git archive $(or $(BASE),HEAD) | tar -x -C .bench_build/pairs/base
+	cd .bench_build/pairs/base/bench && GOTOOLCHAIN=local GOPROXY=off $(GO) build -o ../../base-qosbench ./qosbench
+	cd bench && GOTOOLCHAIN=local GOPROXY=off $(GO) build -o ../.bench_build/pairs/change-qosbench ./qosbench
+	$(GO) run ./scripts/benchpairs -parent .bench_build/pairs/base-qosbench \
+		-change .bench_build/pairs/change-qosbench -workload $(WORKLOAD) -seeds $(SEEDS)
 
 lint: staticcheck
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -297,14 +297,18 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// openFiles opens the agent's lock and ok-flag handles if it has not yet:
-// the serial half of its first run calls it.
+// openFiles opens the agent's lock and ok-flag handles if it has not yet,
+// and pins the host's process-count cell for the agent's process name, so
+// that a run's spawn and reap find the cell in place instead of adding it
+// to the host's index and dropping it again. The serial half of the
+// agent's first run calls it: pinning writes host state, as opening does.
 func (a *Agent) openFiles() {
 	if a.lock != (fsim.File{}) {
 		return
 	}
 	a.lock = a.host.FS.Open(a.lockPath)
 	a.okFlag = a.host.FS.Open(a.flagDir + "/ok.flag")
+	a.host.PinTally(a.procName)
 }
 
 // lockHeld reports whether the agent's lock file exists: through its

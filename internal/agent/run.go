@@ -118,7 +118,8 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 	// The agent exists as a process only while awake: spawn, then reap at
 	// the end of the run window, charging the CPU it burned. The reaper
 	// closure is built once per agent (it reads exitPID at fire time) and
-	// posted through the Sim's pooled no-handle path.
+	// posted through the Sim's pooled no-handle path, in the lane of the
+	// fixed run window.
 	proc := a.host.Spawn(a.procName, "iagent", InstallDir, runCPUDemand, runMemMB)
 	if proc == nil {
 		return
@@ -134,7 +135,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 		}
 	}
 	a.exitPID = proc.PID
-	sim.PostAfter(runDuration, a.exitLabel, a.exitFn)
+	sim.PostFixed(runDuration, a.exitLabel, a.exitFn)
 
 	rc := &a.rc
 	*rc = RunContext{

@@ -2,6 +2,7 @@ package agents
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/agent"
@@ -153,11 +154,11 @@ func NewPerformanceAgent(cfg agent.Config) (*agent.Agent, error) {
 //	<now>|sr=%.0f|po=%.0f|free=%.0f|runq=%d|idle=%.1f|blocked=%d
 func appendOSLine(b []byte, now simclock.Time, vm cluster.VMStat) []byte {
 	b = strconv.AppendInt(b, int64(now), 10)
-	b = strconv.AppendFloat(append(b, "|sr="...), vm.ScanRate, 'f', 0, 64)
-	b = strconv.AppendFloat(append(b, "|po="...), vm.PageOuts, 'f', 0, 64)
-	b = strconv.AppendFloat(append(b, "|free="...), vm.FreeMemMB, 'f', 0, 64)
+	b = appendFixed(append(b, "|sr="...), vm.ScanRate, 0)
+	b = appendFixed(append(b, "|po="...), vm.PageOuts, 0)
+	b = appendFixed(append(b, "|free="...), vm.FreeMemMB, 0)
 	b = strconv.AppendInt(append(b, "|runq="...), int64(vm.RunQueue), 10)
-	b = strconv.AppendFloat(append(b, "|idle="...), vm.CPUIdlePct, 'f', 1, 64)
+	b = appendFixed(append(b, "|idle="...), vm.CPUIdlePct, 1)
 	return strconv.AppendInt(append(b, "|blocked="...), int64(vm.BlockedProcs), 10)
 }
 
@@ -167,9 +168,9 @@ func appendOSLine(b []byte, now simclock.Time, vm cluster.VMStat) []byte {
 //	<now>|busy=%.0f|asvc=%.1f|wsvc=%.1f
 func appendDiskLine(b []byte, now simclock.Time, io cluster.IOStat) []byte {
 	b = strconv.AppendInt(b, int64(now), 10)
-	b = strconv.AppendFloat(append(b, "|busy="...), io.BusyPct, 'f', 0, 64)
-	b = strconv.AppendFloat(append(b, "|asvc="...), io.AsvcMS, 'f', 1, 64)
-	return strconv.AppendFloat(append(b, "|wsvc="...), io.WsvcMS, 'f', 1, 64)
+	b = appendFixed(append(b, "|busy="...), io.BusyPct, 0)
+	b = appendFixed(append(b, "|asvc="...), io.AsvcMS, 1)
+	return appendFixed(append(b, "|wsvc="...), io.WsvcMS, 1)
 }
 
 // appendProcLine appends one busy process's line to measurement groups 4
@@ -181,8 +182,60 @@ func appendProcLine(b []byte, now simclock.Time, p *cluster.Process) []byte {
 	b = strconv.AppendInt(append(b, "|pid="...), int64(p.PID), 10)
 	b = append(append(b, "|user="...), p.User...)
 	b = append(append(b, "|cmd="...), p.Name...)
-	b = strconv.AppendFloat(append(b, "|cpu="...), p.CPUDemand, 'f', 2, 64)
-	return strconv.AppendFloat(append(b, "|mem="...), p.MemMB, 'f', 0, 64)
+	b = appendFixed(append(b, "|cpu="...), p.CPUDemand, 2)
+	return appendFixed(append(b, "|mem="...), p.MemMB, 0)
+}
+
+// fixedScale is 10^prec for the precisions appendFixed takes.
+var fixedScale = [...]uint64{1, 10, 100}
+
+// appendFixed appends x with prec (0, 1 or 2) digits after the point,
+// byte for byte as strconv.AppendFloat(b, x, 'f', prec, 64), which always
+// takes its big-decimal path at a fixed precision. Below 2^53 the value
+// is mant·2^-s for integers mant < 2^53 and s ≥ 0, so x·10^prec =
+// mant·10^prec·2^-s with mant·10^prec < 2^60: one shift gives its integer
+// part and the exact remainder, which rounds half to even, as strconv
+// does. NaN, the infinities and |x| ≥ 2^53 go to strconv. The sign is
+// printed whenever it is set, so -0 and negatives that round to zero read
+// "-0", as strconv prints them.
+func appendFixed(b []byte, x float64, prec int) []byte {
+	fb := math.Float64bits(x)
+	exp := int(fb>>52) & 0x7ff
+	if exp >= 1023+53 { // NaN, ±Inf, |x| ≥ 2^53
+		return strconv.AppendFloat(b, x, 'f', prec, 64)
+	}
+	mant := fb & (1<<52 - 1)
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+	}
+	s := uint(1075 - exp) // x = mant·2^-s, s ≥ 0
+	scale := fixedScale[prec]
+	v := mant * scale
+	var q uint64
+	if s < 61 { // at s ≥ 61, v < 2^60 ≤ half: the value rounds to 0
+		q = v >> s
+		if s > 0 {
+			rem, half := v&(1<<s-1), uint64(1)<<(s-1)
+			if rem > half || rem == half && q&1 == 1 {
+				q++
+			}
+		}
+	}
+	if fb>>63 != 0 {
+		b = append(b, '-')
+	}
+	if prec == 0 {
+		return strconv.AppendUint(b, q, 10)
+	}
+	frac := q % scale
+	b = append(strconv.AppendUint(b, q/scale, 10), '.')
+	if prec == 2 {
+		b = append(b, byte('0'+frac/10))
+		frac %= 10
+	}
+	return append(b, byte('0'+frac))
 }
 
 // findRunaway returns the non-service process with the largest CPU demand

@@ -53,17 +53,31 @@ type Stats struct {
 }
 
 // Network is a broadcast domain with uniform latency.
+//
+// It keeps one endpoint record per host name, in one map: the host's
+// handler, whether it is attached, and its link state. A send looks both
+// hosts' records up once, and a message in flight carries its
+// destination's record, so its delivery reads the record's state at
+// delivery time without a lookup. Records are never removed: Detach and
+// Reset mark them detached, which also forgets the link state, and a
+// later Attach of the same name takes the same record back.
 type Network struct {
-	name     string
-	label    string // the delivery events' label
-	sim      *simclock.Sim
-	latency  simclock.Time
-	jitter   float64
-	up       bool
-	handlers map[string]Handler
-	linkUp   map[string]bool
-	stats    Stats
-	free     []*delivery // delivered records, reused by the next Send
+	name      string
+	label     string // the delivery events' label
+	sim       *simclock.Sim
+	latency   simclock.Time
+	jitter    float64
+	up        bool
+	endpoints map[string]*endpoint
+	stats     Stats
+	free      []*delivery // delivered records, reused by the next Send
+}
+
+// endpoint is one host's attachment to a network.
+type endpoint struct {
+	handler  Handler
+	attached bool
+	linkUp   bool // false whenever detached
 }
 
 // delivery is one message in flight. Records are pooled per network, and
@@ -71,6 +85,7 @@ type Network struct {
 // Send posts a pooled record with no closure and no allocation.
 type delivery struct {
 	n   *Network
+	to  *endpoint // msg.To's record
 	msg Message
 	fn  func(now simclock.Time)
 }
@@ -80,30 +95,28 @@ type delivery struct {
 // in flight. The record returns to the pool first, so a handler that sends
 // can reuse it.
 func (d *delivery) deliver(now simclock.Time) {
-	n, msg := d.n, d.msg
-	d.msg = Message{}
+	n, to, msg := d.n, d.to, d.msg
+	d.to, d.msg = nil, Message{}
 	n.free = append(n.free, d)
-	h, ok := n.handlers[msg.To]
-	if !ok || !n.up || !n.linkUp[msg.To] {
+	if !n.up || !to.linkUp {
 		n.stats.Dropped++
 		return
 	}
 	n.stats.Delivered++
-	h(now, msg)
+	to.handler(now, msg)
 }
 
 // New returns an operational network delivering with the given base
 // latency. A jitter fraction of e.g. 0.2 spreads latency ±20%.
 func New(sim *simclock.Sim, name string, latency simclock.Time, jitter float64) *Network {
 	return &Network{
-		name:     name,
-		label:    "netsim:" + name + ":deliver",
-		sim:      sim,
-		latency:  latency,
-		jitter:   jitter,
-		up:       true,
-		handlers: make(map[string]Handler),
-		linkUp:   make(map[string]bool),
+		name:      name,
+		label:     "netsim:" + name + ":deliver",
+		sim:       sim,
+		latency:   latency,
+		jitter:    jitter,
+		up:        true,
+		endpoints: make(map[string]*endpoint),
 	}
 }
 
@@ -120,52 +133,81 @@ func (n *Network) SetUp(up bool) { n.up = up }
 func (n *Network) Stats() Stats { return n.stats }
 
 // Reset returns the network to the state New leaves it in — fabric up, no
-// attachments, zero counters — keeping map storage and the delivery pool
-// allocated. Site reuse calls this between trials and re-attaches the
-// skeleton's hosts. A message still in flight is delivered against the
-// reset network (a drop, unless its destination was re-attached).
+// attachments, zero counters — keeping the endpoint records and the
+// delivery pool allocated. Site reuse calls this between trials and
+// re-attaches the skeleton's hosts. A message still in flight is delivered
+// against the reset network (a drop, unless its destination was
+// re-attached).
 func (n *Network) Reset() {
 	n.up = true
-	clear(n.handlers)
-	clear(n.linkUp)
+	for _, ep := range n.endpoints {
+		*ep = endpoint{}
+	}
 	n.stats = Stats{}
+}
+
+// endpoint returns host's record, or nil when the host is not attached.
+func (n *Network) endpoint(host string) *endpoint {
+	if ep := n.endpoints[host]; ep != nil && ep.attached {
+		return ep
+	}
+	return nil
 }
 
 // Attach connects host to the network with its link up. Reattaching
 // replaces the handler but preserves link state.
 func (n *Network) Attach(host string, h Handler) {
-	if _, ok := n.linkUp[host]; !ok {
-		n.linkUp[host] = true
+	ep := n.endpoints[host]
+	if ep == nil {
+		ep = &endpoint{}
+		n.endpoints[host] = ep
 	}
-	n.handlers[host] = h
+	if !ep.attached {
+		ep.attached, ep.linkUp = true, true
+	}
+	ep.handler = h
 }
 
-// Detach removes the host entirely.
+// Detach removes the host entirely: a later Attach starts with its link
+// up.
 func (n *Network) Detach(host string) {
-	delete(n.handlers, host)
-	delete(n.linkUp, host)
+	if ep := n.endpoints[host]; ep != nil {
+		*ep = endpoint{}
+	}
 }
 
 // Attached reports whether host is connected.
-func (n *Network) Attached(host string) bool {
-	_, ok := n.handlers[host]
-	return ok
-}
+func (n *Network) Attached(host string) bool { return n.endpoint(host) != nil }
 
-// SetLink raises or drops a single host's link (NIC or cable failure).
+// SetLink raises or drops a single host's link (NIC or cable failure). It
+// does nothing to a host that is not attached.
 func (n *Network) SetLink(host string, up bool) {
-	if _, ok := n.linkUp[host]; ok {
-		n.linkUp[host] = up
+	if ep := n.endpoint(host); ep != nil {
+		ep.linkUp = up
 	}
 }
 
 // LinkUp reports the host's link state.
-func (n *Network) LinkUp(host string) bool { return n.linkUp[host] }
+func (n *Network) LinkUp(host string) bool {
+	ep := n.endpoints[host]
+	return ep != nil && ep.linkUp
+}
 
 // Usable reports whether a message from one host to another could be
 // delivered right now.
-func (n *Network) Usable(from, to string) bool {
-	return n.up && n.Attached(from) && n.Attached(to) && n.linkUp[from] && n.linkUp[to]
+func (n *Network) Usable(from, to string) bool { return n.route(from, to) != nil }
+
+// route returns the destination's record when a message from one host to
+// another could be delivered right now, and nil when it could not.
+func (n *Network) route(from, to string) *endpoint {
+	if !n.up {
+		return nil
+	}
+	src, dst := n.endpoint(from), n.endpoint(to)
+	if src == nil || dst == nil || !src.linkUp || !dst.linkUp {
+		return nil
+	}
+	return dst
 }
 
 // Send queues msg for delivery after the network latency. Errors are
@@ -177,18 +219,27 @@ func (n *Network) Send(msg Message) error {
 	if !n.up {
 		return fmt.Errorf("%w: %s", ErrNetworkDown, n.name)
 	}
-	if !n.Attached(msg.From) {
+	src := n.endpoint(msg.From)
+	if src == nil {
 		return fmt.Errorf("%w: %s on %s", ErrNotAttached, msg.From, n.name)
 	}
-	if !n.Attached(msg.To) {
+	dst := n.endpoint(msg.To)
+	if dst == nil {
 		return fmt.Errorf("%w: %s on %s", ErrNotAttached, msg.To, n.name)
 	}
-	if !n.linkUp[msg.From] {
+	if !src.linkUp {
 		return fmt.Errorf("%w: %s on %s", ErrLinkDown, msg.From, n.name)
 	}
-	if !n.linkUp[msg.To] {
+	if !dst.linkUp {
 		return fmt.Errorf("%w: %s on %s", ErrLinkDown, msg.To, n.name)
 	}
+	n.post(msg, dst)
+	return nil
+}
+
+// post counts msg as sent and queues its delivery to dst, the record of a
+// usable destination.
+func (n *Network) post(msg Message, dst *endpoint) {
 	n.stats.Sent++
 	n.stats.Bytes += int64(msg.size())
 	lat := n.latency
@@ -202,9 +253,8 @@ func (n *Network) Send(msg Message) error {
 		d = &delivery{n: n}
 		d.fn = d.deliver
 	}
-	d.msg = msg
+	d.to, d.msg = dst, msg
 	n.sim.PostAfter(lat, n.label, d.fn)
-	return nil
 }
 
 // Router sends over an ordered preference list of networks, falling back to
@@ -223,12 +273,11 @@ func NewRouter(nets ...*Network) *Router { return &Router{nets: nets} }
 // carried the message.
 func (r *Router) Send(msg Message) (*Network, error) {
 	for i, n := range r.nets {
-		if !n.Usable(msg.From, msg.To) {
+		dst := n.route(msg.From, msg.To)
+		if dst == nil {
 			continue
 		}
-		if err := n.Send(msg); err != nil {
-			continue
-		}
+		n.post(msg, dst)
 		if i > 0 {
 			r.Reroutes++
 		}

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -315,5 +317,242 @@ func TestSendDeliverAllocs(t *testing.T) {
 	}
 	if delivered != 102 {
 		t.Errorf("delivered %d, want 102", delivered)
+	}
+}
+
+// refNetwork is the two-map Network that endpoint records replaced:
+// handlers and link states in separate maps, a Send that checks them in
+// turn, and a delivery that looks its destination up in both. It is the
+// lockstep test's model of the semantics the records must keep.
+type refNetwork struct {
+	name     string
+	sim      *simclock.Sim
+	latency  simclock.Time
+	jitter   float64
+	up       bool
+	handlers map[string]Handler
+	linkUp   map[string]bool
+	stats    Stats
+}
+
+func newRef(sim *simclock.Sim, name string, latency simclock.Time, jitter float64) *refNetwork {
+	return &refNetwork{name: name, sim: sim, latency: latency, jitter: jitter, up: true,
+		handlers: map[string]Handler{}, linkUp: map[string]bool{}}
+}
+
+func (n *refNetwork) Reset() {
+	n.up = true
+	clear(n.handlers)
+	clear(n.linkUp)
+	n.stats = Stats{}
+}
+
+func (n *refNetwork) Attach(host string, h Handler) {
+	if _, ok := n.linkUp[host]; !ok {
+		n.linkUp[host] = true
+	}
+	n.handlers[host] = h
+}
+
+func (n *refNetwork) Detach(host string) {
+	delete(n.handlers, host)
+	delete(n.linkUp, host)
+}
+
+func (n *refNetwork) Attached(host string) bool {
+	_, ok := n.handlers[host]
+	return ok
+}
+
+func (n *refNetwork) SetLink(host string, up bool) {
+	if _, ok := n.linkUp[host]; ok {
+		n.linkUp[host] = up
+	}
+}
+
+func (n *refNetwork) Usable(from, to string) bool {
+	return n.up && n.Attached(from) && n.Attached(to) && n.linkUp[from] && n.linkUp[to]
+}
+
+func (n *refNetwork) Send(msg Message) error {
+	switch {
+	case !n.up:
+		return fmt.Errorf("%w: %s", ErrNetworkDown, n.name)
+	case !n.Attached(msg.From):
+		return fmt.Errorf("%w: %s on %s", ErrNotAttached, msg.From, n.name)
+	case !n.Attached(msg.To):
+		return fmt.Errorf("%w: %s on %s", ErrNotAttached, msg.To, n.name)
+	case !n.linkUp[msg.From]:
+		return fmt.Errorf("%w: %s on %s", ErrLinkDown, msg.From, n.name)
+	case !n.linkUp[msg.To]:
+		return fmt.Errorf("%w: %s on %s", ErrLinkDown, msg.To, n.name)
+	}
+	n.stats.Sent++
+	n.stats.Bytes += int64(msg.size())
+	lat := n.latency
+	if n.jitter > 0 {
+		lat = n.sim.Rand().Jitter(n.latency, n.jitter)
+	}
+	n.sim.PostAfter(lat, "ref-deliver", func(now simclock.Time) {
+		h, ok := n.handlers[msg.To]
+		if !ok || !n.up || !n.linkUp[msg.To] {
+			n.stats.Dropped++
+			return
+		}
+		n.stats.Delivered++
+		h(now, msg)
+	})
+	return nil
+}
+
+// refRouterSend is the Router.Send the records replaced: a Usable check,
+// then a Send that checks everything again.
+func refRouterSend(nets []*refNetwork, reroutes *int, msg Message) (string, error) {
+	for i, n := range nets {
+		if !n.Usable(msg.From, msg.To) {
+			continue
+		}
+		if err := n.Send(msg); err != nil {
+			continue
+		}
+		if i > 0 {
+			*reroutes++
+		}
+		return n.name, nil
+	}
+	return "", fmt.Errorf("%w: %s -> %s", ErrNoRouteFound, msg.From, msg.To)
+}
+
+// TestEndpointRecordsMatchTwoMapModel runs random Attach, Detach,
+// SetLink, SetUp, Reset, Send and Router.Send steps, with deliveries in
+// between, on two networks and on the two-map model of each, and checks
+// after every step that the return values, Usable, Attached, LinkUp, the
+// stats and the handler calls agree. "ghost" is never attached.
+func TestEndpointRecordsMatchTwoMapModel(t *testing.T) {
+	hosts := []string{"a", "b", "c", "ghost"}
+	seen := map[string]int{} // what the steps exercised, so the test cannot pass vacuously
+	for trial := range 40 {
+		r := rand.New(rand.NewSource(int64(trial)))
+		sim, refSim := simclock.New(uint64(trial)), simclock.New(uint64(trial))
+		nets := []*Network{New(sim, "private", simclock.Second, 0.3), New(sim, "public", 2*simclock.Second, 0)}
+		refs := []*refNetwork{newRef(refSim, "private", simclock.Second, 0.3), newRef(refSim, "public", 2*simclock.Second, 0)}
+		router := NewRouter(nets...)
+		refReroutes := 0
+		var got, want []string
+		handler := func(log *[]string, net, host string, k int) Handler {
+			return func(now simclock.Time, m Message) {
+				*log = append(*log, fmt.Sprintf("%v %s %s h%d %s->%s %s", now, net, host, k, m.From, m.To, m.Payload))
+			}
+		}
+		sameErr := func(step int, what string, err, refErr error) {
+			t.Helper()
+			if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+				t.Fatalf("trial %d step %d: %s returned %v, model %v", trial, step, what, err, refErr)
+			}
+			for _, e := range []error{ErrNetworkDown, ErrLinkDown, ErrNotAttached, ErrNoRouteFound, nil} {
+				if errors.Is(err, e) {
+					seen[fmt.Sprint(e)]++
+				}
+			}
+		}
+		for step := range 400 {
+			i := r.Intn(2)
+			n, ref := nets[i], refs[i]
+			host := hosts[r.Intn(3)]
+			msg := Message{From: hosts[r.Intn(4)], To: hosts[r.Intn(4)], Kind: "k", Payload: fmt.Sprintf("m%d", step)}
+			switch op := r.Intn(20); {
+			case op < 3:
+				k := r.Intn(3)
+				n.Attach(host, handler(&got, n.Name(), host, k))
+				ref.Attach(host, handler(&want, ref.name, host, k))
+			case op < 4:
+				n.Detach(host)
+				ref.Detach(host)
+			case op < 7:
+				h, up := hosts[r.Intn(4)], r.Intn(2) == 0
+				n.SetLink(h, up)
+				ref.SetLink(h, up)
+			case op < 8:
+				up := r.Intn(3) > 0
+				n.SetUp(up)
+				ref.up = up
+			case op < 9 && r.Intn(4) == 0:
+				n.Reset()
+				ref.Reset()
+			case op < 13:
+				sameErr(step, "Send", n.Send(msg), ref.Send(msg))
+			case op < 17:
+				via, err := router.Send(msg)
+				refVia, refErr := refRouterSend(refs, &refReroutes, msg)
+				sameErr(step, "Router.Send", err, refErr)
+				if (via == nil) != (refVia == "") || via != nil && via.Name() != refVia {
+					t.Fatalf("trial %d step %d: routed via %v, model %q", trial, step, via, refVia)
+				}
+			default:
+				end := sim.Now() + simclock.Time(r.Intn(3000))*simclock.Second/1000
+				sim.RunUntil(end)
+				refSim.RunUntil(end)
+			}
+			for i, n := range nets {
+				ref := refs[i]
+				if n.Stats() != ref.stats || n.Up() != ref.up {
+					t.Fatalf("trial %d step %d: %s stats %+v up %v, model %+v up %v",
+						trial, step, n.Name(), n.Stats(), n.Up(), ref.stats, ref.up)
+				}
+				for _, h := range hosts {
+					if n.Attached(h) != ref.Attached(h) || n.LinkUp(h) != ref.linkUp[h] {
+						t.Fatalf("trial %d step %d: %s %s attached %v link %v, model %v %v", trial, step,
+							n.Name(), h, n.Attached(h), n.LinkUp(h), ref.Attached(h), ref.linkUp[h])
+					}
+					for _, to := range hosts {
+						if n.Usable(h, to) != ref.Usable(h, to) {
+							t.Fatalf("trial %d step %d: %s Usable(%s, %s) = %v, model %v",
+								trial, step, n.Name(), h, to, n.Usable(h, to), ref.Usable(h, to))
+						}
+					}
+				}
+			}
+			if router.Reroutes != refReroutes || !slices.Equal(got, want) {
+				t.Fatalf("trial %d step %d: reroutes %d, model %d\n calls: %q\n model: %q",
+					trial, step, router.Reroutes, refReroutes, got, want)
+			}
+		}
+		seen["delivered"] += len(got)
+		seen["reroutes"] += router.Reroutes
+		for _, n := range nets {
+			seen["dropped"] += n.Stats().Dropped
+		}
+	}
+	for _, what := range []string{"delivered", "reroutes", "dropped", fmt.Sprint(nil),
+		ErrNetworkDown.Error(), ErrLinkDown.Error(), ErrNotAttached.Error(), ErrNoRouteFound.Error()} {
+		if seen[what] == 0 {
+			t.Errorf("no step produced %q: %v", what, seen)
+		}
+	}
+}
+
+// BenchmarkRouterSend times one report over a router that prefers a
+// private network to a public one, as every agent's report goes: the
+// send and its delivery, at 0 allocs/op.
+func BenchmarkRouterSend(b *testing.B) {
+	sim := simclock.New(1)
+	priv := New(sim, "private", simclock.Time(1e6), 0.1)
+	pub := New(sim, "public", 2*simclock.Time(1e6), 0.2)
+	delivered := 0
+	for _, n := range []*Network{priv, pub} {
+		n.Attach("db001", nil)
+		n.Attach("admin-vip", func(simclock.Time, Message) { delivered++ })
+	}
+	router := NewRouter(priv, pub)
+	msg := Message{From: "db001", To: "admin-vip", Kind: "agent-ok", Payload: "status-db001"}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := router.Send(msg); err != nil {
+			b.Fatal(err)
+		}
+		sim.Step()
+	}
+	if delivered != b.N {
+		b.Fatalf("delivered %d of %d", delivered, b.N)
 	}
 }

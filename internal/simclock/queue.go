@@ -82,3 +82,59 @@ func (q *eventQueue) clear() {
 	}
 	*q = h[:0]
 }
+
+// lane is the constant-delay FIFO of one delay d (see the package doc):
+// events queued at now + d arrive in (at, seq) order, so it pops them in
+// the heap's order with O(1) pushes and pops. The ring's length is zero or
+// a power of two.
+type lane struct {
+	d    Time
+	ring []queueSlot
+	head int
+	n    int
+}
+
+// front is the lane's earliest slot. The lane must not be empty.
+func (l *lane) front() *queueSlot { return &l.ring[l.head] }
+
+// push queues e at the tail, reporting false — and queueing nothing —
+// when e would pop before the tail.
+func (l *lane) push(e *Event) bool {
+	x := queueSlot{at: e.at, seq: e.seq, ev: e}
+	if l.n > 0 && x.before(&l.ring[(l.head+l.n-1)&(len(l.ring)-1)]) {
+		return false
+	}
+	if l.n == len(l.ring) {
+		ring := make([]queueSlot, max(8, 2*len(l.ring)))
+		for i := range l.n {
+			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = ring, 0
+	}
+	e.queued = true
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = x
+	l.n++
+	return true
+}
+
+// pop removes and returns the earliest event. The lane must not be empty.
+func (l *lane) pop() *Event {
+	x := &l.ring[l.head]
+	e := x.ev
+	e.queued = false
+	*x = queueSlot{} // drop the event reference from the ring
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return e
+}
+
+// clear drops every queued event, keeping the ring.
+func (l *lane) clear() {
+	for ; l.n > 0; l.n-- {
+		x := &l.ring[l.head]
+		x.ev.queued = false
+		*x = queueSlot{}
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+	}
+	l.head = 0
+}

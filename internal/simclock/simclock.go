@@ -3,6 +3,15 @@
 // timers, and a seeded random source. Every stochastic component of the
 // cluster simulation draws from a Rand owned by the Sim so that whole
 // scenarios replay bit-for-bit from a seed.
+//
+// Events fire in (time, sequence) order, where the sequence number is the
+// order of scheduling. The pending set is a heap plus one FIFO lane per
+// constant delay: an event queued at now + d for a delay d that its caller
+// always uses — a ticker or wheel bucket re-arming one period on, or a
+// PostFixed — joins the lane of d. The clock never runs backwards and
+// sequence numbers only grow, so each lane is already in (time, sequence)
+// order, and a pop takes the earliest of the heap's top and the lanes'
+// heads. The lanes change the cost of a pop, never the firing order.
 package simclock
 
 import (
@@ -104,9 +113,17 @@ func (e *Event) Cancel() bool {
 
 // Sim is a discrete-event simulator. The zero value is not usable; create
 // one with New.
+//
+// Its pending events sit on the heap or in a constant-delay lane (see the
+// package doc). First fires and variable delays go on the heap; re-arms of
+// tickers and wheel buckets, and PostFixed events, go in the lane of their
+// delay, one lane per distinct delay, kept for the Sim's life. Pending,
+// Cancel, Ticker.Stop and Reset see both alike.
 type Sim struct {
 	now     Time
 	queue   eventQueue
+	lanes   []lane
+	laneMin int // index of the lane whose head pops first among the lanes; -1 when every lane is empty
 	seq     uint64
 	rng     *Rand
 	fired   uint64
@@ -117,16 +134,20 @@ type Sim struct {
 // New returns a simulator at time zero whose random source is seeded with
 // seed.
 func New(seed uint64) *Sim {
-	return &Sim{rng: NewRand(seed)}
+	return &Sim{rng: NewRand(seed), laneMin: -1}
 }
 
 // Reset rewinds the simulator to a fresh state at time zero with the given
 // seed: the event queue is emptied, the fired/sequence counters restart and
 // the random source is reseeded. Allocated capacity (queue backing array,
-// event freelist) is retained, which is the point — a reset Sim behaves
-// exactly like New(seed) but without rebuilding its working set.
+// lanes, event freelist) is retained, which is the point — a reset Sim
+// behaves exactly like New(seed) but without rebuilding its working set.
 func (s *Sim) Reset(seed uint64) {
 	s.queue.clear()
+	for i := range s.lanes {
+		s.lanes[i].clear()
+	}
+	s.laneMin = -1
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
@@ -141,8 +162,14 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) Rand() *Rand { return s.rng }
 
 // Pending reports the number of events still queued (including cancelled
-// events not yet discarded).
-func (s *Sim) Pending() int { return len(s.queue) }
+// events not yet discarded), on the heap and in the lanes.
+func (s *Sim) Pending() int {
+	n := len(s.queue)
+	for i := range s.lanes {
+		n += s.lanes[i].n
+	}
+	return n
+}
 
 // Fired reports how many events have executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }
@@ -174,6 +201,28 @@ func (s *Sim) Post(at Time, label string, fn func(now Time)) {
 	if at < s.now {
 		panic(fmt.Sprintf("simclock: post %q at %v before now %v", label, at, s.now))
 	}
+	s.queue.push(s.pooled(at, label, fn))
+}
+
+// PostAfter queues fn to run d after the current time, like Post.
+func (s *Sim) PostAfter(d Time, label string, fn func(now Time)) {
+	s.Post(s.now+d, label, fn)
+}
+
+// PostFixed is PostAfter for a delay its caller always uses, such as a
+// process's fixed run window: the event joins the lane of d instead of
+// the heap, which costs O(1) and fires in the same order. A negative d
+// panics, as a Post into the past does.
+func (s *Sim) PostFixed(d Time, label string, fn func(now Time)) {
+	if d < 0 {
+		panic(fmt.Sprintf("simclock: post %q at negative delay %v", label, d))
+	}
+	s.pushLane(s.pooled(s.now+d, label, fn), s.laneFor(d))
+}
+
+// pooled returns a freelist event (or a new one) set to run fn at at,
+// with the next sequence number.
+func (s *Sim) pooled(at Time, label string, fn func(now Time)) *Event {
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -186,12 +235,7 @@ func (s *Sim) Post(at Time, label string, fn func(now Time)) {
 	e.at, e.fn, e.label = at, fn, label
 	e.seq = s.seq
 	s.seq++
-	s.queue.push(e)
-}
-
-// PostAfter queues fn to run d after the current time, like Post.
-func (s *Sim) PostAfter(d Time, label string, fn func(now Time)) {
-	s.Post(s.now+d, label, fn)
+	return e
 }
 
 // release returns a fired pooled event to the freelist.
@@ -200,18 +244,76 @@ func (s *Sim) release(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// reschedule re-queues a fired (or never-queued) event at a new time with a
-// fresh FIFO sequence number — the allocation-free path repeating timers
-// use. The event must not be in the queue.
-func (s *Sim) reschedule(e *Event, at Time) {
-	if at < s.now {
-		panic(fmt.Sprintf("simclock: reschedule %q at %v before now %v", e.label, at, s.now))
+// laneFor returns the index of the lane of delay d, adding the lane the
+// first time d is asked for.
+func (s *Sim) laneFor(d Time) int {
+	for i := range s.lanes {
+		if s.lanes[i].d == d {
+			return i
+		}
 	}
-	e.at = at
+	s.lanes = append(s.lanes, lane{d: d})
+	return len(s.lanes) - 1
+}
+
+// pushLane queues e in lane i, or on the heap when e would pop before the
+// lane's tail — which an event at now + d never does.
+func (s *Sim) pushLane(e *Event, i int) {
+	l := &s.lanes[i]
+	if !l.push(e) {
+		s.queue.push(e)
+		return
+	}
+	if l.n == 1 && (s.laneMin < 0 || l.front().before(s.lanes[s.laneMin].front())) {
+		s.laneMin = i
+	}
+}
+
+// rearm re-queues a fired (or never-queued) event one lane delay on, with
+// a fresh FIFO sequence number — the allocation-free path repeating timers
+// use. The event must not be queued.
+func (s *Sim) rearm(e *Event, lane int) {
+	e.at = s.now + s.lanes[lane].d
 	e.canceled = false
 	e.seq = s.seq
 	s.seq++
-	s.queue.push(e)
+	s.pushLane(e, lane)
+}
+
+// front returns the slot that pops next and the lane holding it (-1 for
+// the heap), or nil when nothing is queued.
+func (s *Sim) front() (*queueSlot, int) {
+	var top *queueSlot
+	if len(s.queue) > 0 {
+		top = &s.queue[0]
+	}
+	if m := s.laneMin; m >= 0 {
+		if h := s.lanes[m].front(); top == nil || h.before(top) {
+			return h, m
+		}
+	}
+	return top, -1
+}
+
+// popFrom removes the next event from its source, as front named it.
+func (s *Sim) popFrom(src int) *Event {
+	if src < 0 {
+		return s.queue.pop()
+	}
+	return s.popLane(src)
+}
+
+// popLane pops lane src's head and finds the lane that now pops first.
+func (s *Sim) popLane(src int) *Event {
+	e := s.lanes[src].pop()
+	m := -1
+	for i := range s.lanes {
+		if l := &s.lanes[i]; l.n > 0 && (m < 0 || l.front().before(s.lanes[m].front())) {
+			m = i
+		}
+	}
+	s.laneMin = m
+	return e
 }
 
 // Every schedules fn to run first at start and then every period thereafter
@@ -220,15 +322,16 @@ func (s *Sim) Every(start, period Time, label string, fn func(now Time)) *Ticker
 	if period <= 0 {
 		panic("simclock: non-positive ticker period for " + label)
 	}
-	t := &Ticker{sim: s, period: period, fn: fn}
+	t := &Ticker{sim: s, lane: s.laneFor(period), fn: fn}
 	t.ev = s.Schedule(start, label, t.fire)
 	return t
 }
 
-// Ticker is a repeating event created by Every.
+// Ticker is a repeating event created by Every. Its first fire sits on
+// the heap; each re-arm rides the lane of its period.
 type Ticker struct {
 	sim     *Sim
-	period  Time
+	lane    int // the lane of the ticker's period
 	fn      func(now Time)
 	ev      *Event
 	stopped bool
@@ -245,7 +348,7 @@ func (t *Ticker) fire(now Time) {
 	// Reuse the just-fired event: t.ev is the event this callback belongs
 	// to, already popped from the queue, and its handle never escapes the
 	// ticker, so re-queueing it is safe and allocation-free.
-	t.sim.reschedule(t.ev, now+t.period)
+	t.sim.rearm(t.ev, t.lane)
 }
 
 // Stop cancels future ticks. It is safe to call from within the tick
@@ -263,8 +366,12 @@ func (t *Ticker) Stop() {
 // Step executes the next pending event, advancing the clock to its firing
 // time. It reports false when no events remain.
 func (s *Sim) Step() bool {
-	for len(s.queue) > 0 {
-		e := s.queue.pop()
+	for {
+		top, src := s.front()
+		if top == nil {
+			return false
+		}
+		e := s.popFrom(src)
 		if e.canceled {
 			continue
 		}
@@ -280,7 +387,6 @@ func (s *Sim) Step() bool {
 		fn(s.now)
 		return true
 	}
-	return false
 }
 
 // RunUntil executes events in time order until the clock would pass end or
@@ -289,16 +395,19 @@ func (s *Sim) Step() bool {
 // rely on Now() == end afterwards.
 func (s *Sim) RunUntil(end Time) {
 	s.stopped = false
-	for !s.stopped && len(s.queue) > 0 {
-		top := &s.queue[0]
+	for !s.stopped {
+		top, src := s.front()
+		if top == nil {
+			break
+		}
 		if top.ev.canceled {
-			s.queue.pop()
+			s.popFrom(src)
 			continue
 		}
 		if top.at > end {
 			break
 		}
-		e := s.queue.pop()
+		e := s.popFrom(src)
 		s.now = e.at
 		s.fired++
 		fn := e.fn

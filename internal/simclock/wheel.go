@@ -2,7 +2,8 @@ package simclock
 
 // Wheel is a coalesced cron scheduler: entries that share a (first-fire,
 // period) coordinate are grouped into one bucket backed by a single
-// repeating heap event that walks its entries in registration order. A site
+// repeating event that walks its entries in registration order; its first
+// fire sits on the heap and its re-arms in the lane of its period. A site
 // with a hundred BMC monitors on one poll coordinate, or a slot's worth of
 // batched agents, keeps one pending event per distinct schedule instead of
 // one per entry, and every bucket reuses its Event allocation across ticks.
@@ -71,6 +72,7 @@ type bucket struct {
 	entries  []*CronEntry
 	prepared int // entries with a prepare phase
 	ev       *Event
+	lane     int              // the lane of the bucket's period, which its re-arms ride
 	applies  []func(now Time) // reusable per-tick apply buffer (sharded fire)
 }
 
@@ -123,7 +125,7 @@ func (w *Wheel) add(start, period Time, e *CronEntry) *CronEntry {
 	key := wheelKey{start: start, period: period}
 	b := w.buckets[key]
 	if b == nil {
-		b = &bucket{wheel: w, key: key}
+		b = &bucket{wheel: w, key: key, lane: w.sim.laneFor(period)}
 		b.ev = w.sim.Schedule(start, "cron-wheel", b.fire)
 		w.buckets[key] = b
 	}
@@ -167,8 +169,9 @@ func (b *bucket) fire(now Time) {
 	}
 	// The key keeps the original start so entries added later for the same
 	// (start, period) coordinate join this bucket rather than forking a
-	// drifting duplicate; the next fire is period from now regardless.
-	b.wheel.sim.reschedule(b.ev, now+b.key.period)
+	// drifting duplicate; the next fire is period from now regardless, in
+	// the lane of the period.
+	b.wheel.sim.rearm(b.ev, b.lane)
 }
 
 // fireSharded is the pooled tick: shard s prepares the bucket's entries

@@ -18,44 +18,51 @@ type modelEvent struct {
 }
 
 // modelEngine executes events in (time, seq) order — the FIFO-among-equals
-// contract — with a linear scan instead of a heap, sharing no code with
-// the Sim under test.
+// contract — with a linear scan instead of a heap and lanes, sharing no
+// code with the Sim under test. Like the Sim, it discards a cancelled
+// event only when that event is the earliest one pending, so its pending
+// count is what Sim.Pending reports.
 type modelEngine struct {
-	events []*modelEvent
-	seq    uint64
-	now    Time
+	pending []*modelEvent // neither fired nor discarded
+	seq     uint64
+	now     Time
+	fired   uint64
 }
 
 func (m *modelEngine) schedule(at Time, id int) *modelEvent {
 	e := &modelEvent{at: at, seq: m.seq, id: id}
 	m.seq++
-	m.events = append(m.events, e)
+	m.pending = append(m.pending, e)
 	return e
 }
 
-func (m *modelEngine) next() *modelEvent {
-	var best *modelEvent
-	for _, e := range m.events {
-		if e.canceled || e.fired {
-			continue
-		}
-		if best == nil || e.at < best.at || (e.at == best.at && e.seq < best.seq) {
-			best = e
-		}
+// runUntil fires every event due at or before end, in order, and leaves
+// the clock at end unless end is Never.
+func (m *modelEngine) runUntil(end Time, onFire func(e *modelEvent)) {
+	if end != Never {
+		defer func() { m.now = max(m.now, end) }()
 	}
-	return best
-}
-
-// runUntil fires every event due at or before end, in order.
-func (m *modelEngine) runUntil(end Time, onFire func(id int, now Time)) {
-	for {
-		e := m.next()
-		if e == nil || e.at > end {
+	for len(m.pending) > 0 {
+		bi := 0
+		for i, e := range m.pending {
+			if b := m.pending[bi]; e.at < b.at || (e.at == b.at && e.seq < b.seq) {
+				bi = i
+			}
+		}
+		e := m.pending[bi]
+		if !e.canceled && e.at > end {
 			return
 		}
+		last := len(m.pending) - 1
+		m.pending[bi], m.pending[last] = m.pending[last], nil
+		m.pending = m.pending[:last]
+		if e.canceled {
+			continue
+		}
 		m.now = e.at
+		m.fired++
 		e.fired = true
-		onFire(e.id, e.at)
+		onFire(e)
 	}
 }
 
@@ -73,24 +80,49 @@ func (s *splitmix) next() uint64 {
 
 func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
 
-// script is a randomly generated schedule: root events, a cancellation
-// subset, and child events spawned when their parent fires — the same
-// script drives both engines. With chunks set, the run goes through
-// RunUntil at each chunk end in turn before the final Run, and after
-// chunk k the roots listed in lateCancel[k] are cancelled.
+// script is a randomly generated schedule — the same script drives both
+// engines:
+//   - root events, Scheduled or Posted, some cancelled before the run;
+//   - tickers (Sim.Every) and wheel entries on two or three shared
+//     periods, so their re-arms share lanes; some tickers stop themselves,
+//     some are stopped by a root's callback or after a chunk;
+//   - children that a root, a tick or a wheel entry spawns when it fires,
+//     by Schedule, Post or PostFixed — the fixed delays share lanes with
+//     the periods.
+//
+// The run goes through RunUntil at each chunk end in turn, then to the
+// horizon — or, for a draining script, through Run until the queue is
+// empty, so Step pops the heap and the lanes. After chunk k, the roots
+// listed in lateCancel[k] are cancelled and the tickers in lateStop[k]
+// stopped.
 type script struct {
-	roots []scriptEvent
-	// child[id] spawns when id fires.
+	roots   []scriptEvent
+	tickers []scriptTicker
+	entries []scriptEntry // equal coordinates are adjacent, as the wheel requires
+	// childDelta[id] spawns child id+childBase when id fires.
 	childDelta map[int]Time
-	childOf    map[int]int
-	childPost  map[int]bool
+	childKind  map[int]childKind
+	rootStops  map[int]int // root id -> the ticker its callback stops
 
 	chunks     []Time
 	lateCancel map[int][]int // chunk index -> non-post root ids
+	lateStop   map[int][]int // chunk index -> ticker indexes
+	horizon    Time
+	// drain: every ticker stops itself and there are no wheel entries,
+	// which never stop, so the run can end in Run.
+	drain bool
 }
 
-// childBase offsets child ids past every root id.
-const childBase = 1 << 20
+// Firing ids: roots count from 0, ticker i fires as tickerBase+i, wheel
+// entry j as wheelBase+j, and a child as its parent's id plus childBase.
+// Bucket events carry bucketBase+b in the model and log nothing
+// themselves.
+const (
+	childBase  = 1 << 20
+	tickerBase = 1 << 22
+	wheelBase  = 1 << 23
+	bucketBase = 1 << 24
+)
 
 type scriptEvent struct {
 	id     int
@@ -99,16 +131,63 @@ type scriptEvent struct {
 	cancel bool // cancel before running (only for non-post events)
 }
 
+type scriptTicker struct {
+	start, period Time
+	selfStop      int // the tick count after which the ticker stops itself; 0 never
+}
+
+type scriptEntry struct {
+	start, period Time
+}
+
+type childKind uint8
+
+const (
+	childSchedule childKind = iota
+	childPost
+	childFixed
+)
+
+// The candidate periods and fixed delays: a script draws two or three
+// periods, and the fixed delays 1.5 s and 2 s coincide with periods.
+var (
+	scriptPeriods = []Time{Second, 3 * Second / 2, 2 * Second, 3 * Second}
+	fixedDelays   = []Time{0, Second, 3 * Second / 2, 2 * Second}
+)
+
+// genScript draws a small script. Half of them drain, and half of those
+// run through Run alone, with no chunks.
 func genScript(rng *splitmix) script {
 	// Times drawn from a tiny range so equal-time collisions are the
 	// norm, not the exception.
-	return genScriptN(rng, 10+rng.intn(40), 8)
+	sc := genScriptN(rng, 10+rng.intn(40), 8, rng.intn(2) == 0)
+	if !sc.drain || rng.intn(2) == 0 {
+		sc.genChunks(rng, 4, 3*Second)
+	}
+	return sc
 }
 
 // genScriptN draws n roots on the given number of distinct whole-second
-// instants; a third of them spawn a child at +0 to +3 s.
-func genScriptN(rng *splitmix, n, instants int) script {
-	sc := script{childDelta: map[int]Time{}, childOf: map[int]int{}, childPost: map[int]bool{}}
+// instants, tickers and — unless the script drains — wheel entries on two
+// or three periods, and children for a third of everything that fires.
+func genScriptN(rng *splitmix, n, instants int, drain bool) script {
+	sc := script{
+		childDelta: map[int]Time{}, childKind: map[int]childKind{}, rootStops: map[int]int{},
+		lateCancel: map[int][]int{}, lateStop: map[int][]int{},
+		horizon: Time(instants+8) * Second, drain: drain,
+	}
+	addChild := func(id int) {
+		if rng.intn(3) != 0 {
+			return
+		}
+		kind := childKind(rng.intn(3))
+		sc.childKind[id] = kind
+		if kind == childFixed {
+			sc.childDelta[id] = fixedDelays[rng.intn(len(fixedDelays))]
+		} else {
+			sc.childDelta[id] = Time(rng.intn(4)) * Second
+		}
+	}
 	for i := 0; i < n; i++ {
 		ev := scriptEvent{
 			id:   i,
@@ -117,35 +196,109 @@ func genScriptN(rng *splitmix, n, instants int) script {
 		}
 		ev.cancel = !ev.post && rng.intn(4) == 0
 		sc.roots = append(sc.roots, ev)
-		if rng.intn(3) == 0 {
-			sc.childDelta[i] = Time(rng.intn(4)) * Second
-			sc.childOf[i] = childBase + i
-			sc.childPost[i] = rng.intn(2) == 0
+		addChild(i)
+	}
+	first := rng.intn(len(scriptPeriods))
+	periods := []Time{scriptPeriods[first], scriptPeriods[(first+1+rng.intn(len(scriptPeriods)-1))%len(scriptPeriods)]}
+	if rng.intn(2) == 0 {
+		periods = append(periods, scriptPeriods[rng.intn(len(scriptPeriods))])
+	}
+	start := func() Time { return Time(rng.intn(2*instants)) * Second / 2 }
+	for i := 1 + rng.intn(4+n/200); i > 0; i-- {
+		tk := scriptTicker{start: start(), period: periods[rng.intn(len(periods))]}
+		if drain {
+			tk.selfStop = 1 + rng.intn(8)
+		} else if rng.intn(4) == 0 {
+			tk.selfStop = 1 + rng.intn(5)
 		}
+		addChild(tickerBase + len(sc.tickers))
+		sc.tickers = append(sc.tickers, tk)
+	}
+	seen := map[scriptEntry]bool{} // one group per coordinate: the wheel needs them contiguous
+	for c := rng.intn(4); c > 0 && !drain; c-- {
+		en := scriptEntry{start: start(), period: periods[rng.intn(len(periods))]}
+		if seen[en] {
+			continue
+		}
+		seen[en] = true
+		for k := 1 + rng.intn(3); k > 0; k-- {
+			addChild(wheelBase + len(sc.entries))
+			sc.entries = append(sc.entries, en)
+		}
+	}
+	for i := range n / 20 {
+		sc.rootStops[rng.intn(n)] = (i + rng.intn(len(sc.tickers))) % len(sc.tickers)
 	}
 	return sc
 }
 
-// runLog is what a script run observes: every firing in order, and the
-// result of each late Cancel.
+// genChunks adds RunUntil chunk ends up to last, a quarter-second grid
+// apart on average step/2 — so ends fall on lane heads and between them
+// — with a few roots cancelled and a few tickers stopped after each.
+func (sc *script) genChunks(rng *splitmix, last, step Time) {
+	var handled []int // roots with a handle to cancel
+	for _, ev := range sc.roots {
+		if !ev.post {
+			handled = append(handled, ev.id)
+		}
+	}
+	for end := Time(0); end < last; {
+		end += Time(rng.intn(int(step/(Second/4))+1)) * Second / 4
+		k := len(sc.chunks)
+		sc.chunks = append(sc.chunks, end)
+		for c := rng.intn(4); c > 0 && len(handled) > 0; c-- {
+			sc.lateCancel[k] = append(sc.lateCancel[k], handled[rng.intn(len(handled))])
+		}
+		if rng.intn(4) == 0 {
+			sc.lateStop[k] = append(sc.lateStop[k], rng.intn(len(sc.tickers)))
+		}
+	}
+}
+
+// runLog is what a script run observes: every firing in order, the
+// result of each late Cancel, the engine's state after each chunk and at
+// the end, and how many ticks found their own event still marked queued.
 type runLog struct {
-	fired   []firing
-	cancels []bool
+	fired             []firing
+	cancels           []bool
+	states            []engineState
+	queuedWhileFiring int
+}
+
+// engineState is what the Sim reports between runs: Pending(), Fired()
+// and Now(). Fired counts a stopped ticker's event that ran anyway, which
+// logs nothing.
+type engineState struct {
+	Pending int
+	Fired   uint64
+	Now     Time
 }
 
 // runOn executes the script on sim, which must be at time zero.
 func (sc script) runOn(sim *Sim) runLog {
 	var log runLog
+	var tickers []*Ticker
 	var fire func(id int) func(Time)
+	spawn := func(id int, now Time) {
+		d, ok := sc.childDelta[id]
+		if !ok {
+			return
+		}
+		switch sc.childKind[id] {
+		case childSchedule:
+			sim.Schedule(now+d, "child", fire(id+childBase))
+		case childPost:
+			sim.Post(now+d, "child", fire(id+childBase))
+		case childFixed:
+			sim.PostFixed(d, "child", fire(id+childBase))
+		}
+	}
 	fire = func(id int) func(Time) {
 		return func(now Time) {
 			log.fired = append(log.fired, firing{now, id})
-			if d, ok := sc.childDelta[id]; ok {
-				if sc.childPost[id] {
-					sim.Post(now+d, "child", fire(sc.childOf[id]))
-				} else {
-					sim.Schedule(now+d, "child", fire(sc.childOf[id]))
-				}
+			spawn(id, now)
+			if i, ok := sc.rootStops[id]; ok {
+				tickers[i].Stop()
 			}
 		}
 	}
@@ -162,6 +315,29 @@ func (sc script) runOn(sim *Sim) runLog {
 			cancels = append(cancels, h)
 		}
 	}
+	for i, spec := range sc.tickers {
+		id, ticks := tickerBase+i, 0
+		var tk *Ticker
+		tk = sim.Every(spec.start, spec.period, "ticker", func(now Time) {
+			if tk.ev.queued {
+				log.queuedWhileFiring++
+			}
+			log.fired = append(log.fired, firing{now, id})
+			spawn(id, now)
+			if ticks++; ticks == spec.selfStop {
+				tk.Stop()
+			}
+		})
+		tickers = append(tickers, tk)
+	}
+	w := NewWheel(sim)
+	for j, en := range sc.entries {
+		id := wheelBase + j
+		w.Add(en.start, en.period, "entry", func(now Time) {
+			log.fired = append(log.fired, firing{now, id})
+			spawn(id, now)
+		})
+	}
 	for _, h := range cancels {
 		h.Cancel()
 	}
@@ -170,8 +346,17 @@ func (sc script) runOn(sim *Sim) runLog {
 		for _, id := range sc.lateCancel[k] {
 			log.cancels = append(log.cancels, handles[id].Cancel())
 		}
+		for _, i := range sc.lateStop[k] {
+			tickers[i].Stop()
+		}
+		log.states = append(log.states, engineState{sim.Pending(), sim.Fired(), sim.Now()})
 	}
-	sim.Run()
+	if sc.drain {
+		sim.Run()
+	} else {
+		sim.RunUntil(sc.horizon)
+	}
+	log.states = append(log.states, engineState{sim.Pending(), sim.Fired(), sim.Now()})
 	return log
 }
 
@@ -179,17 +364,74 @@ func (sc script) runOn(sim *Sim) runLog {
 func (sc script) runOnModel() runLog {
 	m := &modelEngine{}
 	var log runLog
+	type modelTicker struct {
+		ev      *modelEvent
+		ticks   int
+		stopped bool
+	}
+	tickers := make([]modelTicker, len(sc.tickers))
+	stop := func(i int) {
+		t := &tickers[i]
+		if !t.stopped && !t.ev.fired {
+			t.ev.canceled = true
+		}
+		t.stopped = true
+	}
+	type modelBucket struct {
+		period  Time
+		entries []int
+	}
+	var buckets []modelBucket
+	spawn := func(id int, now Time) {
+		if d, ok := sc.childDelta[id]; ok {
+			m.schedule(now+d, id+childBase)
+		}
+	}
+	onFire := func(e *modelEvent) {
+		id, now := e.id, e.at
+		switch {
+		case id >= bucketBase:
+			b := buckets[id-bucketBase]
+			for _, j := range b.entries {
+				log.fired = append(log.fired, firing{now, wheelBase + j})
+				spawn(wheelBase+j, now)
+			}
+			m.schedule(now+b.period, id)
+		case id >= tickerBase && id < tickerBase+childBase:
+			i := id - tickerBase
+			log.fired = append(log.fired, firing{now, id})
+			spawn(id, now)
+			t := &tickers[i]
+			if t.ticks++; t.ticks == sc.tickers[i].selfStop {
+				stop(i)
+			}
+			if !t.stopped {
+				t.ev = m.schedule(now+sc.tickers[i].period, id)
+			}
+		default:
+			log.fired = append(log.fired, firing{now, id})
+			spawn(id, now)
+			if i, ok := sc.rootStops[id]; ok {
+				stop(i)
+			}
+		}
+	}
 	handles := map[int]*modelEvent{}
 	for _, ev := range sc.roots {
 		e := m.schedule(ev.at, ev.id)
 		e.canceled = ev.cancel
 		handles[ev.id] = e
 	}
-	onFire := func(id int, now Time) {
-		log.fired = append(log.fired, firing{now, id})
-		if d, ok := sc.childDelta[id]; ok {
-			m.schedule(now+d, sc.childOf[id])
+	for i, spec := range sc.tickers {
+		tickers[i].ev = m.schedule(spec.start, tickerBase+i)
+	}
+	for j, en := range sc.entries {
+		if j > 0 && en == sc.entries[j-1] {
+			buckets[len(buckets)-1].entries = append(buckets[len(buckets)-1].entries, j)
+			continue
 		}
+		m.schedule(en.start, bucketBase+len(buckets))
+		buckets = append(buckets, modelBucket{period: en.period, entries: []int{j}})
 	}
 	for k, end := range sc.chunks {
 		m.runUntil(end, onFire)
@@ -198,18 +440,30 @@ func (sc script) runOnModel() runLog {
 			log.cancels = append(log.cancels, !e.canceled && !e.fired)
 			e.canceled = true
 		}
+		for _, i := range sc.lateStop[k] {
+			stop(i)
+		}
+		log.states = append(log.states, engineState{len(m.pending), m.fired, m.now})
 	}
-	m.runUntil(Never, onFire)
+	end := sc.horizon
+	if sc.drain {
+		end = Never
+	}
+	m.runUntil(end, onFire)
+	log.states = append(log.states, engineState{len(m.pending), m.fired, m.now})
 	return log
 }
 
 // TestRandomScheduleCancelMatchesModel drives the Sim with hundreds of
-// random schedules — heavy on equal firing times — plus cancellations and
-// callback-scheduled children, asserting the firing order matches the
-// independent reference engine exactly. This pins the FIFO tie-break among
-// equal-time events, including events created while the clock runs and
-// pooled Post events interleaved with handle-returning Schedules (both
-// draw sequence numbers from the same FIFO counter).
+// random schedules — heavy on equal firing times — plus cancellations,
+// callback-scheduled children, tickers and wheel buckets that re-arm in
+// shared lanes, fixed-delay posts, and ticker stops, asserting that the
+// firing order, the Cancel results and Pending() match the independent
+// reference engine exactly, whether the run ends in RunUntil or drains
+// through Run (Step). This pins the FIFO tie-break among equal-time
+// events wherever they queue: on the heap, in a lane, created while the
+// clock runs, pooled or handle-returning (all draw sequence numbers from
+// the same FIFO counter).
 func TestRandomScheduleCancelMatchesModel(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		rng := splitmix(trial * 2654435761)
@@ -217,7 +471,7 @@ func TestRandomScheduleCancelMatchesModel(t *testing.T) {
 		got := sc.runOn(New(1))
 		want := sc.runOnModel()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: firing order diverged\n sim:   %v\n model: %v", trial, got, want)
+			t.Fatalf("trial %d: run diverged from the model\n sim:   %+v\n model: %+v", trial, got, want)
 		}
 	}
 }
@@ -235,7 +489,7 @@ func FuzzScheduleOrder(f *testing.F) {
 		got := sc.runOn(New(1))
 		want := sc.runOnModel()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: firing order diverged\n sim:   %v\n model: %v", seed, got, want)
+			t.Fatalf("seed %d: run diverged from the model\n sim:   %+v\n model: %+v", seed, got, want)
 		}
 	})
 }
@@ -342,7 +596,7 @@ func TestWheelBucketMembership(t *testing.T) {
 		t.Fatalf("Len() = %d, want 3", got)
 	}
 	if got := sim.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2: one heap event per bucket", got)
+		t.Fatalf("Pending() = %d, want 2: one pending event per bucket", got)
 	}
 
 	sim.RunUntil(Second) // a, b fire; c not yet
