@@ -129,7 +129,8 @@ golden-check:
 		testdata/campaign-golden-small-manual.json \
 		testdata/campaign-golden-small-agents.json \
 		testdata/campaign-golden-small-flashcrowd.json \
-		testdata/campaign-golden-paper-manual-year.json
+		testdata/campaign-golden-paper-manual-year.json \
+		testdata/campaign-golden-small-agents-year.json
 
 # Short real campaigns whose JSON summaries feed the perf trajectory; CI
 # uploads campaign-smoke.json and ablate-smoke.json as build artifacts.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	qoscluster "repro"
 	"repro/internal/campaign"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 )
 
 // TestCampaignGoldenNoTierSpecs is the refactor gate for the per-tier
@@ -159,6 +161,56 @@ func TestCampaignGoldenPaperManualYear(t *testing.T) {
 	got = append(got, '\n')
 	if !bytes.Equal(want, got) {
 		t.Errorf("pooled path diverged from the manual-year golden:\n%s", firstDiff(want, got))
+	}
+}
+
+// TestCampaignGoldenSmallAgentsYear pins a whole agents year on the small
+// site (seed 7, one trial, 365 days) through the pooled Reset path against
+// the checked-in golden (testdata/campaign-golden-small-agents-year.json),
+// and the same trial's level-1 decision trace by its FNV-64a digest. The
+// one-day agents goldens end before the first fault; this year holds the
+// agents' whole fault path: detection, diagnosis, healing, escalation and
+// the ledger. The campaign JSON holds only the sums, so the trace digest
+// pins the decisions themselves: every arrival, fault, detect, diagnose,
+// heal, resolve, page and dispatch event, in order. Tracing draws no
+// randomness and schedules nothing, so one traced run serves both checks.
+// Regenerate the golden (go run ./scripts/campaigngolden), and re-record
+// the digest from this test's message, only for a change that is
+// *supposed* to move the agents year.
+func TestCampaignGoldenSmallAgentsYear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 365-day agents-mode trial; run without -short for the full gate")
+	}
+	t.Parallel()
+	want, err := os.ReadFile(filepath.Join("..", "testdata", "campaign-golden-small-agents-year.json"))
+	if err != nil {
+		t.Fatalf("golden: %v", err)
+	}
+	m := campaign.Matrix{
+		Seeds:     campaign.Seeds(7, 1),
+		Scenarios: []string{"year"},
+		Sites:     []string{"small"},
+		Modes:     []string{"agents"},
+		Days:      365,
+	}
+	res, tr, err := RunTracedCampaign("golden", m, Exec{Workers: 1, TraceLevel: trace.LevelDecisions})
+	if err != nil {
+		t.Fatalf("campaign: %v", err)
+	}
+	got, err := res.JSON()
+	if err != nil {
+		t.Fatalf("JSON: %v", err)
+	}
+	got = append(got, '\n')
+	if !bytes.Equal(want, got) {
+		t.Errorf("pooled path diverged from the agents-year golden:\n%s", firstDiff(want, got))
+	}
+	h := fnv.New64a()
+	h.Write(tr)
+	const wantTrace = 0x107bd8627a0def71
+	if sum := h.Sum64(); sum != wantTrace {
+		t.Errorf("trace digest = %#x over %d bytes, want %#x: the agents year's decisions moved",
+			sum, len(tr), uint64(wantTrace))
 	}
 }
 

@@ -4,15 +4,18 @@
 // workload golden (testdata/campaign-golden-small-flashcrowd.json) that
 // TestCampaignGoldenFlashcrowd compares against, plus the year-long
 // manual golden (testdata/campaign-golden-paper-manual-year.json) that
-// TestCampaignGoldenPaperManualYear compares against. The no-spec goldens
+// TestCampaignGoldenPaperManualYear compares against, plus the year-long
+// agents golden (testdata/campaign-golden-small-agents-year.json) that
+// TestCampaignGoldenSmallAgentsYear compares against. The no-spec goldens
 // pin the campaign output of topologies *without* per-tier
 // workload/fault specs or a named workload — so driven by the
 // generator's default `paper` spec — and refactors of the workload
 // generator or fault campaign cannot drift the reproduced numbers for
 // unspecified topologies; the flash-crowd golden pins the statistical
 // arrival engine over the checked-in testdata/workload-flashcrowd.json
-// spec; the year golden is the one run long enough to pin a whole year
-// of fault injection and operator repair.
+// spec; the year goldens are the runs long enough to pin a whole year
+// of fault injection with operator repair (manual) and with agent
+// detection, diagnosis and healing (agents).
 //
 // Only regenerate deliberately — after a change that is *supposed* to
 // move the default numbers — and say so in the commit message:
@@ -62,6 +65,15 @@ func main() {
 		Scenarios: []string{"year"},
 		Sites:     []string{"paper"},
 		Modes:     []string{"manual"},
+		Days:      365,
+	})
+
+	// The year-long agents golden: one small-site trial over 365 days.
+	write("small-agents-year", campaign.Matrix{
+		Seeds:     campaign.Seeds(7, 1),
+		Scenarios: []string{"year"},
+		Sites:     []string{"small"},
+		Modes:     []string{"agents"},
 		Days:      365,
 	})
 }
