@@ -9,7 +9,7 @@ PKGS := ./...
 # not when tee does.
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all build test test-race bench-check bench bench-agentday bench-pairs perf-proof megasite-seed golden-check lint staticcheck fmt loc campaign-smoke topology-smoke megasite-smoke shard-smoke agent-shard-smoke trace-smoke workload-smoke manual-year-smoke benchdiff clean
+.PHONY: all build test test-race bench-check bench bench-agentday bench-pairs perf-proof megasite-seed golden-check lint staticcheck fmt loc campaign-smoke topology-smoke megasite-smoke shard-smoke trace-smoke workload-smoke manual-year-smoke benchdiff clean
 
 all: lint build test
 
@@ -56,7 +56,7 @@ bench:
 # Repeated (-count 3) so the best-of values compared are stable.
 # BenchmarkAgentDay (tracing off) is the line the gate holds flat: the
 # recorder must stay zero-cost when disabled.
-BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkAgentDayShards|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend|BenchmarkEventQueue|BenchmarkServiceProbe|BenchmarkStatusPush|BenchmarkAgentRun|BenchmarkRouterSend)$$
+BENCH_GATE := ^(BenchmarkAgentDay|BenchmarkAgentDayTraced|BenchmarkPaperAgentDay|BenchmarkAgentDaySlots|BenchmarkCampaignTrialReuse|BenchmarkCampaignTrialFresh|BenchmarkMegaSiteDay|BenchmarkMegaSiteDayShards|BenchmarkCircLogAppend|BenchmarkEventQueue|BenchmarkServiceProbe|BenchmarkStatusPush|BenchmarkAgentRun|BenchmarkRouterSend)$$
 PAPER_MANUAL_DAY := ^BenchmarkPaperManualDay$$
 
 # The root package's benchmarks are whole sim-days (2 iterations each),
@@ -104,14 +104,6 @@ perf-proof:
 		$(GO) run ./scripts/benchdiff -improvement 1.5 bench-megasite-proof.txt bench-megasite-shards-renamed.txt; \
 	else \
 		echo "perf-proof: only $$(nproc) core(s); skipping the 8-shard speedup proof (needs a multi-core runner)"; \
-	fi
-	@if [ "$$(nproc)" -ge 4 ]; then \
-		$(GO) test -bench '^BenchmarkAgentDaySlots$$' -benchtime 2x -count 3 -benchmem -run '^$$' . | tee bench-agent-slots-proof.txt && \
-		$(GO) test -bench '^BenchmarkAgentDayShards$$' -benchtime 2x -count 3 -benchmem -run '^$$' . | tee bench-agent-shards-proof.txt && \
-		sed 's/BenchmarkAgentDayShards/BenchmarkAgentDaySlots/' bench-agent-shards-proof.txt > bench-agent-shards-renamed.txt && \
-		$(GO) run ./scripts/benchdiff -improvement 1.5 bench-agent-slots-proof.txt bench-agent-shards-renamed.txt; \
-	else \
-		echo "perf-proof: only $$(nproc) core(s); skipping the 8-shard agent speedup proof (needs a multi-core runner)"; \
 	fi
 
 # Re-record the megasite speedup baseline: BenchmarkMegaSiteDay with the
@@ -168,19 +160,6 @@ shard-smoke: megasite-smoke
 	$(GO) run ./cmd/qossim campaign -trials 1 -workers 1 -shards 8 -days 2 -seed 7 \
 		-site megasite -out shard-smoke.json before
 	cmp megasite-smoke.json shard-smoke.json
-
-# Agent shard smoke: an agents-mode paper-site week with cron dispatch
-# quantized onto 8 slots, run serial and again at -shards 8. At a fixed
-# -agentslots the shard count is pure execution parallelism, so the two
-# JSON records must match byte for byte; cmp enforces that across two
-# separate qossim processes. CI uploads agent-shard-smoke.json with the
-# other artifacts.
-agent-shard-smoke:
-	$(GO) run ./cmd/qossim campaign -trials 1 -workers 1 -days 7 -seed 7 \
-		-site paper -agentslots 8 -out agent-serial-smoke.json after
-	$(GO) run ./cmd/qossim campaign -trials 1 -workers 1 -shards 8 -days 7 -seed 7 \
-		-site paper -agentslots 8 -out agent-shard-smoke.json after
-	cmp agent-serial-smoke.json agent-shard-smoke.json
 
 # Trace smoke: record a one-seed paper-site week with decision tracing,
 # replay the trace (every trial re-run from its seed, its metrics
@@ -291,4 +270,4 @@ loc:
 	echo "$(BASE): $$base"; echo "now: $$now"; echo "delta: $$((now - base))"
 
 clean:
-	rm -f campaign-smoke.json ablate-smoke.json topology-smoke.json tiers-smoke.json megasite-smoke.json shard-smoke.json agent-serial-smoke.json agent-shard-smoke.json trace-smoke.jsonl trace-original.json trace-replay.json trace-counterfactual.txt trace-counterfactual-2.txt workload-smoke.json workload-smoke-w8.json manual-year-smoke.json manual-year-smoke-w4.json bench.txt bench-agentday.txt bench-proof.txt bench-megasite-proof.txt bench-megasite-shards-proof.txt bench-megasite-shards-renamed.txt bench-agent-slots-proof.txt bench-agent-shards-proof.txt bench-agent-shards-renamed.txt
+	rm -f campaign-smoke.json ablate-smoke.json topology-smoke.json tiers-smoke.json megasite-smoke.json shard-smoke.json trace-smoke.jsonl trace-original.json trace-replay.json trace-counterfactual.txt trace-counterfactual-2.txt workload-smoke.json workload-smoke-w8.json manual-year-smoke.json manual-year-smoke-w4.json bench.txt bench-agentday.txt bench-proof.txt bench-megasite-proof.txt bench-megasite-shards-proof.txt bench-megasite-shards-renamed.txt

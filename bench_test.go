@@ -246,33 +246,13 @@ func BenchmarkPaperAgentDay(b *testing.B) {
 }
 
 // BenchmarkAgentDaySlots is the paper-site agent day with cron dispatch
-// quantized onto 8 slots (WithAgentSlots) but no shard pool: the serial
-// baseline the shard speedup proof compares BenchmarkAgentDayShards
-// against, so the measured ratio isolates the pool from the slotting.
-// Built once and Reset per iteration, the pooled-campaign usage pattern.
+// quantized onto 8 slots (WithAgentSlots): each slot's agents share one
+// wheel bucket and run one after another, one heap event per slot instead
+// of one ticker per agent. Built once and Reset per iteration, the
+// pooled-campaign usage pattern.
 func BenchmarkAgentDaySlots(b *testing.B) {
 	site := mustSite(b, PaperTopology(), WithSeed(1), WithMode(ModeAgents), WithNoFaults(),
 		WithAgentSlots(8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := site.Reset(uint64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-		mustRun(b, site, simclock.Day)
-	}
-}
-
-// BenchmarkAgentDayShards is BenchmarkAgentDaySlots with intra-trial
-// sharding at 8 shards: each cron slot's agent batch observes concurrently
-// across the pool and applies serially at the tick barrier, byte-identical
-// to the serial slotted walk (gated by TestAgentShardEquivalence). `make
-// perf-proof` demands >= 1.5x over the same build's BenchmarkAgentDaySlots
-// when enough cores are present; on one core it pins the barrier overhead,
-// which the CI perf gate holds within its 20% band.
-func BenchmarkAgentDayShards(b *testing.B) {
-	site := mustSite(b, PaperTopology(), WithSeed(1), WithMode(ModeAgents), WithNoFaults(),
-		WithAgentSlots(8), WithShards(8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -56,9 +56,9 @@ type Site struct {
 	deployErr  error // sticky first-Run deployment failure
 
 	pool *simclock.Pool // intra-trial shard workers (nil: single-goroutine)
-	// agentSched batches agent crons into prepared observe/apply walks when
-	// Options.AgentSlots > 0 (nil otherwise; see agent.Scheduler).
-	agentSched *agent.Scheduler
+	// agentWheel holds the agent crons when Options.AgentSlots > 0, one
+	// bucket per slot (nil otherwise).
+	agentWheel *simclock.Wheel
 	ranTo      simclock.Time // furthest simulated time a Run call has reached
 	running    bool          // inside Run: guards re-entrant Run/Reset
 }
@@ -467,9 +467,6 @@ func (s *Site) Run(until simclock.Time) error {
 			}
 		}
 		if s.deployErr == nil {
-			if s.agentSched != nil {
-				s.agentSched.Start()
-			}
 			if s.Probes != nil {
 				s.Probes.Start()
 			}
@@ -532,7 +529,7 @@ func (s *Site) Reset(seed uint64) error {
 	s.Monitors = nil
 	s.Agents = nil
 	s.Campaign = nil
-	s.agentSched = nil
+	s.agentWheel = nil
 	if s.Probes != nil {
 		s.Probes.Reset()
 	}
@@ -566,12 +563,10 @@ func (s *Site) Reset(seed uint64) error {
 // operator model's), so they are registered only under
 // Options.BaselineMonitors, back to back at one instant on one wheel:
 // they share one bucket, one heap event per poll round for the whole
-// site. The wheel is their own,
-// without the shard pool: on the agents' wheel a slot batch on the poll
-// instant would join the bucket, and a sharded tick runs its observes
-// before the polls, which change the CPU load those observes read. On a
-// wheel of its own the polls fire ahead of any agent batch registered
-// after them, as per-host tickers did.
+// site. The wheel is their own, not the agents' slot wheel, which exists
+// only under Options.AgentSlots. Agents deploy after the monitors, so an
+// agent slot on a poll instant runs after the polls, as per-host tickers
+// did.
 func (s *Site) deployManual() {
 	for _, h := range s.DC.ByRole(cluster.RoleDatabase) {
 		s.Monitors = append(s.Monitors, baseline.Install(
@@ -629,16 +624,16 @@ func (s *Site) deployAgents() error {
 }
 
 // scheduleAgent wires one agent's cron onto a heap ticker of its own, the
-// paper's per-host Unix cron. Under AgentSlots the phase draw instead
-// feeds the batching scheduler, which quantizes it onto the slot grid and
-// registers prepared observe/apply sub-ranges on its pool-attached wheel
-// once deployment completes (Site.Run calls Start).
+// paper's per-host Unix cron. Under AgentSlots the phase draw is quantized
+// onto the slot grid instead, and the cron joins its slot's bucket on the
+// site's agent wheel, where the slot's agents run one after another in
+// deployment order.
 func (s *Site) scheduleAgent(a *agent.Agent, phase, period simclock.Time) {
 	if s.Opts.AgentSlots > 0 {
-		if s.agentSched == nil {
-			s.agentSched = agent.NewScheduler(s.Sim, s.pool, s.Opts.AgentSlots)
+		if s.agentWheel == nil {
+			s.agentWheel = simclock.NewWheel(s.Sim)
 		}
-		s.agentSched.Add(a, phase, period)
+		a.ScheduleOn(s.agentWheel, agent.QuantizePhase(phase, period, s.Opts.AgentSlots), period)
 		return
 	}
 	a.Schedule(s.Sim, phase, period)

@@ -62,12 +62,12 @@
 // with a deterministic tick-boundary merge: pure wall-clock parallelism
 // *inside* a trial (vs -workers *across* trials), byte-identical output
 // at any count.
-// -agentslots N quantizes agent cron wake-ups onto N slots per period and
-// dispatches each slot as one prepared observe/apply batch — the agent
-// work -shards parallelises. Unlike -shards this changes the simulated
-// trajectory (wake-up instants move to the slot grid), so campaign JSON
-// records the value; at any fixed -agentslots the output stays
-// byte-identical across every -shards count.
+// -agentslots N quantizes agent cron wake-ups onto N slots per period; a
+// slot's agents wake together and run one after another. Unlike -shards
+// this changes the simulated trajectory (wake-up instants move to the
+// slot grid), so campaign JSON records the value; at any fixed
+// -agentslots the output stays byte-identical across every -shards
+// count.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the campaign's
 // trials; every trial runs under pprof labels naming its cell (campaign,
@@ -284,7 +284,7 @@ func registerShared(fs *flag.FlagSet, trials int) *sharedFlags {
 		trials:     fs.Int("trials", trials, "seeds per campaign matrix cell"),
 		workers:    fs.Int("workers", 0, "campaign worker pool size (0 = NumCPU)"),
 		shards:     fs.Int("shards", 0, "intra-trial shard goroutines per trial (0/1 = single-goroutine engine; results are byte-identical at any count)"),
-		agentSlots: fs.Int("agentslots", 0, "quantize agent crons onto N slots per period and batch each slot (0 = per-agent phases; changes the trajectory, unlike -shards)"),
+		agentSlots: fs.Int("agentslots", 0, "quantize agent crons onto N slots per period, a slot's agents running one after another (0 = per-agent phases; changes the trajectory, unlike -shards)"),
 		tracePath:  fs.String("trace", "", "record every trial's decision trace to this JSONL file (replayable with qossim replay)"),
 		traceLevel: fs.Int("tracelevel", 0, "trace detail: 1 decision events, 2 adds diagnosis evidence (0 = 1 when -trace is set)"),
 	}

@@ -79,9 +79,10 @@ type Config struct {
 	// the workload twin of TierFaultScales, same "tier=mult" cells.
 	TierLoadScales []string
 	// AgentSlots quantizes agent cron dispatch onto this many slots per
-	// period and batches each slot (see qoscluster.WithAgentSlots). A
-	// model knob: slotted trajectories differ from unslotted ones, and
-	// campaigns record the value in their JSON. 0 keeps per-agent phases.
+	// period, each slot's agents running from one wheel bucket (see
+	// qoscluster.WithAgentSlots). A model knob: slotted trajectories
+	// differ from unslotted ones, and campaigns record the value in their
+	// JSON. 0 keeps per-agent phases.
 	AgentSlots int
 	// Exec is how the run executes: workers, shards and tracing.
 	Exec

@@ -2,42 +2,56 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/trace"
 )
 
 // TestShardEquivalence is the gate for intra-trial sharding: on the
 // paper-shaped sites and the mid-size megasite member, the campaign JSON
 // from the sharded engine at every supported shard count must be
-// byte-identical to the single-goroutine reference path. Shards are an
-// execution knob, not a matrix axis — if any byte moves, the shard merge
-// has leaked scheduling or RNG order into a reproduced number; fix the
-// engine, do not regenerate expectations.
+// byte-identical to the single-goroutine reference path, and the recorded
+// trace file identical to the unsharded one. Shards are an execution
+// knob, not a matrix axis — if any byte moves, the shard merge has leaked
+// scheduling or RNG order into a reproduced number; fix the engine, do not
+// regenerate expectations.
+//
+// The slotted cell quantizes the megasite's agent crons onto 8 slots
+// (AgentSlots), a model knob that moves wake-up instants: at a fixed slot
+// count the shard count must still not leak into a single byte.
 func TestShardEquivalence(t *testing.T) {
 	cells := []struct {
-		site string
-		mode string
+		site  string
+		mode  string
+		slots int
 	}{
-		{"paper", "manual"},
-		{"small", "manual"},
-		{"small", "agents"},
-		{"megasite-150", "manual"},
-		{"megasite-150", "agents"},
+		{"paper", "manual", 0},
+		{"small", "manual", 0},
+		{"small", "agents", 0},
+		{"megasite-150", "manual", 0},
+		{"megasite-150", "agents", 0},
+		{"megasite-150", "agents", 8},
 	}
 	for _, cell := range cells {
-		t.Run(fmt.Sprintf("%s-%s", cell.site, cell.mode), func(t *testing.T) {
+		name := fmt.Sprintf("%s-%s", cell.site, cell.mode)
+		if cell.slots > 0 {
+			name += fmt.Sprintf("-slots%d", cell.slots)
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			if testing.Short() && cell.site == "megasite-150" {
 				t.Skip("megasite reference path is the long cell; run without -short for the full gate")
 			}
 			m := campaign.Matrix{
-				Seeds:     campaign.Seeds(7, 2),
-				Scenarios: []string{"year"},
-				Sites:     []string{cell.site},
-				Modes:     []string{cell.mode},
-				Days:      1,
+				Seeds:      campaign.Seeds(7, 2),
+				Scenarios:  []string{"year"},
+				Sites:      []string{cell.site},
+				Modes:      []string{cell.mode},
+				Days:       1,
+				AgentSlots: cell.slots,
 			}
 			ref, err := campaign.Run("shard-equivalence", m, 1, ReferenceRunTrial)
 			if err != nil {
@@ -50,14 +64,12 @@ func TestShardEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference JSON: %v", err)
 			}
+			var wantTrace []byte
 			for _, shards := range []int{1, 2, 8} {
-				res, err := campaign.Run("shard-equivalence", m, 2, newPooledRunFunc(Exec{Shards: shards}, nil))
+				res, gotTrace, err := RunTracedCampaign("shard-equivalence", m,
+					Exec{Workers: 2, Shards: shards, TraceLevel: trace.LevelDecisions})
 				if err != nil {
 					t.Fatalf("sharded campaign (%d shards): %v", shards, err)
-				}
-				if errs := res.Errs(); len(errs) > 0 {
-					t.Fatalf("sharded campaign (%d shards) had %d failed trials; first: %s",
-						shards, len(errs), errs[0].Err)
 				}
 				got, err := res.JSON()
 				if err != nil {
@@ -66,6 +78,12 @@ func TestShardEquivalence(t *testing.T) {
 				if !bytes.Equal(want, got) {
 					t.Errorf("sharded engine diverged from reference (site %s, mode %s, %d shards):\n%s",
 						cell.site, cell.mode, shards, firstDiff(want, got))
+				}
+				if shards == 1 {
+					wantTrace = gotTrace // one shard is the single-goroutine engine
+				} else if !bytes.Equal(wantTrace, gotTrace) {
+					t.Errorf("trace file diverged (site %s, mode %s, %d shards):\n%s",
+						cell.site, cell.mode, shards, firstDiff(wantTrace, gotTrace))
 				}
 			}
 		})
@@ -99,5 +117,76 @@ func TestShardReuseRaceStress(t *testing.T) {
 	}
 	if want := 8 * 2; len(res.Trials) != want {
 		t.Fatalf("stress campaign ran %d trials, want %d", len(res.Trials), want)
+	}
+}
+
+// TestAgentSlotsChangeTrajectory documents the model-knob contract: a
+// slotted run is a different trajectory from an unslotted one (wake-up
+// instants move onto the grid), and the slot count is recorded in the
+// campaign JSON so the two can never be mistaken for one another: in the
+// matrix, in every trial and, as a Cell coordinate, in every group.
+func TestAgentSlotsChangeTrajectory(t *testing.T) {
+	t.Parallel()
+	m := campaign.Matrix{
+		Seeds:     campaign.Seeds(7, 1),
+		Scenarios: []string{"year"},
+		Sites:     []string{"paper"},
+		Modes:     []string{"agents"},
+		Days:      1,
+	}
+	plain, err := campaign.Run("agent-slots-off", m, 1, NewPooledRunFunc())
+	if err != nil {
+		t.Fatalf("unslotted campaign: %v", err)
+	}
+	sm := m
+	sm.AgentSlots = 8
+	slotted, err := campaign.Run("agent-slots-off", sm, 1, NewPooledRunFunc())
+	if err != nil {
+		t.Fatalf("slotted campaign: %v", err)
+	}
+	for _, res := range []*campaign.Result{plain, slotted} {
+		if errs := res.Errs(); len(errs) > 0 {
+			t.Fatalf("campaign had %d failed trials; first: %s", len(errs), errs[0].Err)
+		}
+	}
+	a, err := plain.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := slotted.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(a, []byte(`"agent_slots"`)) {
+		t.Error("unslotted campaign JSON should omit agent_slots")
+	}
+	if !bytes.Contains(b, []byte(`"agent_slots": 8`)) {
+		t.Error("slotted campaign JSON should record agent_slots: 8")
+	}
+	groupSlots := func(js []byte) []any {
+		var rec struct {
+			Groups []map[string]any `json:"groups"`
+		}
+		if err := json.Unmarshal(js, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Groups) == 0 {
+			t.Fatal("campaign JSON holds no group records")
+		}
+		out := make([]any, len(rec.Groups))
+		for i, g := range rec.Groups {
+			out[i] = g["agent_slots"]
+		}
+		return out
+	}
+	for i, v := range groupSlots(b) {
+		if v != float64(8) {
+			t.Errorf("slotted group %d records agent_slots %v, want 8", i, v)
+		}
+	}
+	for i, v := range groupSlots(a) {
+		if v != nil {
+			t.Errorf("unslotted group %d records agent_slots %v, want none", i, v)
+		}
 	}
 }

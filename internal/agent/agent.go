@@ -144,14 +144,6 @@ type Parts struct {
 	Monitor  func(rc *RunContext) []Finding
 	Diagnose func(rc *RunContext, fs []Finding) []Diagnosis
 	Heal     func(rc *RunContext, d Diagnosis) HealResult
-	// MonitorMutates declares that Monitor writes state (filesystem, logs,
-	// notifications, reports) instead of only observing it. The sharded
-	// scheduler runs such monitors in the serial apply phase; pure monitors
-	// (the default) run concurrently in the observe phase. Misdeclaring a
-	// mutating monitor as pure is a data race under -shards; the observe
-	// RunContext carries nil Sim/Notify/Report/Trace hooks so most
-	// accidental mutation attempts fail loudly.
-	MonitorMutates bool
 }
 
 // Overhead is the agent's resource footprint while awake; the paper's
@@ -201,11 +193,8 @@ type Agent struct {
 	exitLabel string       // event label of the end-of-run reaper
 
 	// lock and okFlag are handles on the lock file and on ok.flag in the
-	// flag directory. openFiles opens them in the serial phase of the
-	// agent's first run, never at construction (it would slow site set-up)
-	// and never in Observe (opening writes to the volume, which concurrent
-	// observes read). Until then they are zero, and Observe asks for the
-	// lock by path.
+	// flag directory. openFiles opens them in the agent's first run, never
+	// at construction (it would slow site set-up).
 	lock, okFlag fsim.File
 
 	report   func(kind, payload string)
@@ -230,11 +219,6 @@ type Agent struct {
 	exitFn   func(simclock.Time)
 	exitPID  int
 	flagsOK  bool
-
-	// Prepared-protocol state: what the concurrent observe phase saw, consumed
-	// by the serial apply phase at the tick barrier (see Observe/Apply).
-	obsState    obsState
-	obsFindings []Finding
 }
 
 // InstallDir is where every intelliagent lives, per the paper ("always in
@@ -300,8 +284,8 @@ func New(cfg Config) (*Agent, error) {
 // openFiles opens the agent's lock and ok-flag handles if it has not yet,
 // and pins the host's process-count cell for the agent's process name, so
 // that a run's spawn and reap find the cell in place instead of adding it
-// to the host's index and dropping it again. The serial half of the
-// agent's first run calls it: pinning writes host state, as opening does.
+// to the host's index and dropping it again. The agent's first run calls
+// it.
 func (a *Agent) openFiles() {
 	if a.lock != (fsim.File{}) {
 		return
@@ -309,16 +293,6 @@ func (a *Agent) openFiles() {
 	a.lock = a.host.FS.Open(a.lockPath)
 	a.okFlag = a.host.FS.Open(a.flagDir + "/ok.flag")
 	a.host.PinTally(a.procName)
-}
-
-// lockHeld reports whether the agent's lock file exists: through its
-// handle once the first run has opened it, by path before, which reads
-// without opening anything.
-func (a *Agent) lockHeld() bool {
-	if a.lock == (fsim.File{}) {
-		return a.host.FS.Exists(a.lockPath)
-	}
-	return a.lock.Exists()
 }
 
 // Name reports the agent's name.

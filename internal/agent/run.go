@@ -10,8 +10,8 @@ import (
 )
 
 // Run executes one wake-up of the agent: the full five-part lifecycle. It
-// is called by the cron wiring (see Schedule) and can be called directly in
-// tests.
+// is called by the cron wiring (see Schedule and ScheduleOn) and can be
+// called directly in tests.
 //
 // Lifecycle, mirroring §3.3:
 //  1. If the host is down, nothing runs (crons don't fire on dead iron).
@@ -29,90 +29,11 @@ func (a *Agent) Run(sim *simclock.Sim) {
 		a.counters.SkippedLock++
 		return
 	}
-	a.run(sim, nil, false)
+	a.run(sim)
 }
 
-// obsState records what the concurrent observe phase saw, pending the
-// serial apply phase.
-type obsState uint8
-
-const (
-	obsIdle     obsState = iota // no observation pending
-	obsDown                     // host was down; the run is a no-op
-	obsLocked                   // lock file present; count SkippedLock and exit
-	obsDeferred                 // run, but the monitor must execute in the apply phase
-	obsRun                      // run with the findings gathered during observe
-)
-
-// Observe is the read-only half of the prepared cron protocol: it performs
-// the host-up and lock checks and — for pure monitor parts — the monitoring
-// itself, buffering the findings. It must not touch simulated state: no RNG,
-// no filesystem writes, no notifications, no trace events, no counters. It
-// opens nothing either: opening a file handle adds a slot to the host's
-// volume, so an agent whose first Apply has not yet opened its lock handle
-// checks the lock by path. The sharded scheduler calls Observe concurrently
-// across agents of one cron batch; everything it learns is replayed by
-// Apply at the tick barrier.
-func (a *Agent) Observe(now simclock.Time) {
-	a.obsFindings = nil
-	switch {
-	case !a.host.Up():
-		a.obsState = obsDown
-	case a.lockHeld():
-		a.obsState = obsLocked
-	case a.parts.MonitorMutates:
-		// Mutating monitors run inside Apply.
-		a.obsState = obsDeferred
-	default:
-		a.obsState = obsRun
-		// Observation context: world-reading handles only. The mutating
-		// hooks (Sim, Notify, Report, Detected, Repaired, Trace, log) stay
-		// nil so a monitor that was wrongly declared pure trips over them.
-		rc := &a.rc
-		*rc = RunContext{
-			Now:      now,
-			Host:     a.host,
-			Services: a.services,
-			FS:       a.host.FS,
-			agent:    a,
-		}
-		a.obsFindings = a.parts.Monitor(rc)
-	}
-}
-
-// Apply is the serial half of the prepared cron protocol: it consumes the
-// state Observe buffered and performs the full mutating lifecycle — process
-// spawn, lock and flag writes, diagnose/heal with their RNG draws, trace
-// events, counters and escalation. Agents earlier in the same tick's apply
-// order may have changed the world since Observe ran (taken a lock, rebooted
-// a host), so the host-up and lock checks are revalidated here; the serial
-// path performs those same checks at the same instant, keeping the two
-// dispatch modes on one trajectory.
-func (a *Agent) Apply(sim *simclock.Sim, now simclock.Time) {
-	state, findings := a.obsState, a.obsFindings
-	a.obsState, a.obsFindings = obsIdle, nil
-	switch state {
-	case obsIdle, obsDown:
-		return
-	case obsLocked:
-		a.counters.SkippedLock++
-		return
-	}
-	if !a.host.Up() {
-		return
-	}
-	a.openFiles()
-	if a.lock.Exists() {
-		a.counters.SkippedLock++
-		return
-	}
-	a.run(sim, findings, state == obsRun)
-}
-
-// run is the mutating body shared by the serial path (Run) and the prepared
-// path (Apply). When haveObserved is set, observed carries the findings a
-// prior Observe gathered and the monitor part is not invoked again.
-func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
+// run is the body of a run that found the host up and the lock free.
+func (a *Agent) run(sim *simclock.Sim) {
 	a.counters.Runs++
 
 	// The agent exists as a process only while awake: spawn, then reap at
@@ -162,10 +83,7 @@ func (a *Agent) run(sim *simclock.Sim, observed []Finding, haveObserved bool) {
 		a.clearFlags()
 	}
 
-	findings := observed
-	if !haveObserved {
-		findings = a.parts.Monitor(rc)
-	}
+	findings := a.parts.Monitor(rc)
 	a.counters.Findings += len(findings)
 
 	if len(findings) == 0 {
@@ -338,7 +256,37 @@ func sanitize(s string) string {
 // then every period ("awakened every X minutes by local to each host Unix
 // crons"), on a repeating event of its own. It returns the ticker so
 // scenarios can stop it. Sites dispatch every agent this way unless
-// Options.AgentSlots batches them through a Scheduler.
+// Options.AgentSlots puts them on a shared wheel (ScheduleOn).
 func (a *Agent) Schedule(sim *simclock.Sim, phase, period simclock.Time) *simclock.Ticker {
 	return sim.Every(sim.Now()+phase, period, "cron:"+a.name, func(simclock.Time) { a.Run(sim) })
+}
+
+// ScheduleOn wires the agent's cron onto a shared wheel instead: first run
+// phase after now, then every period, in one bucket with every other agent
+// on the same instant and period. A bucket runs its agents one after
+// another in registration order, each a whole Run, as the crons of hosts
+// that wake at one instant would.
+func (a *Agent) ScheduleOn(w *simclock.Wheel, phase, period simclock.Time) {
+	sim := w.Sim()
+	w.Add(sim.Now()+phase, period, "cron:"+a.name, func(simclock.Time) { a.Run(sim) })
+}
+
+// QuantizePhase maps a continuous phase draw in [0, period) onto the slot
+// grid: with slot width w = period/slots, the draw's slot s = draw/w fires
+// at the slot's end (s+1)·w, mirroring the probe engine's layout (first
+// fire strictly after now, at most one period out). Each agent still burns
+// exactly one phase draw from the deployment RNG stream, so adding slots
+// never shifts any other draw. Degenerate grids — a period shorter than the
+// slot count — leave the draw unquantized, which costs nothing but
+// batching.
+func QuantizePhase(draw, period simclock.Time, slots int) simclock.Time {
+	w := period / simclock.Time(slots)
+	if w <= 0 {
+		return draw
+	}
+	s := draw / w
+	if s >= simclock.Time(slots) {
+		s = simclock.Time(slots) - 1
+	}
+	return (s + 1) * w
 }

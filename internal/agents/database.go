@@ -40,9 +40,6 @@ func NewDatabaseAgent(cfg agent.Config, db *svc.Service) (*agent.Agent, error) {
 	cfg.Name = "database-" + db.Spec.Name
 	cfg.Category = agent.CatPerformance
 	cfg.Parts = agent.Parts{
-		// Measurement logging appends to a circular log and may notify, so
-		// this monitor runs in the serial apply phase under sharded dispatch.
-		MonitorMutates: true,
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			if !db.Running() {
 				// Down databases are the service agent's problem; the

@@ -50,9 +50,6 @@ func NewPerformanceAgent(cfg agent.Config) (*agent.Agent, error) {
 	var line []byte // the measurement-line buffer, grown on first use
 
 	cfg.Parts = agent.Parts{
-		// Measurement logging appends to circular logs and may notify, so
-		// this monitor runs in the serial apply phase under sharded dispatch.
-		MonitorMutates: true,
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			vm := host.VMStat()
 			io := host.IOStat()

@@ -84,10 +84,7 @@ func NewStatusAgent(cfg agent.Config) (*agent.Agent, error) {
 	cfg.Name = "status-" + cfg.Host.Name
 	cfg.Category = agent.CatStatus
 	cfg.Parts = agent.Parts{
-		// The DLSP write and admin report happen inside monitoring, so this
-		// monitor runs in the serial apply phase under sharded dispatch.
-		MonitorMutates: true,
-		Monitor:        new(statusAgent).monitor,
+		Monitor: new(statusAgent).monitor,
 	}
 	return agent.New(cfg)
 }

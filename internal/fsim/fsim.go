@@ -18,10 +18,12 @@
 //
 // Concurrency follows the simulation's phase rule instead of a lock: files
 // are written, and handles opened, only on the event loop or in the serial
-// apply phase of a sharded tick, and the concurrent prepare phase only
-// reads (Exists, ReadLines, List and HasFileWithSuffix, by path or through
-// a handle opened earlier). A Volume, and so every FS it is mounted in, is
-// not safe for use by a writer concurrently with anything else.
+// apply phase of a sharded tick, and concurrent work may only read
+// (Exists, ReadLines, List and HasFileWithSuffix, by path or through a
+// handle opened earlier). No concurrent phase reads a volume today: the
+// sharded probe walks touch no files, and agents run on the event loop. A
+// Volume, and so every FS it is mounted in, is not safe for use by a
+// writer concurrently with anything else.
 package fsim
 
 import (

@@ -5,7 +5,7 @@ package simclock
 // repeating event that walks its entries in registration order; its first
 // fire sits on the heap and its re-arms in the lane of its period. A site
 // with a hundred BMC monitors on one poll coordinate, or a slot's worth of
-// batched agents, keeps one pending event per distinct schedule instead of
+// agent crons, keeps one pending event per distinct schedule instead of
 // one per entry, and every bucket reuses its Event allocation across ticks.
 //
 // Semantics match scheduling each entry with Sim.Every individually:
@@ -53,9 +53,6 @@ type Wheel struct {
 // default) and a 1-shard pool both keep every walk on the event-loop
 // goroutine. SetPool must be called before the first tick fires.
 func (w *Wheel) SetPool(p *Pool) { w.pool = p }
-
-// Pool reports the wheel's shard pool (nil when unsharded).
-func (w *Wheel) Pool() *Pool { return w.pool }
 
 // Sim reports the simulator the wheel schedules on.
 func (w *Wheel) Sim() *Sim { return w.sim }

@@ -90,26 +90,24 @@ type Options struct {
 	// Meaningless unless the topology declares a probe spec
 	// (Topology.Probes).
 	ReferenceProbes bool
-	// Shards is the intra-trial parallelism degree: batch work — the
-	// probe sub-ranges and, under AgentSlots, the agent observe batches —
-	// advances on this many goroutines inside each tick window and merges
-	// at tick boundaries in a fixed order, so simulated behaviour — and
-	// campaign JSON — is byte-identical at any shard count. 0 and 1 both
-	// mean the single-goroutine engine; negative or absurd counts are
-	// rejected by NewSite. ReferenceProbes walks the probes serially at
-	// any count, and unslotted agents always run on serial tickers.
+	// Shards is the intra-trial parallelism degree: the probe engine's
+	// batch walks advance on this many goroutines inside each tick window
+	// and merge at tick boundaries in a fixed order, so simulated
+	// behaviour — and campaign JSON — is byte-identical at any shard
+	// count. 0 and 1 both mean the single-goroutine engine; negative or
+	// absurd counts are rejected by NewSite. ReferenceProbes walks the
+	// probes serially at any count, and agents always run serially.
 	Shards int
 	// AgentSlots switches agent cron dispatch (ModeAgents) from one
 	// continuous random phase per agent to phases quantized onto this many
-	// slots per cron period, coalescing each slot's agents into one
-	// prepared batch whose read-only observe half shards across the pool
-	// (see Shards) and whose mutating apply half replays serially at the
-	// tick barrier. Unlike Shards this is a model knob: quantizing moves
-	// the wake-up instants, so a slotted run is a different (equally valid)
-	// trajectory from an unslotted one, and campaigns record it in their
-	// JSON. 0 (the default) keeps per-agent phases, each agent on its own
-	// cron ticker (agent.Agent.Schedule); byte-identity across shard
-	// counts holds at any fixed value.
+	// slots per cron period. Each slot's agents share one bucket on a cron
+	// wheel and run one after another in deployment order
+	// (agent.Agent.ScheduleOn). Unlike Shards this is a model knob:
+	// quantizing moves the wake-up instants, so a slotted run is a
+	// different (equally valid) trajectory from an unslotted one, and
+	// campaigns record it in their JSON. 0 (the default) keeps per-agent
+	// phases, each agent on its own cron ticker (agent.Agent.Schedule);
+	// byte-identity across shard counts holds at any fixed value.
 	AgentSlots int
 	// TraceLevel enables the decision-trace recorder: 0 off (the default —
 	// a nil recorder, zero cost), 1 records every healing-pipeline decision
@@ -199,9 +197,9 @@ func WithReferenceProbes() Option { return func(o *Options) { o.ReferenceProbes 
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
 
 // WithAgentSlots quantizes agent cron phases onto n slots per period and
-// dispatches each slot as one prepared observe/apply batch (see
-// Options.AgentSlots). This changes the simulated trajectory; it is the
-// shard-friendly agent dispatch mode, not a pure execution knob.
+// runs each slot's agents from one wheel bucket (see Options.AgentSlots).
+// This changes the simulated trajectory; it is a model knob, not an
+// execution knob.
 func WithAgentSlots(n int) Option { return func(o *Options) { o.AgentSlots = n } }
 
 // WithTrace enables the decision-trace recorder at the given level (see

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/agent"
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
@@ -88,6 +89,43 @@ func TestAgentsFullSet(t *testing.T) {
 		// 2 service + status+perf+net + cpu+mem+disk+hw + database
 		if perHost[h.Name] != 10 {
 			t.Errorf("%s agents = %d, want 10", h.Name, perHost[h.Name])
+		}
+	}
+}
+
+// TestSlotAgentsRunInTurn: agents that share a host and a cron slot run
+// one after another, each a whole run, as a host's crons that wake at one
+// instant do. So both monitors find the first agent's process awake: the
+// first agent's own, spawned before its monitor runs, and, for the second
+// agent, the process of the agent before it in the slot. Slotted
+// (AgentSlots) dispatch must match per-agent tickers here.
+func TestSlotAgentsRunInTurn(t *testing.T) {
+	for _, slots := range []int{0, 8} {
+		site := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeManual), WithNoFaults(), WithAgentSlots(slots))
+		h := site.DC.Hosts()[0]
+		runs, saw := 0, 0
+		parts := agent.Parts{Monitor: func(rc *agent.RunContext) []agent.Finding {
+			runs++
+			if len(rc.Host.PGrep("intelliagent_first")) == 1 {
+				saw++
+			}
+			return nil
+		}}
+		// A phase on the slot grid: both agents wake at the same instants
+		// with or without slots.
+		period := 5 * simclock.Minute
+		phase := agent.QuantizePhase(0, period, 8)
+		for _, name := range []string{"first", "second"} {
+			a, err := agent.New(agent.Config{Name: name, Host: h, Parts: parts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			site.scheduleAgent(a, phase, period)
+		}
+		mustRun(t, site, simclock.Hour)
+		if runs == 0 || saw != runs {
+			t.Errorf("slots=%d: the monitors saw the first agent's process in %d of %d runs, want all",
+				slots, saw, runs)
 		}
 	}
 }

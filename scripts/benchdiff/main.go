@@ -137,14 +137,23 @@ func parseBench(path string) (map[string]benchPoint, error) {
 	return best, nil
 }
 
+// retired names the gated benchmarks deleted on purpose, each with its
+// reason. The CI gate compares against the last passing build's artifact,
+// which still holds them, so without this list the gate would stay red
+// for good.
+var retired = map[string]string{
+	"BenchmarkAgentDayShards": "deleted with the sharded observe/apply agent dispatch it measured",
+}
+
 // diffBench compares ns/op and allocs/op per benchmark, printing the
 // comparison table and returning the regressions beyond the threshold.
 // Allocation data is gated only when both artifacts carry it. With
 // improvement > 0 a benchmark additionally fails unless its new ns/op is
 // at least that factor better than the old point. A benchmark in OLD but
 // missing from NEW fails too — a renamed or no-longer-run gated benchmark
-// must not slip past the gate — while one only in NEW is listed as new,
-// with no baseline to compare against.
+// must not slip past the gate — unless it is retired, which is listed
+// with its reason; one only in NEW is listed as new, with no baseline to
+// compare against.
 func diffBench(oldPath, newPath string, threshold, improvement float64) ([]string, error) {
 	oldB, err := parseBench(oldPath)
 	if err != nil {
@@ -162,9 +171,14 @@ func diffBench(oldPath, newPath string, threshold, improvement float64) ([]strin
 			added = append(added, name)
 		}
 	}
-	var regressions []string
+	var regressions, gone []string
 	for name := range oldB {
-		if _, ok := newB[name]; !ok {
+		if _, ok := newB[name]; ok {
+			continue
+		}
+		if _, ok := retired[name]; ok {
+			gone = append(gone, name)
+		} else {
 			regressions = append(regressions, fmt.Sprintf("%s: in %s but missing from %s", name, oldPath, newPath))
 		}
 	}
@@ -173,6 +187,7 @@ func diffBench(oldPath, newPath string, threshold, improvement float64) ([]strin
 	}
 	sort.Strings(names)
 	sort.Strings(added)
+	sort.Strings(gone)
 	sort.Strings(regressions)
 	fmt.Printf("%-32s %14s %14s %8s %12s %12s %8s\n",
 		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
@@ -209,6 +224,9 @@ func diffBench(oldPath, newPath string, threshold, improvement float64) ([]strin
 	}
 	for _, name := range added {
 		fmt.Printf("%-32s %14s %14.0f   new, no baseline\n", name, "-", newB[name].ns)
+	}
+	for _, name := range gone {
+		fmt.Printf("%-32s %14.0f %14s   retired: %s\n", name, oldB[name].ns, "-", retired[name])
 	}
 	return regressions, nil
 }

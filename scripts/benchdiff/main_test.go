@@ -16,14 +16,15 @@ func writeBench(t *testing.T, name, body string) string {
 	return p
 }
 
-// TestDiffBenchNameSets: a benchmark dropped from NEW fails the gate, one
-// added in NEW passes with no baseline, and a zero-alloc baseline gates
-// any allocation.
+// TestDiffBenchNameSets: a benchmark dropped from NEW fails the gate
+// unless it is retired, one added in NEW passes with no baseline, and a
+// zero-alloc baseline gates any allocation.
 func TestDiffBenchNameSets(t *testing.T) {
 	old := writeBench(t, "old.txt", `
 BenchmarkAgentDay-2   2   100000000 ns/op   10 B/op   5 allocs/op
 BenchmarkCircLogAppend/max=50-2   1000   100 ns/op   0 B/op   0 allocs/op
 BenchmarkGone-2   2   50 ns/op   0 B/op   0 allocs/op
+BenchmarkAgentDayShards-2   2   100000000 ns/op   10 B/op   5 allocs/op
 `)
 	cases := []struct {
 		name, body string
@@ -33,12 +34,22 @@ BenchmarkGone-2   2   50 ns/op   0 B/op   0 allocs/op
 BenchmarkAgentDay-2   2   100000000 ns/op   10 B/op   5 allocs/op
 BenchmarkCircLogAppend/max=50-2   1000   100 ns/op   0 B/op   0 allocs/op
 BenchmarkGone-2   2   50 ns/op   0 B/op   0 allocs/op
+BenchmarkAgentDayShards-2   2   100000000 ns/op   10 B/op   5 allocs/op
 `, nil},
 		{"renamed", `
 BenchmarkAgentDay-2   2   100000000 ns/op   10 B/op   5 allocs/op
 BenchmarkCircLogAppend/max=50-2   1000   100 ns/op   0 B/op   0 allocs/op
 BenchmarkRenamed-2   2   50 ns/op   0 B/op   0 allocs/op
 `, []string{"BenchmarkGone: in"}},
+		{"retired and unlisted both missing", `
+BenchmarkAgentDay-2   2   100000000 ns/op   10 B/op   5 allocs/op
+BenchmarkCircLogAppend/max=50-2   1000   100 ns/op   0 B/op   0 allocs/op
+`, []string{"BenchmarkGone: in"}},
+		{"retired missing", `
+BenchmarkAgentDay-2   2   100000000 ns/op   10 B/op   5 allocs/op
+BenchmarkCircLogAppend/max=50-2   1000   100 ns/op   0 B/op   0 allocs/op
+BenchmarkGone-2   2   50 ns/op   0 B/op   0 allocs/op
+`, nil},
 		{"new allocation off zero", `
 BenchmarkAgentDay-2   2   100000000 ns/op   10 B/op   5 allocs/op
 BenchmarkCircLogAppend/max=50-2   1000   100 ns/op   16 B/op   1 allocs/op
