@@ -18,32 +18,69 @@ import (
 // knob, not a matrix axis — if any byte moves, the shard merge has leaked
 // scheduling or RNG order into a reproduced number; fix the engine, do not
 // regenerate expectations.
-//
-// The slotted cell quantizes the megasite's agent crons onto 8 slots
-// (AgentSlots), a model knob that moves wake-up instants: at a fixed slot
-// count the shard count must still not leak into a single byte.
 func TestShardEquivalence(t *testing.T) {
 	cells := []struct {
-		site  string
-		mode  string
-		slots int
+		site string
+		mode string
 	}{
-		{"paper", "manual", 0},
-		{"small", "manual", 0},
-		{"small", "agents", 0},
-		{"megasite-150", "manual", 0},
-		{"megasite-150", "agents", 0},
-		{"megasite-150", "agents", 8},
+		{"paper", "manual"},
+		{"small", "manual"},
+		{"small", "agents"},
+		{"megasite-150", "manual"},
+		{"megasite-150", "agents"},
+	}
+	for _, cell := range cells {
+		t.Run(fmt.Sprintf("%s-%s", cell.site, cell.mode), func(t *testing.T) {
+			t.Parallel()
+			if testing.Short() && cell.site == "megasite-150" {
+				t.Skip("megasite reference path is the long cell; run without -short for the full gate")
+			}
+			checkShardEquivalence(t, campaign.Matrix{
+				Seeds:     campaign.Seeds(7, 2),
+				Scenarios: []string{"year"},
+				Sites:     []string{cell.site},
+				Modes:     []string{cell.mode},
+				Days:      1,
+			})
+		})
+	}
+}
+
+// TestAgentShardEquivalence is the same gate with agent crons quantized
+// onto 8 slots (AgentSlots), a model knob that moves wake-up instants: a
+// slotted run is a different trajectory from an unslotted one, but at a
+// fixed slot count the shard count must still not leak into a single byte.
+// A slot's agents run one after another on the trial's own goroutine, so
+// only the probe walks shard here; the cells pin that slotting and
+// sharding compose.
+//
+// The monitors cell adds the BMC monitors to an agents year: at 8 slots of
+// the default 5-minute cron the last slot's agents wake on the monitors'
+// poll instant, so a shard count that reordered same-instant events would
+// show here.
+func TestAgentShardEquivalence(t *testing.T) {
+	cells := []struct {
+		site     string
+		mode     string
+		monitors bool
+	}{
+		{"paper", "manual", false},
+		{"paper", "agents", false},
+		{"paper", "agents", true},
+		{"small", "manual", false},
+		{"small", "agents", false},
+		{"megasite-150", "manual", false},
+		{"megasite-150", "agents", false},
 	}
 	for _, cell := range cells {
 		name := fmt.Sprintf("%s-%s", cell.site, cell.mode)
-		if cell.slots > 0 {
-			name += fmt.Sprintf("-slots%d", cell.slots)
+		if cell.monitors {
+			name += "-monitors"
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			if testing.Short() && cell.site == "megasite-150" {
-				t.Skip("megasite reference path is the long cell; run without -short for the full gate")
+				t.Skip("megasite cells are the long ones; run without -short for the full gate")
 			}
 			m := campaign.Matrix{
 				Seeds:      campaign.Seeds(7, 2),
@@ -51,42 +88,52 @@ func TestShardEquivalence(t *testing.T) {
 				Sites:      []string{cell.site},
 				Modes:      []string{cell.mode},
 				Days:       1,
-				AgentSlots: cell.slots,
+				AgentSlots: 8,
 			}
-			ref, err := campaign.Run("shard-equivalence", m, 1, ReferenceRunTrial)
-			if err != nil {
-				t.Fatalf("reference campaign: %v", err)
+			if cell.monitors {
+				m.BaselineMonitors = []bool{true}
 			}
-			if errs := ref.Errs(); len(errs) > 0 {
-				t.Fatalf("reference campaign had %d failed trials; first: %s", len(errs), errs[0].Err)
-			}
-			want, err := ref.JSON()
-			if err != nil {
-				t.Fatalf("reference JSON: %v", err)
-			}
-			var wantTrace []byte
-			for _, shards := range []int{1, 2, 8} {
-				res, gotTrace, err := RunTracedCampaign("shard-equivalence", m,
-					Exec{Workers: 2, Shards: shards, TraceLevel: trace.LevelDecisions})
-				if err != nil {
-					t.Fatalf("sharded campaign (%d shards): %v", shards, err)
-				}
-				got, err := res.JSON()
-				if err != nil {
-					t.Fatalf("sharded JSON (%d shards): %v", shards, err)
-				}
-				if !bytes.Equal(want, got) {
-					t.Errorf("sharded engine diverged from reference (site %s, mode %s, %d shards):\n%s",
-						cell.site, cell.mode, shards, firstDiff(want, got))
-				}
-				if shards == 1 {
-					wantTrace = gotTrace // one shard is the single-goroutine engine
-				} else if !bytes.Equal(wantTrace, gotTrace) {
-					t.Errorf("trace file diverged (site %s, mode %s, %d shards):\n%s",
-						cell.site, cell.mode, shards, firstDiff(wantTrace, gotTrace))
-				}
-			}
+			checkShardEquivalence(t, m)
 		})
+	}
+}
+
+// checkShardEquivalence runs m on the single-goroutine reference path and
+// then traced on the pooled engine at 1, 2 and 8 shards: every campaign
+// JSON must equal the reference and every trace file the 1-shard one.
+func checkShardEquivalence(t *testing.T, m campaign.Matrix) {
+	t.Helper()
+	ref, err := campaign.Run("shard-equivalence", m, 1, ReferenceRunTrial)
+	if err != nil {
+		t.Fatalf("reference campaign: %v", err)
+	}
+	if errs := ref.Errs(); len(errs) > 0 {
+		t.Fatalf("reference campaign had %d failed trials; first: %s", len(errs), errs[0].Err)
+	}
+	want, err := ref.JSON()
+	if err != nil {
+		t.Fatalf("reference JSON: %v", err)
+	}
+	var wantTrace []byte
+	for _, shards := range []int{1, 2, 8} {
+		res, gotTrace, err := RunTracedCampaign("shard-equivalence", m,
+			Exec{Workers: 2, Shards: shards, TraceLevel: trace.LevelDecisions})
+		if err != nil {
+			t.Fatalf("sharded campaign (%d shards): %v", shards, err)
+		}
+		got, err := res.JSON()
+		if err != nil {
+			t.Fatalf("sharded JSON (%d shards): %v", shards, err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("sharded engine diverged from reference (%d shards):\n%s",
+				shards, firstDiff(want, got))
+		}
+		if shards == 1 {
+			wantTrace = gotTrace // one shard is the single-goroutine engine
+		} else if !bytes.Equal(wantTrace, gotTrace) {
+			t.Errorf("trace file diverged (%d shards):\n%s", shards, firstDiff(wantTrace, gotTrace))
+		}
 	}
 }
 
@@ -109,6 +156,36 @@ func TestShardReuseRaceStress(t *testing.T) {
 		Days:      1,
 	}
 	res, err := campaign.Run("shard-stress", m, 8, newPooledRunFunc(Exec{Shards: 8}, nil))
+	if err != nil {
+		t.Fatalf("stress campaign: %v", err)
+	}
+	if errs := res.Errs(); len(errs) > 0 {
+		t.Fatalf("stress campaign had %d failed trials; first: %s", len(errs), errs[0].Err)
+	}
+	if want := 8 * 2; len(res.Trials) != want {
+		t.Fatalf("stress campaign ran %d trials, want %d", len(res.Trials), want)
+	}
+}
+
+// TestAgentShardReuseRaceStress is TestShardReuseRaceStress with agent
+// crons on 8 slots: each trial's slotted cron wheel is built at deploy and
+// dropped at Reset while 8 shards walk probes on the same recycled sites.
+// The numeric output is pinned by TestAgentShardEquivalence; here the race
+// detector's clean bill is the point.
+func TestAgentShardReuseRaceStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-seed megasite stress; run without -short")
+	}
+	t.Parallel()
+	m := campaign.Matrix{
+		Seeds:      campaign.Seeds(11, 8),
+		Scenarios:  []string{"year"},
+		Sites:      []string{"megasite-150"},
+		Modes:      []string{"manual", "agents"},
+		Days:       1,
+		AgentSlots: 8,
+	}
+	res, err := campaign.Run("agent-shard-stress", m, 8, newPooledRunFunc(Exec{Shards: 8}, nil))
 	if err != nil {
 		t.Fatalf("stress campaign: %v", err)
 	}
