@@ -20,6 +20,10 @@ import (
 //  4. Monitoring: observe the assigned aspect.
 //  5. Diagnosing + Self-healing for every fault found.
 //  6. Communication/Logging: flags, activity log, reports, escalation.
+//
+// Observe does steps 3 and 4, and Apply steps 5 and 6 of a run with
+// findings. They are the two halves of one serial run, split so that a CPU
+// profile can tell monitoring from healing; only Run calls them.
 func (a *Agent) Run(sim *simclock.Sim) {
 	if !a.host.Up() {
 		return
@@ -29,11 +33,6 @@ func (a *Agent) Run(sim *simclock.Sim) {
 		a.counters.SkippedLock++
 		return
 	}
-	a.run(sim)
-}
-
-// run is the body of a run that found the host up and the lock free.
-func (a *Agent) run(sim *simclock.Sim) {
 	a.counters.Runs++
 
 	// The agent exists as a process only while awake: spawn, then reap at
@@ -73,7 +72,16 @@ func (a *Agent) run(sim *simclock.Sim) {
 		log:      &a.log,
 		agent:    a,
 	}
+	if findings := a.Observe(rc); len(findings) > 0 {
+		a.Apply(rc, findings)
+	}
+}
 
+// Observe is the monitoring half of a run (lifecycle steps 3 and 4). It
+// sweeps the previous run's flags and runs the monitor part. A clean run
+// ends here: Observe leaves ok.flag, logs the run and reports agent-ok,
+// and returns no findings. Only Run calls it.
+func (a *Agent) Observe(rc *RunContext) []Finding {
 	// Self-maintenance: clear previous-run flags; the circular activity
 	// log trims itself. When the previous run verifiably left exactly
 	// ok.flag (flagsOK), the sweep has nothing to do — the only flag
@@ -95,12 +103,18 @@ func (a *Agent) run(sim *simclock.Sim) {
 		if a.report != nil {
 			a.report("agent-ok", a.name)
 		}
-		return
+		return nil
 	}
 	if cleanOK {
 		a.dirtyFlags()
 	}
+	return findings
+}
 
+// Apply is the healing half of a run with findings (lifecycle steps 5 and
+// 6): it flags and reports each finding, diagnoses them, and heals or
+// escalates each diagnosis. Only Run calls it, after Observe.
+func (a *Agent) Apply(rc *RunContext, findings []Finding) {
 	for _, f := range findings {
 		a.writeFlag("fault", sanitize(f.Aspect))
 		rc.Logf("finding: %s [%s] %s", f.Aspect, f.Severity, f.Detail)
