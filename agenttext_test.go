@@ -37,7 +37,7 @@ func TestAgentTextDigest(t *testing.T) {
 		want uint64
 	}{
 		{name: "paper", topo: PaperTopology(), want: 0x75b7c304c0538bd7},
-		{name: "small-full", topo: SmallTopology(), opts: []Option{WithAgentSet(AgentsFull)}, full: true, want: 0x5e0a337b53f8e854},
+		{name: "small-full", topo: SmallTopology(), opts: []Option{func(o *Options) { o.AgentSet = AgentsFull }}, full: true, want: 0x5e0a337b53f8e854},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := append([]Option{WithSeed(7), WithMode(ModeAgents)}, tc.opts...)

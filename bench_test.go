@@ -5,7 +5,8 @@ package qoscluster
 // slice of the corresponding experiment and reports the headline quantity
 // as a custom metric, so `go test -bench=. -benchmem` both exercises and
 // summarises every reproduced result. The full-length tables themselves
-// are regenerated by `go run ./cmd/qossim <scenario>` (see EXPERIMENTS.md).
+// are regenerated by `go run ./cmd/qossim <scenario>` (README.md,
+// "Scenario runs").
 
 import (
 	"os"
@@ -95,7 +96,7 @@ func overheadProbe(b *testing.B, mem bool) {
 		var agentVal float64
 		if mem {
 			for _, a := range site.Agents {
-				if a.Host() == host && a.Overhead().MemMB > agentVal {
+				if agentHost(site, a) == host && a.Overhead().MemMB > agentVal {
 					agentVal = a.Overhead().MemMB
 				}
 			}
@@ -103,7 +104,7 @@ func overheadProbe(b *testing.B, mem bool) {
 		} else {
 			var cpuSec float64
 			for _, a := range site.Agents {
-				if a.Host() == host {
+				if agentHost(site, a) == host {
 					cpuSec += a.Counters().CPUSeconds
 				}
 			}
@@ -152,15 +153,15 @@ func BenchmarkIncidentMTTR(b *testing.B) {
 }
 
 // BenchmarkAblationCron measures the residual-downtime cost of a 12x
-// slower agent cron (DESIGN.md ablation 1).
+// slower agent cron (the ablate-cron ablation in experiments/ablate.go).
 func BenchmarkAblationCron(b *testing.B) {
 	var penalty float64
 	for i := 0; i < b.N; i++ {
 		fast := mustSite(b, SmallTopology(), WithSeed(7), WithMode(ModeAgents),
-			WithCronPeriod(5*simclock.Minute))
+			func(o *Options) { o.CronPeriod = 5 * simclock.Minute })
 		mustRun(b, fast, 15*simclock.Day)
 		slow := mustSite(b, SmallTopology(), WithSeed(7), WithMode(ModeAgents),
-			WithCronPeriod(60*simclock.Minute))
+			func(o *Options) { o.CronPeriod = 60 * simclock.Minute })
 		mustRun(b, slow, 15*simclock.Day)
 		if t := fast.Report().Total; t > 0 {
 			penalty = float64(slow.Report().Total) / float64(t)
@@ -170,7 +171,8 @@ func BenchmarkAblationCron(b *testing.B) {
 }
 
 // BenchmarkAblationBatchRescue measures how many failed jobs the DGSPL
-// resubmission path saves (DESIGN.md ablation 2).
+// resubmission path saves (the ablate-rescue ablation in
+// experiments/ablate.go).
 func BenchmarkAblationBatchRescue(b *testing.B) {
 	midOnly := []faultinject.Spec{{
 		Category: metrics.CatMidCrash, MeanInterarrival: 2 * simclock.Day,
@@ -178,10 +180,10 @@ func BenchmarkAblationBatchRescue(b *testing.B) {
 	}}
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		with := mustSite(b, SmallTopology(), WithSeed(7), WithMode(ModeAgents), WithFaults(midOnly))
+		with := mustSite(b, SmallTopology(), WithSeed(7), WithMode(ModeAgents), func(o *Options) { o.Faults = midOnly })
 		mustRun(b, with, 10*simclock.Day)
 		without := mustSite(b, SmallTopology(), WithSeed(7), WithMode(ModeAgents),
-			WithFaults(midOnly), WithoutBatchRescue())
+			func(o *Options) { o.Faults = midOnly }, func(o *Options) { o.NoBatchRescue = true })
 		mustRun(b, without, 10*simclock.Day)
 		saved = float64(without.Report().JobsFailed - with.Report().JobsFailed)
 	}
@@ -189,12 +191,13 @@ func BenchmarkAblationBatchRescue(b *testing.B) {
 }
 
 // BenchmarkAblationPrivateNet measures the agent traffic the private
-// network keeps off the public LAN (DESIGN.md ablation 4).
+// network keeps off the public LAN (the ablate-net ablation in
+// experiments/ablate.go).
 func BenchmarkAblationPrivateNet(b *testing.B) {
 	var publicMB float64
 	for i := 0; i < b.N; i++ {
 		site := mustSite(b, SmallTopology(), WithSeed(7), WithMode(ModeAgents),
-			WithoutPrivateNet(), WithNoFaults())
+			func(o *Options) { o.DisablePrivateNet = true }, WithNoFaults())
 		mustRun(b, site, 5*simclock.Day)
 		publicMB = float64(site.Public.Stats().Bytes) / (1 << 20)
 	}

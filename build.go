@@ -69,10 +69,6 @@ type Site struct {
 // with the worker count).
 const MaxShards = 64
 
-// Shards reports the site's effective intra-trial shard count (1 when
-// unsharded).
-func (s *Site) Shards() int { return s.pool.Shards() }
-
 // TraceEvents returns a copy of the decision events recorded so far (nil
 // when the site runs untraced — see Options.TraceLevel).
 func (s *Site) TraceEvents() []trace.Event { return s.Trace.Events() }
@@ -257,10 +253,6 @@ func (s *Site) Tiered() bool {
 	}
 	return false
 }
-
-// TierOf maps a host name to its topology tier ("" for the mode-added
-// administration hosts).
-func (s *Site) TierOf(host string) string { return s.tierOf[host] }
 
 // buildHosts realises every tier's hosts in declaration order.
 func (s *Site) buildHosts() error {

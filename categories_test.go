@@ -18,9 +18,11 @@ import (
 func runCategory(t *testing.T, cat metrics.Category, window faultinject.Window, days int) *Site {
 	t.Helper()
 	site := mustSite(t, SmallTopology(), WithSeed(13), WithMode(ModeAgents),
-		WithFaults([]faultinject.Spec{{
-			Category: cat, MeanInterarrival: simclock.Day, Window: window,
-		}}))
+		func(o *Options) {
+			o.Faults = []faultinject.Spec{{
+				Category: cat, MeanInterarrival: simclock.Day, Window: window,
+			}}
+		})
 	mustRun(t, site, simclock.Time(days)*simclock.Day)
 	if n := len(site.Ledger.Incidents()); n == 0 {
 		t.Fatalf("%s: no incidents injected", cat)

@@ -292,8 +292,9 @@ func registerShared(fs *flag.FlagSet, trials int) *sharedFlags {
 
 // config returns the experiment config the parsed shared flags describe,
 // exiting with a usage error (prefixed by prog) when -days, -trials or
-// -workers is negative, or when -tracelevel has no -trace file to write
-// to.
+// -workers is negative, when -trials is 0 (the library would read it as
+// its own default of 8, not the flag's), or when -tracelevel has no
+// -trace file to write to.
 func (f *sharedFlags) config(prog string) experiments.Config {
 	for _, n := range []struct {
 		flag string
@@ -303,6 +304,10 @@ func (f *sharedFlags) config(prog string) experiments.Config {
 			fmt.Fprintf(os.Stderr, "%s: -%s %d is negative\n", prog, n.flag, n.v)
 			os.Exit(2)
 		}
+	}
+	if *f.trials == 0 {
+		fmt.Fprintf(os.Stderr, "%s: -trials 0 runs no trial; give at least 1\n", prog)
+		os.Exit(2)
 	}
 	if *f.traceLevel != 0 && *f.tracePath == "" {
 		fmt.Fprintln(os.Stderr, prog+": -tracelevel needs -trace to name the file the trace is written to")

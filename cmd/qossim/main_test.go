@@ -225,9 +225,9 @@ func TestTraceFlagValidation(t *testing.T) {
 	}
 }
 
-// TestNegativeCountsRejected: a negative -days, -trials or -workers is a
-// usage error on both flag sets, not a panic in the seed list or a
-// silent fall-back to the scenario default or NumCPU.
+// TestNegativeCountsRejected: a negative -days, -trials or -workers, or a
+// -trials of 0, is a usage error on both flag sets, not a panic in the
+// seed list or a silent fall-back to the scenario default or NumCPU.
 func TestNegativeCountsRejected(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
@@ -235,6 +235,8 @@ func TestNegativeCountsRejected(t *testing.T) {
 		args []string
 	}{
 		{"-trials", []string{"campaign", "-trials", "-2", "before"}},
+		{"-trials", []string{"campaign", "-trials", "0", "-days", "1", "before"}},
+		{"-trials", []string{"-trials", "0", "-days", "1", "before"}},
 		{"-days", []string{"campaign", "-days", "-3", "before"}},
 		{"-days", []string{"-days", "-2", "before"}},
 		{"-workers", []string{"campaign", "-workers", "-3", "before"}},

@@ -5,8 +5,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// The ablate-* scenarios exercise the design decisions DESIGN.md calls
-// out, each as a multi-seed campaign sweeping one option axis:
+// The ablate-* scenarios exercise the paper's design decisions (§3: a
+// short cron period, DGSPL batch rescue, the private agent network,
+// non-resident agents), each as a multi-seed campaign sweeping one option
+// axis:
 //
 //	ablate-cron      cron period X ∈ {1m, 5m, 15m, 60m} — detection
 //	                 latency and residual downtime scale with X.
@@ -20,7 +22,7 @@ import (
 //
 // All spans obey Config.AblationDays; there is no single-seed path.
 
-// AblateScenarios lists the ablation campaign names in DESIGN.md order;
+// AblateScenarios lists the ablation campaign names in the order above;
 // the "ablate" scenario and the CLI's -ablate all expand to it.
 var AblateScenarios = []string{"ablate-cron", "ablate-rescue", "ablate-net", "ablate-resident"}
 

@@ -124,7 +124,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 
 // TestCampaignExecReachesSites checks that Campaign hands its Config's
 // execution settings to every site its run function builds: the shard
-// count (1 when unsharded), and a trace recorder at the configured level
+// count (0 when unsharded), and a trace recorder at the configured level
 // exactly when the campaign writes a trace. Campaign JSON cannot show
 // either setting, since both leave it byte-identical.
 func TestCampaignExecReachesSites(t *testing.T) {
@@ -134,11 +134,11 @@ func TestCampaignExecReachesSites(t *testing.T) {
 		shards int
 		level  int // 0: the site must build no recorder
 	}{
-		{Exec{}, 1, 0},
+		{Exec{}, 0, 0},
 		{Exec{Shards: 3}, 3, 0},
-		{Exec{TraceLevel: trace.LevelFull}, 1, 0}, // no trace file: no recorder
+		{Exec{TraceLevel: trace.LevelFull}, 0, 0}, // no trace file: no recorder
 		{Exec{Shards: 2, TracePath: path}, 2, trace.LevelDecisions},
-		{Exec{TracePath: path, TraceLevel: trace.LevelFull}, 1, trace.LevelFull},
+		{Exec{TracePath: path, TraceLevel: trace.LevelFull}, 0, trace.LevelFull},
 	}
 	defer func() { siteBuilt = nil }()
 	for _, c := range cases {
@@ -162,7 +162,7 @@ func TestCampaignExecReachesSites(t *testing.T) {
 			t.Fatalf("%+v: the campaign built no sites", c.exec)
 		}
 		for _, s := range sites {
-			if got := s.Shards(); got != c.shards {
+			if got := s.Opts.Shards; got != c.shards {
 				t.Errorf("%+v: site runs %d shards, want %d", c.exec, got, c.shards)
 			}
 			if got := s.Trace != nil; got != (c.level > 0) {

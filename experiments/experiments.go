@@ -2,7 +2,7 @@
 // evaluation (§4): the Figure-2 downtime breakdown before and after the
 // intelliagents, the Figure-3/4 monitor overhead comparison, the detection
 // latency and manual-repair-time observations quoted in the text, and the
-// ablations DESIGN.md calls out.
+// ablations of the paper's design decisions listed in ablate.go.
 package experiments
 
 import (

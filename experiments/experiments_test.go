@@ -112,8 +112,10 @@ func TestOverheadReproducesShape(t *testing.T) {
 		t.Errorf("agent cpu%% = %.3f, want ~0.045", agCPU.Mean())
 	}
 	// BMC CPU within the paper's observed envelope.
-	if bmcCPU.Max() > 1.5 || bmcCPU.Min() < 0.1 {
-		t.Errorf("bmc cpu%% out of Figure 3 envelope: [%.2f, %.2f]", bmcCPU.Min(), bmcCPU.Max())
+	for _, p := range bmcCPU.Points {
+		if p.V > 1.5 || p.V < 0.1 {
+			t.Errorf("bmc cpu%% %.2f at %v out of the Figure 3 envelope [0.1, 1.5]", p.V, p.T)
+		}
 	}
 }
 

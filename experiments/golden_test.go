@@ -240,7 +240,7 @@ func TestWebfarmTierSpecDivergence(t *testing.T) {
 	tierIncidents := func(site *qoscluster.Site) map[string]int {
 		out := map[string]int{}
 		for _, inc := range site.Ledger.Incidents() {
-			out[site.TierOf(inc.Host)]++
+			out[hostTier(site.Topo, inc.Host)]++
 		}
 		return out
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,7 +50,7 @@ func TestResolveWorkloads(t *testing.T) {
 	// A spec file loads, registers, and resolves to its declared name.
 	sp := workload.PaperSpec()
 	sp.Name = "resolve-workloads-file"
-	js, err := sp.JSON()
+	js, err := json.Marshal(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestResolveWorkloads(t *testing.T) {
 	// spec must be rejected, not silently replace it.
 	clash := workload.FailoverSpec()
 	clash.Name = "resolve-workloads-file"
-	js, err = clash.JSON()
+	js, err = json.Marshal(clash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +259,18 @@ func TestWorkloadSpecEquivalence(t *testing.T) {
 	}
 }
 
+// hostTier maps a host to its topology tier by the rule NewSite names
+// hosts with, the tier name and then a three-digit index; the mode-added
+// administration hosts belong to no tier ("").
+func hostTier(topo qoscluster.Topology, host string) string {
+	for _, tier := range topo.Tiers {
+		if n, ok := strings.CutPrefix(host, tier.Name); ok && len(n) == 3 {
+			return tier.Name
+		}
+	}
+	return ""
+}
+
 // TestTierLoadShiftsWork pins what the -tierload axis actually moves:
 // scaling a tier's workload weights changes the load its hosts carry —
 // db=3 triples the ad-hoc query ambience on the database tier, tx=0
@@ -281,7 +294,7 @@ func TestTierLoadShiftsWork(t *testing.T) {
 	tierLoad := func(site *qoscluster.Site, tier string, f func(*cluster.Host) float64) float64 {
 		var sum float64
 		for _, h := range site.DC.Hosts() {
-			if site.TierOf(h.Name) == tier {
+			if hostTier(site.Topo, h.Name) == tier {
 				sum += f(h)
 			}
 		}
@@ -290,7 +303,7 @@ func TestTierLoadShiftsWork(t *testing.T) {
 	cpus := func(h *cluster.Host) float64 { return h.CPUUtilisation() * float64(h.Model.CPUs) }
 	busy := func(h *cluster.Host) float64 { return h.IOStat().BusyPct }
 	base := build()
-	scaled := build(qoscluster.WithTierLoadScale("db", 3), qoscluster.WithTierLoadScale("tx", 0))
+	scaled := build(func(o *qoscluster.Options) { o.TierLoadScale = map[string]float64{"db": 3, "tx": 0} })
 	if b, s := tierLoad(base, "db", cpus), tierLoad(scaled, "db", cpus); s < 1.5*b {
 		t.Errorf("db=3 did not raise database load: base %.3f CPUs, scaled %.3f", b, s)
 	}

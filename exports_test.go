@@ -1,0 +1,270 @@
+package qoscluster
+
+import (
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// testOnlyKeep holds the exported functions and methods that no non-test
+// file calls but that stay, each with its reason. TestNoTestOnlyExports
+// fails on any other such function, and on an entry here that is gone or
+// has gained a non-test caller, so the list cannot rot.
+var testOnlyKeep = map[string]string{
+	// Ways into production paths that only tests take.
+	"repro.WithWorkload":                  "the one way to set Options.Workload, which TestTierWorkloadShapesLoad uses to pin an analyst population on a site with no LSF targets",
+	"repro.WithBaselineMonitors":          "turns on the manual year's BMC polls, which TestManualYearBMCAlertDigest pins; campaigns set the field through their axis",
+	"repro/experiments.RegisterOverride":  "the trace tests register fast fault campaigns through the campaign Overrides axis, which replay resolves by name",
+	"repro/experiments.ReferenceRunTrial": "the per-service probe path, the independent oracle the shard and megasite equivalence tests hold the batched probe engine to",
+
+	// Setters of state the model reads: removing one is a model change.
+	"repro/internal/cluster.(*Host).Login":             "logged-in users are state the status agent's profile reports",
+	"repro/internal/cluster.(*Host).Logout":            "the inverse of Login",
+	"repro/internal/cluster.(*Host).InjectSensorFault": "sensor faults are state the hardware agent reads",
+	"repro/internal/svc.(*Service).Degrade":            "a degraded service is state probes and agents read",
+	"repro/internal/svc.(*Service).Recover":            "the inverse of Degrade",
+	"repro/internal/svc.(*Service).KillComponent":      "a missing component is state probes and agents read",
+	"repro/internal/netsim.(*Network).Detach":          "a detached endpoint is state message delivery reads",
+
+	// Accessors that are a test's only view of production state.
+	"repro/internal/agent.(*Agent).HasFlag":       "tests read an agent's flag files through it",
+	"repro/internal/adminsrv.(*Pair).Profiles":    "tests read the profiles the administration pair holds",
+	"repro/internal/cluster.(*Host).NProcs":       "tests read a host's process count",
+	"repro/internal/diagnose.(*Baseline).Get":     "tests read a baseline's constraints",
+	"repro/internal/lsf.(*Cluster).PendingCount":  "tests read LSF's queue depth",
+	"repro/internal/lsf.(*Cluster).Jobs":          "the workload tests read the job table from another package",
+	"repro/internal/notify.(*Bus).CountByTag":     "tests count notifications by tag",
+	"repro/internal/workload.(*Generator).Config": "TestWorkloadOverrideVerbatim pins the scaled load config through it",
+	"repro/internal/simclock.(*Event).Label":      "kept for per-subsystem event counters (ROADMAP item 6)",
+	"repro/internal/simclock.(*CronEntry).Label":  "kept for per-subsystem event counters (ROADMAP item 6)",
+}
+
+// TestNoTestOnlyExports pins "every exported function has a production
+// caller". It type-checks the non-test files of every package in the
+// module, examples and scripts included, and of the qosbench harness in
+// bench/ (the benchmark calls the simulator's API), and fails on an
+// exported function or method of a non-main package outside bench/ that
+// no non-test file uses outside its own body. A use through a generic
+// instantiation counts for the generic function. A method that satisfies
+// an interface method of the same name (String, Error, MarshalJSON, the
+// heap and sort methods) is skipped: its callers go through the
+// interface, often inside the standard library.
+func TestNoTestOnlyExports(t *testing.T) {
+	l := &exportLoader{
+		fset: token.NewFileSet(),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		if files, err := goFiles(path); err != nil || len(files) == 0 {
+			return err
+		}
+		_, err = l.Import(filepath.ToSlash(filepath.Join(modulePath, path)))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The named interfaces of every loaded package, and error.
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, iface)
+				}
+			}
+		}
+	}
+
+	// Every exported function and method of a non-main package outside
+	// bench/, with the extent of its declaration.
+	type decl struct {
+		pos, end token.Pos
+		key      string
+	}
+	decls := map[*types.Func]decl{}
+	for _, f := range l.files {
+		pkg := l.pkgs[f.path]
+		if pkg.Name() == "main" || strings.HasPrefix(f.path, modulePath+"/bench") {
+			continue
+		}
+		for _, d := range f.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			fn := l.info.Defs[fd.Name].(*types.Func)
+			if satisfiesInterface(fn, ifaces) {
+				continue
+			}
+			decls[fn] = decl{fd.Pos(), fd.End(), funcKey(fn)}
+		}
+	}
+	used := map[*types.Func]bool{}
+	for id, obj := range l.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		if d, ok := decls[fn]; ok && (id.Pos() < d.pos || id.Pos() >= d.end) {
+			used[fn] = true
+		}
+	}
+
+	declared := map[string]bool{}
+	var unused []string
+	for fn, d := range decls {
+		declared[d.key] = true
+		_, keep := testOnlyKeep[d.key]
+		switch {
+		case !used[fn] && !keep:
+			unused = append(unused, l.fset.Position(d.pos).String()+": "+d.key)
+		case used[fn] && keep:
+			t.Errorf("%s is in testOnlyKeep but has a non-test caller: drop its entry", d.key)
+		}
+	}
+	for key := range testOnlyKeep {
+		if !declared[key] {
+			t.Errorf("%s is in testOnlyKeep but no longer exists: drop its entry", key)
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("only tests use %s", u)
+	}
+	if len(unused) > 0 {
+		t.Logf("%d exported functions have no non-test caller: delete each, or add it to testOnlyKeep with its reason", len(unused))
+	}
+}
+
+const modulePath = "repro"
+
+// exportLoader type-checks the module's packages from source, non-test
+// files only, into one shared types.Info, and imports everything else
+// (the standard library) through the source importer.
+type exportLoader struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	pkgs  map[string]*types.Package
+	files []loadedFile
+	info  *types.Info
+}
+
+type loadedFile struct {
+	path string // import path of the file's package
+	file *ast.File
+}
+
+func (l *exportLoader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, ".", 0)
+}
+
+func (l *exportLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+		pkg, err := l.std.ImportFrom(path, dir, mode)
+		l.pkgs[path] = pkg
+		return pkg, err
+	}
+	dir = filepath.FromSlash("." + strings.TrimPrefix(path, modulePath))
+	names, err := goFiles(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		l.files = append(l.files, loadedFile{path, f})
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	l.pkgs[path] = pkg
+	return pkg, err
+}
+
+// goFiles lists the non-test Go files of dir that the default build
+// context compiles.
+func goFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if ok {
+			names = append(names, name)
+		}
+	}
+	return names, nil
+}
+
+// satisfiesInterface reports whether fn is a method through which its
+// receiver implements one of ifaces.
+func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return false
+	}
+	named := recv.Type()
+	if p, ok := named.(*types.Pointer); ok {
+		named = p.Elem()
+	}
+	for _, iface := range ifaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == fn.Name() &&
+				(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// funcKey names fn as a runtime stack frame does: "repro/internal/x.F",
+// "repro/internal/x.T.M" or "repro/internal/x.(*T).M".
+func funcKey(fn *types.Func) string {
+	name := fn.Name()
+	if recv := fn.Signature().Recv(); recv != nil {
+		switch t := recv.Type().(type) {
+		case *types.Pointer:
+			name = "(*" + t.Elem().(*types.Named).Obj().Name() + ")." + name
+		case *types.Named:
+			name = t.Obj().Name() + "." + name
+		}
+	}
+	return fn.Pkg().Path() + "." + name
+}

@@ -21,20 +21,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Category classifies an intelliagent by function (§3.3): hardware, OS/
-// network, resource, application/service, status and performance agents.
-type Category string
-
-// Intelliagent categories.
-const (
-	CatHardware    Category = "hardware"
-	CatOSNetwork   Category = "os-network"
-	CatResource    Category = "resource"
-	CatService     Category = "service"
-	CatStatus      Category = "status"
-	CatPerformance Category = "performance"
-)
-
 // Severity grades a finding.
 type Severity int
 
@@ -180,7 +166,6 @@ type Counters struct {
 // Agent is one installed intelliagent.
 type Agent struct {
 	name     string
-	category Category
 	host     *cluster.Host
 	services *svc.Directory
 	bus      *notify.Bus
@@ -231,7 +216,6 @@ const FlagRoot = "/logs/intelliagents"
 // Config assembles an agent.
 type Config struct {
 	Name     string
-	Category Category
 	Host     *cluster.Host
 	Services *svc.Directory
 	Notify   *notify.Bus
@@ -256,7 +240,6 @@ func New(cfg Config) (*Agent, error) {
 	}
 	a := &Agent{
 		name:      cfg.Name,
-		category:  cfg.Category,
 		host:      cfg.Host,
 		services:  cfg.Services,
 		bus:       cfg.Notify,
@@ -297,12 +280,6 @@ func (a *Agent) openFiles() {
 
 // Name reports the agent's name.
 func (a *Agent) Name() string { return a.name }
-
-// Category reports the agent's category.
-func (a *Agent) Category() Category { return a.category }
-
-// Host reports the host the agent is installed on.
-func (a *Agent) Host() *cluster.Host { return a.host }
 
 // Counters returns a copy of the lifetime counters.
 func (a *Agent) Counters() Counters { return a.counters }

@@ -76,7 +76,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestCleanRunWritesOKFlag(t *testing.T) {
 	r := newRig()
-	a := r.agent(t, Config{Name: "cpu", Category: CatResource, Parts: okParts()})
+	a := r.agent(t, Config{Name: "cpu", Parts: okParts()})
 	a.Run(r.sim)
 	if !a.HasFlag("ok") {
 		t.Errorf("flags = %v", a.Flags())
@@ -88,7 +88,7 @@ func TestCleanRunWritesOKFlag(t *testing.T) {
 
 func TestAgentIsNotMemoryResident(t *testing.T) {
 	r := newRig()
-	a := r.agent(t, Config{Name: "cpu", Category: CatResource, Parts: okParts()})
+	a := r.agent(t, Config{Name: "cpu", Parts: okParts()})
 	a.Run(r.sim)
 	if got := r.host.PGrep("intelliagent_cpu"); len(got) != 1 {
 		t.Fatal("agent process should exist during the run window")
@@ -97,14 +97,14 @@ func TestAgentIsNotMemoryResident(t *testing.T) {
 	if got := r.host.PGrep("intelliagent_cpu"); len(got) != 0 {
 		t.Error("agent process should exit after the run window")
 	}
-	if r.host.FS.Exists(InstallDir + "/cpu.lock") {
+	if a.lock.Exists() {
 		t.Error("lock should be released")
 	}
 }
 
 func TestDuplicateRunSkipsViaLock(t *testing.T) {
 	r := newRig()
-	a := r.agent(t, Config{Name: "backup", Category: CatResource, Parts: okParts()})
+	a := r.agent(t, Config{Name: "backup", Parts: okParts()})
 	a.Run(r.sim)
 	a.Run(r.sim) // lock still held: run window has not elapsed
 	c := a.Counters()
@@ -132,7 +132,7 @@ func TestFaultFlagsAndHeal(t *testing.T) {
 	r := newRig()
 	var detected, repaired []string
 	a := r.agent(t, Config{
-		Name: "service-ORA-01", Category: CatService, Parts: faultParts(true),
+		Name: "service-ORA-01", Parts: faultParts(true),
 		Detected: func(aspect string, _ simclock.Time) { detected = append(detected, aspect) },
 		Repaired: func(aspect string, _ simclock.Time) { repaired = append(repaired, aspect) },
 	})
@@ -164,7 +164,7 @@ func TestFaultFlagsAndHeal(t *testing.T) {
 func TestHealFailureEscalates(t *testing.T) {
 	r := newRig()
 	a := r.agent(t, Config{
-		Name: "service-ORA-01", Category: CatService, Parts: faultParts(false),
+		Name: "service-ORA-01", Parts: faultParts(false),
 		AdminEmail: "oncall@site",
 	})
 	a.Run(r.sim)
@@ -251,15 +251,10 @@ func TestReportHook(t *testing.T) {
 func TestScheduleCron(t *testing.T) {
 	r := newRig()
 	a := r.agent(t, Config{Name: "cpu", Parts: okParts()})
-	tk := a.Schedule(r.sim, 0, 5*simclock.Minute)
+	a.Schedule(r.sim, 0, 5*simclock.Minute)
 	r.sim.RunUntil(30 * simclock.Minute)
 	if got := a.Counters().Runs; got != 7 { // t=0,5,...,30
 		t.Errorf("runs = %d, want 7", got)
-	}
-	tk.Stop()
-	r.sim.RunUntil(60 * simclock.Minute)
-	if got := a.Counters().Runs; got != 7 {
-		t.Errorf("runs after stop = %d", got)
 	}
 }
 
@@ -309,7 +304,7 @@ func TestFlagNaming(t *testing.T) {
 // buffers have settled.
 func warmOKAgent(tb testing.TB) (*rig, *Agent) {
 	r := newRig()
-	a := r.agent(tb, Config{Name: "cpu", Category: CatResource, Parts: okParts()})
+	a := r.agent(tb, Config{Name: "cpu", Parts: okParts()})
 	for i := 0; i < 5; i++ {
 		okRun(r, a)
 	}
@@ -337,7 +332,7 @@ func TestOKRunAllocs(t *testing.T) {
 	if c := a.Counters(); c.Runs-before.Runs != 201 || c.SkippedLock != 0 || c.Findings != 0 {
 		t.Errorf("counters moved from %+v to %+v, want 201 clean runs", before, c)
 	}
-	if r.host.NProcs() != 0 || r.host.FS.Exists(InstallDir+"/cpu.lock") {
+	if r.host.NProcs() != 0 || a.lock.Exists() {
 		t.Error("a reaped run left its process or its lock behind")
 	}
 }

@@ -268,11 +268,11 @@ func sanitize(s string) string {
 
 // Schedule wires the agent to simulated cron: first run phase after now,
 // then every period ("awakened every X minutes by local to each host Unix
-// crons"), on a repeating event of its own. It returns the ticker so
-// scenarios can stop it. Sites dispatch every agent this way unless
-// Options.AgentSlots puts them on a shared wheel (ScheduleOn).
-func (a *Agent) Schedule(sim *simclock.Sim, phase, period simclock.Time) *simclock.Ticker {
-	return sim.Every(sim.Now()+phase, period, "cron:"+a.name, func(simclock.Time) { a.Run(sim) })
+// crons"), on a repeating event of its own, for the rest of the run.
+// Sites dispatch every agent this way unless Options.AgentSlots puts them
+// on a shared wheel (ScheduleOn).
+func (a *Agent) Schedule(sim *simclock.Sim, phase, period simclock.Time) {
+	sim.Every(sim.Now()+phase, period, "cron:"+a.name, func(simclock.Time) { a.Run(sim) })
 }
 
 // ScheduleOn wires the agent's cron onto a shared wheel instead: first run

@@ -51,7 +51,7 @@ func slotRig(t *testing.T, wheel bool) (*rig, []*Agent) {
 	period := 5 * simclock.Minute
 	var agents []*Agent
 	for i := 0; i < 5; i++ {
-		a := r.agent(t, Config{Name: fmt.Sprintf("cpu%d", i), Category: CatResource, Parts: faultParts(true)})
+		a := r.agent(t, Config{Name: fmt.Sprintf("cpu%d", i), Parts: faultParts(true)})
 		agents = append(agents, a)
 		phase := QuantizePhase(simclock.Time(i)*37*simclock.Second, period, 4)
 		if wheel {
@@ -103,7 +103,7 @@ func TestLockContention(t *testing.T) {
 		period := 5 * simclock.Minute
 		var agents []*Agent
 		for i := 0; i < 2; i++ {
-			a := r.agent(t, Config{Name: "cpu", Category: CatResource, Parts: okParts()})
+			a := r.agent(t, Config{Name: "cpu", Parts: okParts()})
 			agents = append(agents, a)
 			if wheel {
 				a.ScheduleOn(w, QuantizePhase(0, period, 1), period) // one slot: both share the bucket

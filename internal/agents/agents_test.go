@@ -189,8 +189,10 @@ func TestStatusAgentGeneratesDLSP(t *testing.T) {
 	if p.Server != "db001" || p.CPUs != 8 {
 		t.Errorf("dlsp: %+v", p)
 	}
-	rec := p.Service("ORA-01")
-	if rec == nil || rec.State != "running" || rec.Kind != "oracle" {
+	if len(p.Services) != 1 {
+		t.Fatalf("service records: %+v", p.Services)
+	}
+	if rec := p.Services[0]; rec.Name != "ORA-01" || rec.State != "running" || rec.Kind != "oracle" {
 		t.Errorf("service record: %+v", rec)
 	}
 	if len(reports) != 1 || !strings.Contains(reports[0], "ORA-01") {
@@ -201,8 +203,8 @@ func TestStatusAgentGeneratesDLSP(t *testing.T) {
 	r.sim.RunUntil(r.sim.Now() + simclock.Minute)
 	a.Run(r.sim)
 	p = r.localDLSP(t)
-	if p.Service("ORA-01").State != "crashed" {
-		t.Errorf("state = %s", p.Service("ORA-01").State)
+	if len(p.Services) != 1 || p.Services[0].State != "crashed" {
+		t.Errorf("service records after the crash: %+v", p.Services)
 	}
 }
 

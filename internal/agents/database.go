@@ -38,7 +38,6 @@ func NewDatabaseAgent(cfg agent.Config, db *svc.Service) (*agent.Agent, error) {
 	admin := cfg.AdminEmail
 
 	cfg.Name = "database-" + db.Spec.Name
-	cfg.Category = agent.CatPerformance
 	cfg.Parts = agent.Parts{
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			if !db.Running() {
@@ -128,7 +127,6 @@ func NewEndToEndAgent(cfg agent.Config, front *svc.Service, maxLatency simclock.
 		cfg.Host = front.Host
 	}
 	cfg.Name = "e2e-" + front.Spec.Name
-	cfg.Category = agent.CatService
 	cfg.Parts = agent.Parts{
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			lat, ok := EndToEndProbe(rc.Services, front)

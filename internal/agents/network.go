@@ -20,7 +20,6 @@ func NewNetworkAgent(cfg agent.Config, nets ...*netsim.Network) (*agent.Agent, e
 	host := cfg.Host
 	b := diagnose.DefaultNetBaseline()
 	cfg.Name = "network-" + host.Name
-	cfg.Category = agent.CatOSNetwork
 	cfg.Parts = agent.Parts{
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			ns := host.NetStat()
@@ -64,7 +63,6 @@ func NewNetworkAgent(cfg agent.Config, nets ...*netsim.Network) (*agent.Agent, e
 func NewHardwareAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
 	cfg.Name = "hardware-" + host.Name
-	cfg.Category = agent.CatHardware
 	cfg.Parts = agent.Parts{
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			var out []agent.Finding

@@ -45,7 +45,6 @@ func NewPerformanceAgent(cfg agent.Config) (*agent.Agent, error) {
 	procLog, _ := fsim.NewCircLog(host.FS, dir+"/procs.log", perfLogLines)
 
 	cfg.Name = "performance-" + host.Name
-	cfg.Category = agent.CatPerformance
 	admin := cfg.AdminEmail
 	var line []byte // the measurement-line buffer, grown on first use
 

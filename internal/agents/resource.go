@@ -21,7 +21,6 @@ func NewCPUAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
 	b := diagnose.DefaultOSBaseline(host.Model)
 	cfg.Name = "cpu-" + host.Name
-	cfg.Category = agent.CatResource
 	cfg.Parts = agent.Parts{
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			vm := host.VMStat()
@@ -61,7 +60,6 @@ func NewMemoryAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
 	b := diagnose.DefaultOSBaseline(host.Model)
 	cfg.Name = "memory-" + host.Name
-	cfg.Category = agent.CatResource
 	cfg.Parts = agent.Parts{
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			vm := host.VMStat()
@@ -109,7 +107,6 @@ func NewDiskAgent(cfg agent.Config) (*agent.Agent, error) {
 	host := cfg.Host
 	b := diagnose.DefaultOSBaseline(host.Model)
 	cfg.Name = "disk-" + host.Name
-	cfg.Category = agent.CatResource
 	cfg.Parts = agent.Parts{
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
 			io := host.IOStat()

@@ -97,7 +97,6 @@ func NewServiceAgent(cfg agent.Config, s *svc.Service) (*agent.Agent, error) {
 	rules := serviceRules(s.Spec.Kind)
 	aspect := ServiceAspect(s.Spec.Name)
 	cfg.Name = "service-" + s.Spec.Name
-	cfg.Category = agent.CatService
 	cfg.Host = s.Host
 
 	cfg.Parts = agent.Parts{

@@ -82,7 +82,6 @@ func (st *statusAgent) monitor(rc *agent.RunContext) []agent.Finding {
 // which the service agents keep honest.
 func NewStatusAgent(cfg agent.Config) (*agent.Agent, error) {
 	cfg.Name = "status-" + cfg.Host.Name
-	cfg.Category = agent.CatStatus
 	cfg.Parts = agent.Parts{
 		Monitor: new(statusAgent).monitor,
 	}

@@ -44,8 +44,9 @@ type Cell struct {
 	// Option axes: scenario options swept per cell rather than fixed at
 	// their defaults. CronPeriod is the agents' wake-up period X;
 	// AgentSet names the per-host deployment ("lean" or "full"); the
-	// booleans are the DESIGN.md ablation toggles; Overrides names an
-	// opaque caller-registered options mutator applied after the axes.
+	// booleans are ablation toggles (experiments/ablate.go lists the
+	// ablations); Overrides names an opaque caller-registered options
+	// mutator applied after the axes.
 	CronPeriod        simclock.Time `json:"cron_period,omitempty"`
 	AgentSet          string        `json:"agent_set,omitempty"`
 	NoBatchRescue     bool          `json:"no_batch_rescue,omitempty"`

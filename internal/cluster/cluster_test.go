@@ -226,7 +226,7 @@ func TestBootWhileUpIsNoop(t *testing.T) {
 	sim := simclock.New(1)
 	h := newHost(sim)
 	h.Boot(time10, func(simclock.Time) { t.Error("onUp must not fire for a host that was already up") })
-	sim.Run()
+	sim.RunUntil(simclock.Hour)
 	if !h.Up() {
 		t.Error("host should remain up")
 	}
@@ -239,7 +239,7 @@ func TestHardwareFault(t *testing.T) {
 	h := newHost(sim)
 	h.HardwareFail()
 	h.Boot(time10, nil)
-	sim.Run()
+	sim.RunUntil(simclock.Hour)
 	if h.Up() {
 		t.Error("host with hardware fault must not boot")
 	}
@@ -381,8 +381,16 @@ func TestDatacentre(t *testing.T) {
 	d.Add(NewHost(sim, "db1", "10.0.0.1", ModelE10K, RoleDatabase, "s", "UK"))
 	d.Add(NewHost(sim, "fe1", "10.0.0.2", ModelSP2, RoleFrontEnd, "s", "UK"))
 	d.Add(NewHost(sim, "db2", "10.0.0.3", ModelE4500, RoleDatabase, "s", "UK"))
-	if d.Size() != 3 || d.UpCount() != 3 {
-		t.Errorf("size=%d up=%d", d.Size(), d.UpCount())
+	up := func() (n int) {
+		for _, h := range d.Hosts() {
+			if h.Up() {
+				n++
+			}
+		}
+		return n
+	}
+	if len(d.Hosts()) != 3 || up() != 3 {
+		t.Errorf("size=%d up=%d", len(d.Hosts()), up())
 	}
 	if d.Host("db1") == nil || d.Host("nope") != nil {
 		t.Error("lookup broken")
@@ -392,8 +400,8 @@ func TestDatacentre(t *testing.T) {
 		t.Errorf("ByRole = %v", dbs)
 	}
 	d.Host("db1").Crash()
-	if d.UpCount() != 2 {
-		t.Errorf("up = %d", d.UpCount())
+	if up() != 2 {
+		t.Errorf("up = %d", up())
 	}
 }
 

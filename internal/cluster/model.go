@@ -29,8 +29,9 @@ func (m HardwareModel) String() string {
 
 // The hardware families named in the paper's results section (§4). Relative
 // speeds and sizes follow the era's published configurations; absolute
-// accuracy is irrelevant to the reproduced results (see DESIGN.md §2), only
-// the power ordering used by the selection heuristic matters.
+// accuracy is irrelevant to the reproduced results, which compare the same
+// hosts before and after the agents and never an absolute speed: only the
+// power ordering used by the selection heuristic matters.
 var (
 	ModelE10K    = HardwareModel{Name: "E10K", Vendor: "Sun", CPUs: 32, CPUSpeed: 1.2, MemoryMB: 32768, Disks: 16, MaxLoad: 0.85}
 	ModelE4500   = HardwareModel{Name: "E4500", Vendor: "Sun", CPUs: 8, CPUSpeed: 1.1, MemoryMB: 8192, Disks: 8, MaxLoad: 0.85}

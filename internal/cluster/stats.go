@@ -214,17 +214,3 @@ func (d *Datacentre) Hosts() []*Host {
 func (d *Datacentre) ByRole(role Role) []*Host {
 	return append([]*Host(nil), d.byRole[role]...)
 }
-
-// Size reports the number of hosts.
-func (d *Datacentre) Size() int { return len(d.hosts) }
-
-// UpCount reports how many hosts are currently up.
-func (d *Datacentre) UpCount() int {
-	n := 0
-	for _, h := range d.order {
-		if h.Up() {
-			n++
-		}
-	}
-	return n
-}

@@ -93,12 +93,6 @@ func (e *Evidence) Note(format string, args ...any) *Evidence {
 	return e
 }
 
-// Value returns a numeric observation (0, false when absent).
-func (e *Evidence) Value(key string) (float64, bool) {
-	v, ok := e.values[key]
-	return v, ok
-}
-
 // Holds reports whether the fact was recorded true.
 func (e *Evidence) Holds(key string) bool { return e.facts[key] }
 

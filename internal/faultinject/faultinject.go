@@ -8,7 +8,6 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/simclock"
@@ -144,21 +143,6 @@ func (r *Registry) OpenCount() int {
 		}
 	}
 	return n
-}
-
-// Hosts returns hosts with live faults, sorted.
-func (r *Registry) Hosts() []string {
-	var out []string
-	for h, fs := range r.open {
-		for _, f := range fs {
-			if !f.closed {
-				out = append(out, h)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Detected marks the matching fault's incident detected. Unknown aspects

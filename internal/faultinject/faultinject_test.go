@@ -62,8 +62,8 @@ func TestOpenOnOrderAndHosts(t *testing.T) {
 	if got := r.OpenOn("b-host"); len(got) != 2 || got[0].Aspect != "lsf" {
 		t.Errorf("OpenOn = %v", got)
 	}
-	if hosts := r.Hosts(); len(hosts) != 2 || hosts[0] != "a-host" {
-		t.Errorf("Hosts = %v", hosts)
+	if got := r.OpenOn("a-host"); len(got) != 1 || got[0].Aspect != "config" {
+		t.Errorf("OpenOn(a-host) = %v", got)
 	}
 }
 

@@ -17,7 +17,7 @@ func TestAppendLineCappedMatchesReference(t *testing.T) {
 		path := "/logs/x/c.log"
 		for i := 0; i < 3*max+7; i++ {
 			line := fmt.Sprintf("line-%d", i)
-			if err := fast.AppendLineCapped(path, line, max); err != nil {
+			if err := fast.Open(path).AppendLineCapped(line, max); err != nil {
 				t.Fatal(err)
 			}
 			lines, err := ref.ReadLines(path)
@@ -47,10 +47,10 @@ func TestAppendLineCappedErrors(t *testing.T) {
 	if err := fs.WriteLines("/d/f", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.AppendLineCapped("/d", "x", 5); !errors.Is(err, ErrIsDir) {
+	if err := fs.Open("/d").AppendLineCapped("x", 5); !errors.Is(err, ErrIsDir) {
 		t.Errorf("appending to a directory = %v, want ErrIsDir", err)
 	}
-	if err := fs.AppendLineCapped("/d/f/g", "x", 5); !errors.Is(err, ErrNotDir) {
+	if err := fs.Open("/d/f/g").AppendLineCapped("x", 5); !errors.Is(err, ErrNotDir) {
 		t.Errorf("appending below a file = %v, want ErrNotDir", err)
 	}
 }
@@ -66,10 +66,10 @@ func TestRemoveRecyclingIsolation(t *testing.T) {
 	if err := fs.Remove("/a"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/a") {
+	if exists(fs, "/a") {
 		t.Fatal("/a still exists after Remove")
 	}
-	if err := fs.AppendLineCapped("/a", "new", 5); err != nil {
+	if err := fs.Open("/a").AppendLineCapped("new", 5); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fs.ReadLines("/a")
@@ -98,20 +98,20 @@ func TestVolumeAndFSReset(t *testing.T) {
 	_ = fs.WriteLines("/local", []string{"x"})
 	_ = fs.WriteLines("/nfs/pool/shared", []string{"y"})
 	fs.Reset()
-	if fs.Exists("/local") {
+	if exists(fs, "/local") {
 		t.Error("local file survived FS.Reset")
 	}
-	if fs.Exists("/nfs/pool/shared") {
+	if exists(fs, "/nfs/pool/shared") {
 		t.Error("mount survived FS.Reset (path still resolves to the shared volume)")
 	}
-	if !view(shared).Exists("/v/shared") {
+	if !exists(view(shared), "/v/shared") {
 		t.Error("FS.Reset wiped a shared volume it does not own")
 	}
 	if err := fs.WriteLines("/again", nil); err != nil {
 		t.Fatalf("write after Reset: %v", err)
 	}
 	shared.Reset()
-	if view(shared).Exists("/v/shared") || len(shared.nodes) != 1 {
+	if exists(view(shared), "/v/shared") || len(shared.nodes) != 1 {
 		t.Error("Volume.Reset left files behind")
 	}
 }

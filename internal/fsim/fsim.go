@@ -19,11 +19,11 @@
 // Concurrency follows the simulation's phase rule instead of a lock: files
 // are written, and handles opened, only on the event loop or in the serial
 // apply phase of a sharded tick, and concurrent work may only read
-// (Exists, ReadLines, List and HasFileWithSuffix, by path or through a
-// handle opened earlier). No concurrent phase reads a volume today: the
-// sharded probe walks touch no files, and agents run on the event loop. A
-// Volume, and so every FS it is mounted in, is not safe for use by a
-// writer concurrently with anything else.
+// (FS.ReadLines and FS.List by path, File.Exists and Dir.HasFileWithSuffix
+// through a handle opened earlier). No concurrent phase reads a volume
+// today: the sharded probe walks touch no files, and agents run on the
+// event loop. A Volume, and so every FS it is mounted in, is not safe for
+// use by a writer concurrently with anything else.
 package fsim
 
 import (
@@ -317,9 +317,10 @@ func (v *Volume) Reset() {
 	v.nodes["/"] = root
 }
 
-// File is a handle on one path's file slot, from FS.Open. Its methods do
-// what the FS calls of the same names do on that path, without cleaning,
-// resolving or hashing it. The file may be removed and re-created any
+// File is a handle on one path's file slot, from FS.Open. Its WriteLines
+// and Remove do what the FS calls of the same names do on that path,
+// without cleaning, resolving or hashing it; Exists and AppendLineCapped
+// are handle calls only. The file may be removed and re-created any
 // number of times, by the handle or by path, and the handle stays valid;
 // two handles on one path, or a handle and a path call, reach the same
 // slot. Hold it by value.
@@ -350,7 +351,12 @@ func (f File) WriteLines(lines []string) error {
 }
 
 // AppendLineCapped appends one line to the file, creating it if absent,
-// and then discards the oldest lines beyond max (max <= 0: no cap).
+// and then discards the oldest lines beyond max, in one step — the
+// primitive circular logs are built on. A max <= 0 means no cap. Dropping
+// the oldest line moves the start of the file's window instead of shifting
+// the rest, and the window is compacted only when it reaches the end of
+// its backing array (about 1.25×max slots), so the cost is amortised O(1)
+// in max.
 func (f File) AppendLineCapped(line string, max int) error {
 	if !f.n.live {
 		if err := f.v.create(f.n); err != nil {
@@ -360,9 +366,6 @@ func (f File) AppendLineCapped(line string, max int) error {
 	f.n.push(line, max)
 	return nil
 }
-
-// ReadLines returns a copy of the file's lines.
-func (f File) ReadLines() ([]string, error) { return f.n.readLines() }
 
 // Remove deletes the file; the handle stays valid.
 func (f File) Remove() error { return f.n.remove() }
@@ -375,7 +378,8 @@ type Dir struct {
 }
 
 // HasFileWithSuffix reports whether the directory directly contains a file
-// whose name ends in suffix; see FS.HasFileWithSuffix.
+// whose name ends in suffix — the allocation-free existence probe sweep
+// loops use in place of List. A missing or empty directory reports false.
 func (d Dir) HasFileWithSuffix(suffix string) bool { return d.n.hasFileWithSuffix(suffix) }
 
 // mount maps a namespace prefix onto a volume.
@@ -453,17 +457,6 @@ func (fs *FS) WriteLines(p string, lines []string) error {
 	return fs.Open(p).WriteLines(lines)
 }
 
-// AppendLineCapped appends one line to the file at p, creating it if
-// absent, and then discards the oldest lines beyond max, in one step — the
-// primitive circular logs are built on. A max <= 0 means no cap. Dropping
-// the oldest line moves the start of the file's window instead of shifting
-// the rest, and the window is compacted only when it reaches the end of
-// its backing array (about 1.25×max slots), so the cost is amortised O(1)
-// in max.
-func (fs *FS) AppendLineCapped(p, line string, max int) error {
-	return fs.Open(p).AppendLineCapped(line, max)
-}
-
 // ReadLines returns a copy of the lines of the file at p.
 func (fs *FS) ReadLines(p string) ([]string, error) {
 	n, vp := fs.lookup(p)
@@ -471,12 +464,6 @@ func (fs *FS) ReadLines(p string) ([]string, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, vp)
 	}
 	return n.readLines()
-}
-
-// Exists reports whether a file (not a directory) exists at p.
-func (fs *FS) Exists(p string) bool {
-	n, _ := fs.lookup(p)
-	return n != nil && n.live
 }
 
 // Remove deletes the file at p. Removing a missing file returns
@@ -497,14 +484,6 @@ func (fs *FS) List(p string) ([]string, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, vp)
 	}
 	return n.list(), nil
-}
-
-// HasFileWithSuffix reports whether directory p directly contains a file
-// whose name ends in suffix — the allocation-free existence probe sweep
-// loops use in place of List. A missing or empty directory reports false.
-func (fs *FS) HasFileWithSuffix(p, suffix string) bool {
-	n, _ := fs.lookup(p)
-	return n != nil && n.hasFileWithSuffix(suffix)
 }
 
 // Reset wipes the namespace back to the state NewFS returns: the private

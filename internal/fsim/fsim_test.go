@@ -8,6 +8,13 @@ import (
 	"testing/quick"
 )
 
+// exists reports whether a file exists at p, by a read that adds no slot
+// to the volume (FS.Open adds one).
+func exists(fs *FS, p string) bool {
+	_, err := fs.ReadLines(p)
+	return err == nil
+}
+
 // view returns a namespace with v mounted at /v, for looking at a volume
 // from outside the namespace that wrote it.
 func view(v *Volume) *FS {
@@ -50,8 +57,8 @@ func TestReadIsolatedCopy(t *testing.T) {
 
 func TestAppendLine(t *testing.T) {
 	fs := NewFS()
-	fs.AppendLineCapped("/log", "one", 0)
-	fs.AppendLineCapped("/log", "two", 0)
+	fs.Open("/log").AppendLineCapped("one", 0)
+	fs.Open("/log").AppendLineCapped("two", 0)
 	lines, _ := fs.ReadLines("/log")
 	if len(lines) != 2 || lines[1] != "two" {
 		t.Errorf("append result: %v", lines)
@@ -64,7 +71,7 @@ func TestRemove(t *testing.T) {
 	if err := fs.Remove("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/f") {
+	if exists(fs, "/f") {
 		t.Error("file should be gone")
 	}
 	if err := fs.Remove("/f"); !errors.Is(err, ErrNotExist) {
@@ -122,7 +129,7 @@ func TestNFSMountSharing(t *testing.T) {
 	}
 	// Private roots stay private.
 	admin1.WriteLines("/private", nil)
-	if admin2.Exists("/private") {
+	if exists(admin2, "/private") {
 		t.Error("private file leaked across namespaces")
 	}
 }
@@ -134,13 +141,13 @@ func TestLongestPrefixMount(t *testing.T) {
 	fs.Mount("/m/deep", inner)
 	fs.WriteLines("/m/deep/f", []string{"inner"})
 	fs.WriteLines("/m/f", []string{"outer"})
-	if !view(inner).Exists("/v/f") {
+	if !exists(view(inner), "/v/f") {
 		t.Error("inner mount should receive /m/deep/f")
 	}
-	if !view(outer).Exists("/v/f") {
+	if !exists(view(outer), "/v/f") {
 		t.Error("outer mount should receive /m/f")
 	}
-	if view(outer).Exists("/v/deep/f") {
+	if exists(view(outer), "/v/deep/f") {
 		t.Error("outer mount must not shadow inner")
 	}
 }
@@ -148,11 +155,11 @@ func TestLongestPrefixMount(t *testing.T) {
 func TestPathCleaning(t *testing.T) {
 	fs := NewFS()
 	fs.WriteLines("relative/path", []string{"x"})
-	if !fs.Exists("/relative/path") {
+	if !exists(fs, "/relative/path") {
 		t.Error("relative paths should be rooted")
 	}
 	fs.WriteLines("/a//b/../c", []string{"y"})
-	if !fs.Exists("/a/c") {
+	if !exists(fs, "/a/c") {
 		t.Error("paths should be cleaned")
 	}
 }
@@ -242,8 +249,8 @@ func TestQuickWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// HasFileWithSuffix agrees with a scan of List, including at the root, on
-// a mount, and for names that share a directory's prefix without lying
+// Dir.HasFileWithSuffix agrees with a scan of List, including at the root,
+// on a mount, and for names that share a directory's prefix without lying
 // under it.
 func TestHasFileWithSuffixMatchesList(t *testing.T) {
 	fs := NewFS()
@@ -269,16 +276,15 @@ func TestHasFileWithSuffixMatchesList(t *testing.T) {
 			for _, n := range names {
 				want = want || strings.HasSuffix(n, suffix)
 			}
-			if got := fs.HasFileWithSuffix(dir, suffix); got != want {
+			if got := fs.OpenDir(dir).HasFileWithSuffix(suffix); got != want {
 				t.Errorf("HasFileWithSuffix(%q, %q) = %v, List gives %q", dir, suffix, got, names)
 			}
 		}
 	}
 }
 
-// The flag-sweep probe allocates nothing, even for directory paths longer
-// than the compiler's stack buffer for a concatenation, on the private
-// root and through a mount alike.
+// The flag-sweep probe on a directory handle allocates nothing, on the
+// private root and through a mount alike.
 func TestHasFileWithSuffixAllocs(t *testing.T) {
 	fs := NewFS()
 	fs.Mount("/nfs/pool", NewVolume())
@@ -288,8 +294,9 @@ func TestHasFileWithSuffixAllocs(t *testing.T) {
 			_ = fs.WriteLines(d+"/"+name, nil)
 		}
 		_ = fs.WriteLines(d+"x/other.flag", nil)
+		h := fs.OpenDir(d)
 		if a := testing.AllocsPerRun(100, func() {
-			if !fs.HasFileWithSuffix(d, ".flag") || fs.HasFileWithSuffix(d, ".txt") {
+			if !h.HasFileWithSuffix(".flag") || h.HasFileWithSuffix(".txt") {
 				t.Fatal("probe answered wrong")
 			}
 		}); a != 0 {

@@ -53,7 +53,7 @@ func TestWindowMatchesModel(t *testing.T) {
 				max := maxes[rng.Intn(len(maxes))]
 				line := fmt.Sprintf("c%d", step)
 				op = fmt.Sprintf("AppendLineCapped(%s, %d)", line, max)
-				if err := fs.AppendLineCapped(p, line, max); err != nil {
+				if err := fs.Open(p).AppendLineCapped(line, max); err != nil {
 					t.Fatalf("seed %d step %d %s: %v", seed, step, op, err)
 				}
 				m.append(line, max)
@@ -84,7 +84,7 @@ func TestWindowMatchesModel(t *testing.T) {
 
 func checkWindow(t *testing.T, fs *FS, p string, m *windowModel, where string) {
 	t.Helper()
-	if got := fs.Exists(p); got != m.exists {
+	if got := fs.Open(p).Exists(); got != m.exists {
 		t.Fatalf("%s: Exists = %v, model %v", where, got, m.exists)
 	}
 	lines, err := fs.ReadLines(p)
@@ -114,7 +114,7 @@ func TestCircLogWindowSlackBounded(t *testing.T) {
 	for _, max := range []int{1, 2, 7, 50, 500, 1000} {
 		fs := NewFS()
 		for i := 0; i < 5*max+10; i++ {
-			if err := fs.AppendLineCapped("/l", fmt.Sprintf("%d", i), max); err != nil {
+			if err := fs.Open("/l").AppendLineCapped(fmt.Sprintf("%d", i), max); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -134,7 +134,7 @@ func TestCircLogWindowSlackBounded(t *testing.T) {
 }
 
 // TestCappedAppendSteadyStateAllocs: once the window has settled, a capped
-// append allocates nothing, through the FS and CircLog alike.
+// append allocates nothing, through a fresh handle and CircLog alike.
 func TestCappedAppendSteadyStateAllocs(t *testing.T) {
 	const max = 500
 	fs := NewFS()
@@ -144,13 +144,13 @@ func TestCappedAppendSteadyStateAllocs(t *testing.T) {
 	}
 	for i := 0; i < 4*max; i++ {
 		_ = cl.Append("warm")
-		_ = fs.AppendLineCapped("/l", "warm", max)
+		_ = fs.Open("/l").AppendLineCapped("warm", max)
 	}
 	if a := testing.AllocsPerRun(3*max, func() { _ = cl.Append("line") }); a != 0 {
 		t.Errorf("CircLog.Append: %v allocs/op in steady state, want 0", a)
 	}
-	if a := testing.AllocsPerRun(3*max, func() { _ = fs.AppendLineCapped("/l", "line", max) }); a != 0 {
-		t.Errorf("FS.AppendLineCapped: %v allocs/op in steady state, want 0", a)
+	if a := testing.AllocsPerRun(3*max, func() { _ = fs.Open("/l").AppendLineCapped("line", max) }); a != 0 {
+		t.Errorf("Open plus AppendLineCapped: %v allocs/op in steady state, want 0", a)
 	}
 }
 
@@ -159,19 +159,19 @@ func TestCappedAppendSteadyStateAllocs(t *testing.T) {
 // would refuse it, and creation after a Reset must rebuild the parents.
 func TestExistingFileFastPathInvariants(t *testing.T) {
 	fs := NewFS()
-	if err := fs.AppendLineCapped("/d/sub/f", "x", 0); err != nil {
+	if err := fs.Open("/d/sub/f").AppendLineCapped("x", 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, dir := range []string{"/d", "/d/sub"} {
 		if err := fs.WriteLines(dir, nil); !errors.Is(err, ErrIsDir) {
 			t.Errorf("WriteLines(%s) = %v, want ErrIsDir", dir, err)
 		}
-		if err := fs.AppendLineCapped(dir, "x", 3); !errors.Is(err, ErrIsDir) {
+		if err := fs.Open(dir).AppendLineCapped("x", 3); !errors.Is(err, ErrIsDir) {
 			t.Errorf("AppendLineCapped(%s) = %v, want ErrIsDir", dir, err)
 		}
 	}
 	for _, below := range []string{"/d/sub/f/g", "/d/sub/f/g/h"} {
-		if err := fs.AppendLineCapped(below, "x", 0); !errors.Is(err, ErrNotDir) {
+		if err := fs.Open(below).AppendLineCapped("x", 0); !errors.Is(err, ErrNotDir) {
 			t.Errorf("AppendLineCapped(%s) = %v, want ErrNotDir", below, err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestExistingFileFastPathInvariants(t *testing.T) {
 	}
 
 	fs.Reset()
-	if err := fs.AppendLineCapped("/d/sub/f", "again", 3); err != nil {
+	if err := fs.Open("/d/sub/f").AppendLineCapped("again", 3); err != nil {
 		t.Fatal(err)
 	}
 	for _, dir := range []string{"/d", "/d/sub"} {
@@ -201,10 +201,10 @@ func TestExistingFileFastPathInvariants(t *testing.T) {
 
 // TestConcurrentAppendTouch holds the phase rule that stands in for a
 // volume lock. Each round runs a serial write phase — a capped append to a
-// log, and a flag written or removed, alternating handles and path calls —
-// then a read phase in which several goroutines read the log, the flag and
-// their directory at once, through handles opened earlier and by path,
-// while nothing writes. Every reader must see exactly what the write phase
+// log, and a flag written or removed, alternating handles kept across
+// rounds with fresh handles and path calls — then a read phase in which
+// several goroutines read the log, the flag and their directory at once,
+// through handles opened earlier and by path, while nothing writes. Every reader must see exactly what the write phase
 // left, on the private root and through a mount alike. Under -race, a read
 // that writes (one that compacted the log's window, say) or a write that
 // overlapped the readers is a reported race; CI runs it that way, ten
@@ -223,7 +223,7 @@ func TestConcurrentAppendTouch(t *testing.T) {
 			if round%2 == 0 {
 				err = log.AppendLineCapped(line, max)
 			} else {
-				err = fs.AppendLineCapped(logPath, line, max)
+				err = fs.Open(logPath).AppendLineCapped(line, max)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -256,17 +256,16 @@ func TestConcurrentAppendTouch(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					byHandle, err1 := log.ReadLines()
-					byPath, err2 := fs.ReadLines(logPath)
-					if err1 != nil || err2 != nil || !sameLines(byHandle, want) || !sameLines(byPath, want) {
-						t.Errorf("%s round %d: log read %d lines by handle (err %v), %d by path (err %v), want %d",
-							dir, round, len(byHandle), err1, len(byPath), err2, len(want))
+					lines, err := fs.ReadLines(logPath)
+					if err != nil || !sameLines(lines, want) {
+						t.Errorf("%s round %d: log read %d lines by path (err %v), want %d",
+							dir, round, len(lines), err, len(want))
 					}
-					if !log.Exists() || !fs.Exists(logPath) {
+					if !log.Exists() {
 						t.Errorf("%s round %d: log missing", dir, round)
 					}
-					if flag.Exists() != flagged || fs.Exists(flagPath) != flagged ||
-						flags.HasFileWithSuffix(".flag") != flagged || fs.HasFileWithSuffix(dir, ".flag") != flagged {
+					if flag.Exists() != flagged || exists(fs, flagPath) != flagged ||
+						flags.HasFileWithSuffix(".flag") != flagged {
 						t.Errorf("%s round %d: flag present disagrees with %v", dir, round, flagged)
 					}
 					if names, err := fs.List(dir); err != nil || !reflect.DeepEqual(names, wantNames) {

@@ -40,31 +40,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.Points))
 }
 
-// Max reports the largest sample value (zero for an empty series).
-func (s *Series) Max() float64 {
-	var m float64
-	for _, p := range s.Points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Min reports the smallest sample value (zero for an empty series).
-func (s *Series) Min() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points {
-		if p.V < m {
-			m = p.V
-		}
-	}
-	return m
-}
-
 // Len reports the sample count.
 func (s *Series) Len() int { return len(s.Points) }
 

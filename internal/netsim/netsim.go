@@ -1,8 +1,8 @@
 // Package netsim simulates the paper's two-tier datacentre network: one or
 // more public LANs carrying application traffic and a dedicated private
 // intelliagent network carrying all agent-related traffic. Messages are
-// delivered through simclock events with per-network latency. When the
-// private network fails, senders using a Router automatically re-route over
+// delivered through simclock events with per-network latency. Every send
+// goes through a Router: when the private network fails, it re-routes over
 // the public LAN, as the paper's agents do with Unix administration
 // commands.
 package netsim
@@ -14,13 +14,9 @@ import (
 	"repro/internal/simclock"
 )
 
-// Errors reported by Send.
-var (
-	ErrNetworkDown  = errors.New("netsim: network down")
-	ErrLinkDown     = errors.New("netsim: host link down")
-	ErrNotAttached  = errors.New("netsim: host not attached")
-	ErrNoRouteFound = errors.New("netsim: no usable network")
-)
+// ErrNoRouteFound is the error Router.Send reports when none of its
+// networks could deliver the message right now.
+var ErrNoRouteFound = errors.New("netsim: no usable network")
 
 // Message is a datagram between named hosts.
 type Message struct {
@@ -70,7 +66,7 @@ type Network struct {
 	up        bool
 	endpoints map[string]*endpoint
 	stats     Stats
-	free      []*delivery // delivered records, reused by the next Send
+	free      []*delivery // delivered records, reused by the next send
 }
 
 // endpoint is one host's attachment to a network.
@@ -82,7 +78,7 @@ type endpoint struct {
 
 // delivery is one message in flight. Records are pooled per network, and
 // each binds its deliver method to fn once, when it is first made, so a
-// Send posts a pooled record with no closure and no allocation.
+// send posts a pooled record with no closure and no allocation.
 type delivery struct {
 	n   *Network
 	to  *endpoint // msg.To's record
@@ -193,10 +189,6 @@ func (n *Network) LinkUp(host string) bool {
 	return ep != nil && ep.linkUp
 }
 
-// Usable reports whether a message from one host to another could be
-// delivered right now.
-func (n *Network) Usable(from, to string) bool { return n.route(from, to) != nil }
-
 // route returns the destination's record when a message from one host to
 // another could be delivered right now, and nil when it could not.
 func (n *Network) route(from, to string) *endpoint {
@@ -208,33 +200,6 @@ func (n *Network) route(from, to string) *endpoint {
 		return nil
 	}
 	return dst
-}
-
-// Send queues msg for delivery after the network latency. Errors are
-// returned synchronously when the fabric, either link, or attachment is
-// missing — the sender observes failure exactly as a Unix tool observes a
-// send(2) error — and delivery itself can still fail (counted as a drop)
-// if the destination link drops in flight.
-func (n *Network) Send(msg Message) error {
-	if !n.up {
-		return fmt.Errorf("%w: %s", ErrNetworkDown, n.name)
-	}
-	src := n.endpoint(msg.From)
-	if src == nil {
-		return fmt.Errorf("%w: %s on %s", ErrNotAttached, msg.From, n.name)
-	}
-	dst := n.endpoint(msg.To)
-	if dst == nil {
-		return fmt.Errorf("%w: %s on %s", ErrNotAttached, msg.To, n.name)
-	}
-	if !src.linkUp {
-		return fmt.Errorf("%w: %s on %s", ErrLinkDown, msg.From, n.name)
-	}
-	if !dst.linkUp {
-		return fmt.Errorf("%w: %s on %s", ErrLinkDown, msg.To, n.name)
-	}
-	n.post(msg, dst)
-	return nil
 }
 
 // post counts msg as sent and queues its delivery to dst, the record of a
@@ -269,8 +234,10 @@ type Router struct {
 // NewRouter returns a router preferring nets in the given order.
 func NewRouter(nets ...*Network) *Router { return &Router{nets: nets} }
 
-// Send delivers msg over the first usable network. It reports which network
-// carried the message.
+// Send queues msg for delivery over the first usable network, after that
+// network's latency, and reports which network carried it. Delivery can
+// still fail (counted as a drop on that network) when the fabric or the
+// destination's link drops in flight.
 func (r *Router) Send(msg Message) (*Network, error) {
 	for i, n := range r.nets {
 		dst := n.route(msg.From, msg.To)

@@ -12,11 +12,9 @@ import (
 // Channel is a delivery channel.
 type Channel string
 
-// Channels the paper mentions.
-const (
-	Email Channel = "email"
-	SMS   Channel = "sms"
-)
+// Email is the channel every notification goes out on. The paper's
+// agents also reach administrators by SMS, which nothing here models.
+const Email Channel = "email"
 
 // Notification is one delivered message.
 type Notification struct {
@@ -69,15 +67,4 @@ func (b *Bus) CountByTag(tag string) int {
 		}
 	}
 	return n
-}
-
-// Since returns notifications at or after t.
-func (b *Bus) Since(t simclock.Time) []Notification {
-	var out []Notification
-	for _, x := range b.sent {
-		if x.At >= t {
-			out = append(out, x)
-		}
-	}
-	return out
 }

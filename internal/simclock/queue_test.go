@@ -10,11 +10,10 @@ import (
 // the 4-ary queue five or six levels deep, up to twenty tickers keep their
 // lanes busy, and the run goes through RunUntil in uneven quarter-second
 // chunks — some ending on an instant or a lane head, some between two,
-// some empty — with a few roots cancelled and tickers stopped after each
-// chunk, whether they are still pending, already fired or already
-// cancelled. A draining script then ends in Run.
-func genDeepScript(rng *splitmix, drain bool) script {
-	sc := genScriptN(rng, 2000+rng.intn(1000), 50, drain)
+// some empty — with a few roots cancelled after each chunk, whether they
+// are still pending, already fired or already cancelled.
+func genDeepScript(rng *splitmix) script {
+	sc := genScriptN(rng, 2000+rng.intn(1000), 50)
 	sc.genChunks(rng, 55*Second, 3*Second)
 	return sc
 }
@@ -22,15 +21,14 @@ func genDeepScript(rng *splitmix, drain bool) script {
 // TestDeepScheduleMatchesModel holds the queue to the reference engine at
 // depth: thousands of pending events, Schedule, Post and PostFixed mixed,
 // children at +0 and +Δ, tickers and wheel buckets re-arming in shared
-// lanes, cancellations and ticker stops before and between RunUntil
-// chunks, so RunUntil's peek, break and cancelled-front paths all run —
-// from the heap and from the lanes — against the model's firing order,
-// Cancel results and pending counts. Every other trial drains through Run,
-// so Step's pop and discard paths run against it too.
+// lanes, cancellations before and between RunUntil chunks, so RunUntil's
+// peek, break and cancelled-front paths all run — from the heap and from
+// the lanes — against the model's firing order, Cancel results and
+// pending counts.
 func TestDeepScheduleMatchesModel(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := splitmix(trial*104729 + 17)
-		sc := genDeepScript(&rng, trial%2 == 1)
+		sc := genDeepScript(&rng)
 		got := sc.runOn(New(1))
 		want := sc.runOnModel()
 		if !reflect.DeepEqual(got, want) {
@@ -40,12 +38,12 @@ func TestDeepScheduleMatchesModel(t *testing.T) {
 }
 
 // TestResetThenReuseMatchesModel: Reset drops a deep, half-run queue with
-// busy lanes — handles to the dropped events no longer cancel, stopping a
-// dropped ticker does nothing, nothing stays pending — and the reused Sim
-// then runs a new, draining script exactly as the model does from scratch.
+// busy lanes — handles to the dropped events no longer cancel, nothing
+// stays pending — and the reused Sim then runs a new script exactly as
+// the model does from scratch.
 func TestResetThenReuseMatchesModel(t *testing.T) {
 	rng := splitmix(0x5eed)
-	first := genDeepScript(&rng, false)
+	first := genDeepScript(&rng)
 	sim := New(1)
 	var dropped []*Event
 	for _, ev := range first.roots {
@@ -58,11 +56,10 @@ func TestResetThenReuseMatchesModel(t *testing.T) {
 			dropped = append(dropped, h)
 		}
 	}
-	var tickers []*Ticker
-	for _, tk := range first.tickers {
-		tickers = append(tickers, sim.Every(tk.start, tk.period, "first", func(Time) {
-			sim.PostFixed(fixedDelays[len(tickers)%len(fixedDelays)], "first", func(Time) {})
-		}))
+	for i, tk := range first.tickers {
+		sim.Every(tk.start, tk.period, "first", func(Time) {
+			sim.PostFixed(fixedDelays[i%len(fixedDelays)], "first", func(Time) {})
+		})
 	}
 	w := NewWheel(sim)
 	for _, en := range first.entries {
@@ -89,11 +86,8 @@ func TestResetThenReuseMatchesModel(t *testing.T) {
 			t.Fatalf("Cancel on dropped handle %d reported it pending", i)
 		}
 	}
-	for _, tk := range tickers {
-		tk.Stop()
-	}
 
-	second := genDeepScript(&rng, true)
+	second := genDeepScript(&rng)
 	got := second.runOn(sim)
 	want := second.runOnModel()
 	if !reflect.DeepEqual(got, want) {
@@ -121,7 +115,7 @@ func TestLaneOutOfOrderPushFallsBackToHeap(t *testing.T) {
 	if len(s.queue) != 1 || s.lanes[i].n != 3 || s.Pending() != 4 {
 		t.Fatalf("heap %d, lane %d, Pending %d; want 1, 3, 4", len(s.queue), s.lanes[i].n, s.Pending())
 	}
-	s.Run()
+	s.RunUntil(20 * Second)
 	if want := []string{"a", "c", "b", "d"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
@@ -149,13 +143,20 @@ func agentsYearQueue(n int) *Sim {
 	return s
 }
 
+// runNext fires the next pending event (and any others due at the same
+// instant) through RunUntil.
+func runNext(s *Sim) {
+	top, _ := s.front()
+	s.RunUntil(top.at)
+}
+
 // TestLaneSteadyStateAllocs: once the lanes' rings and the freelist have
 // grown, ticks, re-arms and fixed-delay posts allocate nothing.
 func TestLaneSteadyStateAllocs(t *testing.T) {
 	s := agentsYearQueue(500)
 	s.RunUntil(10 * Minute)
-	if allocs := testing.AllocsPerRun(2000, func() { s.Step() }); allocs != 0 {
-		t.Errorf("steady-state Step: %v allocs, want 0", allocs)
+	if allocs := testing.AllocsPerRun(2000, func() { runNext(s) }); allocs != 0 {
+		t.Errorf("steady-state RunUntil: %v allocs, want 0", allocs)
 	}
 }
 
@@ -180,7 +181,7 @@ func BenchmarkEventQueue(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Step()
+				runNext(s)
 			}
 		})
 	}
@@ -190,7 +191,7 @@ func BenchmarkEventQueue(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.Step()
+			runNext(s)
 		}
 	})
 }

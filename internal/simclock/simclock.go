@@ -16,7 +16,6 @@ package simclock
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 )
@@ -32,9 +31,6 @@ const (
 	Day    = 24 * Hour
 	Year   = 365 * Day
 )
-
-// Never is a sentinel time later than any schedulable event.
-const Never = Time(math.MaxInt64)
 
 func (t Time) String() string {
 	d := time.Duration(t)
@@ -94,9 +90,6 @@ type Event struct {
 	label    string
 }
 
-// At reports the scheduled firing time.
-func (e *Event) At() Time { return e.at }
-
 // Label reports the diagnostic label given at scheduling time.
 func (e *Event) Label() string { return e.label }
 
@@ -118,7 +111,7 @@ func (e *Event) Cancel() bool {
 // package doc). First fires and variable delays go on the heap; re-arms of
 // tickers and wheel buckets, and PostFixed events, go in the lane of their
 // delay, one lane per distinct delay, kept for the Sim's life. Pending,
-// Cancel, Ticker.Stop and Reset see both alike.
+// Cancel and Reset see both alike.
 type Sim struct {
 	now     Time
 	queue   eventQueue
@@ -127,7 +120,6 @@ type Sim struct {
 	seq     uint64
 	rng     *Rand
 	fired   uint64
-	stopped bool
 	free    []*Event // recycled Post events; never handed out as handles
 }
 
@@ -151,7 +143,6 @@ func (s *Sim) Reset(seed uint64) {
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
-	s.stopped = false
 	s.rng.Reseed(seed)
 }
 
@@ -316,86 +307,39 @@ func (s *Sim) popLane(src int) *Event {
 	return e
 }
 
-// Every schedules fn to run first at start and then every period thereafter
-// until the returned Ticker is stopped. A period of zero or less panics.
-func (s *Sim) Every(start, period Time, label string, fn func(now Time)) *Ticker {
+// Every schedules fn to run first at start and then every period
+// thereafter, for the rest of the run. A period of zero or less panics.
+func (s *Sim) Every(start, period Time, label string, fn func(now Time)) {
 	if period <= 0 {
 		panic("simclock: non-positive ticker period for " + label)
 	}
-	t := &Ticker{sim: s, lane: s.laneFor(period), fn: fn}
+	t := &ticker{sim: s, lane: s.laneFor(period), fn: fn}
 	t.ev = s.Schedule(start, label, t.fire)
-	return t
 }
 
-// Ticker is a repeating event created by Every. Its first fire sits on
+// ticker is a repeating event created by Every. Its first fire sits on
 // the heap; each re-arm rides the lane of its period.
-type Ticker struct {
-	sim     *Sim
-	lane    int // the lane of the ticker's period
-	fn      func(now Time)
-	ev      *Event
-	stopped bool
+type ticker struct {
+	sim  *Sim
+	lane int // the lane of the ticker's period
+	fn   func(now Time)
+	ev   *Event
 }
 
-func (t *Ticker) fire(now Time) {
-	if t.stopped {
-		return
-	}
+func (t *ticker) fire(now Time) {
 	t.fn(now)
-	if t.stopped { // fn may stop its own ticker
-		return
-	}
 	// Reuse the just-fired event: t.ev is the event this callback belongs
 	// to, already popped from the queue, and its handle never escapes the
 	// ticker, so re-queueing it is safe and allocation-free.
 	t.sim.rearm(t.ev, t.lane)
 }
 
-// Stop cancels future ticks. It is safe to call from within the tick
-// callback and multiple times.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
-}
-
-// Step executes the next pending event, advancing the clock to its firing
-// time. It reports false when no events remain.
-func (s *Sim) Step() bool {
-	for {
-		top, src := s.front()
-		if top == nil {
-			return false
-		}
-		e := s.popFrom(src)
-		if e.canceled {
-			continue
-		}
-		if e.at < s.now {
-			panic("simclock: event queue yielded past event")
-		}
-		s.now = e.at
-		s.fired++
-		fn := e.fn
-		if e.pooled {
-			s.release(e)
-		}
-		fn(s.now)
-		return true
-	}
-}
-
 // RunUntil executes events in time order until the clock would pass end or
-// the queue drains or Stop is called. The clock finishes at exactly end if
-// it was reached (even if the queue drained earlier), so sampling code can
+// the queue drains. Unless end has already passed, the clock finishes at
+// exactly end (even if the queue drained earlier), so sampling code can
 // rely on Now() == end afterwards.
 func (s *Sim) RunUntil(end Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		top, src := s.front()
 		if top == nil {
 			break
@@ -416,17 +360,7 @@ func (s *Sim) RunUntil(end Time) {
 		}
 		fn(s.now)
 	}
-	if !s.stopped && s.now < end {
+	if s.now < end {
 		s.now = end
 	}
 }
-
-// Run executes events until the queue drains or Stop is called.
-func (s *Sim) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-}
-
-// Stop halts RunUntil/Run after the current event callback returns.
-func (s *Sim) Stop() { s.stopped = true }

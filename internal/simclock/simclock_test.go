@@ -46,7 +46,7 @@ func TestScheduleOrder(t *testing.T) {
 	s.Schedule(3*Minute, "c", func(Time) { got = append(got, 3) })
 	s.Schedule(1*Minute, "a", func(Time) { got = append(got, 1) })
 	s.Schedule(2*Minute, "b", func(Time) { got = append(got, 2) })
-	s.Run()
+	s.RunUntil(3 * Minute)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("events out of order: %v", got)
 	}
@@ -62,7 +62,7 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 		i := i
 		s.Schedule(Minute, "tie", func(Time) { got = append(got, i) })
 	}
-	s.Run()
+	s.RunUntil(Minute)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("equal-time events not FIFO: %v", got)
@@ -73,7 +73,7 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	s := New(1)
 	s.Schedule(Minute, "x", func(Time) {})
-	s.Run()
+	s.RunUntil(Minute)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past should panic")
@@ -92,7 +92,7 @@ func TestCancel(t *testing.T) {
 	if e.Cancel() {
 		t.Error("second Cancel should report false")
 	}
-	s.Run()
+	s.RunUntil(Minute)
 	if ran {
 		t.Error("cancelled event ran")
 	}
@@ -124,23 +124,6 @@ func TestRunUntilAdvancesClockWhenQueueDrains(t *testing.T) {
 	}
 }
 
-func TestTickerStop(t *testing.T) {
-	s := New(1)
-	var count int
-	var tk *Ticker
-	tk = s.Every(0, Minute, "tick", func(Time) {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	s.RunUntil(Hour)
-	if count != 3 {
-		t.Errorf("count = %d, want 3 (ticker stops itself)", count)
-	}
-	tk.Stop() // idempotent
-}
-
 func TestEveryZeroPeriodPanics(t *testing.T) {
 	s := New(1)
 	defer func() {
@@ -151,28 +134,13 @@ func TestEveryZeroPeriodPanics(t *testing.T) {
 	s.Every(0, 0, "bad", func(Time) {})
 }
 
-func TestStopDuringRun(t *testing.T) {
-	s := New(1)
-	var count int
-	s.Every(0, Minute, "tick", func(Time) {
-		count++
-		if count == 5 {
-			s.Stop()
-		}
-	})
-	s.RunUntil(Hour)
-	if count != 5 {
-		t.Errorf("count = %d, want 5", count)
-	}
-}
-
 func TestAfter(t *testing.T) {
 	s := New(1)
 	var at Time
 	s.Schedule(10*Minute, "outer", func(now Time) {
 		s.After(5*Minute, "inner", func(now Time) { at = now })
 	})
-	s.Run()
+	s.RunUntil(Hour)
 	if at != 15*Minute {
 		t.Errorf("After fired at %v, want 15m", at)
 	}
@@ -185,7 +153,7 @@ func TestFiredAndPending(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Errorf("Pending = %d, want 2", s.Pending())
 	}
-	s.Run()
+	s.RunUntil(2 * Minute)
 	if s.Fired() != 2 {
 		t.Errorf("Fired = %d, want 2", s.Fired())
 	}
@@ -219,7 +187,7 @@ func TestQuickEventOrdering(t *testing.T) {
 		for _, o := range offsets {
 			s.Schedule(Time(o)*Second, "e", func(now Time) { fired = append(fired, now) })
 		}
-		s.Run()
+		s.RunUntil(Time(1<<16) * Second) // past the largest uint16 offset
 		if len(fired) != len(offsets) {
 			return false
 		}
@@ -400,6 +368,6 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			s.Schedule(Time(j)*Second, "e", func(Time) {})
 		}
-		s.Run()
+		s.RunUntil(999 * Second)
 	}
 }

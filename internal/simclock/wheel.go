@@ -133,20 +133,6 @@ func (w *Wheel) add(start, period Time, e *CronEntry) *CronEntry {
 	return e
 }
 
-// Len reports the number of entries on the wheel.
-func (w *Wheel) Len() int {
-	n := 0
-	for _, b := range w.buckets {
-		n += len(b.entries)
-	}
-	return n
-}
-
-// Buckets reports the number of distinct (start, period) buckets, each
-// with one pending event — the coalescing factor Len()/Buckets() is the
-// win over per-entry tickers.
-func (w *Wheel) Buckets() int { return len(w.buckets) }
-
 // fire walks the bucket's entries in registration order, then re-queues the
 // bucket's (reused) event one period on. With a multi-shard pool and
 // prepared entries present, the walk splits into a parallel prepare sweep

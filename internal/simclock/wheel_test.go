@@ -37,11 +37,9 @@ func (m *modelEngine) schedule(at Time, id int) *modelEvent {
 }
 
 // runUntil fires every event due at or before end, in order, and leaves
-// the clock at end unless end is Never.
+// the clock at end.
 func (m *modelEngine) runUntil(end Time, onFire func(e *modelEvent)) {
-	if end != Never {
-		defer func() { m.now = max(m.now, end) }()
-	}
+	defer func() { m.now = max(m.now, end) }()
 	for len(m.pending) > 0 {
 		bi := 0
 		for i, e := range m.pending {
@@ -84,33 +82,25 @@ func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
 // engines:
 //   - root events, Scheduled or Posted, some cancelled before the run;
 //   - tickers (Sim.Every) and wheel entries on two or three shared
-//     periods, so their re-arms share lanes; some tickers stop themselves,
-//     some are stopped by a root's callback or after a chunk;
+//     periods, so their re-arms share lanes;
 //   - children that a root, a tick or a wheel entry spawns when it fires,
 //     by Schedule, Post or PostFixed — the fixed delays share lanes with
 //     the periods.
 //
 // The run goes through RunUntil at each chunk end in turn, then to the
-// horizon — or, for a draining script, through Run until the queue is
-// empty, so Step pops the heap and the lanes. After chunk k, the roots
-// listed in lateCancel[k] are cancelled and the tickers in lateStop[k]
-// stopped.
+// horizon. After chunk k, the roots listed in lateCancel[k] are
+// cancelled.
 type script struct {
 	roots   []scriptEvent
-	tickers []scriptTicker
+	tickers []scriptEntry
 	entries []scriptEntry // equal coordinates are adjacent, as the wheel requires
 	// childDelta[id] spawns child id+childBase when id fires.
 	childDelta map[int]Time
 	childKind  map[int]childKind
-	rootStops  map[int]int // root id -> the ticker its callback stops
 
 	chunks     []Time
 	lateCancel map[int][]int // chunk index -> non-post root ids
-	lateStop   map[int][]int // chunk index -> ticker indexes
 	horizon    Time
-	// drain: every ticker stops itself and there are no wheel entries,
-	// which never stop, so the run can end in Run.
-	drain bool
 }
 
 // Firing ids: roots count from 0, ticker i fires as tickerBase+i, wheel
@@ -131,11 +121,7 @@ type scriptEvent struct {
 	cancel bool // cancel before running (only for non-post events)
 }
 
-type scriptTicker struct {
-	start, period Time
-	selfStop      int // the tick count after which the ticker stops itself; 0 never
-}
-
+// scriptEntry is a ticker's or a wheel entry's coordinate.
 type scriptEntry struct {
 	start, period Time
 }
@@ -155,26 +141,25 @@ var (
 	fixedDelays   = []Time{0, Second, 3 * Second / 2, 2 * Second}
 )
 
-// genScript draws a small script. Half of them drain, and half of those
-// run through Run alone, with no chunks.
+// genScript draws a small script. Half of them run to the horizon in one
+// RunUntil, with no chunks.
 func genScript(rng *splitmix) script {
 	// Times drawn from a tiny range so equal-time collisions are the
 	// norm, not the exception.
-	sc := genScriptN(rng, 10+rng.intn(40), 8, rng.intn(2) == 0)
-	if !sc.drain || rng.intn(2) == 0 {
+	sc := genScriptN(rng, 10+rng.intn(40), 8)
+	if rng.intn(2) == 0 {
 		sc.genChunks(rng, 4, 3*Second)
 	}
 	return sc
 }
 
 // genScriptN draws n roots on the given number of distinct whole-second
-// instants, tickers and — unless the script drains — wheel entries on two
-// or three periods, and children for a third of everything that fires.
-func genScriptN(rng *splitmix, n, instants int, drain bool) script {
+// instants, tickers and wheel entries on two or three periods, and
+// children for a third of everything that fires.
+func genScriptN(rng *splitmix, n, instants int) script {
 	sc := script{
-		childDelta: map[int]Time{}, childKind: map[int]childKind{}, rootStops: map[int]int{},
-		lateCancel: map[int][]int{}, lateStop: map[int][]int{},
-		horizon: Time(instants+8) * Second, drain: drain,
+		childDelta: map[int]Time{}, childKind: map[int]childKind{},
+		lateCancel: map[int][]int{}, horizon: Time(instants+8) * Second,
 	}
 	addChild := func(id int) {
 		if rng.intn(3) != 0 {
@@ -205,17 +190,11 @@ func genScriptN(rng *splitmix, n, instants int, drain bool) script {
 	}
 	start := func() Time { return Time(rng.intn(2*instants)) * Second / 2 }
 	for i := 1 + rng.intn(4+n/200); i > 0; i-- {
-		tk := scriptTicker{start: start(), period: periods[rng.intn(len(periods))]}
-		if drain {
-			tk.selfStop = 1 + rng.intn(8)
-		} else if rng.intn(4) == 0 {
-			tk.selfStop = 1 + rng.intn(5)
-		}
 		addChild(tickerBase + len(sc.tickers))
-		sc.tickers = append(sc.tickers, tk)
+		sc.tickers = append(sc.tickers, scriptEntry{start: start(), period: periods[rng.intn(len(periods))]})
 	}
 	seen := map[scriptEntry]bool{} // one group per coordinate: the wheel needs them contiguous
-	for c := rng.intn(4); c > 0 && !drain; c-- {
+	for c := rng.intn(4); c > 0; c-- {
 		en := scriptEntry{start: start(), period: periods[rng.intn(len(periods))]}
 		if seen[en] {
 			continue
@@ -226,15 +205,12 @@ func genScriptN(rng *splitmix, n, instants int, drain bool) script {
 			sc.entries = append(sc.entries, en)
 		}
 	}
-	for i := range n / 20 {
-		sc.rootStops[rng.intn(n)] = (i + rng.intn(len(sc.tickers))) % len(sc.tickers)
-	}
 	return sc
 }
 
 // genChunks adds RunUntil chunk ends up to last, a quarter-second grid
 // apart on average step/2 — so ends fall on lane heads and between them
-// — with a few roots cancelled and a few tickers stopped after each.
+// — with a few roots cancelled after each.
 func (sc *script) genChunks(rng *splitmix, last, step Time) {
 	var handled []int // roots with a handle to cancel
 	for _, ev := range sc.roots {
@@ -248,9 +224,6 @@ func (sc *script) genChunks(rng *splitmix, last, step Time) {
 		sc.chunks = append(sc.chunks, end)
 		for c := rng.intn(4); c > 0 && len(handled) > 0; c-- {
 			sc.lateCancel[k] = append(sc.lateCancel[k], handled[rng.intn(len(handled))])
-		}
-		if rng.intn(4) == 0 {
-			sc.lateStop[k] = append(sc.lateStop[k], rng.intn(len(sc.tickers)))
 		}
 	}
 }
@@ -266,8 +239,7 @@ type runLog struct {
 }
 
 // engineState is what the Sim reports between runs: Pending(), Fired()
-// and Now(). Fired counts a stopped ticker's event that ran anyway, which
-// logs nothing.
+// and Now().
 type engineState struct {
 	Pending int
 	Fired   uint64
@@ -277,7 +249,6 @@ type engineState struct {
 // runOn executes the script on sim, which must be at time zero.
 func (sc script) runOn(sim *Sim) runLog {
 	var log runLog
-	var tickers []*Ticker
 	var fire func(id int) func(Time)
 	spawn := func(id int, now Time) {
 		d, ok := sc.childDelta[id]
@@ -297,9 +268,6 @@ func (sc script) runOn(sim *Sim) runLog {
 		return func(now Time) {
 			log.fired = append(log.fired, firing{now, id})
 			spawn(id, now)
-			if i, ok := sc.rootStops[id]; ok {
-				tickers[i].Stop()
-			}
 		}
 	}
 	handles := map[int]*Event{}
@@ -316,19 +284,16 @@ func (sc script) runOn(sim *Sim) runLog {
 		}
 	}
 	for i, spec := range sc.tickers {
-		id, ticks := tickerBase+i, 0
-		var tk *Ticker
-		tk = sim.Every(spec.start, spec.period, "ticker", func(now Time) {
-			if tk.ev.queued {
+		id := tickerBase + i
+		var ev *Event // the ticker's own event: the handle Every schedules first
+		sim.Every(spec.start, spec.period, "ticker", func(now Time) {
+			if ev.queued {
 				log.queuedWhileFiring++
 			}
 			log.fired = append(log.fired, firing{now, id})
 			spawn(id, now)
-			if ticks++; ticks == spec.selfStop {
-				tk.Stop()
-			}
 		})
-		tickers = append(tickers, tk)
+		ev = lastQueued(sim)
 	}
 	w := NewWheel(sim)
 	for j, en := range sc.entries {
@@ -346,37 +311,28 @@ func (sc script) runOn(sim *Sim) runLog {
 		for _, id := range sc.lateCancel[k] {
 			log.cancels = append(log.cancels, handles[id].Cancel())
 		}
-		for _, i := range sc.lateStop[k] {
-			tickers[i].Stop()
-		}
 		log.states = append(log.states, engineState{sim.Pending(), sim.Fired(), sim.Now()})
 	}
-	if sc.drain {
-		sim.Run()
-	} else {
-		sim.RunUntil(sc.horizon)
-	}
+	sim.RunUntil(sc.horizon)
 	log.states = append(log.states, engineState{sim.Pending(), sim.Fired(), sim.Now()})
 	return log
+}
+
+// lastQueued returns the event the Sim queued last on its heap, such as
+// the first fire of the ticker Every just made.
+func lastQueued(sim *Sim) *Event {
+	for _, slot := range sim.queue {
+		if slot.seq == sim.seq-1 {
+			return slot.ev
+		}
+	}
+	return nil
 }
 
 // runOnModel executes the script on the reference engine.
 func (sc script) runOnModel() runLog {
 	m := &modelEngine{}
 	var log runLog
-	type modelTicker struct {
-		ev      *modelEvent
-		ticks   int
-		stopped bool
-	}
-	tickers := make([]modelTicker, len(sc.tickers))
-	stop := func(i int) {
-		t := &tickers[i]
-		if !t.stopped && !t.ev.fired {
-			t.ev.canceled = true
-		}
-		t.stopped = true
-	}
 	type modelBucket struct {
 		period  Time
 		entries []int
@@ -398,22 +354,12 @@ func (sc script) runOnModel() runLog {
 			}
 			m.schedule(now+b.period, id)
 		case id >= tickerBase && id < tickerBase+childBase:
-			i := id - tickerBase
 			log.fired = append(log.fired, firing{now, id})
 			spawn(id, now)
-			t := &tickers[i]
-			if t.ticks++; t.ticks == sc.tickers[i].selfStop {
-				stop(i)
-			}
-			if !t.stopped {
-				t.ev = m.schedule(now+sc.tickers[i].period, id)
-			}
+			m.schedule(now+sc.tickers[id-tickerBase].period, id)
 		default:
 			log.fired = append(log.fired, firing{now, id})
 			spawn(id, now)
-			if i, ok := sc.rootStops[id]; ok {
-				stop(i)
-			}
 		}
 	}
 	handles := map[int]*modelEvent{}
@@ -423,7 +369,7 @@ func (sc script) runOnModel() runLog {
 		handles[ev.id] = e
 	}
 	for i, spec := range sc.tickers {
-		tickers[i].ev = m.schedule(spec.start, tickerBase+i)
+		m.schedule(spec.start, tickerBase+i)
 	}
 	for j, en := range sc.entries {
 		if j > 0 && en == sc.entries[j-1] {
@@ -440,16 +386,9 @@ func (sc script) runOnModel() runLog {
 			log.cancels = append(log.cancels, !e.canceled && !e.fired)
 			e.canceled = true
 		}
-		for _, i := range sc.lateStop[k] {
-			stop(i)
-		}
 		log.states = append(log.states, engineState{len(m.pending), m.fired, m.now})
 	}
-	end := sc.horizon
-	if sc.drain {
-		end = Never
-	}
-	m.runUntil(end, onFire)
+	m.runUntil(sc.horizon, onFire)
 	log.states = append(log.states, engineState{len(m.pending), m.fired, m.now})
 	return log
 }
@@ -457,13 +396,13 @@ func (sc script) runOnModel() runLog {
 // TestRandomScheduleCancelMatchesModel drives the Sim with hundreds of
 // random schedules — heavy on equal firing times — plus cancellations,
 // callback-scheduled children, tickers and wheel buckets that re-arm in
-// shared lanes, fixed-delay posts, and ticker stops, asserting that the
-// firing order, the Cancel results and Pending() match the independent
-// reference engine exactly, whether the run ends in RunUntil or drains
-// through Run (Step). This pins the FIFO tie-break among equal-time
-// events wherever they queue: on the heap, in a lane, created while the
-// clock runs, pooled or handle-returning (all draw sequence numbers from
-// the same FIFO counter).
+// shared lanes, and fixed-delay posts, asserting that the firing order,
+// the Cancel results and Pending() match the independent reference engine
+// exactly, whether the run goes through RunUntil in chunks or in one
+// call. This pins the FIFO tie-break among equal-time events wherever
+// they queue: on the heap, in a lane, created while the clock runs,
+// pooled or handle-returning (all draw sequence numbers from the same
+// FIFO counter).
 func TestRandomScheduleCancelMatchesModel(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		rng := splitmix(trial * 2654435761)
@@ -589,14 +528,8 @@ func TestWheelBucketMembership(t *testing.T) {
 	add(Second, "a")
 	add(Second, "b")
 	add(2*Second, "c")
-	if got := w.Buckets(); got != 2 {
-		t.Fatalf("Buckets() = %d, want 2 (a+b coalesced, c separate)", got)
-	}
-	if got := w.Len(); got != 3 {
-		t.Fatalf("Len() = %d, want 3", got)
-	}
 	if got := sim.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2: one pending event per bucket", got)
+		t.Fatalf("Pending() = %d, want 2: one pending event per bucket (a+b coalesced, c separate)", got)
 	}
 
 	sim.RunUntil(Second) // a, b fire; c not yet
@@ -617,9 +550,6 @@ func TestWheelBucketMembership(t *testing.T) {
 	// already there, instead of forking a second event.
 	add(3*Second, "d")
 	add(3*Second, "d2")
-	if got, n := w.Buckets(), w.Len(); got != 3 || n != 5 {
-		t.Fatalf("after late adds: %d entries in %d buckets, want 5 in 3", n, got)
-	}
 	if got := sim.Pending(); got != 3 {
 		t.Fatalf("Pending() = %d after late adds, want 3", got)
 	}
@@ -627,37 +557,5 @@ func TestWheelBucketMembership(t *testing.T) {
 	sim.RunUntil(3 * Second)
 	if want := []string{"c", "a", "b", "d", "d2"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("third tick order = %v, want %v", order, want)
-	}
-}
-
-// TestTickerStopUnderInterleavings pins Ticker semantics the wheel must
-// coexist with: stop inside the callback, stop from a same-time event,
-// double-stop, and event reuse not resurrecting a stopped ticker.
-func TestTickerStopUnderInterleavings(t *testing.T) {
-	sim := New(1)
-	var ticks []Time
-	var tk *Ticker
-	tk = sim.Every(Second, Second, "self-stop", func(now Time) {
-		ticks = append(ticks, now)
-		if len(ticks) == 3 {
-			tk.Stop()
-		}
-	})
-	sim.Run()
-	if len(ticks) != 3 {
-		t.Fatalf("self-stopping ticker fired %d times, want 3", len(ticks))
-	}
-	tk.Stop() // double-stop: no-op
-
-	// A stop scheduled at the same instant as a tick: the tick's event is
-	// rescheduled at each fire with a fresh sequence number, so the stop —
-	// queued at setup — wins the 2s tie and the 2s tick never runs.
-	sim2 := New(1)
-	var n int
-	tk2 := sim2.Every(Second, Second, "tick", func(Time) { n++ })
-	sim2.Schedule(2*Second, "stop", func(Time) { tk2.Stop() })
-	sim2.Run()
-	if n != 1 {
-		t.Fatalf("ticker with same-time stop fired %d times, want 1 (the 1s tick; the stop wins the 2s tie)", n)
 	}
 }

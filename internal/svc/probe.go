@@ -133,24 +133,6 @@ func (d *Directory) ByKind(k Kind) []*Service {
 	return out
 }
 
-// Len reports the number of registered services.
-func (d *Directory) Len() int { return len(d.order) }
-
-// DependenciesSatisfied reports whether every service named in s.DependsOn
-// is running in the directory, the paper's "all interdependent distributed
-// application components must be up and running for the distributed service
-// to be considered healthy".
-func (d *Directory) DependenciesSatisfied(s *Service) (bool, []string) {
-	var down []string
-	for _, dep := range s.Spec.DependsOn {
-		ds := d.byName[dep]
-		if ds == nil || !ds.Running() {
-			down = append(down, dep)
-		}
-	}
-	return len(down) == 0, down
-}
-
 // StartOrder returns the directory's services topologically sorted so that
 // dependencies start before dependents. Cycles return an error.
 func (d *Directory) StartOrder() ([]*Service, error) {

@@ -124,15 +124,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// ProcTotal reports the expected total process count when healthy.
-func (s Spec) ProcTotal() int {
-	n := 0
-	for _, c := range s.Components {
-		n += c.Count
-	}
-	return n
-}
-
 // Service is a live instance of a Spec on a host.
 type Service struct {
 	Spec Spec

@@ -100,9 +100,6 @@ func TestStartLifecycle(t *testing.T) {
 	if s.State() != StateRunning || runningAt != s.Spec.StartupTime {
 		t.Errorf("state=%v runningAt=%v", s.State(), runningAt)
 	}
-	if got := s.Spec.ProcTotal(); got != 6 {
-		t.Errorf("ProcTotal = %d", got)
-	}
 	if len(s.MissingProcs()) != 0 {
 		t.Errorf("missing procs on healthy service: %v", s.MissingProcs())
 	}
@@ -278,7 +275,7 @@ func TestDirectory(t *testing.T) {
 	d.Add(ora)
 	d.Add(web)
 	d.Add(fe)
-	if d.Len() != 3 || d.Get("ORA-01") != ora || d.Get("nope") != nil {
+	if len(d.order) != 3 || d.Get("ORA-01") != ora || d.Get("nope") != nil {
 		t.Error("directory lookup broken")
 	}
 	if got := d.OnHost("web01"); len(got) != 2 {
@@ -286,17 +283,6 @@ func TestDirectory(t *testing.T) {
 	}
 	if got := d.ByKind(KindOracle); len(got) != 1 || got[0] != ora {
 		t.Errorf("ByKind = %v", got)
-	}
-	ok, down := d.DependenciesSatisfied(fe)
-	if ok || len(down) != 2 {
-		t.Errorf("deps should be down: ok=%v down=%v", ok, down)
-	}
-	ora.Start(nil)
-	web.Start(nil)
-	sim.RunUntil(10 * simclock.Minute)
-	ok, down = d.DependenciesSatisfied(fe)
-	if !ok || down != nil {
-		t.Errorf("deps should be satisfied: ok=%v down=%v", ok, down)
 	}
 }
 

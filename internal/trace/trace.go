@@ -118,17 +118,6 @@ func New(level int) *Recorder {
 	return &Recorder{level: level}
 }
 
-// Enabled reports whether the recorder records anything.
-func (r *Recorder) Enabled() bool { return r != nil && r.level > LevelOff }
-
-// Level reports the recorder's trace level (LevelOff for nil).
-func (r *Recorder) Level() int {
-	if r == nil {
-		return LevelOff
-	}
-	return r.level
-}
-
 // WantEvidence reports whether diagnose events should carry evidence
 // lines (LevelFull).
 func (r *Recorder) WantEvidence() bool { return r != nil && r.level >= LevelFull }
@@ -178,14 +167,6 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
 	return out
-}
-
-// Len reports the number of recorded events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.events)
 }
 
 // emit assigns the next ID, resolves the tier when only the host is

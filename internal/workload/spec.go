@@ -169,12 +169,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// JSON renders the spec in its canonical JSON form — the same shape
-// LoadSpec reads, so a spec survives a write/load round trip unchanged.
-func (s Spec) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // LoadSpec decodes and validates a JSON workload spec. Unknown fields
 // are rejected so a typo'd "classs" key fails loudly instead of
 // silently dropping the classes.

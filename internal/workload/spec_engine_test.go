@@ -65,52 +65,6 @@ func TestShapedAmplitudeClamp(t *testing.T) {
 	}
 }
 
-// TestStopClearsTickers pins the Stop/Start/Stop cycle: Stop must clear
-// the ticker slice so a restart registers each load source exactly once
-// instead of double-appending (the old leak doubled interactive load
-// refreshes and batch tickers on every restart).
-func TestStopClearsTickers(t *testing.T) {
-	r := newRig(t)
-	r.gen.Start()
-	base := len(r.gen.tickers)
-	if base == 0 {
-		t.Fatal("Start registered no tickers")
-	}
-	r.sim.RunUntil(simclock.Day)
-	r.gen.Stop()
-	if len(r.gen.tickers) != 0 {
-		t.Fatalf("Stop left %d tickers registered", len(r.gen.tickers))
-	}
-	r.gen.Start()
-	if len(r.gen.tickers) != base {
-		t.Fatalf("restart registered %d tickers, want %d", len(r.gen.tickers), base)
-	}
-	r.sim.RunUntil(2 * simclock.Day)
-	n := r.gen.JobsSubmitted
-	r.gen.Stop()
-	r.sim.RunUntil(3 * simclock.Day)
-	if r.gen.JobsSubmitted != n {
-		t.Error("generator kept submitting after the second Stop")
-	}
-}
-
-// TestStopCancelsClassArrivals: Stop must also cancel the pending
-// per-class arrival events, or the chains keep submitting.
-func TestStopCancelsClassArrivals(t *testing.T) {
-	r := newRig(t)
-	r.gen.Start()
-	r.sim.RunUntil(simclock.Day)
-	if r.gen.JobsSubmitted == 0 {
-		t.Fatal("generator submitted nothing in a day")
-	}
-	r.gen.Stop()
-	n := r.gen.JobsSubmitted
-	r.sim.RunUntil(2 * simclock.Day)
-	if r.gen.JobsSubmitted != n {
-		t.Errorf("class chains kept submitting after Stop: %d -> %d", n, r.gen.JobsSubmitted)
-	}
-}
-
 // crashAndRecover crashes tx1 mid-window and forces it back up, the
 // sequence that wipes the host's feed disk activity.
 func crashAndRecover(r *rig, at simclock.Time) {
@@ -147,28 +101,6 @@ func TestFeedLoadRestoredWithDomains(t *testing.T) {
 	r.sim.RunUntil(4*simclock.Hour + 31*simclock.Minute)
 	if busy := r.dc.Host("tx1").IOStat().BusyPct; busy == 0 {
 		t.Error("feed load not restored after recovery with domains installed")
-	}
-}
-
-// TestRestartKeepsFeedLoad: a Stop → Start cycle must not re-add the
-// feed load still applied to the transaction hosts. Start has to keep
-// its record of the applied load across Stop; dropping it makes the
-// first refresh after a restart double tx1's feed disk activity
-// (13 % → 27 % busy).
-func TestRestartKeepsFeedLoad(t *testing.T) {
-	r := newRig(t)
-	r.gen.Start()
-	r.sim.RunUntil(4 * simclock.Hour)
-	before := r.dc.Host("tx1").IOStat().BusyPct
-	if before == 0 {
-		t.Fatal("no feed load before the restart")
-	}
-	r.gen.Stop()
-	r.gen.Start()
-	// The restarted interactive ticker's first refresh fires at Now.
-	r.sim.RunUntil(r.sim.Now())
-	if after := r.dc.Host("tx1").IOStat().BusyPct; after != before {
-		t.Errorf("tx1 disk busy %v%% after a restart, want the %v%% it had before", after, before)
 	}
 }
 
@@ -286,8 +218,7 @@ func TestSpecSurvivesReset(t *testing.T) {
 	r.gen.SetSpec(FlashCrowdSpec())
 	r.gen.Start()
 	r.sim.RunUntil(simclock.Day)
-	r.gen.Stop()
-	r.gen.Reset(r.sim.Rand())
+	r.reset()
 	if r.gen.spec.Name != "flashcrowd" {
 		t.Fatalf("Reset replaced the installed spec with %q", r.gen.spec.Name)
 	}

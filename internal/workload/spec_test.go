@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -108,7 +109,7 @@ func TestBuiltinSpecsRegistered(t *testing.T) {
 
 func TestLoadSpecRoundTrip(t *testing.T) {
 	want := FlashCrowdSpec()
-	raw, err := want.JSON()
+	raw, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := got.JSON()
+	back, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestLoadSpecStrict(t *testing.T) {
 func TestLoadSpecFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spec.json")
-	raw, err := PaperSpec().JSON()
+	raw, err := json.Marshal(PaperSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

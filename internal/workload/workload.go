@@ -106,8 +106,7 @@ type Generator struct {
 
 	// Spec state. New installs PaperSpec; SetSpec replaces it once from
 	// the topology/options, and Reset keeps it, like the domains.
-	spec    Spec
-	classes []*classState
+	spec Spec
 
 	// Refresh tables: the hosts the 15-minute refresh retargets, one
 	// table per role in the datacentre's ByRole order (so the per-host
@@ -120,13 +119,11 @@ type Generator struct {
 
 	// feedApplied tracks the feed disk activity currently applied per
 	// transaction host, parallel to tx, so refreshFeed can re-apply load
-	// a crash wiped and track surge windows by delta. It outlives Stop
-	// (the load it records stays on the hosts); Reset zeroes it.
+	// a crash wiped and track surge windows by delta. Reset zeroes it.
 	feedApplied []float64
 
 	// Counters for reports.
 	JobsSubmitted int
-	tickers       []*simclock.Ticker
 }
 
 // hostLoad is one refresh-table entry: a host and its domain
@@ -136,14 +133,13 @@ type hostLoad struct {
 	tl TierLoad
 }
 
-// classState is one arrival class's live scheduling state: its spec, a
-// dedicated stream fork (so class draws interleave identically at any
-// worker or shard count), and the pending arrival event. The event
-// labels and callbacks are built once per class, not per arrival.
+// classState is one arrival class's live scheduling state: its spec and
+// a dedicated stream fork (so class draws interleave identically at any
+// worker or shard count). The event labels and callbacks are built once
+// per class, not per arrival.
 type classState struct {
 	spec ClassSpec
 	rng  *simclock.Rand
-	ev   *simclock.Event
 
 	idleLabel, redrawLabel, arriveLabel string
 	reschedule, arrive                  func(simclock.Time)
@@ -254,8 +250,6 @@ func (g *Generator) Reset(parent *simclock.Rand) {
 	g.rng = parent.Fork(0x301d)
 	g.jobSeq = 0
 	g.JobsSubmitted = 0
-	g.tickers = nil
-	g.classes = nil
 	clear(g.feedApplied)
 }
 
@@ -265,27 +259,9 @@ func (g *Generator) Reset(parent *simclock.Rand) {
 // through the spec's per-class interarrival chains; and the overnight
 // drop at 22:00.
 func (g *Generator) Start() {
-	g.tickers = append(g.tickers,
-		g.sim.Every(g.sim.Now(), 15*simclock.Minute, "workload-interactive", g.refreshInteractive))
+	g.sim.Every(g.sim.Now(), 15*simclock.Minute, "workload-interactive", g.refreshInteractive)
 	g.startClasses()
-	g.tickers = append(g.tickers,
-		g.sim.Every(g.nextTenPM(), simclock.Day, "workload-overnight", g.submitOvernightBatch))
-}
-
-// Stop ceases load generation. It clears the ticker slice and pending
-// class arrivals so a Stop → Start cycle within one trial registers
-// each load source exactly once instead of double-appending.
-func (g *Generator) Stop() {
-	for _, t := range g.tickers {
-		t.Stop()
-	}
-	g.tickers = nil
-	for _, cs := range g.classes {
-		if cs.ev != nil {
-			cs.ev.Cancel()
-		}
-	}
-	g.classes = nil
+	g.sim.Every(g.nextTenPM(), simclock.Day, "workload-overnight", g.submitOvernightBatch)
 }
 
 // compile builds the refresh tables from the datacentre's hosts and the
@@ -445,7 +421,6 @@ const idleClassRecheck = 15 * simclock.Minute
 // position, so identical specs replay identically — and schedules each
 // class's first arrival.
 func (g *Generator) startClasses() {
-	g.classes = make([]*classState, len(g.spec.Classes))
 	for i, c := range g.spec.Classes {
 		cs := &classState{
 			spec:        c,
@@ -456,7 +431,6 @@ func (g *Generator) startClasses() {
 		}
 		cs.reschedule = func(simclock.Time) { g.scheduleClass(cs) }
 		cs.arrive = func(t simclock.Time) { g.classArrive(cs, t) }
-		g.classes[i] = cs
 		g.scheduleClass(cs)
 	}
 }
@@ -477,16 +451,16 @@ func (g *Generator) scheduleClass(cs *classState) {
 	now := g.sim.Now()
 	rate := g.classRate(cs, now)
 	if rate <= 0 {
-		cs.ev = g.sim.After(idleClassRecheck, cs.idleLabel, cs.reschedule)
+		g.sim.PostAfter(idleClassRecheck, cs.idleLabel, cs.reschedule)
 		return
 	}
 	mean := simclock.Time(float64(simclock.Hour) / rate)
 	delay := interarrival(cs.rng, cs.spec, mean)
 	if delay > maxClassDelay {
-		cs.ev = g.sim.After(maxClassDelay, cs.redrawLabel, cs.reschedule)
+		g.sim.PostAfter(maxClassDelay, cs.redrawLabel, cs.reschedule)
 		return
 	}
-	cs.ev = g.sim.After(delay, cs.arriveLabel, cs.arrive)
+	g.sim.PostAfter(delay, cs.arriveLabel, cs.arrive)
 }
 
 // classArrive submits the class's batch work — one job, plus Burst more

@@ -71,6 +71,15 @@ func newRig(t *testing.T) *rig {
 	return &rig{sim: sim, dc: dc, dir: dir, lsfc: lsfc, gen: gen}
 }
 
+// reset rewinds the rig for another trial as site reuse does: the
+// simulation (dropping every pending event), the LSF job table, then the
+// generator.
+func (r *rig) reset() {
+	r.sim.Reset(41)
+	r.lsfc.Reset()
+	r.gen.Reset(r.sim.Rand())
+}
+
 func TestInteractiveLoadFollowsShape(t *testing.T) {
 	r := newRig(t)
 	// Interactive ambience only: no batch jobs muddying the night hours.
@@ -130,18 +139,6 @@ func TestManualSelectionSpreadsAcrossServers(t *testing.T) {
 	}
 	if len(targets) < 3 {
 		t.Errorf("manual selection hit only %d servers", len(targets))
-	}
-}
-
-func TestStopCeasesSubmission(t *testing.T) {
-	r := newRig(t)
-	r.gen.Start()
-	r.sim.RunUntil(simclock.Day)
-	r.gen.Stop()
-	n := r.gen.JobsSubmitted
-	r.sim.RunUntil(2 * simclock.Day)
-	if r.gen.JobsSubmitted != n {
-		t.Error("generator kept submitting after Stop")
 	}
 }
 
@@ -209,8 +206,7 @@ func TestDomainsSurviveReset(t *testing.T) {
 	r.gen.SetDomains(tierOf, map[string]TierLoad{"cold": {Share: 1, Batch: 0, Feed: 1, Amp: 1}})
 	r.gen.Start()
 	r.sim.RunUntil(2 * simclock.Day)
-	r.gen.Stop()
-	r.gen.Reset(r.sim.Rand())
+	r.reset()
 	r.gen.Start()
 	r.sim.RunUntil(4 * simclock.Day)
 	for _, j := range r.lsfc.Jobs() {

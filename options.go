@@ -42,7 +42,7 @@ const (
 
 // Options tune a scenario. The zero value is a usable default (manual
 // mode, lean agents, the paper's cron period, paper-calibrated faults);
-// NewSite layers functional options (WithMode, WithCronPeriod, ...) over
+// NewSite layers functional options (WithSeed, WithMode, ...) over
 // it, and campaign trials map their axes onto it directly.
 type Options struct {
 	// Seed drives every random process in the simulation.
@@ -132,16 +132,6 @@ func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 // WithMode selects manual or agent operations.
 func WithMode(m Mode) Option { return func(o *Options) { o.Mode = m } }
 
-// WithAgentSet selects the per-host agent deployment in ModeAgents.
-func WithAgentSet(set AgentSet) Option { return func(o *Options) { o.AgentSet = set } }
-
-// WithCronPeriod sets X, the agents' wake-up period.
-func WithCronPeriod(p simclock.Time) Option { return func(o *Options) { o.CronPeriod = p } }
-
-// WithFaults replaces the default fault campaign. An empty non-nil slice
-// disables faults entirely; WithNoFaults spells that out.
-func WithFaults(specs []faultinject.Spec) Option { return func(o *Options) { o.Faults = specs } }
-
 // WithNoFaults disables the background fault campaign — the
 // walkthrough-example setting where every fault is injected by hand.
 func WithNoFaults() Option { return func(o *Options) { o.Faults = []faultinject.Spec{} } }
@@ -149,18 +139,6 @@ func WithNoFaults() Option { return func(o *Options) { o.Faults = []faultinject.
 // WithWorkload overrides the offered load verbatim (see Options.Workload:
 // no site-size scaling, no OvernightJobs floor).
 func WithWorkload(cfg workload.Config) Option { return func(o *Options) { o.Workload = &cfg } }
-
-// WithTierLoadScale multiplies one tier's resolved workload-domain
-// weights (see Options.TierLoadScale) — the per-tier load-intensity
-// knob campaigns sweep as a matrix axis.
-func WithTierLoadScale(tier string, scale float64) Option {
-	return func(o *Options) {
-		if o.TierLoadScale == nil {
-			o.TierLoadScale = map[string]float64{}
-		}
-		o.TierLoadScale[tier] = scale
-	}
-}
 
 // WithTierFaultScale multiplies one tier's resolved fault weight across
 // every category (see Options.TierFaultScale) — the per-tier
@@ -178,12 +156,6 @@ func WithTierFaultScale(tier string, scale float64) Option {
 // ModeManual it turns on the resident monitors' polls and console alerts,
 // and in ModeAgents it installs polling monitors beside the agents.
 func WithBaselineMonitors() Option { return func(o *Options) { o.BaselineMonitors = true } }
-
-// WithoutPrivateNet removes the private agent network (ablation).
-func WithoutPrivateNet() Option { return func(o *Options) { o.DisablePrivateNet = true } }
-
-// WithoutBatchRescue disables DGSPL-driven job resubmission (ablation).
-func WithoutBatchRescue() Option { return func(o *Options) { o.NoBatchRescue = true } }
 
 // WithReferenceProbes selects the per-service probe scheduling path that
 // the batched dispatcher is equivalence-tested against.

@@ -11,14 +11,25 @@ import (
 	"repro/internal/simclock"
 )
 
+// agentHost returns the host whose filesystem holds a's activity log,
+// which every run of the agent appends to, or nil before its first run.
+func agentHost(site *Site, a *agent.Agent) *cluster.Host {
+	for _, h := range site.DC.Hosts() {
+		if _, err := h.FS.ReadLines(agent.FlagRoot + "/" + a.Name() + "/activity.log"); err == nil {
+			return h
+		}
+	}
+	return nil
+}
+
 func TestBuildSiteStructure(t *testing.T) {
 	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeManual))
 	wantHosts := 0
 	for _, tier := range SmallTopology().Tiers {
 		wantHosts += tier.Hosts
 	}
-	if site.DC.Size() != wantHosts {
-		t.Errorf("hosts = %d, want %d", site.DC.Size(), wantHosts)
+	if got := len(site.DC.Hosts()); got != wantHosts {
+		t.Errorf("hosts = %d, want %d", got, wantHosts)
 	}
 	// Every database host runs a database service plus LSF daemons.
 	for _, h := range site.DC.ByRole(cluster.RoleDatabase) {
@@ -63,7 +74,7 @@ func TestAgentModeAddsAdminTier(t *testing.T) {
 	// Lean set: services + status + performance + network per host.
 	perHost := map[string]int{}
 	for _, a := range site.Agents {
-		perHost[a.Host().Name]++
+		perHost[agentHost(site, a).Name]++
 	}
 	for _, h := range site.DC.ByRole(cluster.RoleDatabase) {
 		if perHost[h.Name] != 5 { // 2 service agents + status + perf + network
@@ -73,11 +84,11 @@ func TestAgentModeAddsAdminTier(t *testing.T) {
 }
 
 func TestAgentsFullSet(t *testing.T) {
-	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeAgents), WithAgentSet(AgentsFull))
+	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeAgents), func(o *Options) { o.AgentSet = AgentsFull })
 	mustRun(t, site, simclock.Hour)
 	perHost := map[string]int{}
 	for _, a := range site.Agents {
-		perHost[a.Host().Name]++
+		perHost[agentHost(site, a).Name]++
 	}
 	for _, h := range site.DC.ByRole(cluster.RoleFrontEnd) {
 		// 1 service + status+perf+net + cpu+mem+disk+hw + end-to-end
@@ -210,9 +221,9 @@ func TestNoBatchRescueAblation(t *testing.T) {
 		Category: metrics.CatMidCrash, MeanInterarrival: 2 * simclock.Day,
 		Window: faultinject.Overnight,
 	}}
-	with := mustSite(t, SmallTopology(), WithSeed(5), WithMode(ModeAgents), WithFaults(midOnly))
+	with := mustSite(t, SmallTopology(), WithSeed(5), WithMode(ModeAgents), func(o *Options) { o.Faults = midOnly })
 	mustRun(t, with, 8*simclock.Day)
-	without := mustSite(t, SmallTopology(), WithSeed(5), WithMode(ModeAgents), WithFaults(midOnly), WithoutBatchRescue())
+	without := mustSite(t, SmallTopology(), WithSeed(5), WithMode(ModeAgents), func(o *Options) { o.Faults = midOnly }, func(o *Options) { o.NoBatchRescue = true })
 	mustRun(t, without, 8*simclock.Day)
 	rw, rwo := with.Report(), without.Report()
 	if rw.Resubmitted == 0 {
@@ -228,7 +239,7 @@ func TestNoBatchRescueAblation(t *testing.T) {
 }
 
 func TestDisablePrivateNet(t *testing.T) {
-	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeAgents), WithoutPrivateNet())
+	site := mustSite(t, SmallTopology(), WithSeed(1), WithMode(ModeAgents), func(o *Options) { o.DisablePrivateNet = true })
 	mustRun(t, site, simclock.Day)
 	if site.Private != nil {
 		t.Fatal("private network should be absent")
@@ -258,9 +269,9 @@ func TestCronPeriodAblationDirection(t *testing.T) {
 		Category: metrics.CatHuman, MeanInterarrival: 36 * simclock.Hour,
 		Window: faultinject.AnyTime,
 	}}
-	fast := mustSite(t, SmallTopology(), WithSeed(3), WithMode(ModeAgents), WithCronPeriod(2*simclock.Minute), WithFaults(fault))
+	fast := mustSite(t, SmallTopology(), WithSeed(3), WithMode(ModeAgents), func(o *Options) { o.CronPeriod = 2 * simclock.Minute }, func(o *Options) { o.Faults = fault })
 	mustRun(t, fast, 6*simclock.Day)
-	slow := mustSite(t, SmallTopology(), WithSeed(3), WithMode(ModeAgents), WithCronPeriod(simclock.Hour), WithFaults(fault))
+	slow := mustSite(t, SmallTopology(), WithSeed(3), WithMode(ModeAgents), func(o *Options) { o.CronPeriod = simclock.Hour }, func(o *Options) { o.Faults = fault })
 	mustRun(t, slow, 6*simclock.Day)
 	rf, rs := fast.Report(), slow.Report()
 	if rf.MeanDetect >= rs.MeanDetect {

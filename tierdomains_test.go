@@ -140,7 +140,7 @@ func TestTierWorkloadShapesLoad(t *testing.T) {
 	load := func(tier string) float64 {
 		var sum float64
 		for _, h := range site.DC.Hosts() {
-			if site.TierOf(h.Name) == tier {
+			if site.tierOf[h.Name] == tier {
 				sum += h.CPUUtilisation() * float64(h.Model.CPUs)
 			}
 		}
@@ -168,9 +168,11 @@ func TestTierFaultDomainsSteerInjection(t *testing.T) {
 	topo.Tiers[0].Faults = &FaultsSpec{Rates: map[string]float64{"human": 1}}
 	topo.Tiers[1].Faults = &FaultsSpec{Rates: map[string]float64{"human": 0}}
 	topo.Tiers[2].Faults = &FaultsSpec{Rates: map[string]float64{"human": 0}}
-	site, err := NewSite(topo, WithSeed(9), WithFaults([]faultinject.Spec{
-		{Category: metrics.CatHuman, MeanInterarrival: 2 * simclock.Day, Window: faultinject.AnyTime},
-	}))
+	site, err := NewSite(topo, WithSeed(9), func(o *Options) {
+		o.Faults = []faultinject.Spec{
+			{Category: metrics.CatHuman, MeanInterarrival: 2 * simclock.Day, Window: faultinject.AnyTime},
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ func TestTierFaultDomainsSteerInjection(t *testing.T) {
 	}
 	byTier := map[string]int{}
 	for _, inc := range site.Ledger.Incidents() {
-		byTier[site.TierOf(inc.Host)]++
+		byTier[site.tierOf[inc.Host]]++
 	}
 	if byTier["db"] == 0 {
 		t.Error("no human errors landed on the only weighted tier over 90 days")
@@ -200,10 +202,12 @@ func TestTierBlackoutRespected(t *testing.T) {
 	for i := range topo.Tiers {
 		topo.Tiers[i].Faults = &FaultsSpec{Blackouts: []Blackout{{FromHour: 8, ToHour: 18}}}
 	}
-	site, err := NewSite(topo, WithSeed(13), WithFaults([]faultinject.Spec{
-		{Category: metrics.CatHuman, MeanInterarrival: simclock.Day, Window: faultinject.AnyTime},
-		{Category: metrics.CatLSF, MeanInterarrival: simclock.Day, Window: faultinject.AnyTime},
-	}))
+	site, err := NewSite(topo, WithSeed(13), func(o *Options) {
+		o.Faults = []faultinject.Spec{
+			{Category: metrics.CatHuman, MeanInterarrival: simclock.Day, Window: faultinject.AnyTime},
+			{Category: metrics.CatLSF, MeanInterarrival: simclock.Day, Window: faultinject.AnyTime},
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +300,11 @@ func TestFaultDomainEligibilityGate(t *testing.T) {
 func TestMidCrashRateNotDilutedByDomains(t *testing.T) {
 	const span = 120 * simclock.Day
 	run := func(topo Topology) int {
-		site, err := NewSite(topo, WithSeed(21), WithFaults([]faultinject.Spec{
-			{Category: metrics.CatMidCrash, MeanInterarrival: 10 * simclock.Day, Window: faultinject.Overnight},
-		}))
+		site, err := NewSite(topo, WithSeed(21), func(o *Options) {
+			o.Faults = []faultinject.Spec{
+				{Category: metrics.CatMidCrash, MeanInterarrival: 10 * simclock.Day, Window: faultinject.Overnight},
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

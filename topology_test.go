@@ -266,15 +266,12 @@ func TestSmallSiteSubmitsDayJobs(t *testing.T) {
 func TestFunctionalOptions(t *testing.T) {
 	var o Options
 	for _, opt := range []Option{
-		WithSeed(9), WithMode(ModeAgents), WithAgentSet(AgentsFull),
-		WithCronPeriod(7 * simclock.Minute), WithNoFaults(),
-		WithBaselineMonitors(), WithoutPrivateNet(), WithoutBatchRescue(),
+		WithSeed(9), WithMode(ModeAgents), WithNoFaults(), WithBaselineMonitors(),
 	} {
 		opt(&o)
 	}
-	if o.Seed != 9 || o.Mode != ModeAgents || o.AgentSet != AgentsFull ||
-		o.CronPeriod != 7*simclock.Minute || o.Faults == nil || len(o.Faults) != 0 ||
-		!o.BaselineMonitors || !o.DisablePrivateNet || !o.NoBatchRescue {
+	if o.Seed != 9 || o.Mode != ModeAgents || o.Faults == nil || len(o.Faults) != 0 ||
+		!o.BaselineMonitors {
 		t.Errorf("options not applied: %+v", o)
 	}
 	replaced := Options{Seed: 3, Mode: ModeManual}
