@@ -82,50 +82,6 @@ func BenchmarkFig2Improvement(b *testing.B) {
 	b.ReportMetric(factor, "improvement-x")
 }
 
-// overheadProbe builds the Figure 3/4 rig inline (a busy E4500 carrying
-// both monitors) and reports the BMC:agent overhead ratio.
-func overheadProbe(b *testing.B, mem bool) {
-	b.Helper()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		site := mustSite(b, paperShaped("bench", "UK", 1, 1, 1),
-			WithSeed(7), WithMode(ModeAgents), WithBaselineMonitors(), WithNoFaults())
-		mustRun(b, site, 4*simclock.Hour)
-		mon := site.Monitors[0]
-		host := site.DC.ByRole("database")[0]
-		var agentVal float64
-		if mem {
-			for _, a := range site.Agents {
-				if agentHost(site, a) == host && a.Overhead().MemMB > agentVal {
-					agentVal = a.Overhead().MemMB
-				}
-			}
-			ratio = mon.MemMB() / agentVal
-		} else {
-			var cpuSec float64
-			for _, a := range site.Agents {
-				if agentHost(site, a) == host {
-					cpuSec += a.Counters().CPUSeconds
-				}
-			}
-			elapsed := float64(site.Sim.Now()) / float64(simclock.Second)
-			agentPct := cpuSec / elapsed / float64(host.Model.CPUs) * 100
-			if agentPct > 0 {
-				ratio = mon.CPUPercent() / agentPct
-			}
-		}
-	}
-	b.ReportMetric(ratio, "bmc/agent-x")
-}
-
-// BenchmarkFig3CPUOverhead reproduces Figure 3: BMC vs intelliagent CPU.
-// Paper ratio: ~0.46% vs ~0.045% ≈ 10x.
-func BenchmarkFig3CPUOverhead(b *testing.B) { overheadProbe(b, false) }
-
-// BenchmarkFig4MemOverhead reproduces Figure 4: BMC vs intelliagent
-// memory. Paper ratio: ~45 MB vs 1.6 MB ≈ 28x.
-func BenchmarkFig4MemOverhead(b *testing.B) { overheadProbe(b, true) }
-
 // BenchmarkDetectionLatency reproduces the §4 detection observation:
 // intelliagents detect within the 5-minute cron period (vs 1 h / 10 h /
 // 25 h manually). Reported metric: mean detection latency in seconds.

@@ -44,8 +44,8 @@ type Site struct {
 	Campaign *faultinject.Campaign
 	Team     *operators.Team
 	Gen      *workload.Generator
-	Admin    *adminsrv.Pair // nil in ModeManual
-	Monitors []*baseline.Monitor
+	Admin    *adminsrv.Pair      // nil in ModeManual
+	Monitors []*baseline.Monitor // nil in ModeAgents
 	Agents   []*agent.Agent
 	Probes   *probe.Engine   // nil unless the topology declares a probe spec
 	Trace    *trace.Recorder // nil unless Options.TraceLevel > 0
@@ -407,16 +407,11 @@ func (s *Site) workloadDomains() map[string]workload.TierLoad {
 	return tiers
 }
 
-// workloadConfig resolves the offered load: an Options.Workload override
-// is taken verbatim — no site-size scaling, no OvernightJobs floor —
-// while the default config scales with the LSF-target pool (the paper's
-// site had one database target per database host, so the pool is the
-// site-size proxy) and keeps at least two overnight jobs so the 22:00
-// drop exists at any scale.
+// workloadConfig resolves the offered load: the default config scaled
+// with the LSF-target pool (the paper's site had one database target per
+// database host, so the pool is the site-size proxy), keeping at least
+// two overnight jobs so the 22:00 drop exists at any scale.
 func (s *Site) workloadConfig() workload.Config {
-	if s.Opts.Workload != nil {
-		return *s.Opts.Workload
-	}
 	cfg := workload.DefaultConfig()
 	scale := float64(len(s.dbServices)) / 100
 	cfg.PeakAnalysts = int(float64(cfg.PeakAnalysts) * scale)
@@ -548,27 +543,15 @@ func (s *Site) Reset(seed uint64) error {
 }
 
 // deployManual installs the before-year operations: a BMC-style
-// monitor's resident daemon on every database host. Each install forks
-// the site stream, so a manual site always installs them, and the draws
-// after deployment do not depend on whether the monitors poll. The polls
-// raise console alerts that no metric reads (manual detection is the
-// operator model's), so they are registered only under
-// Options.BaselineMonitors, back to back at one instant on one wheel:
-// they share one bucket, one heap event per poll round for the whole
-// site. The wheel is their own, not the agents' slot wheel, which exists
-// only under Options.AgentSlots. Agents deploy after the monitors, so an
-// agent slot on a poll instant runs after the polls, as per-host tickers
-// did.
+// monitor's resident daemon on every database host, at its idle
+// footprint. Each install forks the site stream, so every later draw
+// depends on the installs. The monitors do not poll: their console
+// alerts would feed no metric (manual detection is the operator
+// model's), and only the Figure 3/4 rig plots a polling monitor.
 func (s *Site) deployManual() {
 	for _, h := range s.DC.ByRole(cluster.RoleDatabase) {
 		s.Monitors = append(s.Monitors, baseline.Install(
 			s.Sim, h, baseline.DefaultFootprint(), s.Bus, "noc-console"))
-	}
-	if s.Opts.BaselineMonitors {
-		w := simclock.NewWheel(s.Sim)
-		for _, m := range s.Monitors {
-			m.StartPolling(w, 5*simclock.Minute, s.Dir)
-		}
 	}
 }
 
@@ -597,10 +580,6 @@ func (s *Site) deployAgents() error {
 		return fmt.Errorf("administration pair: %w", err)
 	}
 	s.Admin = pair
-
-	if s.Opts.BaselineMonitors {
-		s.deployManual()
-	}
 
 	bridge := &agents.RegistryBridge{Reg: s.Registry}
 	rng := s.Sim.Rand().Fork(0xa9e0)

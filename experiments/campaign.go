@@ -371,7 +371,6 @@ func trialOptions(t campaign.Trial) (qoscluster.Options, error) {
 		CronPeriod:        t.CronPeriod,
 		NoBatchRescue:     t.NoBatchRescue,
 		DisablePrivateNet: t.DisablePrivateNet,
-		BaselineMonitors:  t.BaselineMonitors,
 		AgentSlots:        t.AgentSlots,
 	}
 	if t.TierFaults != "" {

@@ -235,13 +235,13 @@ func TestCampaignMatrixOptionAxes(t *testing.T) {
 func TestTrialOptions(t *testing.T) {
 	o, err := trialOptions(campaign.Trial{Cell: campaign.Cell{
 		Mode: "agents", AgentSet: "full", CronPeriod: 15 * simclock.Minute,
-		NoBatchRescue: true, DisablePrivateNet: true, BaselineMonitors: true,
+		NoBatchRescue: true, DisablePrivateNet: true,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Mode != qoscluster.ModeAgents || o.AgentSet != qoscluster.AgentsFull ||
-		o.CronPeriod != 15*simclock.Minute || !o.NoBatchRescue || !o.DisablePrivateNet || !o.BaselineMonitors {
+		o.CronPeriod != 15*simclock.Minute || !o.NoBatchRescue || !o.DisablePrivateNet {
 		t.Errorf("options not mapped from axes: %+v", o)
 	}
 

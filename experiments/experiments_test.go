@@ -119,6 +119,30 @@ func TestOverheadReproducesShape(t *testing.T) {
 	}
 }
 
+// BenchmarkFig3CPUOverhead reproduces Figure 3 on the rig `qossim fig3`
+// prints and reports the BMC:agent ratio of the mean CPU samples. Paper
+// ratio: ~0.46% vs ~0.045% ≈ 10x.
+func BenchmarkFig3CPUOverhead(b *testing.B) {
+	var ratio float64
+	for i := 0; i < b.N; i++ {
+		bmcCPU, agCPU, _, _ := sampleOverhead(7)
+		ratio = bmcCPU.Mean() / agCPU.Mean()
+	}
+	b.ReportMetric(ratio, "bmc/agent-x")
+}
+
+// BenchmarkFig4MemOverhead reproduces Figure 4 on the same rig and
+// reports the BMC:agent ratio of the mean memory samples. Paper ratio:
+// ~45 MB vs 1.6 MB ≈ 28x.
+func BenchmarkFig4MemOverhead(b *testing.B) {
+	var ratio float64
+	for i := 0; i < b.N; i++ {
+		_, _, bmcMem, agMem := sampleOverhead(7)
+		ratio = bmcMem.Mean() / agMem.Mean()
+	}
+	b.ReportMetric(ratio, "bmc/agent-x")
+}
+
 func TestFig2ShortRun(t *testing.T) {
 	out, err := Run("fig2", Config{Seed: 7, Days: 10})
 	if err != nil {

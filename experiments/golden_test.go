@@ -130,10 +130,8 @@ func TestCampaignGoldenFlashcrowd(t *testing.T) {
 // — the production campaign runner — against the checked-in golden
 // (testdata/campaign-golden-paper-manual-year.json). The one-day goldens
 // end before most fault injection and operator repair; this one runs a
-// year of both. No campaign metric reads the BMC polls, so the root
-// package's TestManualYearBMCAlertDigest pins those. Regenerate
-// (go run ./scripts/campaigngolden) only for a change that is *supposed*
-// to move the manual-year numbers.
+// year of both. Regenerate (go run ./scripts/campaigngolden) only for a
+// change that is *supposed* to move the manual-year numbers.
 func TestCampaignGoldenPaperManualYear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 365-day paper-site trial; run without -short for the full gate")

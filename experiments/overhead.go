@@ -91,18 +91,6 @@ func (r *overheadRig) agentCPUSeconds() float64 {
 	return total
 }
 
-// agentResidentMB is the intelliagent process footprint while awake — the
-// quantity the paper plots as a flat 1.6 MB.
-func (r *overheadRig) agentResidentMB() float64 {
-	var max float64
-	for _, a := range r.agents {
-		if m := a.Overhead().MemMB; m > max {
-			max = m
-		}
-	}
-	return max
-}
-
 // sampleOverhead runs the rig for 4 hours, sampling every 30 minutes the
 // way the paper's figures do, and returns the four series.
 func sampleOverhead(seed uint64) (bmcCPU, agCPU, bmcMem, agMem *metrics.Series) {
@@ -124,7 +112,7 @@ func sampleOverhead(seed uint64) (bmcCPU, agCPU, bmcMem, agMem *metrics.Series) 
 		bmcCPU.Add(now, r.bmc.CPUPercent())
 		agCPU.Add(now, pct)
 		bmcMem.Add(now, r.bmc.MemMB())
-		agMem.Add(now, r.agentResidentMB())
+		agMem.Add(now, agent.RunMemMB) // the footprint while awake, the paper's flat 1.6 MB
 	}
 	return
 }

@@ -53,31 +53,20 @@ func TestShardEquivalence(t *testing.T) {
 // A slot's agents run one after another on the trial's own goroutine, so
 // only the probe walks shard here; the cells pin that slotting and
 // sharding compose.
-//
-// The monitors cell adds the BMC monitors to an agents year: at 8 slots of
-// the default 5-minute cron the last slot's agents wake on the monitors'
-// poll instant, so a shard count that reordered same-instant events would
-// show here.
 func TestAgentShardEquivalence(t *testing.T) {
 	cells := []struct {
-		site     string
-		mode     string
-		monitors bool
+		site string
+		mode string
 	}{
-		{"paper", "manual", false},
-		{"paper", "agents", false},
-		{"paper", "agents", true},
-		{"small", "manual", false},
-		{"small", "agents", false},
-		{"megasite-150", "manual", false},
-		{"megasite-150", "agents", false},
+		{"paper", "manual"},
+		{"paper", "agents"},
+		{"small", "manual"},
+		{"small", "agents"},
+		{"megasite-150", "manual"},
+		{"megasite-150", "agents"},
 	}
 	for _, cell := range cells {
-		name := fmt.Sprintf("%s-%s", cell.site, cell.mode)
-		if cell.monitors {
-			name += "-monitors"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s-%s", cell.site, cell.mode), func(t *testing.T) {
 			t.Parallel()
 			if testing.Short() && cell.site == "megasite-150" {
 				t.Skip("megasite cells are the long ones; run without -short for the full gate")
@@ -89,9 +78,6 @@ func TestAgentShardEquivalence(t *testing.T) {
 				Modes:      []string{cell.mode},
 				Days:       1,
 				AgentSlots: 8,
-			}
-			if cell.monitors {
-				m.BaselineMonitors = []bool{true}
 			}
 			checkShardEquivalence(t, m)
 		})

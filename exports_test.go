@@ -21,8 +21,6 @@ import (
 // has gained a non-test caller, so the list cannot rot.
 var testOnlyKeep = map[string]string{
 	// Ways into production paths that only tests take.
-	"repro.WithWorkload":                  "the one way to set Options.Workload, which TestTierWorkloadShapesLoad uses to pin an analyst population on a site with no LSF targets",
-	"repro.WithBaselineMonitors":          "turns on the manual year's BMC polls, which TestManualYearBMCAlertDigest pins; campaigns set the field through their axis",
 	"repro/experiments.RegisterOverride":  "the trace tests register fast fault campaigns through the campaign Overrides axis, which replay resolves by name",
 	"repro/experiments.ReferenceRunTrial": "the per-service probe path, the independent oracle the shard and megasite equivalence tests hold the batched probe engine to",
 
@@ -36,16 +34,15 @@ var testOnlyKeep = map[string]string{
 	"repro/internal/netsim.(*Network).Detach":          "a detached endpoint is state message delivery reads",
 
 	// Accessors that are a test's only view of production state.
-	"repro/internal/agent.(*Agent).HasFlag":       "tests read an agent's flag files through it",
-	"repro/internal/adminsrv.(*Pair).Profiles":    "tests read the profiles the administration pair holds",
-	"repro/internal/cluster.(*Host).NProcs":       "tests read a host's process count",
-	"repro/internal/diagnose.(*Baseline).Get":     "tests read a baseline's constraints",
-	"repro/internal/lsf.(*Cluster).PendingCount":  "tests read LSF's queue depth",
-	"repro/internal/lsf.(*Cluster).Jobs":          "the workload tests read the job table from another package",
-	"repro/internal/notify.(*Bus).CountByTag":     "tests count notifications by tag",
-	"repro/internal/workload.(*Generator).Config": "TestWorkloadOverrideVerbatim pins the scaled load config through it",
-	"repro/internal/simclock.(*Event).Label":      "kept for per-subsystem event counters (ROADMAP item 6)",
-	"repro/internal/simclock.(*CronEntry).Label":  "kept for per-subsystem event counters (ROADMAP item 6)",
+	"repro/internal/agent.(*Agent).HasFlag":      "tests read an agent's flag files through it",
+	"repro/internal/adminsrv.(*Pair).Profiles":   "tests read the profiles the administration pair holds",
+	"repro/internal/cluster.(*Host).NProcs":      "tests read a host's process count",
+	"repro/internal/diagnose.(*Baseline).Get":    "tests read a baseline's constraints",
+	"repro/internal/lsf.(*Cluster).PendingCount": "tests read LSF's queue depth",
+	"repro/internal/lsf.(*Cluster).Jobs":         "the workload tests read the job table from another package",
+	"repro/internal/notify.(*Bus).CountByTag":    "tests count notifications by tag",
+	"repro/internal/simclock.(*Event).Label":     "kept for per-subsystem event counters (ROADMAP item 6)",
+	"repro/internal/simclock.(*CronEntry).Label": "kept for per-subsystem event counters (ROADMAP item 6)",
 }
 
 // TestNoTestOnlyExports pins "every exported function has a production
@@ -59,31 +56,7 @@ var testOnlyKeep = map[string]string{
 // heap and sort methods) is skipped: its callers go through the
 // interface, often inside the standard library.
 func TestNoTestOnlyExports(t *testing.T) {
-	l := &exportLoader{
-		fset: token.NewFileSet(),
-		pkgs: map[string]*types.Package{},
-		info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
-		},
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		if files, err := goFiles(path); err != nil || len(files) == 0 {
-			return err
-		}
-		_, err = l.Import(filepath.ToSlash(filepath.Join(modulePath, path)))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loadModule(t)
 
 	// The named interfaces of every loaded package, and error.
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
@@ -159,7 +132,190 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// testOnlyFieldKeep holds the exported struct fields that no non-test file
+// writes but that stay, each with its reason. TestNoTestOnlyFields fails
+// on any other such field, and on an entry here that is gone or has gained
+// a non-test writer.
+var testOnlyFieldKeep = map[string]string{
+	"repro/internal/campaign.Matrix.AgentSets": "the full agent set's campaign axis, which ROADMAP item 13 measures before the set is kept or cut",
+	"repro/internal/campaign.Matrix.Overrides": "the trace tests' fast fault campaigns ride this axis, and replay resolves them by name",
+}
+
+// TestNoTestOnlyFields pins "every exported field has a production
+// writer", the struct-field twin of TestNoTestOnlyExports over the same
+// type-checked files. An exported field of an exported struct type in a
+// non-main package outside bench/ must be written by a non-test file:
+// assigned or incremented, addressed (&x.F), or set in a keyed or
+// unkeyed composite literal. A field of a generic instantiation counts
+// for the generic type's field. The struct types reachable from Topology
+// and workload.Spec are exempt: they are file formats, which LoadTopology
+// and LoadSpec decode.
+func TestNoTestOnlyFields(t *testing.T) {
+	l := loadModule(t)
+
+	exempt := map[*types.TypeName]bool{}
+	var reach func(types.Type)
+	reach = func(typ types.Type) {
+		switch typ := typ.(type) {
+		case *types.Named:
+			if !exempt[typ.Obj()] {
+				exempt[typ.Obj()] = true
+				reach(typ.Underlying())
+			}
+		case *types.Pointer:
+			reach(typ.Elem())
+		case *types.Slice:
+			reach(typ.Elem())
+		case *types.Array:
+			reach(typ.Elem())
+		case *types.Map:
+			reach(typ.Key())
+			reach(typ.Elem())
+		case *types.Struct:
+			for i := 0; i < typ.NumFields(); i++ {
+				reach(typ.Field(i).Type())
+			}
+		}
+	}
+	for _, format := range []struct{ pkg, name string }{
+		{modulePath, "Topology"}, {modulePath + "/internal/workload", "Spec"},
+	} {
+		reach(l.pkgs[format.pkg].Scope().Lookup(format.name).Type())
+	}
+
+	// Every exported field of an exported struct type of a non-main
+	// package outside bench/, keyed "pkg.Type.Field".
+	fields := map[*types.Var]string{}
+	for _, f := range l.files {
+		pkg := l.pkgs[f.path]
+		if pkg.Name() == "main" || strings.HasPrefix(f.path, modulePath+"/bench") {
+			continue
+		}
+		for _, d := range f.file.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				tn := l.info.Defs[spec.(*ast.TypeSpec).Name].(*types.TypeName)
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok || !tn.Exported() || exempt[tn] {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if v := st.Field(i); v.Exported() {
+						fields[v] = pkg.Path() + "." + tn.Name() + "." + v.Name()
+					}
+				}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := l.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				written[s.Obj().(*types.Var).Origin()] = true
+			}
+		}
+	}
+	for _, f := range l.files {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
+				}
+			case *ast.CompositeLit:
+				// An element literal of a []*T or map[K]*T elides &T.
+				typ := l.info.Types[n].Type
+				if p, ok := typ.(*types.Pointer); ok {
+					typ = p.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						written[l.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+					} else {
+						written[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	declared := map[string]bool{}
+	var unwritten []string
+	for v, key := range fields {
+		declared[key] = true
+		_, keep := testOnlyFieldKeep[key]
+		switch {
+		case !written[v] && !keep:
+			unwritten = append(unwritten, l.fset.Position(v.Pos()).String()+": "+key)
+		case written[v] && keep:
+			t.Errorf("%s is in testOnlyFieldKeep but has a non-test writer: drop its entry", key)
+		}
+	}
+	for key := range testOnlyFieldKeep {
+		if !declared[key] {
+			t.Errorf("%s is in testOnlyFieldKeep but no longer exists: drop its entry", key)
+		}
+	}
+	sort.Strings(unwritten)
+	for _, u := range unwritten {
+		t.Errorf("only tests write %s", u)
+	}
+	if len(unwritten) > 0 {
+		t.Logf("%d exported fields have no non-test writer: delete each, or add it to testOnlyFieldKeep with its reason", len(unwritten))
+	}
+}
+
 const modulePath = "repro"
+
+// loadModule type-checks the non-test files of every package in the
+// module, examples and scripts included, and of the qosbench harness in
+// bench/, skipping testdata and dot directories.
+func loadModule(t *testing.T) *exportLoader {
+	t.Helper()
+	l := &exportLoader{
+		fset: token.NewFileSet(),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		if files, err := goFiles(path); err != nil || len(files) == 0 {
+			return err
+		}
+		_, err = l.Import(filepath.ToSlash(filepath.Join(modulePath, path)))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
 
 // exportLoader type-checks the module's packages from source, non-test
 // files only, into one shared types.Info, and imports everything else

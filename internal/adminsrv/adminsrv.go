@@ -267,7 +267,7 @@ func (p *Pair) handleDeadHost(now simclock.Time, w *watch) {
 	}
 	w.down = true
 	if p.cfg.Notify != nil && p.cfg.OncallEmail != "" {
-		p.cfg.Notify.Send(notify.Email, "adminserver", p.cfg.OncallEmail,
+		p.cfg.Notify.Send("adminserver", p.cfg.OncallEmail,
 			"server "+h.Name+" unreachable",
 			fmt.Sprintf("no agent flags, host state %s; manual intervention required", h.State()),
 			"host-down")

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/lsf"
-	"repro/internal/notify"
 	"repro/internal/ontology"
 	"repro/internal/simclock"
 )
@@ -230,7 +229,7 @@ func (p *Pair) escalateJob(j *lsf.Job) {
 		return
 	}
 	p.jobEscalated[j.ID] = true
-	p.cfg.Notify.Send(notify.Email, "adminserver", p.cfg.OncallEmail,
+	p.cfg.Notify.Send("adminserver", p.cfg.OncallEmail,
 		fmt.Sprintf("batch job %d unplaceable", j.ID),
 		fmt.Sprintf("job %q failed on %s (%s); no database server available for resubmission",
 			j.Name, j.Server, j.FailReason), "job-unplaceable")

@@ -132,22 +132,16 @@ type Parts struct {
 	Heal     func(rc *RunContext, d Diagnosis) HealResult
 }
 
-// Overhead is the agent's resource footprint while awake; the paper's
-// Figures 3 and 4 measure exactly this against BMC Patrol.
-type Overhead struct {
-	RunDuration simclock.Time // how long one run keeps a process alive
-	CPUDemand   float64       // CPUs-worth while running
-	MemMB       float64       // resident memory while running
-}
-
-// Every agent's footprint, from the paper's measurements: ~1.6 MB resident
-// while awake, and a CPU cost calibrated so a host's typical five-agent
-// complement averages ~0.045% of an 8-CPU system over a half-hour window
-// (5 agents x 6 runs x 0.216 CPU-s per run / (1800 s x 8 CPUs) ≈ 0.045%).
+// Every agent's footprint while awake, from the paper's measurements
+// (Figures 3 and 4 set it against BMC Patrol's): a run keeps a process
+// alive for runDuration, RunMemMB (~1.6 MB) resident, at a CPU cost
+// calibrated so a host's typical five-agent complement averages ~0.045% of
+// an 8-CPU system over a half-hour window (5 agents x 6 runs x 0.216 CPU-s
+// per run / (1800 s x 8 CPUs) ≈ 0.045%).
 const (
 	runDuration  = 4 * simclock.Second
 	runCPUDemand = 0.054
-	runMemMB     = 1.6
+	RunMemMB     = 1.6
 )
 
 // logLines caps each agent's circular activity log.
@@ -283,11 +277,6 @@ func (a *Agent) Name() string { return a.name }
 
 // Counters returns a copy of the lifetime counters.
 func (a *Agent) Counters() Counters { return a.counters }
-
-// Overhead returns the agent's footprint while awake.
-func (a *Agent) Overhead() Overhead {
-	return Overhead{RunDuration: runDuration, CPUDemand: runCPUDemand, MemMB: runMemMB}
-}
 
 // flagName builds a conventional flag file name.
 func flagName(status, detail string) string {

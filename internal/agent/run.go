@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/notify"
 	"repro/internal/simclock"
 )
 
@@ -40,7 +39,7 @@ func (a *Agent) Run(sim *simclock.Sim) {
 	// closure is built once per agent (it reads exitPID at fire time) and
 	// posted through the Sim's pooled no-handle path, in the lane of the
 	// fixed run window.
-	proc := a.host.Spawn(a.procName, "iagent", InstallDir, runCPUDemand, runMemMB)
+	proc := a.host.Spawn(a.procName, "iagent", InstallDir, runCPUDemand, RunMemMB)
 	if proc == nil {
 		return
 	}
@@ -172,7 +171,7 @@ func (a *Agent) escalate(rc *RunContext, f Finding, why string) {
 		return
 	}
 	for _, admin := range a.admins {
-		a.bus.Send(notify.Email, a.name+"@"+a.host.Name, admin,
+		a.bus.Send(a.name+"@"+a.host.Name, admin,
 			fmt.Sprintf("UNRESOLVED %s on %s", f.Aspect, a.host.Name),
 			fmt.Sprintf("%s: %s (%s)", f.Detail, why, f.Severity), "agent-escalation")
 	}

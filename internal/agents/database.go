@@ -6,7 +6,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/diagnose"
 	"repro/internal/fsim"
-	"repro/internal/notify"
 	"repro/internal/simclock"
 	"repro/internal/svc"
 )
@@ -71,7 +70,7 @@ func NewDatabaseAgent(cfg agent.Config, db *svc.Service) (*agent.Agent, error) {
 					out = append(out, agent.Finding{Aspect: aspect, Severity: agent.SevWarning,
 						Detail: db.Spec.Name + ": " + msg, Metric: v})
 					if rc.Notify != nil && admin != "" {
-						rc.Notify.Send(notify.Email, "database@"+host.Name, admin,
+						rc.Notify.Send("database@"+host.Name, admin,
 							"database threshold exceeded: "+db.Spec.Name, msg, "threshold-exceeded")
 					}
 				}

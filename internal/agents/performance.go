@@ -10,7 +10,6 @@ import (
 	"repro/internal/diagnose"
 	"repro/internal/fsim"
 	"repro/internal/heal"
-	"repro/internal/notify"
 	"repro/internal/simclock"
 )
 
@@ -77,7 +76,7 @@ func NewPerformanceAgent(cfg agent.Config) (*agent.Agent, error) {
 					sev := agent.SevWarning
 					out = append(out, agent.Finding{Aspect: aspect, Severity: sev, Detail: msg, Metric: v})
 					if rc.Notify != nil && admin != "" {
-						rc.Notify.Send(notify.Email, "performance@"+host.Name, admin,
+						rc.Notify.Send("performance@"+host.Name, admin,
 							"threshold exceeded on "+host.Name, msg, "threshold-exceeded")
 					}
 				}

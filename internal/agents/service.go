@@ -120,19 +120,19 @@ func NewServiceAgent(cfg agent.Config, s *svc.Service) (*agent.Agent, error) {
 			var out []agent.Diagnosis
 			for _, f := range fs {
 				ev := gatherServiceEvidence(s, int(f.Metric))
-				concs := rules.Diagnose(ev)
+				conc, ok := rules.Diagnose(ev)
 				var lines []string
 				if rc.Trace.WantEvidence() {
 					lines = ev.Lines()
 				}
-				if len(concs) == 0 {
+				if !ok {
 					out = append(out, agent.Diagnosis{Finding: f, RootCause: "obscure error", Action: "escalate",
 						Evidence: lines})
 					continue
 				}
 				out = append(out, agent.Diagnosis{
-					Finding: f, RootCause: concs[0].Cause, Action: concs[0].Action, Confident: true,
-					Rule: concs[0].Rule, Evidence: lines,
+					Finding: f, RootCause: conc.Cause, Action: conc.Action, Confident: true,
+					Rule: conc.Rule, Evidence: lines,
 				})
 			}
 			return out

@@ -6,13 +6,12 @@
 //
 // In the reproduction it is the overhead comparator of Figures 3 and 4,
 // whose rig polls it to plot the footprint. The "before" year installs
-// the resident daemon on every database host, but nothing reads its
-// polls: manual detection is the operator model's
-// (operators.Team.PageDelay, drawn when a fault is injected), so no
-// campaign metric depends on them, and a site registers them only under
-// its BaselineMonitors option. Install spawns the daemon at its idle
-// footprint; StartPolling puts it on a cron wheel, where it polls and
-// raises console alerts as the real one did until its simulation ends.
+// the resident daemon on every database host and never polls it: manual
+// detection is the operator model's (operators.Team.PageDelay, drawn when
+// a fault is injected), so its console alerts would feed no metric.
+// Install spawns the daemon at its idle footprint; StartPolling puts it on
+// a cron wheel, where it polls and raises console alerts as the real one
+// did until its simulation ends.
 package baseline
 
 import (
@@ -150,7 +149,7 @@ func (m *Monitor) poll(now simclock.Time, services *svc.Directory) {
 		if res := s.Probe(); !res.OK() {
 			m.Alerts++
 			if m.bus != nil && m.cons != "" {
-				m.bus.Send(notify.Email, "bmc@"+m.host.Name, m.cons,
+				m.bus.Send("bmc@"+m.host.Name, m.cons,
 					fmt.Sprintf("ALERT %s on %s", s.Spec.Name, m.host.Name),
 					res.Detail, "bmc-alert")
 			}

@@ -51,7 +51,6 @@ type Cell struct {
 	AgentSet          string        `json:"agent_set,omitempty"`
 	NoBatchRescue     bool          `json:"no_batch_rescue,omitempty"`
 	DisablePrivateNet bool          `json:"disable_private_net,omitempty"`
-	BaselineMonitors  bool          `json:"baseline_monitors,omitempty"`
 	Overrides         string        `json:"overrides,omitempty"`
 	// TierFaults is the per-tier fault-intensity coordinate: a spec like
 	// "web=2,db=0.5" scaling the named tiers' fault selection weights.
@@ -100,7 +99,6 @@ type Matrix struct {
 	AgentSets         []string        `json:"agent_sets,omitempty"`
 	NoBatchRescue     []bool          `json:"no_batch_rescue,omitempty"`
 	DisablePrivateNet []bool          `json:"disable_private_net,omitempty"`
-	BaselineMonitors  []bool          `json:"baseline_monitors,omitempty"`
 	Overrides         []string        `json:"overrides,omitempty"`
 	// TierFaults sweeps per-tier fault-intensity specs (see
 	// Cell.TierFaults); the usual axis pairs the default "" against one
@@ -129,7 +127,7 @@ func Seeds(base uint64, n int) []uint64 {
 
 // Trials enumerates the cross product in deterministic order: scenario
 // outermost, then site, mode, cron period, agent set, the ablation
-// toggles (batch rescue, private net, baseline monitors), overrides, the
+// toggles (batch rescue, private net), overrides, the
 // per-tier fault-intensity spec, the workload spec and the per-tier
 // load-intensity spec, with the seed axis innermost so that one
 // aggregation group's trials are contiguous.
@@ -142,7 +140,6 @@ func (m Matrix) Trials() []Trial {
 	cells = expand(cells, m.AgentSets, func(c *Cell, v string) { c.AgentSet = v })
 	cells = expand(cells, m.NoBatchRescue, func(c *Cell, v bool) { c.NoBatchRescue = v })
 	cells = expand(cells, m.DisablePrivateNet, func(c *Cell, v bool) { c.DisablePrivateNet = v })
-	cells = expand(cells, m.BaselineMonitors, func(c *Cell, v bool) { c.BaselineMonitors = v })
 	cells = expand(cells, m.Overrides, func(c *Cell, v string) { c.Overrides = v })
 	cells = expand(cells, m.TierFaults, func(c *Cell, v string) { c.TierFaults = v })
 	cells = expand(cells, m.Workloads, func(c *Cell, v string) { c.Workload = v })

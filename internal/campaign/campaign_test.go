@@ -143,8 +143,7 @@ func TestTrialJSONRoundTrip(t *testing.T) {
 	in := Trial{
 		Index: 3, Seed: 11, Cell: Cell{Scenario: "ablate-cron", Site: "small", Mode: "agents",
 			Days: 90, CronPeriod: 15 * simclock.Minute, AgentSet: "full",
-			NoBatchRescue: true, DisablePrivateNet: true, BaselineMonitors: true,
-			Overrides: "custom"},
+			NoBatchRescue: true, DisablePrivateNet: true, Overrides: "custom"},
 	}
 	js, err := json.Marshal(in)
 	if err != nil {
@@ -165,7 +164,7 @@ func TestTrialJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, forbidden := range []string{"cron_period", "agent_set", "no_batch_rescue",
-		"disable_private_net", "baseline_monitors", "overrides"} {
+		"disable_private_net", "overrides"} {
 		if bytes.Contains(js, []byte(forbidden)) {
 			t.Errorf("zero axis %q serialised: %s", forbidden, js)
 		}

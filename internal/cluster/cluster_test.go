@@ -82,11 +82,13 @@ func TestPIDsUnique(t *testing.T) {
 
 // TestProcIndexMatchesScan drives hosts through seeded random sequences
 // of spawns (pinned, repeated and unique job names), kills, running↔hung
-// transitions, crashes, hardware faults and repairs, boots and resets.
-// After every step the process-count index must agree with a scan of
+// transitions, demand changes, crashes, hardware faults and repairs,
+// boots, resets, and leaving and rejoining a datacentre. After every step
+// the process-count index and the demand sums must agree with a scan of
 // PS(): each pinned cell is still the index's cell for its name and
 // holds the scanned counts, every live process points at its name's
-// cell, and no unpinned name without processes stays indexed.
+// cell, no unpinned name without processes stays indexed, and the CPU
+// and memory sums equal Σ cpuQuantum and Σ memQuantum over the scan.
 func TestProcIndexMatchesScan(t *testing.T) {
 	pinnable := []string{"ora_pmon", "ora_dbwr", "httpd", "lim"}
 	repeated := []string{"sshd", "iagent_status", "hog_simulation"}
@@ -94,6 +96,8 @@ func TestProcIndexMatchesScan(t *testing.T) {
 		sim := simclock.New(seed)
 		rng := sim.Rand()
 		h := newHost(sim)
+		dc := NewDatacentre()
+		dc.Add(h)
 		pinned := map[string]*ProcTally{}
 		for _, name := range pinnable[:2] {
 			pinned[name] = h.PinTally(name)
@@ -101,7 +105,7 @@ func TestProcIndexMatchesScan(t *testing.T) {
 		jobs := 0
 		for step := 0; step < 400; step++ {
 			var op string
-			switch r := rng.Intn(100); {
+			switch r := rng.Intn(115); {
 			case r < 20:
 				op = "spawn pinned"
 				h.Spawn(pinnable[rng.Intn(len(pinnable))], "u", "", 0.1, 8)
@@ -145,9 +149,18 @@ func TestProcIndexMatchesScan(t *testing.T) {
 				op = "boot"
 				h.Boot(simclock.Minute, nil)
 				sim.RunUntil(sim.Now() + 2*simclock.Minute)
-			default:
+			case r < 100:
 				op = "reset"
 				h.Reset()
+			case r < 112:
+				op = "set demand"
+				if ps := h.PS(); len(ps) > 0 {
+					h.SetProcDemand(ps[rng.Intn(len(ps))], 2*rng.Float64(), 256*rng.Float64())
+				}
+			default:
+				op = "rejoin datacentre"
+				dc.Remove(h.Name)
+				dc.Add(h)
 			}
 			if err := checkProcIndex(h, pinned); err != nil {
 				t.Fatalf("seed %d step %d (%s): %v", seed, step, op, err)
@@ -156,14 +169,18 @@ func TestProcIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// checkProcIndex compares h's process-count index with a scan of PS().
+// checkProcIndex compares h's process-count index and demand sums with
+// a scan of PS().
 func checkProcIndex(h *Host, pinned map[string]*ProcTally) error {
 	n, hung := map[string]int{}, map[string]int{}
+	var cpu, mem int64
 	for _, p := range h.PS() {
 		n[p.Name]++
 		if p.State == ProcHung {
 			hung[p.Name]++
 		}
+		cpu += cpuQuantum(p)
+		mem += memQuantum(p)
 		if p.tally != h.tallies[p.Name] {
 			return fmt.Errorf("pid %d (%s) does not point at its name's cell", p.PID, p.Name)
 		}
@@ -186,6 +203,9 @@ func checkProcIndex(h *Host, pinned map[string]*ProcTally) error {
 		if h.tallies[name] == nil {
 			return fmt.Errorf("live name %s missing from the index", name)
 		}
+	}
+	if h.cpuMicro != cpu || h.memMicro != mem {
+		return fmt.Errorf("demand sums %d µCPU %d µMB, scan %d µCPU %d µMB", h.cpuMicro, h.memMicro, cpu, mem)
 	}
 	return nil
 }

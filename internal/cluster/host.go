@@ -78,12 +78,9 @@ type Host struct {
 	// (cpuDemand, MemUsedMB — called by every agent run) cost O(1)
 	// instead of a process-table walk. Kept in the same per-process
 	// rounded integer micro-units the walk summed, so the aggregate is
-	// bit-identical to the walk in any mutation order. The
-	// values live in a struct-of-arrays StatsBank slot — private until the
-	// host joins a Datacentre, shared and densely indexed after — so
-	// datacentre-scale walks read them linearly.
-	bank *StatsBank
-	slot int
+	// bit-identical to the walk in any mutation order.
+	cpuMicro int64 // Σ cpuQuantum over active processes
+	memMicro int64 // Σ memQuantum over memory-holding processes
 
 	// tallies is the process-count index: one ProcTally cell per process
 	// name, maintained on the same mutation paths as the demand
@@ -121,7 +118,6 @@ func NewHost(sim *simclock.Sim, name, ip string, model HardwareModel, role Role,
 		users: make(map[string]int),
 		// PIDs start above the "kernel" range for realism in ps output.
 		nextPID: 100,
-		bank:    soloBank(),
 		tallies: make(map[string]*ProcTally),
 	}
 }
@@ -143,8 +139,8 @@ func (h *Host) Reset() {
 	h.diskActivity = 0
 	h.nicErrors = 0
 	h.sensorFaults = nil
-	h.bank.cpuMicro[h.slot] = 0
-	h.bank.memMicro[h.slot] = 0
+	h.cpuMicro = 0
+	h.memMicro = 0
 	h.zeroTallies()
 	h.FS.Reset()
 }
@@ -170,8 +166,8 @@ func memQuantum(p *Process) int64 {
 // account adds (sign +1) or removes (sign -1) a process from the running
 // demand aggregates.
 func (h *Host) account(p *Process, sign int64) {
-	h.bank.cpuMicro[h.slot] += sign * cpuQuantum(p)
-	h.bank.memMicro[h.slot] += sign * memQuantum(p)
+	h.cpuMicro += sign * cpuQuantum(p)
+	h.memMicro += sign * memQuantum(p)
 }
 
 // PinTally returns the count cell for the process name, creating it if
@@ -268,8 +264,8 @@ func (h *Host) Crash() {
 	h.users = make(map[string]int)
 	h.extraLoad = 0
 	h.diskActivity = 0
-	h.bank.cpuMicro[h.slot] = 0
-	h.bank.memMicro[h.slot] = 0
+	h.cpuMicro = 0
+	h.memMicro = 0
 	h.zeroTallies()
 }
 
@@ -463,7 +459,7 @@ func (h *Host) ClearNICErrors() { h.nicErrors = 0 }
 // last ulp with mutation order and leak into probe latencies, breaking
 // bit-for-bit replay).
 func (h *Host) cpuDemand() float64 {
-	return float64(int64(h.extraLoad*1e6+0.5)+h.bank.cpuMicro[h.slot]) * 1e-6
+	return float64(int64(h.extraLoad*1e6+0.5)+h.cpuMicro) * 1e-6
 }
 
 // CPUUtilisation reports overall utilisation in [0,1].
@@ -495,7 +491,7 @@ func (h *Host) MemUsedMB() float64 {
 	if h.state != HostUp {
 		return 0
 	}
-	micro := int64(float64(h.Model.MemoryMB)*0.05*1e6+0.5) + h.bank.memMicro[h.slot] // kernel + buffers
+	micro := int64(float64(h.Model.MemoryMB)*0.05*1e6+0.5) + h.memMicro // kernel + buffers
 	used := float64(micro) * 1e-6
 	if used > float64(h.Model.MemoryMB) {
 		used = float64(h.Model.MemoryMB)

@@ -99,38 +99,13 @@ func (h *Host) NetStat() NetStat {
 	}
 }
 
-// StatsBank holds the hot per-host demand aggregates as struct-of-arrays
-// slices keyed by a dense slot index, so walks over many hosts (probe
-// dispatch, workload refresh at 10k-host scale) read contiguous memory
-// instead of pointer-chasing a field per heap-allocated Host. Hosts keep
-// their map-based accessors (CPUUtilisation, MemUsedMB, ...) as thin
-// views over their bank slot. A standalone host owns a one-slot private
-// bank; Datacentre.Add migrates it into the site-wide shared bank.
-type StatsBank struct {
-	cpuMicro []int64 // Σ cpuQuantum over active processes, per slot
-	memMicro []int64 // Σ memQuantum over memory-holding processes, per slot
-}
-
-// grow appends one zeroed slot and returns its index.
-func (b *StatsBank) grow() int {
-	b.cpuMicro = append(b.cpuMicro, 0)
-	b.memMicro = append(b.memMicro, 0)
-	return len(b.cpuMicro) - 1
-}
-
-// soloBank returns a private one-slot bank for a host not (yet) part of a
-// datacentre.
-func soloBank() *StatsBank { return &StatsBank{cpuMicro: make([]int64, 1), memMicro: make([]int64, 1)} }
-
 // Datacentre is the collection of hosts at one customer site. Hosts are
-// held in a dense registration-order slice (the index the struct-of-arrays
-// stats bank and linear walks key off) with name and role maps as views.
+// held in a dense registration-order slice with name and role maps as
+// views.
 type Datacentre struct {
 	hosts  map[string]*Host
 	order  []*Host // dense registration order
 	byRole map[Role][]*Host
-	bank   *StatsBank
-	free   []int // recycled bank slots from removed hosts
 }
 
 // NewDatacentre returns an empty site.
@@ -138,15 +113,10 @@ func NewDatacentre() *Datacentre {
 	return &Datacentre{
 		hosts:  make(map[string]*Host),
 		byRole: make(map[Role][]*Host),
-		bank:   &StatsBank{},
 	}
 }
 
-// Add registers a host; duplicate names panic (a config bug). The host's
-// private stats-bank slot is migrated into the datacentre's shared bank,
-// reusing a slot freed by Remove when one exists, so repeated
-// Remove/Add cycles (trial reuse re-adding administration hosts) do not
-// grow the bank.
+// Add registers a host; duplicate names panic (a config bug).
 func (d *Datacentre) Add(h *Host) {
 	if _, dup := d.hosts[h.Name]; dup {
 		panic(fmt.Sprintf("cluster: duplicate host %s", h.Name))
@@ -154,16 +124,6 @@ func (d *Datacentre) Add(h *Host) {
 	d.hosts[h.Name] = h
 	d.order = append(d.order, h)
 	d.byRole[h.Role] = append(d.byRole[h.Role], h)
-	var slot int
-	if n := len(d.free); n > 0 {
-		slot = d.free[n-1]
-		d.free = d.free[:n-1]
-	} else {
-		slot = d.bank.grow()
-	}
-	d.bank.cpuMicro[slot] = h.bank.cpuMicro[h.slot]
-	d.bank.memMicro[slot] = h.bank.memMicro[h.slot]
-	h.bank, h.slot = d.bank, slot
 }
 
 // Host looks a host up by name, or nil.
@@ -171,9 +131,6 @@ func (d *Datacentre) Host(name string) *Host { return d.hosts[name] }
 
 // Remove deregisters the named host, reporting whether it was present.
 // Site reuse removes the mode-added administration hosts between trials.
-// The host is re-homed onto a private stats bank (values preserved) and
-// its shared slot is zeroed and recycled, so a retained *Host can never
-// write through a slot reassigned to a later host.
 func (d *Datacentre) Remove(name string) bool {
 	h, ok := d.hosts[name]
 	if !ok {
@@ -182,13 +139,6 @@ func (d *Datacentre) Remove(name string) bool {
 	delete(d.hosts, name)
 	d.order = removeHost(d.order, h)
 	d.byRole[h.Role] = removeHost(d.byRole[h.Role], h)
-	solo := soloBank()
-	solo.cpuMicro[0] = d.bank.cpuMicro[h.slot]
-	solo.memMicro[0] = d.bank.memMicro[h.slot]
-	d.bank.cpuMicro[h.slot] = 0
-	d.bank.memMicro[h.slot] = 0
-	d.free = append(d.free, h.slot)
-	h.bank, h.slot = solo, 0
 	return true
 }
 

@@ -128,15 +128,13 @@ func (e *Evidence) Lines() []string {
 }
 
 // Rule maps an evidence pattern to a root cause and prescribed action.
-// Higher-priority rules are tried first; the first match wins unless
-// Continue is set, in which case matching continues (multiple causes).
+// Higher-priority rules are tried first, and the first match wins.
 type Rule struct {
 	Name     string
 	Priority int
 	When     func(e *Evidence) bool
 	Cause    string
 	Action   string
-	Continue bool
 }
 
 // Conclusion is a matched rule.
@@ -158,19 +156,14 @@ func NewEngine(rules ...Rule) *Engine {
 	return e
 }
 
-// Diagnose evaluates the evidence and returns conclusions in priority
-// order. With no matching rule it returns nil — the fault is obscure and
-// must go to a human.
-func (e *Engine) Diagnose(ev *Evidence) []Conclusion {
-	var out []Conclusion
+// Diagnose evaluates the evidence and returns the highest-priority
+// matching rule's conclusion. With no matching rule it reports false —
+// the fault is obscure and must go to a human.
+func (e *Engine) Diagnose(ev *Evidence) (Conclusion, bool) {
 	for _, r := range e.rules {
-		if !r.When(ev) {
-			continue
-		}
-		out = append(out, Conclusion{Rule: r.Name, Cause: r.Cause, Action: r.Action})
-		if !r.Continue {
-			break
+		if r.When(ev) {
+			return Conclusion{Rule: r.Name, Cause: r.Cause, Action: r.Action}, true
 		}
 	}
-	return out
+	return Conclusion{}, false
 }

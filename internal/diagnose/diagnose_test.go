@@ -73,27 +73,16 @@ func TestEnginePriorityAndFirstMatch(t *testing.T) {
 		Rule{Name: "low", Priority: 1, When: func(*Evidence) bool { return true }, Cause: "c-low", Action: "a-low"},
 		Rule{Name: "high", Priority: 9, When: func(*Evidence) bool { return true }, Cause: "c-high", Action: "a-high"},
 	)
-	got := e.Diagnose(NewEvidence())
-	if len(got) != 1 || got[0].Rule != "high" {
-		t.Errorf("conclusions = %v", got)
-	}
-}
-
-func TestEngineContinue(t *testing.T) {
-	e := NewEngine(
-		Rule{Name: "a", Priority: 2, When: func(*Evidence) bool { return true }, Cause: "ca", Action: "x", Continue: true},
-		Rule{Name: "b", Priority: 1, When: func(*Evidence) bool { return true }, Cause: "cb", Action: "y"},
-	)
-	got := e.Diagnose(NewEvidence())
-	if len(got) != 2 || got[0].Rule != "a" || got[1].Rule != "b" {
-		t.Errorf("conclusions = %v", got)
+	got, ok := e.Diagnose(NewEvidence())
+	if want := (Conclusion{Rule: "high", Cause: "c-high", Action: "a-high"}); !ok || got != want {
+		t.Errorf("conclusion = %v, %v; want %v", got, ok, want)
 	}
 }
 
 func TestEngineNoMatch(t *testing.T) {
 	e := NewEngine(Rule{Name: "never", When: func(*Evidence) bool { return false }})
-	if got := e.Diagnose(NewEvidence()); got != nil {
-		t.Errorf("conclusions = %v", got)
+	if got, ok := e.Diagnose(NewEvidence()); ok {
+		t.Errorf("conclusion = %v", got)
 	}
 }
 

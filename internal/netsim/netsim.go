@@ -24,13 +24,11 @@ type Message struct {
 	To      string
 	Kind    string // e.g. "flag-report", "dgspl-push", "probe", "notify"
 	Payload string // flat ASCII, like everything else in the paper
-	Bytes   int    // accounted traffic size; 0 means len(Payload)
 }
 
+// size is the message's accounted traffic: its payload, or a minimum
+// frame when it carries none.
 func (m Message) size() int {
-	if m.Bytes > 0 {
-		return m.Bytes
-	}
 	if n := len(m.Payload); n > 0 {
 		return n
 	}

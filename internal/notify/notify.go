@@ -1,34 +1,19 @@
-// Package notify simulates the email/SMS notification path the paper's
-// agents and monitoring tools use to reach human administrators ("they
-// notify human administrators, usually via email or SMS").
+// Package notify simulates the notification path the paper's agents and
+// monitoring tools use to reach human administrators ("they notify human
+// administrators, usually via email or SMS"). Every notification goes out
+// as an email; nothing here models SMS.
 package notify
 
-import (
-	"fmt"
-
-	"repro/internal/simclock"
-)
-
-// Channel is a delivery channel.
-type Channel string
-
-// Email is the channel every notification goes out on. The paper's
-// agents also reach administrators by SMS, which nothing here models.
-const Email Channel = "email"
+import "repro/internal/simclock"
 
 // Notification is one delivered message.
 type Notification struct {
 	At      simclock.Time
-	Channel Channel
 	From    string
 	To      string
 	Subject string
 	Body    string
 	Tag     string // machine-readable classification, e.g. "threshold-exceeded"
-}
-
-func (n Notification) String() string {
-	return fmt.Sprintf("[%v] %s %s -> %s: %s", n.At, n.Channel, n.From, n.To, n.Subject)
 }
 
 // Bus records notifications.
@@ -46,13 +31,11 @@ func (b *Bus) Reset() { b.sent = b.sent[:0] }
 
 // Send delivers a notification immediately (delivery latency is negligible
 // against the paper's hour-scale dynamics).
-func (b *Bus) Send(ch Channel, from, to, subject, body, tag string) Notification {
-	n := Notification{
-		At: b.sim.Now(), Channel: ch, From: from, To: to,
+func (b *Bus) Send(from, to, subject, body, tag string) {
+	b.sent = append(b.sent, Notification{
+		At: b.sim.Now(), From: from, To: to,
 		Subject: subject, Body: body, Tag: tag,
-	}
-	b.sent = append(b.sent, n)
-	return n
+	})
 }
 
 // History returns every notification sent so far.

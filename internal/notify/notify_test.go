@@ -10,14 +10,14 @@ func TestSendAndHistory(t *testing.T) {
 	sim := simclock.New(1)
 	b := NewBus(sim)
 	sim.Schedule(simclock.Hour, "send", func(simclock.Time) {
-		b.Send(Email, "intelliagent@db001", "oncall@site", "ORA-01 down", "restarting", "service-fault")
+		b.Send("intelliagent@db001", "oncall@site", "ORA-01 down", "restarting", "service-fault")
 	})
 	sim.RunUntil(simclock.Hour)
 	h := b.History()
 	if len(h) != 1 {
 		t.Fatalf("history = %d", len(h))
 	}
-	if h[0].At != simclock.Hour || h[0].Channel != Email || h[0].Tag != "service-fault" {
+	if h[0].At != simclock.Hour || h[0].Tag != "service-fault" {
 		t.Errorf("notification: %+v", h[0])
 	}
 }
@@ -25,10 +25,10 @@ func TestSendAndHistory(t *testing.T) {
 func TestCountByTagAndSince(t *testing.T) {
 	sim := simclock.New(1)
 	b := NewBus(sim)
-	b.Send(Email, "a", "b", "x", "", "threshold")
+	b.Send("a", "b", "x", "", "threshold")
 	sim.Schedule(simclock.Hour, "later", func(simclock.Time) {
-		b.Send(Email, "a", "b", "y", "", "threshold")
-		b.Send(Email, "a", "b", "z", "", "fault")
+		b.Send("a", "b", "y", "", "threshold")
+		b.Send("a", "b", "z", "", "fault")
 	})
 	sim.RunUntil(simclock.Hour)
 	if b.CountByTag("threshold") != 2 || b.CountByTag("fault") != 1 || b.CountByTag("none") != 0 {

@@ -3,10 +3,10 @@ package simclock
 // Wheel is a coalesced cron scheduler: entries that share a (first-fire,
 // period) coordinate are grouped into one bucket backed by a single
 // repeating event that walks its entries in registration order; its first
-// fire sits on the heap and its re-arms in the lane of its period. A site
-// with a hundred BMC monitors on one poll coordinate, or a slot's worth of
-// agent crons, keeps one pending event per distinct schedule instead of
-// one per entry, and every bucket reuses its Event allocation across ticks.
+// fire sits on the heap and its re-arms in the lane of its period. A
+// slot's worth of agent crons on one coordinate thus costs one pending
+// event instead of one per entry, and every bucket reuses its Event
+// allocation across ticks.
 //
 // Semantics match scheduling each entry with Sim.Every individually:
 // entries in a bucket fire in FIFO registration order (exactly the
@@ -18,13 +18,14 @@ package simclock
 // back-to-back, so when a coordinate's registrations are *interleaved*
 // with other same-instant work, per-entry tickers would interleave the
 // callbacks where the wheel batches them. Registrations that share a
-// coordinate must therefore be contiguous for bit-identical replay — which
-// they are in practice: sites install their BMC monitors, which share one
-// coordinate by construction, back to back.
+// coordinate must therefore be contiguous for bit-identical replay. No
+// caller relies on the equivalence today: the Figure 3/4 rig registers one
+// monitor, and slotted agent crons are a model of their own, held to no
+// per-entry schedule.
 // Likewise, an event a callback schedules for exactly its bucket's next
 // tick runs before the whole bucket there, where per-entry tickers would
-// run it after the entries registered before that callback's own; BMC
-// polls schedule nothing. The property tests pin exactly this contract.
+// run it after the entries registered before that callback's own. The
+// property tests pin exactly this contract.
 //
 // # Sharded ticks
 //

@@ -161,11 +161,6 @@ func New(sim *simclock.Sim, cfg Config, dc *cluster.Datacentre, dir *svc.Directo
 	return g
 }
 
-// Config returns the load shape the generator offers — after any
-// site-size scaling the caller applied, so tests can pin override
-// semantics.
-func (g *Generator) Config() Config { return g.cfg }
-
 // SetDomains installs the compiled per-tier workload domains: tierOf maps
 // host names to tier names and tiers carries each tier's resolved
 // coefficients (hosts or tiers missing from the maps default to all-ones).

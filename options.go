@@ -4,7 +4,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/simclock"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Mode selects how the site is operated.
@@ -43,7 +42,9 @@ const (
 // Options tune a scenario. The zero value is a usable default (manual
 // mode, lean agents, the paper's cron period, paper-calibrated faults);
 // NewSite layers functional options (WithSeed, WithMode, ...) over
-// it, and campaign trials map their axes onto it directly.
+// it, and campaign trials map their axes onto it directly. The offered
+// load is the topology's (its workload spec and per-tier domains, scaled
+// to the site's size), which TierLoadScale only multiplies.
 type Options struct {
 	// Seed drives every random process in the simulation.
 	Seed     uint64
@@ -55,12 +56,6 @@ type Options struct {
 	// Faults overrides the default fault campaign (nil = paper-calibrated
 	// rates; empty non-nil slice = no faults).
 	Faults []faultinject.Spec
-	// Workload overrides the offered load. A non-nil config is taken
-	// verbatim: the site-size scaling and the OvernightJobs >= 2 floor
-	// that shape the default config are both skipped, so the caller's
-	// numbers are exactly what the generator offers. nil = DefaultConfig
-	// scaled to the site's LSF-target pool.
-	Workload *workload.Config
 	// TierLoadScale multiplies each tier's workload-domain weights —
 	// analyst share, batch intensity and feed weight at once, leaving the
 	// diurnal amplitude alone — by tier name: the campaign's per-tier
@@ -72,13 +67,6 @@ type Options struct {
 	// fault-intensity axis. It multiplies into the tier's Tier.Faults
 	// spec.
 	TierFaultScale map[string]float64
-	// BaselineMonitors polls BMC-style monitors on every database host
-	// every 5 minutes, raising console alerts on the notification bus.
-	// ModeManual always installs the monitors' resident daemons, at their
-	// idle footprint, but polls them only under this option: no metric
-	// reads the alerts (manual detection is the operator model's). In
-	// ModeAgents it installs the monitors alongside the agents.
-	BaselineMonitors bool
 	// DisablePrivateNet removes the private agent network (ablation).
 	DisablePrivateNet bool
 	// NoBatchRescue stops the admin tier resubmitting failed jobs from the
@@ -136,10 +124,6 @@ func WithMode(m Mode) Option { return func(o *Options) { o.Mode = m } }
 // walkthrough-example setting where every fault is injected by hand.
 func WithNoFaults() Option { return func(o *Options) { o.Faults = []faultinject.Spec{} } }
 
-// WithWorkload overrides the offered load verbatim (see Options.Workload:
-// no site-size scaling, no OvernightJobs floor).
-func WithWorkload(cfg workload.Config) Option { return func(o *Options) { o.Workload = &cfg } }
-
 // WithTierFaultScale multiplies one tier's resolved fault weight across
 // every category (see Options.TierFaultScale) — the per-tier
 // fault-intensity knob campaigns sweep as a matrix axis.
@@ -151,11 +135,6 @@ func WithTierFaultScale(tier string, scale float64) Option {
 		o.TierFaultScale[tier] = scale
 	}
 }
-
-// WithBaselineMonitors polls BMC-style monitors on database hosts: in
-// ModeManual it turns on the resident monitors' polls and console alerts,
-// and in ModeAgents it installs polling monitors beside the agents.
-func WithBaselineMonitors() Option { return func(o *Options) { o.BaselineMonitors = true } }
 
 // WithReferenceProbes selects the per-service probe scheduling path that
 // the batched dispatcher is equivalence-tested against.

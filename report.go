@@ -226,9 +226,6 @@ func GroupLabel(g campaign.Cell) string {
 	if g.DisablePrivateNet {
 		parts = append(parts, "no-private-net")
 	}
-	if g.BaselineMonitors {
-		parts = append(parts, "baseline-monitors")
-	}
 	if g.Overrides != "" {
 		parts = append(parts, "overrides="+g.Overrides)
 	}

@@ -58,7 +58,7 @@ BenchmarkGone-2   2   50 ns/op   0 B/op   0 allocs/op
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			regs, err := diffBench(old, writeBench(t, "new.txt", c.body), 0.2, 0)
+			regs, err := diffBench(old, writeBench(t, "new.txt", c.body), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

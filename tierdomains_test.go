@@ -8,7 +8,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
-	"repro/internal/workload"
 )
 
 // tieredTopology is a small three-tier site with both kinds of per-tier
@@ -122,13 +121,13 @@ func TestTierWorkloadShapesLoad(t *testing.T) {
 				Workload: &WorkloadSpec{AnalystShare: Weight(3), DiurnalAmplitude: Weight(0)}},
 			{Name: "light", Role: "frontend", Hosts: 3, IPBlock: "10.9.0", Hardware: []string{"SP2"},
 				Services: []ServiceTemplate{{Kind: "frontend", Name: "L-%03d", Port: 8000, PortStep: 1}}},
+			// The default config scales analysts with the LSF-target pool:
+			// 100 targets give the tiers the paper's 300 analysts to split.
+			{Name: "db", Role: "database", Hosts: 100, IPBlock: "10.7.0", Hardware: []string{"E4500"},
+				Services: []ServiceTemplate{{Kind: "oracle", Name: "ORA-%03d", Port: 1521, LSFTarget: true}}},
 		},
 	}
-	// The default config scales analysts with the (here empty) LSF-target
-	// pool; pin the population explicitly so the tiers have load to split.
-	cfg := workload.DefaultConfig()
-	cfg.PeakAnalysts = 300
-	site, err := NewSite(topo, WithSeed(5), WithNoFaults(), WithWorkload(cfg))
+	site, err := NewSite(topo, WithSeed(5), WithNoFaults())
 	if err != nil {
 		t.Fatal(err)
 	}

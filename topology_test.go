@@ -215,29 +215,15 @@ func TestTopologyRegistry(t *testing.T) {
 	}
 }
 
-// TestWorkloadOverrideVerbatim pins the Options.Workload contract: an
-// override is taken exactly as given (no site-size scaling, no
-// OvernightJobs floor), while the default config is scaled and floored.
-func TestWorkloadOverrideVerbatim(t *testing.T) {
-	override := workload.Config{
-		PeakAnalysts: 7, DayJobsPerHour: 0.5, OvernightJobs: 1,
-		JobWork: simclock.Hour,
-	}
-	site, err := NewSite(SmallTopology(), WithSeed(1), WithWorkload(override))
+// TestDefaultWorkloadScalesWithSite: a site's offered load is the
+// default config scaled with its LSF-target pool, and keeps the
+// OvernightJobs floor.
+func TestDefaultWorkloadScalesWithSite(t *testing.T) {
+	site, err := NewSite(SmallTopology(), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := site.Gen.Config(); got != override {
-		t.Errorf("workload override not verbatim: got %+v, want %+v", got, override)
-	}
-
-	// The default path scales with the LSF-target pool and keeps the
-	// overnight floor.
-	site, err = NewSite(SmallTopology(), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	def := site.Gen.Config()
+	def := site.workloadConfig()
 	if def.OvernightJobs < 2 {
 		t.Errorf("default config lost the OvernightJobs floor: %+v", def)
 	}
@@ -255,7 +241,7 @@ func TestWorkloadOverrideVerbatim(t *testing.T) {
 func TestSmallSiteSubmitsDayJobs(t *testing.T) {
 	site := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeManual), WithNoFaults())
 	mustRun(t, site, 7*simclock.Day)
-	drops := 7 * site.Gen.Config().OvernightJobs
+	drops := 7 * site.workloadConfig().OvernightJobs
 	if got := site.Gen.JobsSubmitted; got <= drops {
 		t.Errorf("small site submitted %d jobs in a week, want more than the %d its 22:00 drops submit", got, drops)
 	}
@@ -266,12 +252,11 @@ func TestSmallSiteSubmitsDayJobs(t *testing.T) {
 func TestFunctionalOptions(t *testing.T) {
 	var o Options
 	for _, opt := range []Option{
-		WithSeed(9), WithMode(ModeAgents), WithNoFaults(), WithBaselineMonitors(),
+		WithSeed(9), WithMode(ModeAgents), WithNoFaults(),
 	} {
 		opt(&o)
 	}
-	if o.Seed != 9 || o.Mode != ModeAgents || o.Faults == nil || len(o.Faults) != 0 ||
-		!o.BaselineMonitors {
+	if o.Seed != 9 || o.Mode != ModeAgents || o.Faults == nil || len(o.Faults) != 0 {
 		t.Errorf("options not applied: %+v", o)
 	}
 	replaced := Options{Seed: 3, Mode: ModeManual}
