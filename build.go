@@ -117,7 +117,7 @@ func NewSite(topo Topology, options ...Option) (*Site, error) {
 		// goroutine churn per trial.
 		s.pool = simclock.NewPool(opts.Shards)
 	}
-	s.Bus = notify.NewBus(s.Sim)
+	s.Bus = notify.NewBus()
 	s.Ledger = metrics.NewLedger()
 	s.Registry = faultinject.NewRegistry(s.Ledger)
 	s.Team = operators.NewTeam(s.Sim.Rand().Fork(0x09e7))
@@ -545,13 +545,12 @@ func (s *Site) Reset(seed uint64) error {
 // deployManual installs the before-year operations: a BMC-style
 // monitor's resident daemon on every database host, at its idle
 // footprint. Each install forks the site stream, so every later draw
-// depends on the installs. The monitors do not poll: their console
-// alerts would feed no metric (manual detection is the operator
-// model's), and only the Figure 3/4 rig plots a polling monitor.
+// depends on the installs. The monitors do not poll: manual detection
+// is the operator model's, and only the Figure 3/4 rig plots a polling
+// monitor's footprint.
 func (s *Site) deployManual() {
 	for _, h := range s.DC.ByRole(cluster.RoleDatabase) {
-		s.Monitors = append(s.Monitors, baseline.Install(
-			s.Sim, h, baseline.DefaultFootprint(), s.Bus, "noc-console"))
+		s.Monitors = append(s.Monitors, baseline.Install(s.Sim, h, baseline.DefaultFootprint()))
 	}
 }
 
@@ -587,7 +586,8 @@ func (s *Site) deployAgents() error {
 		if h.Role == cluster.RoleAdmin {
 			continue
 		}
-		if err := s.deployHostAgents(h, bridge, pair, rng); err != nil {
+		pair.Watch(h)
+		if err := s.deployHostAgents(h, bridge, rng); err != nil {
 			return fmt.Errorf("host %s: %w", h.Name, err)
 		}
 	}
@@ -620,8 +620,7 @@ func (s *Site) networks() []*netsim.Network {
 // deployHostAgents installs the selected agent set on one host, phased
 // randomly within the cron period so the site's agents don't all wake at
 // the same instant.
-func (s *Site) deployHostAgents(h *cluster.Host, bridge *agents.RegistryBridge,
-	pair *adminsrv.Pair, rng *simclock.Rand) error {
+func (s *Site) deployHostAgents(h *cluster.Host, bridge *agents.RegistryBridge, rng *simclock.Rand) error {
 	router := netsim.NewRouter(s.networks()...)
 	baseCfg := func() agent.Config {
 		return agent.Config{
@@ -643,7 +642,6 @@ func (s *Site) deployHostAgents(h *cluster.Host, bridge *agents.RegistryBridge,
 		}
 		s.Agents = append(s.Agents, a)
 		s.scheduleAgent(a, rng.UniformDuration(0, s.Opts.CronPeriod), s.Opts.CronPeriod)
-		pair.Watch(h, a.Name())
 		return nil
 	}
 	for _, sv := range s.Dir.OnHost(h.Name) {
@@ -689,7 +687,6 @@ func (s *Site) deployHostAgents(h *cluster.Host, bridge *agents.RegistryBridge,
 				}
 				s.Agents = append(s.Agents, a)
 				s.scheduleAgent(a, rng.UniformDuration(0, 15*simclock.Minute), 20*simclock.Minute)
-				pair.Watch(h, a.Name())
 			}
 		}
 	}

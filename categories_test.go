@@ -35,25 +35,25 @@ func runCategory(t *testing.T, cat metrics.Category, window faultinject.Window, 
 func assertHandled(t *testing.T, site *Site, cat metrics.Category, wantResolver string, maxDetect simclock.Time) {
 	t.Helper()
 	now := site.Sim.Now()
-	for _, inc := range site.Ledger.Incidents() {
+	for i, inc := range site.Ledger.Incidents() {
 		// Incidents injected in the last hours may legitimately still be
 		// in-flight (human repairs take hours); skip the trailing edge.
 		if !inc.Resolved && now-inc.StartedAt < 12*simclock.Hour {
 			continue
 		}
 		if !inc.Detected {
-			t.Errorf("%s incident %d never detected", cat, inc.ID)
+			t.Errorf("%s incident %d never detected", cat, i)
 			continue
 		}
 		if inc.DetectionLatency() > maxDetect {
-			t.Errorf("%s incident %d detection took %v (max %v)", cat, inc.ID, inc.DetectionLatency(), maxDetect)
+			t.Errorf("%s incident %d detection took %v (max %v)", cat, i, inc.DetectionLatency(), maxDetect)
 		}
 		if !inc.Resolved {
-			t.Errorf("%s incident %d still open after %v", cat, inc.ID, now-inc.StartedAt)
+			t.Errorf("%s incident %d still open after %v", cat, i, now-inc.StartedAt)
 			continue
 		}
 		if wantResolver != "" && inc.ResolvedBy != wantResolver {
-			t.Errorf("%s incident %d resolved by %s, want %s", cat, inc.ID, inc.ResolvedBy, wantResolver)
+			t.Errorf("%s incident %d resolved by %s, want %s", cat, i, inc.ResolvedBy, wantResolver)
 		}
 	}
 }
@@ -109,9 +109,9 @@ func TestCategoryHardware(t *testing.T) {
 	site := runCategory(t, metrics.CatHardware, faultinject.AnyTime, 6)
 	// Whole-host faults surface at the admin servers' X+5 sweep.
 	assertHandled(t, site, metrics.CatHardware, "oncall-admin", 15*simclock.Minute)
-	for _, inc := range site.Ledger.Incidents() {
+	for i, inc := range site.Ledger.Incidents() {
 		if inc.Resolved && inc.DetectedBy != "adminserver" {
-			t.Errorf("hardware incident %d detected by %s, want adminserver", inc.ID, inc.DetectedBy)
+			t.Errorf("hardware incident %d detected by %s, want adminserver", i, inc.DetectedBy)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func main() {
 	must(site.Run(site.Sim.Now() + simclock.Hour))
 	site.Sim.Schedule(site.Sim.Now(), "crash", func(now simclock.Time) {
 		victim.Crash()
-		site.LSF.FailJobsOn(victim.Spec.Name, "database crashed mid-job")
+		site.LSF.FailJobsOn(victim.Spec.Name)
 		site.Registry.Add(metrics.CatMidCrash, victim.Host.Name,
 			agents.ServiceAspect(victim.Spec.Name), "demo", false, now, nil)
 		fmt.Printf("\n%v: %s crashed with %d jobs running\n", now, victim.Spec.Name, len(jobs))

@@ -38,7 +38,8 @@ func Campaign(name string, cfg Config) (*campaign.Result, error) {
 	// A fresh pool per campaign: skeletons never outlive the run, so a
 	// topology or override re-registered between campaigns (both are
 	// documented as replaceable) can never resurface through a stale
-	// pooled site — CellKey records only the names.
+	// pooled site — the pools are keyed by Cell, which records only the
+	// names.
 	if cfg.TracePath == "" {
 		return campaign.Run(name, m, cfg.Workers, newPooledRunFunc(cfg.Exec, nil))
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
-	"repro/internal/notify"
 	"repro/internal/simclock"
 	"repro/internal/svc"
 )
@@ -60,12 +59,11 @@ func newOverheadRig(seed uint64) *overheadRig {
 		r.host.SetAmbientLoad((0.05 + 0.85*rng.Float64()) * float64(r.host.Model.CPUs))
 	})
 
-	bus := notify.NewBus(sim)
-	r.bmc = baseline.Install(sim, r.host, baseline.DefaultFootprint(), bus, "noc")
-	r.bmc.StartPolling(simclock.NewWheel(sim), 5*simclock.Minute, dir)
+	r.bmc = baseline.Install(sim, r.host, baseline.DefaultFootprint())
+	r.bmc.StartPolling(sim, 5*simclock.Minute)
 
 	cfg := func() agent.Config {
-		return agent.Config{Host: r.host, Services: dir, Notify: bus}
+		return agent.Config{Host: r.host, Services: dir}
 	}
 	add := func(a *agent.Agent, err error) {
 		if err != nil {

@@ -10,8 +10,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -152,64 +154,7 @@ var testOnlyFieldKeep = map[string]string{
 // and LoadSpec decode.
 func TestNoTestOnlyFields(t *testing.T) {
 	l := loadModule(t)
-
-	exempt := map[*types.TypeName]bool{}
-	var reach func(types.Type)
-	reach = func(typ types.Type) {
-		switch typ := typ.(type) {
-		case *types.Named:
-			if !exempt[typ.Obj()] {
-				exempt[typ.Obj()] = true
-				reach(typ.Underlying())
-			}
-		case *types.Pointer:
-			reach(typ.Elem())
-		case *types.Slice:
-			reach(typ.Elem())
-		case *types.Array:
-			reach(typ.Elem())
-		case *types.Map:
-			reach(typ.Key())
-			reach(typ.Elem())
-		case *types.Struct:
-			for i := 0; i < typ.NumFields(); i++ {
-				reach(typ.Field(i).Type())
-			}
-		}
-	}
-	for _, format := range []struct{ pkg, name string }{
-		{modulePath, "Topology"}, {modulePath + "/internal/workload", "Spec"},
-	} {
-		reach(l.pkgs[format.pkg].Scope().Lookup(format.name).Type())
-	}
-
-	// Every exported field of an exported struct type of a non-main
-	// package outside bench/, keyed "pkg.Type.Field".
-	fields := map[*types.Var]string{}
-	for _, f := range l.files {
-		pkg := l.pkgs[f.path]
-		if pkg.Name() == "main" || strings.HasPrefix(f.path, modulePath+"/bench") {
-			continue
-		}
-		for _, d := range f.file.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				tn := l.info.Defs[spec.(*ast.TypeSpec).Name].(*types.TypeName)
-				st, ok := tn.Type().Underlying().(*types.Struct)
-				if !ok || !tn.Exported() || exempt[tn] {
-					continue
-				}
-				for i := 0; i < st.NumFields(); i++ {
-					if v := st.Field(i); v.Exported() {
-						fields[v] = pkg.Path() + "." + tn.Name() + "." + v.Name()
-					}
-				}
-			}
-		}
-	}
+	fields := exportedFields(l)
 
 	written := map[*types.Var]bool{}
 	write := func(e ast.Expr) {
@@ -256,7 +201,8 @@ func TestNoTestOnlyFields(t *testing.T) {
 
 	declared := map[string]bool{}
 	var unwritten []string
-	for v, key := range fields {
+	for v, f := range fields {
+		key := f.key
 		declared[key] = true
 		_, keep := testOnlyFieldKeep[key]
 		switch {
@@ -280,13 +226,185 @@ func TestNoTestOnlyFields(t *testing.T) {
 	}
 }
 
+// exportedField names an exported struct field "pkg.Type.Field", and
+// records whether it carries a json tag.
+type exportedField struct {
+	key  string
+	json bool
+}
+
+// exportedFields lists every exported field of an exported struct type of
+// a non-main package outside bench/. The struct types reachable from
+// Topology and workload.Spec are left out: they are file formats, which
+// LoadTopology and LoadSpec decode.
+func exportedFields(l *exportLoader) map[*types.Var]exportedField {
+	exempt := map[*types.TypeName]bool{}
+	var reach func(types.Type)
+	reach = func(typ types.Type) {
+		switch typ := typ.(type) {
+		case *types.Named:
+			if !exempt[typ.Obj()] {
+				exempt[typ.Obj()] = true
+				reach(typ.Underlying())
+			}
+		case *types.Pointer:
+			reach(typ.Elem())
+		case *types.Slice:
+			reach(typ.Elem())
+		case *types.Array:
+			reach(typ.Elem())
+		case *types.Map:
+			reach(typ.Key())
+			reach(typ.Elem())
+		case *types.Struct:
+			for i := 0; i < typ.NumFields(); i++ {
+				reach(typ.Field(i).Type())
+			}
+		}
+	}
+	for _, format := range []struct{ pkg, name string }{
+		{modulePath, "Topology"}, {modulePath + "/internal/workload", "Spec"},
+	} {
+		reach(l.pkgs[format.pkg].Scope().Lookup(format.name).Type())
+	}
+
+	fields := map[*types.Var]exportedField{}
+	for _, f := range l.files {
+		pkg := l.pkgs[f.path]
+		if pkg.Name() == "main" || strings.HasPrefix(f.path, modulePath+"/bench") {
+			continue
+		}
+		for _, d := range f.file.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				tn := l.info.Defs[spec.(*ast.TypeSpec).Name].(*types.TypeName)
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok || !tn.Exported() || exempt[tn] {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if v := st.Field(i); v.Exported() {
+						tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json")
+						fields[v] = exportedField{pkg.Path() + "." + tn.Name() + "." + v.Name(), ok && tag != "-"}
+					}
+				}
+			}
+		}
+	}
+	return fields
+}
+
+// writeOnlyFieldKeep holds the exported struct fields that no non-test
+// file reads but that stay, each with its reason. TestNoWriteOnlyFields
+// fails on any other such field, and on an entry here that is gone or has
+// gained a non-test reader.
+var writeOnlyFieldKeep = map[string]string{}
+
+// TestNoWriteOnlyFields pins "every exported field has a production
+// reader", the reader twin of TestNoTestOnlyFields over the same fields.
+// A reader is a selection of the field in a non-test file that is not
+// the left side of an assignment (=, := or op=) and not the operand of
+// an inc/dec; x.F.G = v reads F. Reaching a field or method through an
+// embedded field reads the embedded field. A field of a generic
+// instantiation counts for the generic type's field. JSON-tagged fields
+// are exempt: encoding/json reads them.
+func TestNoWriteOnlyFields(t *testing.T) {
+	l := loadModule(t)
+	fields := exportedFields(l)
+
+	writes := map[*ast.SelectorExpr]bool{}
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel] = true
+		}
+	}
+	for _, f := range l.files {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			}
+			return true
+		})
+	}
+	read := map[*types.Var]bool{}
+	for sel, s := range l.info.Selections {
+		if s.Kind() == types.MethodExpr {
+			continue
+		}
+		// The embedded fields the selection passes through.
+		typ, path := s.Recv(), s.Index()
+		for _, i := range path[:len(path)-1] {
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			v := typ.Underlying().(*types.Struct).Field(i)
+			read[v.Origin()] = true
+			typ = v.Type()
+		}
+		if s.Kind() == types.FieldVal && !writes[sel] {
+			read[s.Obj().(*types.Var).Origin()] = true
+		}
+	}
+
+	declared := map[string]bool{}
+	var unread []string
+	for v, f := range fields {
+		if f.json {
+			continue
+		}
+		declared[f.key] = true
+		_, keep := writeOnlyFieldKeep[f.key]
+		switch {
+		case !read[v] && !keep:
+			unread = append(unread, l.fset.Position(v.Pos()).String()+": "+f.key)
+		case read[v] && keep:
+			t.Errorf("%s is in writeOnlyFieldKeep but has a non-test reader: drop its entry", f.key)
+		}
+	}
+	for key := range writeOnlyFieldKeep {
+		if !declared[key] {
+			t.Errorf("%s is in writeOnlyFieldKeep but no longer exists: drop its entry", key)
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("only tests read %s", u)
+	}
+	if len(unread) > 0 {
+		t.Logf("%d exported fields have no non-test reader: delete each, or add it to writeOnlyFieldKeep with its reason", len(unread))
+	}
+}
+
 const modulePath = "repro"
+
+var (
+	moduleOnce sync.Once
+	module     *exportLoader
+	moduleErr  error
+)
 
 // loadModule type-checks the non-test files of every package in the
 // module, examples and scripts included, and of the qosbench harness in
-// bench/, skipping testdata and dot directories.
+// bench/, skipping testdata and dot directories. The three gates share
+// one load: the source type-check is almost all of their run time.
 func loadModule(t *testing.T) *exportLoader {
 	t.Helper()
+	moduleOnce.Do(func() { module, moduleErr = typeCheckModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return module
+}
+
+func typeCheckModule() (*exportLoader, error) {
 	l := &exportLoader{
 		fset: token.NewFileSet(),
 		pkgs: map[string]*types.Package{},
@@ -311,10 +429,7 @@ func loadModule(t *testing.T) *exportLoader {
 		_, err = l.Import(filepath.ToSlash(filepath.Join(modulePath, path)))
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
+	return l, err
 }
 
 // exportLoader type-checks the module's packages from source, non-test

@@ -250,7 +250,7 @@ func (s *Site) injectMidCrash(tier string, now simclock.Time) *faultinject.Fault
 	}
 	sv := pool[rng.Intn(len(pool))]
 	sv.Crash()
-	s.LSF.FailJobsOn(sv.Spec.Name, "database crashed mid-job")
+	s.LSF.FailJobsOn(sv.Spec.Name)
 	return s.Registry.Add(metrics.CatMidCrash, sv.Host.Name, agents.ServiceAspect(sv.Spec.Name),
 		fmt.Sprintf("%s crashed under batch load", sv.Spec.Name), false, now,
 		heal.EnsureServiceRunning(s.Sim, sv))
@@ -286,7 +286,7 @@ func (s *Site) injectPerformance(tier string, now simclock.Time) *faultinject.Fa
 	}
 	h := up[rng.Intn(len(up))]
 	if rng.Bool(0.5) {
-		p := h.Spawn("hog_simulation", fmt.Sprintf("analyst%d", rng.Intn(50)+1), "runaway model sweep",
+		p := h.Spawn("hog_simulation", fmt.Sprintf("analyst%d", rng.Intn(50)+1),
 			float64(h.Model.CPUs), 256)
 		if p == nil {
 			return nil
@@ -296,7 +296,7 @@ func (s *Site) injectPerformance(tier string, now simclock.Time) *faultinject.Fa
 			fmt.Sprintf("runaway process %d saturating %s", pid, h.Name), false, now,
 			func(simclock.Time) bool { h.Kill(pid); return true })
 	}
-	p := h.Spawn("leak_modelcache", fmt.Sprintf("analyst%d", rng.Intn(50)+1), "leaking cache",
+	p := h.Spawn("leak_modelcache", fmt.Sprintf("analyst%d", rng.Intn(50)+1),
 		0.2, 0.85*float64(h.Model.MemoryMB))
 	if p == nil {
 		return nil
@@ -382,7 +382,7 @@ func (s *Site) injectHardware(tier string, now simclock.Time) *faultinject.Fault
 	affected := s.Dir.OnHost(h.Name)
 	h.HardwareFail()
 	for _, sv := range affected {
-		s.LSF.FailJobsOn(sv.Spec.Name, "execution host hardware failure")
+		s.LSF.FailJobsOn(sv.Spec.Name)
 	}
 	ensure := heal.EnsureHostUp(s.Sim, h, affected)
 	aspect := adminsrv.HostAspect(h.Name)

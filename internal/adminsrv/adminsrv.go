@@ -3,8 +3,8 @@
 // failover configuration sharing a common pool of NFS-mounted disks. The
 // active server receives DLSP pushes from every status agent over the
 // private network, generates dynamic global service profile lists per
-// database type every 15 minutes, watches agent flags every X+5 minutes
-// (troubleshooting agents and spotting dead hosts), and manages LSF —
+// database type every 15 minutes, sweeps the watched hosts every X+5
+// minutes (spotting dead hosts), and manages LSF —
 // presenting shortlists of the best available database servers and
 // resubmitting failed batch jobs from the DGSPL instead of the users'
 // manual selections (§4).
@@ -34,7 +34,7 @@ const VIP = "admin-vip"
 const PoolMount = "/nfs/pool"
 
 // HostAspect is the registry aspect for whole-host (hardware) faults the
-// admin tier detects by missing flags.
+// admin tier detects when its sweep finds a watched host down.
 func HostAspect(host string) string { return "host." + host }
 
 // Server is one of the two administration hosts.
@@ -99,9 +99,7 @@ type Pair struct {
 	Failovers     int
 	DLSPReceived  int
 	FlagSweeps    int
-	AgentRestarts int
 	Resubmissions int
-	Escalations   int
 }
 
 // New assembles and starts the administration tier: mounts the pool on
@@ -135,7 +133,7 @@ func New(cfg Config) (*Pair, error) {
 		cfg.AgentPeriod+5*simclock.Minute, "adminsrv-flagsweep", p.flagSweep)
 	// DGSPL generation every 15 minutes.
 	p.sim.Every(p.sim.Now()+dgsplPeriod, dgsplPeriod,
-		"adminsrv-dgspl", func(now simclock.Time) { p.GenerateDGSPL(now) })
+		"adminsrv-dgspl", p.GenerateDGSPL)
 	// Batch rescue sweep at the agent period (the paper's agents check
 	// job health every 5 minutes).
 	if cfg.LSF != nil {
@@ -171,62 +169,49 @@ func (p *Pair) heartbeat(now simclock.Time) {
 	p.attachVIP()
 }
 
-// watch is one watched host in the flag sweep. The sweep runs every few
-// simulated minutes on every host, so the flag-directory paths are built
-// at Watch time, and the first sweep that finds the host up opens a
-// directory handle on each (not Watch, which runs while the site is being
-// built).
+// watch is one watched host in the flag sweep.
 type watch struct {
-	host  *cluster.Host
-	paths []string   // one flag directory per expected agent
-	dirs  []fsim.Dir // handles on paths[:len(dirs)]
-	down  bool       // an open whole-host fault, already escalated
+	host *cluster.Host
+	down bool // an open whole-host fault, already escalated
 }
 
-// Watch registers a host and the agent names expected to drop flags there.
-func (p *Pair) Watch(h *cluster.Host, agentNames ...string) {
-	w := p.hosts[h.Name]
-	if w == nil {
-		w = &watch{host: h}
-		p.hosts[h.Name] = w
-		p.watched = append(p.watched, w)
-		p.unsorted = true
+// Watch registers a host for the flag sweep. Watching a host twice
+// registers it once.
+func (p *Pair) Watch(h *cluster.Host) {
+	if p.hosts[h.Name] != nil {
+		return
 	}
-	for _, name := range agentNames {
-		w.paths = append(w.paths, "/logs/intelliagents/"+name)
-	}
+	w := &watch{host: h}
+	p.hosts[h.Name] = w
+	p.watched = append(p.watched, w)
+	p.unsorted = true
 }
 
 // receive handles messages arriving at the VIP.
 func (p *Pair) receive(now simclock.Time, msg netsim.Message) {
-	if !p.Active().Host.Up() {
+	if !p.Active().Host.Up() || msg.Kind != "dlsp" {
 		return
 	}
-	switch msg.Kind {
-	case "dlsp":
-		prof := p.spare
-		if prof == nil {
-			prof = new(ontology.DLSP)
-		}
-		if err := ontology.DecodeDLSPTextInto(prof, msg.Payload); err != nil {
-			p.spare = prof
-			return
-		}
-		p.spare = p.profiles[prof.Server]
-		p.profiles[prof.Server] = prof
-		p.DLSPReceived++
-	case "agent-escalation":
-		p.Escalations++
+	prof := p.spare
+	if prof == nil {
+		prof = new(ontology.DLSP)
 	}
+	if err := ontology.DecodeDLSPTextInto(prof, msg.Payload); err != nil {
+		p.spare = prof
+		return
+	}
+	p.spare = p.profiles[prof.Server]
+	p.profiles[prof.Server] = prof
+	p.DLSPReceived++
 }
 
 // Profiles reports how many servers have delivered a DLSP.
 func (p *Pair) Profiles() int { return len(p.profiles) }
 
 // flagSweep checks every watched host: dead hosts are whole-host faults to
-// detect and escalate; live hosts with no recent flags mean broken agents,
-// which the admin tier troubleshoots (here: counts and re-kicks via the
-// registered restart hook).
+// detect and escalate. The paper's admin tier also troubleshoots agents
+// that left no flags on a live host; the model does not act on missing
+// flags.
 func (p *Pair) flagSweep(now simclock.Time) {
 	if !p.Active().Host.Up() {
 		return
@@ -237,21 +222,10 @@ func (p *Pair) flagSweep(now simclock.Time) {
 		p.unsorted = false
 	}
 	for _, w := range p.watched {
-		h := w.host
-		if !h.Up() {
+		if w.host.Up() {
+			w.down = false
+		} else {
 			p.handleDeadHost(now, w)
-			continue
-		}
-		w.down = false
-		for len(w.dirs) < len(w.paths) {
-			w.dirs = append(w.dirs, h.FS.OpenDir(w.paths[len(w.dirs)]))
-		}
-		for _, d := range w.dirs {
-			if !d.HasFileWithSuffix(".flag") {
-				// Missing flags: internal intelliagent problem or it never
-				// ran (§3.3). Troubleshoot the agent process.
-				p.AgentRestarts++
-			}
 		}
 	}
 }
@@ -267,9 +241,6 @@ func (p *Pair) handleDeadHost(now simclock.Time, w *watch) {
 	}
 	w.down = true
 	if p.cfg.Notify != nil && p.cfg.OncallEmail != "" {
-		p.cfg.Notify.Send("adminserver", p.cfg.OncallEmail,
-			"server "+h.Name+" unreachable",
-			fmt.Sprintf("no agent flags, host state %s; manual intervention required", h.State()),
-			"host-down")
+		p.cfg.Notify.Send("host-down")
 	}
 }

@@ -2,7 +2,6 @@ package adminsrv
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/agent"
@@ -40,7 +39,7 @@ func newRig(t *testing.T, nDB int) *rig {
 	sim := simclock.New(23)
 	r := &rig{
 		sim:    sim,
-		bus:    notify.NewBus(sim),
+		bus:    notify.NewBus(),
 		dir:    svc.NewDirectory(),
 		ledger: metrics.NewLedger(),
 	}
@@ -100,7 +99,7 @@ func newRig(t *testing.T, nDB int) *rig {
 			t.Fatal(err)
 		}
 		sa.Schedule(sim, 0, 5*simclock.Minute)
-		pair.Watch(host, sa.Name())
+		pair.Watch(host)
 	}
 	return r
 }
@@ -219,19 +218,6 @@ func TestFlagSweepDetectsDeadHost(t *testing.T) {
 	}
 }
 
-func TestFlagSweepCountsAgentRestarts(t *testing.T) {
-	r := newRig(t, 1)
-	// Watch a phantom agent that never drops flags.
-	r.pair.Watch(r.dbs[0].Host, "phantom-agent")
-	r.sim.RunUntil(r.sim.Now() + 25*simclock.Minute)
-	if r.pair.AgentRestarts == 0 {
-		t.Error("missing flags should trigger agent troubleshooting")
-	}
-	if r.pair.FlagSweeps == 0 {
-		t.Error("no sweeps ran")
-	}
-}
-
 func TestBatchRescueViaDGSPL(t *testing.T) {
 	r := newRig(t, 3)
 	r.sim.RunUntil(r.sim.Now() + 20*simclock.Minute)
@@ -242,7 +228,7 @@ func TestBatchRescueViaDGSPL(t *testing.T) {
 	}
 	r.sim.RunUntil(r.sim.Now() + 10*simclock.Minute)
 	r.dbs[0].Crash()
-	r.lsfc.FailJobsOn("ORA-A", "database crashed mid-job")
+	r.lsfc.FailJobsOn("ORA-A")
 	// Within an agent period the admin tier should resubmit all three to
 	// the more powerful E10K (dbB) — equal or higher power than E4500.
 	r.sim.RunUntil(r.sim.Now() + 16*simclock.Minute)
@@ -261,7 +247,7 @@ func TestBatchRescueViaDGSPL(t *testing.T) {
 	r.sim.RunUntil(r.sim.Now() + 6*simclock.Hour)
 	for _, j := range jobs {
 		if j.State != lsf.JobDone {
-			t.Errorf("job %d final state = %s (%s)", j.ID, j.State, j.FailReason)
+			t.Errorf("job %d final state = %s", j.ID, j.State)
 		}
 	}
 }
@@ -271,7 +257,7 @@ func TestUnplaceableJobEscalates(t *testing.T) {
 	r.sim.RunUntil(r.sim.Now() + 20*simclock.Minute)
 	j := r.lsfc.Submit("calc", "analyst", "ORA-A", 1, 256, 0, 2*simclock.Hour)
 	r.dbs[0].Crash()
-	r.lsfc.FailJobsOn("ORA-A", "crash")
+	r.lsfc.FailJobsOn("ORA-A")
 	r.sim.RunUntil(r.sim.Now() + 30*simclock.Minute)
 	if j.State != lsf.JobFailed {
 		t.Fatalf("job state = %s", j.State)
@@ -289,16 +275,21 @@ func TestNewValidation(t *testing.T) {
 
 // TestFlagSweepVisitsHostsInNameOrder: Watch appends, and the first sweep
 // after it added a host sorts the watch list once, so hosts watched in
-// reverse name order are swept in name order. Every watched host is down,
-// so each sweep's dead-host emails follow the order it visits them in,
-// both in the first sweep and in a later one after more hosts are watched.
+// reverse name order are swept in name order. Every watched host is down
+// with a registered whole-host fault, so each sweep's detections follow
+// the order it visits them in, both in the first sweep and in a later one
+// after more hosts are watched. Each dead host is emailed about once, and
+// watching a host twice sweeps it once.
 func TestFlagSweepVisitsHostsInNameOrder(t *testing.T) {
 	sim := simclock.New(5)
-	bus := notify.NewBus(sim)
+	bus := notify.NewBus()
+	reg := faultinject.NewRegistry(metrics.NewLedger())
+	var detected []string
+	reg.OnDetected = func(f *faultinject.Fault, _ simclock.Time) { detected = append(detected, f.Host) }
 	admin1 := cluster.NewHost(sim, "admin1", "10.1.0.1", cluster.ModelE450, cluster.RoleAdmin, "london-dc1", "UK")
 	admin2 := cluster.NewHost(sim, "admin2", "10.1.0.2", cluster.ModelE450, cluster.RoleAdmin, "london-dc1", "UK")
 	pair, err := New(Config{
-		Sim: sim, Primary: admin1, Standby: admin2, Pool: fsim.NewVolume(),
+		Sim: sim, Primary: admin1, Standby: admin2, Pool: fsim.NewVolume(), Registry: reg,
 		Notify: bus, OncallEmail: "oncall@site", AgentPeriod: 5 * simclock.Minute,
 	})
 	if err != nil {
@@ -308,19 +299,14 @@ func TestFlagSweepVisitsHostsInNameOrder(t *testing.T) {
 		for _, name := range names {
 			h := cluster.NewHost(sim, name, "10.0.0.1", cluster.ModelE450, cluster.RoleDatabase, "london-dc1", "UK")
 			h.Crash()
-			pair.Watch(h, "status-"+name, "network-"+name)
+			reg.Add(metrics.CatHardware, name, HostAspect(name), "", true, sim.Now(), nil)
+			pair.Watch(h)
+			pair.Watch(h)
 		}
 	}
-	seen := 0
 	swept := func() []string {
-		var hosts []string
-		msgs := bus.History()
-		msgs, seen = msgs[seen:], len(msgs)
-		for _, m := range msgs {
-			if m.Tag == "host-down" {
-				hosts = append(hosts, strings.TrimSuffix(strings.TrimPrefix(m.Subject, "server "), " unreachable"))
-			}
-		}
+		hosts := detected
+		detected = nil
 		return hosts
 	}
 	check := func(round string, got, want []string) {
@@ -339,5 +325,8 @@ func TestFlagSweepVisitsHostsInNameOrder(t *testing.T) {
 	check("second", swept(), []string{"db02", "db04", "db06", "db08"})
 	if pair.FlagSweeps != 2 {
 		t.Errorf("FlagSweeps = %d, want 2", pair.FlagSweeps)
+	}
+	if n := bus.CountByTag("host-down"); n != 9 {
+		t.Errorf("%d host-down emails, want one per dead host (9)", n)
 	}
 }

@@ -1,7 +1,6 @@
 package adminsrv
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -13,11 +12,12 @@ import (
 
 // GenerateDGSPL assembles the datacentre-wide service list from the latest
 // DLSPs plus live LSF slot accounting, writes one file per application type
-// to the shared NFS pool, and returns the combined list. The paper's admin
-// servers do this "per database type every 15 minutes on average".
-func (p *Pair) GenerateDGSPL(now simclock.Time) *ontology.DGSPL {
+// to the shared NFS pool, and keeps the combined list as the latest. The
+// paper's admin servers do this "per database type every 15 minutes on
+// average".
+func (p *Pair) GenerateDGSPL(now simclock.Time) {
 	if !p.Active().Host.Up() {
-		return nil
+		return
 	}
 	servers := make([]string, 0, len(p.profiles))
 	n := 0
@@ -76,7 +76,6 @@ func (p *Pair) GenerateDGSPL(now simclock.Time) *ontology.DGSPL {
 		_ = fs.WriteLines(dgsplPath(appType), p.lines)
 	}
 	p.latestDGSPL = list
-	return list
 }
 
 // dgsplPath is where the per-type list for appType lives on the pool.
@@ -229,8 +228,5 @@ func (p *Pair) escalateJob(j *lsf.Job) {
 		return
 	}
 	p.jobEscalated[j.ID] = true
-	p.cfg.Notify.Send("adminserver", p.cfg.OncallEmail,
-		fmt.Sprintf("batch job %d unplaceable", j.ID),
-		fmt.Sprintf("job %q failed on %s (%s); no database server available for resubmission",
-			j.Name, j.Server, j.FailReason), "job-unplaceable")
+	p.cfg.Notify.Send("job-unplaceable")
 }

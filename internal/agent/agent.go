@@ -182,7 +182,7 @@ type Agent struct {
 	trace    *trace.Recorder
 
 	counters Counters
-	admins   []string
+	admin    string // AdminEmail
 
 	// Hot-loop scratch state. rc is the reusable run context handed to the
 	// parts each run (parts must not retain it past the run, which none
@@ -246,9 +246,7 @@ func New(cfg Config) (*Agent, error) {
 		detected:  cfg.Detected,
 		repaired:  cfg.Repaired,
 		trace:     cfg.Trace,
-	}
-	if cfg.AdminEmail != "" {
-		a.admins = append(a.admins, cfg.AdminEmail)
+		admin:     cfg.AdminEmail,
 	}
 	var err error
 	a.log, err = fsim.NewCircLog(cfg.Host.FS, a.flagDir+"/activity.log", logLines)

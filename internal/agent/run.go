@@ -39,7 +39,7 @@ func (a *Agent) Run(sim *simclock.Sim) {
 	// closure is built once per agent (it reads exitPID at fire time) and
 	// posted through the Sim's pooled no-handle path, in the lane of the
 	// fixed run window.
-	proc := a.host.Spawn(a.procName, "iagent", InstallDir, runCPUDemand, RunMemMB)
+	proc := a.host.Spawn(a.procName, "iagent", runCPUDemand, RunMemMB)
 	if proc == nil {
 		return
 	}
@@ -170,10 +170,8 @@ func (a *Agent) escalate(rc *RunContext, f Finding, why string) {
 	if a.bus == nil {
 		return
 	}
-	for _, admin := range a.admins {
-		a.bus.Send(a.name+"@"+a.host.Name, admin,
-			fmt.Sprintf("UNRESOLVED %s on %s", f.Aspect, a.host.Name),
-			fmt.Sprintf("%s: %s (%s)", f.Detail, why, f.Severity), "agent-escalation")
+	if a.admin != "" {
+		a.bus.Send("agent-escalation")
 	}
 	if a.report != nil {
 		a.report("agent-escalation", fmt.Sprintf("%s|%s|%s", a.host.Name, f.Aspect, why))

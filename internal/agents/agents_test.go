@@ -32,7 +32,7 @@ func newRig(t *testing.T) *rig {
 	return &rig{
 		sim:  sim,
 		host: cluster.NewHost(sim, "db001", "10.0.0.1", cluster.ModelE4500, cluster.RoleDatabase, "london-dc1", "UK"),
-		bus:  notify.NewBus(sim),
+		bus:  notify.NewBus(),
 		dir:  svc.NewDirectory(),
 	}
 }
@@ -156,7 +156,7 @@ func TestServiceAgentOverloadDefersToPerformance(t *testing.T) {
 	r := newRig(t)
 	s := r.oracle(t)
 	a, _ := NewServiceAgent(r.cfg(), s)
-	r.host.Spawn("hog_sim", "analyst9", "", 40, 100) // saturate: probe times out
+	r.host.Spawn("hog_sim", "analyst9", 40, 100) // saturate: probe times out
 	a.Run(r.sim)
 	if s.State() != svc.StateRunning {
 		t.Fatalf("service should stay up: %v", s.State())
@@ -230,7 +230,7 @@ func TestPerformanceAgentKillsHog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hog := r.host.Spawn("hog_simulation", "analyst9", "", 7, 100)
+	hog := r.host.Spawn("hog_simulation", "analyst9", 7, 100)
 	a.Run(r.sim)
 	if r.host.Proc(hog.PID) != nil {
 		t.Fatal("hog should be killed")
@@ -254,7 +254,7 @@ func TestPerformanceAgentNeverKillsServiceProcs(t *testing.T) {
 	s := r.oracle(t)
 	a, _ := NewPerformanceAgent(r.cfg())
 	// Saturate using a *service* process (big database workload).
-	p := r.host.Spawn("ora_huge_query", "oracle", "", 9, 100)
+	p := r.host.Spawn("ora_huge_query", "oracle", 9, 100)
 	a.Run(r.sim)
 	if r.host.Proc(p.PID) == nil {
 		t.Error("service-user processes are not the perf agent's to kill")
@@ -268,7 +268,7 @@ func TestPerformanceAgentKillsLeaker(t *testing.T) {
 	r := newRig(t)
 	r.oracle(t)
 	a, _ := NewPerformanceAgent(r.cfg())
-	leak := r.host.Spawn("leak_model", "analyst3", "", 0.1, 7000) // 7 GB of 8 GB
+	leak := r.host.Spawn("leak_model", "analyst3", 0.1, 7000) // 7 GB of 8 GB
 	a.Run(r.sim)
 	if r.host.Proc(leak.PID) != nil {
 		t.Error("leaker should be killed")
@@ -306,7 +306,7 @@ func TestCPUAgentKillsRunaway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hog := r.host.Spawn("hog_x", "analyst1", "", 10, 50)
+	hog := r.host.Spawn("hog_x", "analyst1", 10, 50)
 	a.Run(r.sim)
 	if r.host.Proc(hog.PID) != nil {
 		t.Error("runaway survived the CPU agent")
@@ -319,7 +319,7 @@ func TestMemoryAgentKillsLeaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leak := r.host.Spawn("leak_y", "analyst2", "", 0.1, 7600)
+	leak := r.host.Spawn("leak_y", "analyst2", 0.1, 7600)
 	a.Run(r.sim)
 	if r.host.Proc(leak.PID) != nil {
 		t.Error("leaker survived the memory agent")

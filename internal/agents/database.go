@@ -70,8 +70,7 @@ func NewDatabaseAgent(cfg agent.Config, db *svc.Service) (*agent.Agent, error) {
 					out = append(out, agent.Finding{Aspect: aspect, Severity: agent.SevWarning,
 						Detail: db.Spec.Name + ": " + msg, Metric: v})
 					if rc.Notify != nil && admin != "" {
-						rc.Notify.Send("database@"+host.Name, admin,
-							"database threshold exceeded: "+db.Spec.Name, msg, "threshold-exceeded")
+						rc.Notify.Send("threshold-exceeded")
 					}
 				}
 			}

@@ -43,7 +43,7 @@ func TestDatabaseAgentThresholdAlert(t *testing.T) {
 	a, _ := NewDatabaseAgent(r.cfg(), db)
 	// Load the host until connect/request times blow past the DBA
 	// baseline (connect > 5s needs heavy contention).
-	r.host.Spawn("batch1", "analyst1", "", 7.7, 100)
+	r.host.Spawn("batch1", "analyst1", 7.7, 100)
 	a.Run(r.sim)
 	if a.Counters().Findings == 0 {
 		t.Fatal("overloaded database should trip thresholds")

@@ -22,11 +22,11 @@ func NewNetworkAgent(cfg agent.Config, nets ...*netsim.Network) (*agent.Agent, e
 	cfg.Name = "network-" + host.Name
 	cfg.Parts = agent.Parts{
 		Monitor: func(rc *agent.RunContext) []agent.Finding {
-			ns := host.NetStat()
+			nicErrors := float64(host.NICErrors())
 			var out []agent.Finding
-			if msg, bad := b.Check("net.errors", float64(ns.Errors)); bad {
+			if msg, bad := b.Check("net.errors", nicErrors); bad {
 				out = append(out, agent.Finding{Aspect: AspectNet, Severity: agent.SevFault,
-					Detail: "interface errors: " + msg, Metric: float64(ns.Errors)})
+					Detail: "interface errors: " + msg, Metric: nicErrors})
 			}
 			for _, n := range nets {
 				if n.Attached(host.Name) && !n.LinkUp(host.Name) {

@@ -76,8 +76,7 @@ func NewPerformanceAgent(cfg agent.Config) (*agent.Agent, error) {
 					sev := agent.SevWarning
 					out = append(out, agent.Finding{Aspect: aspect, Severity: sev, Detail: msg, Metric: v})
 					if rc.Notify != nil && admin != "" {
-						rc.Notify.Send("performance@"+host.Name, admin,
-							"threshold exceeded on "+host.Name, msg, "threshold-exceeded")
+						rc.Notify.Send("threshold-exceeded")
 					}
 				}
 			}

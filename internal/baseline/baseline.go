@@ -5,22 +5,19 @@
 // commercial tools that automatically correct performance problems", §2).
 //
 // In the reproduction it is the overhead comparator of Figures 3 and 4,
-// whose rig polls it to plot the footprint. The "before" year installs
-// the resident daemon on every database host and never polls it: manual
-// detection is the operator model's (operators.Team.PageDelay, drawn when
-// a fault is injected), so its console alerts would feed no metric.
-// Install spawns the daemon at its idle footprint; StartPolling puts it on
-// a cron wheel, where it polls and raises console alerts as the real one
-// did until its simulation ends.
+// whose rig polls it to plot the footprint. The model keeps only that
+// footprint: no output reads console alerts, so a poll raises none. The
+// "before" year installs the resident daemon on every database host and
+// never polls it: manual detection is the operator model's
+// (operators.Team.PageDelay, drawn when a fault is injected). Install
+// spawns the daemon at its idle footprint; StartPolling puts it on a
+// ticker, where its footprint follows the host's load until its
+// simulation ends.
 package baseline
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
-	"repro/internal/notify"
 	"repro/internal/simclock"
-	"repro/internal/svc"
 )
 
 // Footprint parameterises the resident daemon's cost. The defaults
@@ -52,8 +49,6 @@ type Monitor struct {
 	rng  *simclock.Rand
 	host *cluster.Host
 	fp   Footprint
-	bus  *notify.Bus
-	cons string // console address for notifications
 
 	// proc is the daemon's process and pid its PID, recorded at spawn.
 	// The host recycles a killed process's object for a later spawn, so
@@ -61,8 +56,6 @@ type Monitor struct {
 	proc *cluster.Process
 	pid  int
 
-	// Alerts counts threshold notifications raised.
-	Alerts int
 	// lastCPU/lastMem hold the most recent sampled footprint.
 	lastCPU float64
 	lastMem float64
@@ -72,29 +65,16 @@ type Monitor struct {
 // It forks the simulator's random stream for the poll noise whether or
 // not the monitor ever polls, so a site that installs monitors draws the
 // same stream either way. The monitor polls nothing until StartPolling.
-func Install(sim *simclock.Sim, host *cluster.Host, fp Footprint, bus *notify.Bus, console string) *Monitor {
-	m := &Monitor{
-		rng: sim.Rand().Fork(0xb3c), host: host, fp: fp,
-		bus: bus, cons: console,
-	}
+func Install(sim *simclock.Sim, host *cluster.Host, fp Footprint) *Monitor {
+	m := &Monitor{rng: sim.Rand().Fork(0xb3c), host: host, fp: fp}
 	m.spawn()
 	return m
 }
 
-// StartPolling polls the monitor every pollEvery on the cron wheel w,
-// from one period after the wheel's current time. Services, if non-nil,
-// are probed each poll; failed probes raise console alerts (detection is
-// then up to the humans watching).
-//
-// Monitors registered on one wheel at the same instant with the same
-// period share one wheel bucket — one pending heap event per poll round,
-// however many hosts — and poll in registration order. That matches one
-// ticker per monitor exactly, because a poll schedules no event of its
-// own (see simclock.Wheel for the equivalence condition).
-func (m *Monitor) StartPolling(w *simclock.Wheel, pollEvery simclock.Time, services *svc.Directory) {
-	w.Add(w.Sim().Now()+pollEvery, pollEvery, "bmc-poll:"+m.host.Name, func(now simclock.Time) {
-		m.poll(now, services)
-	})
+// StartPolling polls the monitor every pollEvery on a ticker of sim, from
+// one period after its current time.
+func (m *Monitor) StartPolling(sim *simclock.Sim, pollEvery simclock.Time) {
+	sim.Every(sim.Now()+pollEvery, pollEvery, "bmc-poll:"+m.host.Name, m.poll)
 }
 
 // spawn creates the resident process at the idle footprint.
@@ -104,8 +84,7 @@ func (m *Monitor) spawn() {
 	}
 	m.lastCPU = m.fp.CPUBasePct
 	m.lastMem = m.fp.MemBaseMB
-	m.proc = m.host.Spawn("bmcpatrol", "root", "/opt/bmc/bin/PatrolAgent",
-		m.cpuDemand(m.lastCPU), m.lastMem)
+	m.proc = m.host.Spawn("bmcpatrol", "root", m.cpuDemand(m.lastCPU), m.lastMem)
 	if m.proc != nil {
 		m.pid = m.proc.PID
 	}
@@ -116,10 +95,10 @@ func (m *Monitor) cpuDemand(pct float64) float64 {
 	return pct / 100 * float64(m.host.Model.CPUs)
 }
 
-// poll refreshes the daemon's footprint from current activity and probes
-// services. A resident monitor survives service crashes but dies with its
-// host; it respawns when polling finds the host back up.
-func (m *Monitor) poll(now simclock.Time, services *svc.Directory) {
+// poll refreshes the daemon's footprint from current activity. A resident
+// monitor survives service crashes but dies with its host; it respawns
+// when polling finds the host back up.
+func (m *Monitor) poll(simclock.Time) {
 	if !m.host.Up() {
 		m.proc = nil
 		return
@@ -141,20 +120,6 @@ func (m *Monitor) poll(now simclock.Time, services *svc.Directory) {
 	m.lastCPU = (m.fp.CPUBasePct + m.fp.CPUSlope*util) * noise
 	m.lastMem = (m.fp.MemBaseMB + m.fp.MemSlopeMB*util) * noise
 	m.host.SetProcDemand(m.proc, m.cpuDemand(m.lastCPU), m.lastMem)
-
-	if services == nil {
-		return
-	}
-	for _, s := range services.OnHost(m.host.Name) {
-		if res := s.Probe(); !res.OK() {
-			m.Alerts++
-			if m.bus != nil && m.cons != "" {
-				m.bus.Send("bmc@"+m.host.Name, m.cons,
-					fmt.Sprintf("ALERT %s on %s", s.Spec.Name, m.host.Name),
-					res.Detail, "bmc-alert")
-			}
-		}
-	}
 }
 
 // CPUPercent reports the daemon's current whole-system CPU share, the

@@ -1,25 +1,20 @@
 package baseline
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/notify"
 	"repro/internal/simclock"
-	"repro/internal/svc"
 )
 
 func newHost(sim *simclock.Sim) *cluster.Host {
 	return cluster.NewHost(sim, "db001", "10.0.0.1", cluster.ModelE4500, cluster.RoleDatabase, "london", "UK")
 }
 
-// polling installs a monitor on h and polls it every 5 minutes on a
-// wheel of its own.
-func polling(sim *simclock.Sim, h *cluster.Host, bus *notify.Bus, console string, services *svc.Directory) *Monitor {
-	m := Install(sim, h, DefaultFootprint(), bus, console)
-	m.StartPolling(simclock.NewWheel(sim), 5*simclock.Minute, services)
+// polling installs a monitor on h and polls it every 5 minutes.
+func polling(sim *simclock.Sim, h *cluster.Host) *Monitor {
+	m := Install(sim, h, DefaultFootprint())
+	m.StartPolling(sim, 5*simclock.Minute)
 	return m
 }
 
@@ -30,14 +25,14 @@ func TestInstallWithoutPolling(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
 	pending := sim.Pending()
-	m := Install(sim, h, DefaultFootprint(), nil, "")
+	m := Install(sim, h, DefaultFootprint())
 	if got := sim.Pending(); got != pending {
 		t.Fatalf("Install scheduled %d events, want none", got-pending)
 	}
 	if !m.Resident() || len(h.PGrep("bmcpatrol")) != 1 {
 		t.Fatal("daemon should be resident immediately")
 	}
-	h.Spawn("busywork", "analyst1", "", 6.5, 1000)
+	h.Spawn("busywork", "analyst1", 6.5, 1000)
 	sim.RunUntil(simclock.Hour)
 	fp := DefaultFootprint()
 	if m.CPUPercent() != fp.CPUBasePct || m.MemMB() != fp.MemBaseMB {
@@ -49,7 +44,7 @@ func TestInstallWithoutPolling(t *testing.T) {
 func TestResidentDaemon(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := polling(sim, h, nil, "", nil)
+	m := polling(sim, h)
 	if !m.Resident() {
 		t.Fatal("daemon should be resident immediately")
 	}
@@ -65,10 +60,10 @@ func TestResidentDaemon(t *testing.T) {
 func TestFootprintGrowsWithLoad(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := polling(sim, h, nil, "", nil)
+	m := polling(sim, h)
 	sim.RunUntil(simclock.Hour)
 	idleCPU, idleMem := m.CPUPercent(), m.MemMB()
-	h.Spawn("busywork", "analyst1", "", 6.5, 1000)
+	h.Spawn("busywork", "analyst1", 6.5, 1000)
 	sim.RunUntil(2 * simclock.Hour)
 	busyCPU, busyMem := m.CPUPercent(), m.MemMB()
 	if busyCPU <= idleCPU {
@@ -86,34 +81,10 @@ func TestFootprintGrowsWithLoad(t *testing.T) {
 	}
 }
 
-func TestAlertsOnFailedProbe(t *testing.T) {
-	sim := simclock.New(31)
-	h := newHost(sim)
-	dir := svc.NewDirectory()
-	s, _ := svc.New(sim, svc.OracleSpec("ORA-01", 1521), h)
-	dir.Add(s)
-	s.Start(nil)
-	sim.RunUntil(10 * simclock.Minute)
-	bus := notify.NewBus(sim)
-	m := polling(sim, h, bus, "console@noc", dir)
-	sim.RunUntil(sim.Now() + 20*simclock.Minute)
-	if m.Alerts != 0 {
-		t.Fatalf("healthy service alerted %d times", m.Alerts)
-	}
-	s.Crash()
-	sim.RunUntil(sim.Now() + 11*simclock.Minute)
-	if m.Alerts == 0 {
-		t.Error("crashed service should raise console alerts")
-	}
-	if bus.CountByTag("bmc-alert") == 0 {
-		t.Error("console notification missing")
-	}
-}
-
 func TestDaemonDiesWithHostAndRespawns(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := polling(sim, h, nil, "", nil)
+	m := polling(sim, h)
 	h.Crash()
 	sim.RunUntil(sim.Now() + 6*simclock.Minute)
 	if m.Resident() || m.CPUPercent() != 0 || m.MemMB() != 0 {
@@ -133,9 +104,9 @@ func TestDaemonDiesWithHostAndRespawns(t *testing.T) {
 func TestKilledDaemonObjectRecycled(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := polling(sim, h, nil, "", nil)
+	m := polling(sim, h)
 	h.Kill(h.PGrep("bmcpatrol")[0].PID)
-	busy := h.Spawn("busywork", "analyst1", "", 2.0, 100)
+	busy := h.Spawn("busywork", "analyst1", 2.0, 100)
 	if m.Resident() {
 		t.Error("killed daemon reported resident")
 	}
@@ -154,7 +125,7 @@ func TestKilledDaemonObjectRecycled(t *testing.T) {
 func TestDeadDaemonReportsNoFootprint(t *testing.T) {
 	sim := simclock.New(31)
 	h := newHost(sim)
-	m := polling(sim, h, nil, "", nil)
+	m := polling(sim, h)
 	sim.RunUntil(simclock.Hour)
 	if m.CPUPercent() == 0 || m.MemMB() == 0 {
 		t.Fatalf("live daemon footprint: cpu=%.3f mem=%.1f, want non-zero", m.CPUPercent(), m.MemMB())
@@ -165,70 +136,5 @@ func TestDeadDaemonReportsNoFootprint(t *testing.T) {
 	}
 	if cpu, mem := m.CPUPercent(), m.MemMB(); cpu != 0 || mem != 0 {
 		t.Errorf("dead daemon footprint before the next poll: cpu=%.3f mem=%.1f, want 0", cpu, mem)
-	}
-}
-
-// fleet installs one monitor per host and polls each on a shared wheel,
-// in the given order, each host carrying a crashed Oracle so every poll raises an
-// alert naming its host.
-func fleet(t *testing.T, names ...string) (*simclock.Sim, *simclock.Wheel, *notify.Bus, []*Monitor) {
-	t.Helper()
-	sim := simclock.New(31)
-	dir := svc.NewDirectory()
-	var hosts []*cluster.Host
-	var services []*svc.Service
-	for i, name := range names {
-		h := cluster.NewHost(sim, name, fmt.Sprintf("10.0.0.%d", i+1), cluster.ModelE4500, cluster.RoleDatabase, "london", "UK")
-		s, err := svc.New(sim, svc.OracleSpec("ORA-"+name, 1521), h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir.Add(s)
-		s.Start(nil)
-		hosts = append(hosts, h)
-		services = append(services, s)
-	}
-	sim.RunUntil(10 * simclock.Minute)
-	for _, s := range services {
-		s.Crash()
-	}
-	bus := notify.NewBus(sim)
-	w := simclock.NewWheel(sim)
-	var ms []*Monitor
-	for _, h := range hosts {
-		m := Install(sim, h, DefaultFootprint(), bus, "console@noc")
-		m.StartPolling(w, 5*simclock.Minute, dir)
-		ms = append(ms, m)
-	}
-	return sim, w, bus, ms
-}
-
-// alertSenders lists the senders of the bus's alerts, in send order.
-func alertSenders(bus *notify.Bus) []string {
-	var out []string
-	for _, n := range bus.History() {
-		if n.Tag == "bmc-alert" {
-			out = append(out, n.From)
-		}
-	}
-	return out
-}
-
-// TestMonitorsShareOneBucket pins the coalescing: monitors registered on
-// one wheel at the same instant keep one pending heap event between
-// them, and poll in registration order every round.
-func TestMonitorsShareOneBucket(t *testing.T) {
-	sim, _, bus, _ := fleet(t, "db003", "db001", "db002")
-	if got := sim.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d, want 1: one heap event for the whole fleet", got)
-	}
-	sim.RunUntil(sim.Now() + 10*simclock.Minute)
-	round := []string{"bmc@db003", "bmc@db001", "bmc@db002"}
-	want := append(append([]string{}, round...), round...)
-	if got := alertSenders(bus); !reflect.DeepEqual(got, want) {
-		t.Errorf("poll order = %v, want registration order twice %v", got, want)
-	}
-	if got := sim.Pending(); got != 1 {
-		t.Errorf("Pending() = %d after two rounds, want 1", got)
 	}
 }

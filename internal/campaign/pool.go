@@ -1,25 +1,6 @@
 package campaign
 
-import (
-	"encoding/json"
-	"sync"
-)
-
-// CellKey identifies the trial's matrix cell: every coordinate except the
-// seed (and the enumeration index). Trials with equal cell keys differ only
-// in their random stream, which is exactly the condition under which one
-// site skeleton can be reseeded and reused between them.
-func CellKey(t Trial) string {
-	t.Index = 0
-	t.Seed = 0
-	b, err := json.Marshal(t)
-	if err != nil {
-		// Trial is a plain data struct; Marshal cannot fail on it. Keep a
-		// defensive fallback rather than a panic in the worker pool.
-		return "cell"
-	}
-	return string(b)
-}
+import "sync"
 
 // ReuseRunner builds a RunFunc that recycles one expensive per-cell
 // resource (typically a fully built simulation site) across the seeds of a
@@ -31,12 +12,15 @@ func CellKey(t Trial) string {
 // Reset(s, t) followed by Run == Build(t) followed by Run, byte for byte —
 // the site-level equivalence tests gate exactly that.
 //
-// Pools are per cell and sync.Pool-backed: under a parallel campaign each
-// worker effectively keeps one warm skeleton per cell it is working on,
-// and idle skeletons are garbage-collectable between campaigns. A resource
-// whose Run returns an error (or panics) is discarded, never pooled, so a
-// poisoned skeleton cannot leak into later trials; a Reset error falls
-// back to a fresh Build.
+// Pools are per cell and sync.Pool-backed, keyed by the trial's Cell:
+// trials of one cell differ only in their seed, which is exactly the
+// condition under which one skeleton can be reseeded and reused between
+// them. Under a parallel campaign each worker effectively keeps one warm
+// skeleton per cell it is working on, and idle skeletons are
+// garbage-collectable between campaigns. A resource whose Run returns an
+// error (or panics) is discarded, never pooled, so a poisoned skeleton
+// cannot leak into later trials; a Reset error falls back to a fresh
+// Build.
 type ReuseRunner[S any] struct {
 	Build func(Trial) (S, error)
 	Reset func(S, Trial) error
@@ -47,8 +31,8 @@ type ReuseRunner[S any] struct {
 // use by the campaign worker pool.
 func (r ReuseRunner[S]) RunFunc() RunFunc {
 	var mu sync.Mutex
-	pools := make(map[string]*sync.Pool)
-	poolFor := func(key string) *sync.Pool {
+	pools := make(map[Cell]*sync.Pool)
+	poolFor := func(key Cell) *sync.Pool {
 		mu.Lock()
 		defer mu.Unlock()
 		p := pools[key]
@@ -59,7 +43,7 @@ func (r ReuseRunner[S]) RunFunc() RunFunc {
 		return p
 	}
 	return func(t Trial) (map[string]float64, error) {
-		pool := poolFor(CellKey(t))
+		pool := poolFor(t.Cell)
 		var s S
 		if v := pool.Get(); v != nil {
 			s = v.(S)

@@ -10,7 +10,7 @@ import (
 
 // fakeSite stands in for an expensive per-cell resource.
 type fakeSite struct {
-	cell string
+	cell Cell
 	seed uint64
 }
 
@@ -18,26 +18,26 @@ func poolRunner(builds, resets *atomic.Int64, failReset bool) RunFunc {
 	return ReuseRunner[*fakeSite]{
 		Build: func(t Trial) (*fakeSite, error) {
 			builds.Add(1)
-			return &fakeSite{cell: CellKey(t), seed: t.Seed}, nil
+			return &fakeSite{cell: t.Cell, seed: t.Seed}, nil
 		},
 		Reset: func(s *fakeSite, t Trial) error {
 			resets.Add(1)
 			if failReset {
 				return errors.New("will not rewind")
 			}
-			if s.cell != CellKey(t) {
-				return fmt.Errorf("pool handed cell %q a skeleton from cell %q", CellKey(t), s.cell)
+			if s.cell != t.Cell {
+				return fmt.Errorf("pool handed cell %+v a skeleton from cell %+v", t.Cell, s.cell)
 			}
 			s.seed = t.Seed
 			return nil
 		},
 		Run: func(s *fakeSite, t Trial) (map[string]float64, error) {
-			if s.seed != t.Seed || s.cell != CellKey(t) {
+			if s.seed != t.Seed || s.cell != t.Cell {
 				return nil, fmt.Errorf("trial %d ran on wrong skeleton", t.Index)
 			}
 			// Deterministic per-coordinate metric: reuse must not leak
 			// state between seeds or cells.
-			return map[string]float64{"v": float64(t.Seed) * float64(len(s.cell))}, nil
+			return map[string]float64{"v": float64(t.Seed) * float64(len(s.cell.Site+s.cell.Mode))}, nil
 		},
 	}.RunFunc()
 }
@@ -112,20 +112,5 @@ func TestReuseRunnerResetFailsOpen(t *testing.T) {
 	}
 	if b.Load() != 4 {
 		t.Errorf("builds = %d, want 4 (every reset fails, every trial rebuilds)", b.Load())
-	}
-}
-
-// TestCellKeyIgnoresSeedAndIndex: the pooling key must treat trials of one
-// cell as interchangeable and trials of different cells as distinct.
-func TestCellKeyIgnoresSeedAndIndex(t *testing.T) {
-	a := Trial{Index: 0, Seed: 1, Cell: Cell{Site: "small", Mode: "agents", Days: 2}}
-	b := Trial{Index: 9, Seed: 7, Cell: Cell{Site: "small", Mode: "agents", Days: 2}}
-	if CellKey(a) != CellKey(b) {
-		t.Errorf("same cell, different seed/index: keys differ\n a: %s\n b: %s", CellKey(a), CellKey(b))
-	}
-	c := b
-	c.CronPeriod = 60
-	if CellKey(b) == CellKey(c) {
-		t.Errorf("different cron period produced the same cell key %s", CellKey(b))
 	}
 }

@@ -10,20 +10,13 @@ import "math"
 // a two-sided p-value computed from the Student-t distribution via the
 // regularised incomplete beta function — no tables, any df.
 
-// TTestResult is one two-sample comparison.
-type TTestResult struct {
-	T      float64 // t statistic (sign: second sample minus first)
-	DF     float64 // degrees of freedom (Welch–Satterthwaite when unpaired)
-	P      float64 // two-sided p-value
-	Paired bool    // true when the per-seed paired test was used
-}
-
-// TTest compares two metric sample vectors. When paired is true, xs and
-// ys must be aligned (sample i of each from the same seed) and equal
-// length; the test is then the paired t-test on differences. Otherwise
-// Welch's t-test. Returns ok=false when a test cannot be computed (fewer
-// than two samples a side, or zero variance with equal means).
-func TTest(xs, ys []float64, paired bool) (TTestResult, bool) {
+// TTest compares two metric sample vectors and returns the two-sided
+// p-value. When paired is true, xs and ys must be aligned (sample i of
+// each from the same seed) and equal length; the test is then the paired
+// t-test on differences. Otherwise Welch's t-test. Returns ok=false when a
+// test cannot be computed (fewer than two samples a side, or zero
+// variance with distinct means).
+func TTest(xs, ys []float64, paired bool) (p float64, ok bool) {
 	if paired {
 		return pairedT(xs, ys)
 	}
@@ -48,9 +41,9 @@ func meanVar(xs []float64) (mean, variance float64) {
 	return mean, ss / (n - 1)
 }
 
-func welchT(xs, ys []float64) (TTestResult, bool) {
+func welchT(xs, ys []float64) (float64, bool) {
 	if len(xs) < 2 || len(ys) < 2 {
-		return TTestResult{}, false
+		return 0, false
 	}
 	mx, vx := meanVar(xs)
 	my, vy := meanVar(ys)
@@ -61,20 +54,20 @@ func welchT(xs, ys []float64) (TTestResult, bool) {
 		// significant". Distinct constant means have no finite t — and no
 		// finite sample justifies p = 0 — so report "not computable"
 		// rather than overstate a two-seed quantized difference.
-		if mx == my {
-			return TTestResult{T: 0, DF: nx + ny - 2, P: 1}, true
+		if mx != my {
+			return 0, false
 		}
-		return TTestResult{}, false
+		return 1, true
 	}
 	t := (my - mx) / math.Sqrt(se2)
 	// Welch–Satterthwaite effective degrees of freedom.
 	df := se2 * se2 / (vx*vx/(nx*nx*(nx-1)) + vy*vy/(ny*ny*(ny-1)))
-	return TTestResult{T: t, DF: df, P: StudentP(t, df)}, true
+	return StudentP(t, df), true
 }
 
-func pairedT(xs, ys []float64) (TTestResult, bool) {
+func pairedT(xs, ys []float64) (float64, bool) {
 	if len(xs) != len(ys) || len(xs) < 2 {
-		return TTestResult{}, false
+		return 0, false
 	}
 	ds := make([]float64, len(xs))
 	for i := range xs {
@@ -86,13 +79,13 @@ func pairedT(xs, ys []float64) (TTestResult, bool) {
 	if vd <= 0 {
 		// As in welchT: a constant non-zero difference has no finite t;
 		// "-" beats a fake p = 0.
-		if md == 0 {
-			return TTestResult{T: 0, DF: df, P: 1, Paired: true}, true
+		if md != 0 {
+			return 0, false
 		}
-		return TTestResult{}, false
+		return 1, true
 	}
 	t := md / math.Sqrt(vd/n)
-	return TTestResult{T: t, DF: df, P: StudentP(t, df), Paired: true}, true
+	return StudentP(t, df), true
 }
 
 // StudentP returns the two-sided p-value of a Student-t statistic with

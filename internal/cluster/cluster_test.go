@@ -49,7 +49,7 @@ func TestOSForModel(t *testing.T) {
 func TestSpawnKill(t *testing.T) {
 	sim := simclock.New(1)
 	h := newHost(sim)
-	p := h.Spawn("oracle", "dba", "ora_pmon", 0.5, 512)
+	p := h.Spawn("oracle", "dba", 0.5, 512)
 	if p == nil || p.PID < 100 {
 		t.Fatalf("spawn: %v", p)
 	}
@@ -72,7 +72,7 @@ func TestPIDsUnique(t *testing.T) {
 	h := newHost(sim)
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		p := h.Spawn("x", "u", "", 0, 1)
+		p := h.Spawn("x", "u", 0, 1)
 		if seen[p.PID] {
 			t.Fatalf("duplicate PID %d", p.PID)
 		}
@@ -108,14 +108,14 @@ func TestProcIndexMatchesScan(t *testing.T) {
 			switch r := rng.Intn(115); {
 			case r < 20:
 				op = "spawn pinned"
-				h.Spawn(pinnable[rng.Intn(len(pinnable))], "u", "", 0.1, 8)
+				h.Spawn(pinnable[rng.Intn(len(pinnable))], "u", 0.1, 8)
 			case r < 30:
 				op = "spawn repeated"
-				h.Spawn(repeated[rng.Intn(len(repeated))], "u", "", 0.1, 8)
+				h.Spawn(repeated[rng.Intn(len(repeated))], "u", 0.1, 8)
 			case r < 40:
 				op = "spawn job"
 				jobs++
-				h.Spawn(fmt.Sprintf("lsf_job_%d", jobs), "u", "", 0.5, 64)
+				h.Spawn(fmt.Sprintf("lsf_job_%d", jobs), "u", 0.5, 64)
 			case r < 43:
 				// Pinning late, possibly a name with live processes.
 				op = "pin"
@@ -213,13 +213,13 @@ func checkProcIndex(h *Host, pinned map[string]*ProcTally) error {
 func TestCrashKillsProcesses(t *testing.T) {
 	sim := simclock.New(1)
 	h := newHost(sim)
-	h.Spawn("oracle", "dba", "", 0.5, 512)
+	h.Spawn("oracle", "dba", 0.5, 512)
 	h.Login("analyst1")
 	h.Crash()
 	if h.Up() || h.NProcs() != 0 || h.UsersLoggedIn() != 0 {
 		t.Errorf("crash state: up=%v procs=%d users=%d", h.Up(), h.NProcs(), h.UsersLoggedIn())
 	}
-	if h.Spawn("x", "u", "", 0, 1) != nil {
+	if h.Spawn("x", "u", 0, 1) != nil {
 		t.Error("spawn on down host should fail")
 	}
 }
@@ -277,14 +277,14 @@ func TestHardwareFault(t *testing.T) {
 func TestCPUAccounting(t *testing.T) {
 	sim := simclock.New(1)
 	h := newHost(sim) // E4500: 8 CPUs
-	h.Spawn("oracle", "dba", "", 4, 512)
+	h.Spawn("oracle", "dba", 4, 512)
 	if got := h.CPUUtilisation(); got != 0.5 {
 		t.Errorf("util = %v, want 0.5", got)
 	}
 	if h.RunQueue() != 0 {
 		t.Errorf("run queue = %d", h.RunQueue())
 	}
-	h.Spawn("batch", "lsf", "", 6, 256)
+	h.Spawn("batch", "lsf", 6, 256)
 	if got := h.CPUUtilisation(); got != 1 {
 		t.Errorf("util = %v, want 1 (clamped)", got)
 	}
@@ -296,7 +296,7 @@ func TestCPUAccounting(t *testing.T) {
 func TestHungProcessUsesNoCPU(t *testing.T) {
 	sim := simclock.New(1)
 	h := newHost(sim)
-	p := h.Spawn("oracle", "dba", "", 4, 512)
+	p := h.Spawn("oracle", "dba", 4, 512)
 	h.SetProcState(p, ProcHung)
 	if h.CPUUtilisation() != 0 {
 		t.Errorf("hung process should not consume CPU: %v", h.CPUUtilisation())
@@ -310,7 +310,7 @@ func TestMemoryAccounting(t *testing.T) {
 	sim := simclock.New(1)
 	h := newHost(sim) // 8192 MB
 	base := h.MemUsedMB()
-	h.Spawn("oracle", "dba", "", 0.1, 1000)
+	h.Spawn("oracle", "dba", 0.1, 1000)
 	if got := h.MemUsedMB(); got != base+1000 {
 		t.Errorf("mem used = %v", got)
 	}
@@ -318,7 +318,7 @@ func TestMemoryAccounting(t *testing.T) {
 	if vm.ScanRate != 0 {
 		t.Errorf("no pressure: scan rate %v", vm.ScanRate)
 	}
-	h.Spawn("hog", "dba", "", 0.1, 7000)
+	h.Spawn("hog", "dba", 0.1, 7000)
 	vm = h.VMStat()
 	if vm.ScanRate == 0 || vm.PageOuts == 0 {
 		t.Errorf("memory pressure should wake scanner: %+v", vm)
@@ -362,16 +362,23 @@ func TestIOStatServiceTimeBlowsUp(t *testing.T) {
 func TestNetStatErrors(t *testing.T) {
 	sim := simclock.New(1)
 	h := newHost(sim)
-	if h.NetStat().Errors != 0 {
+	if h.NICErrors() != 0 {
 		t.Error("fresh host should have no NIC errors")
 	}
 	h.InjectNICErrors(9)
-	ns := h.NetStat()
-	if ns.Errors != 9 || ns.Collisions != 3 {
-		t.Errorf("netstat = %+v", ns)
+	if n := h.NICErrors(); n != 9 {
+		t.Errorf("NIC errors = %d, want 9", n)
+	}
+	h.Crash()
+	if n := h.NICErrors(); n != 0 {
+		t.Errorf("down host reports %d NIC errors, want 0", n)
+	}
+	h.ForceUp(sim.Now())
+	if n := h.NICErrors(); n != 9 {
+		t.Errorf("NIC errors = %d after the host came back, want 9", n)
 	}
 	h.ClearNICErrors()
-	if h.NetStat().Errors != 0 {
+	if h.NICErrors() != 0 {
 		t.Error("errors should clear")
 	}
 }
@@ -444,7 +451,7 @@ func TestQuickUtilisationBounds(t *testing.T) {
 		sim := simclock.New(1)
 		h := newHost(sim)
 		for _, d := range demands {
-			h.Spawn("p", "u", "", float64(d)/16, 10)
+			h.Spawn("p", "u", float64(d)/16, 10)
 		}
 		u := h.CPUUtilisation()
 		return u >= 0 && u <= 1 && h.RunQueue() >= 0
@@ -460,7 +467,7 @@ func TestQuickMemoryBounds(t *testing.T) {
 		sim := simclock.New(1)
 		h := newHost(sim)
 		for _, m := range mems {
-			h.Spawn("p", "u", "", 0, float64(m))
+			h.Spawn("p", "u", 0, float64(m))
 		}
 		return h.MemUsedMB() <= float64(h.Model.MemoryMB) && h.MemFreeMB() >= 0
 	}

@@ -323,7 +323,7 @@ func (h *Host) Uptime() simclock.Time {
 
 // Spawn adds a process to the table and returns it. Spawning on a down host
 // returns nil.
-func (h *Host) Spawn(name, user, args string, cpuDemand, memMB float64) *Process {
+func (h *Host) Spawn(name, user string, cpuDemand, memMB float64) *Process {
 	if h.state != HostUp {
 		return nil
 	}
@@ -342,11 +342,9 @@ func (h *Host) Spawn(name, user, args string, cpuDemand, memMB float64) *Process
 		PID:       h.nextPID,
 		Name:      name,
 		User:      user,
-		Args:      args,
 		CPUDemand: cpuDemand,
 		MemMB:     memMB,
 		State:     ProcRunning,
-		Started:   h.sim.Now(),
 		tally:     t,
 	}
 	h.procs[p.PID] = p

@@ -16,7 +16,6 @@ type HardwareModel struct {
 	CPUs     int     // CPU count
 	CPUSpeed float64 // relative per-CPU speed, Ultra10 = 1.0
 	MemoryMB int     // installed RAM
-	Disks    int     // spindle count
 	MaxLoad  float64 // max sustainable utilisation fraction (vendor + expert data, per paper §3.2)
 }
 
@@ -33,15 +32,15 @@ func (m HardwareModel) String() string {
 // hosts before and after the agents and never an absolute speed: only the
 // power ordering used by the selection heuristic matters.
 var (
-	ModelE10K    = HardwareModel{Name: "E10K", Vendor: "Sun", CPUs: 32, CPUSpeed: 1.2, MemoryMB: 32768, Disks: 16, MaxLoad: 0.85}
-	ModelE4500   = HardwareModel{Name: "E4500", Vendor: "Sun", CPUs: 8, CPUSpeed: 1.1, MemoryMB: 8192, Disks: 8, MaxLoad: 0.85}
-	ModelE450    = HardwareModel{Name: "E450", Vendor: "Sun", CPUs: 4, CPUSpeed: 1.0, MemoryMB: 4096, Disks: 4, MaxLoad: 0.80}
-	ModelE220R   = HardwareModel{Name: "E220R", Vendor: "Sun", CPUs: 2, CPUSpeed: 1.0, MemoryMB: 2048, Disks: 2, MaxLoad: 0.80}
-	ModelUltra10 = HardwareModel{Name: "Ultra10", Vendor: "Sun", CPUs: 1, CPUSpeed: 1.0, MemoryMB: 1024, Disks: 1, MaxLoad: 0.75}
-	ModelHPK     = HardwareModel{Name: "HP-K", Vendor: "HP", CPUs: 6, CPUSpeed: 1.05, MemoryMB: 6144, Disks: 6, MaxLoad: 0.80}
-	ModelHPT     = HardwareModel{Name: "HP-T", Vendor: "HP", CPUs: 4, CPUSpeed: 1.05, MemoryMB: 4096, Disks: 4, MaxLoad: 0.80}
-	ModelSP2     = HardwareModel{Name: "SP2", Vendor: "IBM", CPUs: 4, CPUSpeed: 0.95, MemoryMB: 2048, Disks: 2, MaxLoad: 0.80}
-	ModelLinux   = HardwareModel{Name: "linux-x86", Vendor: "commodity", CPUs: 2, CPUSpeed: 0.9, MemoryMB: 1024, Disks: 2, MaxLoad: 0.75}
+	ModelE10K    = HardwareModel{Name: "E10K", Vendor: "Sun", CPUs: 32, CPUSpeed: 1.2, MemoryMB: 32768, MaxLoad: 0.85}
+	ModelE4500   = HardwareModel{Name: "E4500", Vendor: "Sun", CPUs: 8, CPUSpeed: 1.1, MemoryMB: 8192, MaxLoad: 0.85}
+	ModelE450    = HardwareModel{Name: "E450", Vendor: "Sun", CPUs: 4, CPUSpeed: 1.0, MemoryMB: 4096, MaxLoad: 0.80}
+	ModelE220R   = HardwareModel{Name: "E220R", Vendor: "Sun", CPUs: 2, CPUSpeed: 1.0, MemoryMB: 2048, MaxLoad: 0.80}
+	ModelUltra10 = HardwareModel{Name: "Ultra10", Vendor: "Sun", CPUs: 1, CPUSpeed: 1.0, MemoryMB: 1024, MaxLoad: 0.75}
+	ModelHPK     = HardwareModel{Name: "HP-K", Vendor: "HP", CPUs: 6, CPUSpeed: 1.05, MemoryMB: 6144, MaxLoad: 0.80}
+	ModelHPT     = HardwareModel{Name: "HP-T", Vendor: "HP", CPUs: 4, CPUSpeed: 1.05, MemoryMB: 4096, MaxLoad: 0.80}
+	ModelSP2     = HardwareModel{Name: "SP2", Vendor: "IBM", CPUs: 4, CPUSpeed: 0.95, MemoryMB: 2048, MaxLoad: 0.80}
+	ModelLinux   = HardwareModel{Name: "linux-x86", Vendor: "commodity", CPUs: 2, CPUSpeed: 0.9, MemoryMB: 1024, MaxLoad: 0.75}
 )
 
 // Models lists every hardware family, largest first.

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"repro/internal/simclock"
-)
+import "fmt"
 
 // ProcState is a Unix-like process state.
 type ProcState int
@@ -39,11 +35,9 @@ type Process struct {
 	PID       int
 	Name      string
 	User      string
-	Args      string
 	CPUDemand float64
 	MemMB     float64
 	State     ProcState
-	Started   simclock.Time
 
 	// tally is the host's count cell for Name, resolved once at spawn so
 	// exit and state changes update the counts without hashing the name.

@@ -6,12 +6,11 @@ import (
 )
 
 // VMStat is a vmstat-style snapshot of the measurements the paper's
-// operating-system group collects (§3.6): scan rate, page-outs, page
-// faults, free memory, run queue, CPU idle and blocked processes.
+// operating-system group collects (§3.6): scan rate, page-outs, free
+// memory, run queue, CPU idle and blocked processes.
 type VMStat struct {
 	ScanRate     float64 // sr: pages scanned/sec, ramps with memory pressure
 	PageOuts     float64 // po: pages written out/sec
-	PageFaults   float64 // minor+major faults/sec
 	FreeMemMB    float64
 	RunQueue     int
 	CPUIdlePct   float64
@@ -21,19 +20,9 @@ type VMStat struct {
 // IOStat is an iostat-style snapshot; the paper watches asvc_t and wsvc_t
 // (active/wait service times) sampled over 30-second intervals.
 type IOStat struct {
-	BusyPct  float64 // %b
-	ReadsPS  float64
-	WritesPS float64
-	AsvcMS   float64 // active service time, ms
-	WsvcMS   float64 // wait (queue) time, ms
-}
-
-// NetStat is a netstat -i style snapshot.
-type NetStat struct {
-	PacketsInPS  float64
-	PacketsOutPS float64
-	Errors       int
-	Collisions   int
+	BusyPct float64 // %b
+	AsvcMS  float64 // active service time, ms
+	WsvcMS  float64 // wait (queue) time, ms
 }
 
 // VMStat samples the host's virtual-memory and CPU state. Memory pressure
@@ -55,7 +44,6 @@ func (h *Host) VMStat() VMStat {
 	return VMStat{
 		ScanRate:     sr,
 		PageOuts:     po,
-		PageFaults:   20 + 400*util,
 		FreeMemMB:    h.MemFreeMB(),
 		RunQueue:     h.RunQueue(),
 		CPUIdlePct:   math.Round((1-util)*1000) / 10,
@@ -77,26 +65,19 @@ func (h *Host) IOStat() IOStat {
 	asvc := base / (1 - busy)
 	wsvc := asvc * busy * busy * 4
 	return IOStat{
-		BusyPct:  math.Round(busy * 100),
-		ReadsPS:  80 * h.diskActivity * float64(h.Model.Disks),
-		WritesPS: 40 * h.diskActivity * float64(h.Model.Disks),
-		AsvcMS:   math.Round(asvc*10) / 10,
-		WsvcMS:   math.Round(wsvc*10) / 10,
+		BusyPct: math.Round(busy * 100),
+		AsvcMS:  math.Round(asvc*10) / 10,
+		WsvcMS:  math.Round(wsvc*10) / 10,
 	}
 }
 
-// NetStat samples NIC counters, including injected errors.
-func (h *Host) NetStat() NetStat {
+// NICErrors samples the NIC error counter netstat -i reports, including
+// injected errors: zero while the host is down.
+func (h *Host) NICErrors() int {
 	if h.state != HostUp {
-		return NetStat{}
+		return 0
 	}
-	util := h.CPUUtilisation()
-	return NetStat{
-		PacketsInPS:  500 + 8000*util,
-		PacketsOutPS: 400 + 7000*util,
-		Errors:       h.nicErrors,
-		Collisions:   h.nicErrors / 3,
-	}
+	return h.nicErrors
 }
 
 // Datacentre is the collection of hosts at one customer site. Hosts are

@@ -99,7 +99,7 @@ func (r *Registry) Reset() {
 func (r *Registry) Add(cat metrics.Category, host, aspect, detail string, humanOnly bool,
 	now simclock.Time, repair func(now simclock.Time) bool) *Fault {
 	f := &Fault{
-		Incident:  r.Ledger.Open(cat, host, aspect, detail, now),
+		Incident:  r.Ledger.Open(cat, host, now),
 		Category:  cat,
 		Host:      host,
 		Aspect:    aspect,

@@ -11,19 +11,19 @@
 //
 // Files are reached by path or through handles. FS.Open resolves a path
 // once, to its volume's slot for it, and returns a File whose operations
-// clean, resolve and hash nothing; FS.OpenDir does the same for a
-// directory. A path call and a handle on the same path reach the same
-// slot, so each sees the other's writes. Agents, which touch the same few
-// files on every run, hold handles; path calls serve everything else.
+// clean, resolve and hash nothing. A path call and a handle on the same
+// path reach the same slot, so each sees the other's writes. Agents, which
+// touch the same few files on every run, hold handles; path calls serve
+// everything else.
 //
 // Concurrency follows the simulation's phase rule instead of a lock: files
 // are written, and handles opened, only on the event loop or in the serial
 // apply phase of a sharded tick, and concurrent work may only read
-// (FS.ReadLines and FS.List by path, File.Exists and Dir.HasFileWithSuffix
-// through a handle opened earlier). No concurrent phase reads a volume
-// today: the sharded probe walks touch no files, and agents run on the
-// event loop. A Volume, and so every FS it is mounted in, is not safe for
-// use by a writer concurrently with anything else.
+// (FS.ReadLines and FS.List by path, File.Exists through a handle opened
+// earlier). No concurrent phase reads a volume today: the sharded probe
+// walks touch no files, and agents run on the event loop. A Volume, and so
+// every FS it is mounted in, is not safe for use by a writer concurrently
+// with anything else.
 package fsim
 
 import (
@@ -152,15 +152,6 @@ func (n *node) list() []string {
 		}
 	}
 	return names
-}
-
-func (n *node) hasFileWithSuffix(suffix string) bool {
-	for _, f := range n.files {
-		if f.live && strings.HasSuffix(f.name, suffix) {
-			return true
-		}
-	}
-	return false
 }
 
 // Volume is a mountable tree of files, read and written only through an
@@ -328,8 +319,8 @@ func (v *Volume) Reset() {
 // A handle is invalid after its volume's Reset (FS.Reset, for a host's
 // private root): whoever resets a volume rebuilds the holders of its
 // handles, which open them again. Site.Reset does this: it resets every
-// host's namespace and then deploys new agents and a new administration
-// pair, which open theirs at their first run or sweep.
+// host's namespace and then deploys new agents, which open theirs at their
+// first run.
 type File struct {
 	v *Volume
 	n *node
@@ -369,18 +360,6 @@ func (f File) AppendLineCapped(line string, max int) error {
 
 // Remove deletes the file; the handle stays valid.
 func (f File) Remove() error { return f.n.remove() }
-
-// Dir is a handle on one directory path, from FS.OpenDir; the directory
-// need not exist yet. Hold it by value. Like a File, it is invalid after
-// its volume's Reset.
-type Dir struct {
-	n *node
-}
-
-// HasFileWithSuffix reports whether the directory directly contains a file
-// whose name ends in suffix — the allocation-free existence probe sweep
-// loops use in place of List. A missing or empty directory reports false.
-func (d Dir) HasFileWithSuffix(suffix string) bool { return d.n.hasFileWithSuffix(suffix) }
 
 // mount maps a namespace prefix onto a volume.
 type mount struct {
@@ -441,14 +420,6 @@ func (fs *FS) lookup(p string) (*node, string) {
 func (fs *FS) Open(p string) File {
 	v, vp := fs.resolve(p)
 	return File{v: v, n: v.slot(vp)}
-}
-
-// OpenDir returns a handle on the directory at p, which need not exist
-// yet: the handle sees the files that later writes create directly inside
-// p. Like Open, it adds the path's slot to its volume.
-func (fs *FS) OpenDir(p string) Dir {
-	v, vp := fs.resolve(p)
-	return Dir{n: v.slot(vp)}
 }
 
 // WriteLines replaces the file at p with the given lines, creating parent

@@ -248,59 +248,3 @@ func TestQuickWriteReadRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Dir.HasFileWithSuffix agrees with a scan of List, including at the root,
-// on a mount, and for names that share a directory's prefix without lying
-// under it.
-func TestHasFileWithSuffixMatchesList(t *testing.T) {
-	fs := NewFS()
-	pool := NewVolume()
-	fs.Mount("/nfs/pool", pool)
-	for _, p := range []string{
-		"/top.flag", "/logs/intelliagents/status-db001/ok.flag",
-		"/logs/intelliagents/status-db001/activity.log",
-		"/logs/intelliagents/status-db001x/fault.flag",
-		"/logs/intelliagents/disk-db001/sub/deep.flag",
-		"/nfs/pool/dgspl-oracle.txt", "/nfs/pool/agents/ok.flag",
-	} {
-		if err := fs.WriteLines(p, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, dir := range []string{"/", "/logs", "/logs/intelliagents/status-db001",
-		"/logs/intelliagents/status-db001x", "/logs/intelliagents/status-db00",
-		"/logs/intelliagents/disk-db001", "/nfs/pool", "/nfs/pool/agents", "/missing"} {
-		for _, suffix := range []string{".flag", ".txt", ".log"} {
-			names, _ := fs.List(dir)
-			want := false
-			for _, n := range names {
-				want = want || strings.HasSuffix(n, suffix)
-			}
-			if got := fs.OpenDir(dir).HasFileWithSuffix(suffix); got != want {
-				t.Errorf("HasFileWithSuffix(%q, %q) = %v, List gives %q", dir, suffix, got, names)
-			}
-		}
-	}
-}
-
-// The flag-sweep probe on a directory handle allocates nothing, on the
-// private root and through a mount alike.
-func TestHasFileWithSuffixAllocs(t *testing.T) {
-	fs := NewFS()
-	fs.Mount("/nfs/pool", NewVolume())
-	dir := "/logs/intelliagents/performance-fe-webserver-017"
-	for _, d := range []string{dir, "/nfs/pool" + dir} {
-		for _, name := range []string{"ok.flag", "activity.log"} {
-			_ = fs.WriteLines(d+"/"+name, nil)
-		}
-		_ = fs.WriteLines(d+"x/other.flag", nil)
-		h := fs.OpenDir(d)
-		if a := testing.AllocsPerRun(100, func() {
-			if !h.HasFileWithSuffix(".flag") || h.HasFileWithSuffix(".txt") {
-				t.Fatal("probe answered wrong")
-			}
-		}); a != 0 {
-			t.Errorf("HasFileWithSuffix(%s): %v allocs, want 0", d, a)
-		}
-	}
-}

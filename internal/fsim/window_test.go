@@ -204,7 +204,8 @@ func TestExistingFileFastPathInvariants(t *testing.T) {
 // log, and a flag written or removed, alternating handles kept across
 // rounds with fresh handles and path calls — then a read phase in which
 // several goroutines read the log, the flag and their directory at once,
-// through handles opened earlier and by path, while nothing writes. Every reader must see exactly what the write phase
+// the files through handles opened earlier and by path, the directory by
+// path, while nothing writes. Every reader must see exactly what the write phase
 // left, on the private root and through a mount alike. Under -race, a read
 // that writes (one that compacted the log's window, say) or a write that
 // overlapped the readers is a reported race; CI runs it that way, ten
@@ -215,7 +216,7 @@ func TestConcurrentAppendTouch(t *testing.T) {
 	fs.Mount("/nfs/pool", NewVolume())
 	for _, dir := range []string{"/logs/intelliagents/cpu", "/nfs/pool/agents/cpu"} {
 		logPath, flagPath := dir+"/activity.log", dir+"/ok.flag"
-		log, flag, flags := fs.Open(logPath), fs.Open(flagPath), fs.OpenDir(dir)
+		log, flag := fs.Open(logPath), fs.Open(flagPath)
 		var want []string
 		for round := 0; round < rounds; round++ {
 			line := fmt.Sprintf("run %d", round)
@@ -264,8 +265,7 @@ func TestConcurrentAppendTouch(t *testing.T) {
 					if !log.Exists() {
 						t.Errorf("%s round %d: log missing", dir, round)
 					}
-					if flag.Exists() != flagged || exists(fs, flagPath) != flagged ||
-						flags.HasFileWithSuffix(".flag") != flagged {
+					if flag.Exists() != flagged || exists(fs, flagPath) != flagged {
 						t.Errorf("%s round %d: flag present disagrees with %v", dir, round, flagged)
 					}
 					if names, err := fs.List(dir); err != nil || !reflect.DeepEqual(names, wantNames) {

@@ -35,7 +35,6 @@ func RestartService(sim *simclock.Sim, s *svc.Service, onUp func(now simclock.Ti
 	if err := s.Start(onUp); err != nil {
 		return fmt.Errorf("heal: restart %s: %w", s.Spec.Name, err)
 	}
-	s.Restarts++
 	return nil
 }
 

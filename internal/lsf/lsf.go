@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 
 	"repro/internal/simclock"
 	"repro/internal/svc"
@@ -60,12 +59,8 @@ type Job struct {
 	// WantServer is the user's manual choice; empty means scheduler picks.
 	WantServer string
 
-	State       JobState
-	SubmittedAt simclock.Time
-	StartedAt   simclock.Time
-	FinishedAt  simclock.Time
-	Attempts    int
-	FailReason  string
+	State    JobState
+	Attempts int
 
 	pid      int
 	finishEv *simclock.Event
@@ -170,7 +165,7 @@ func (c *Cluster) Submit(name, user, wantServer string, cpu, memMB, disk float64
 	j := &Job{
 		ID: len(c.jobs) + 1, Name: name, User: user, WantServer: wantServer,
 		CPUDemand: cpu, MemMB: memMB, DiskLoad: disk, Work: work,
-		State: JobPending, SubmittedAt: c.sim.Now(),
+		State: JobPending,
 	}
 	c.jobs = append(c.jobs, j)
 	c.pending = append(c.pending, j)
@@ -224,16 +219,15 @@ func (c *Cluster) Dispatch() {
 func (c *Cluster) start(j *Job, service string) {
 	s := c.dir.Get(service)
 	host := s.Host
-	p := host.Spawn("lsf_job_"+j.Name, j.User, "jobid="+strconv.Itoa(j.ID), j.CPUDemand, j.MemMB)
+	p := host.Spawn("lsf_job_"+j.Name, j.User, j.CPUDemand, j.MemMB)
 	if p == nil {
-		c.fail(j, "exec host down at dispatch")
+		c.fail(j)
 		return
 	}
 	host.AddDiskActivity(j.DiskLoad)
 	s.Connect()
 	j.State = JobRunning
 	j.Server = service
-	j.StartedAt = c.sim.Now()
 	j.Attempts++
 	j.pid = p.PID
 	if c.running[service] == nil {
@@ -247,24 +241,21 @@ func (c *Cluster) start(j *Job, service string) {
 		slow *= 1 + 3*(u-0.7) // contention tax up to 1.9x at saturation
 	}
 	dur := simclock.Time(float64(j.Work) * slow)
-	j.finishEv = c.sim.After(dur, "lsf-finish", func(now simclock.Time) {
-		c.finish(j, now)
-	})
+	j.finishEv = c.sim.After(dur, "lsf-finish", func(simclock.Time) { c.finish(j) })
 }
 
 // finish completes a running job if its database survived the run.
-func (c *Cluster) finish(j *Job, now simclock.Time) {
+func (c *Cluster) finish(j *Job) {
 	if j.State != JobRunning {
 		return
 	}
 	s := c.dir.Get(j.Server)
 	if s == nil || !s.Running() {
-		c.failRunning(j, "database unavailable at completion")
+		c.failRunning(j)
 		return
 	}
 	c.release(j)
 	j.State = JobDone
-	j.FinishedAt = now
 	c.Completed++
 	c.Dispatch()
 }
@@ -288,25 +279,22 @@ func (c *Cluster) release(j *Job) {
 
 // fail marks a pending/unstarted job failed and enters it in the failed
 // index.
-func (c *Cluster) fail(j *Job, reason string) {
+func (c *Cluster) fail(j *Job) {
 	j.State = JobFailed
-	j.FailReason = reason
-	j.FinishedAt = c.sim.Now()
 	c.Failed++
 	i, _ := slices.BinarySearch(c.failed, j.ID)
 	c.failed = slices.Insert(c.failed, i, j.ID)
 }
 
 // failRunning releases and fails a running job.
-func (c *Cluster) failRunning(j *Job, reason string) {
+func (c *Cluster) failRunning(j *Job) {
 	c.release(j)
-	c.fail(j, reason)
+	c.fail(j)
 }
 
-// FailJobsOn fails every running job on the named service — what happens
-// when a database crashes in the middle of its jobs. It returns the failed
-// jobs.
-func (c *Cluster) FailJobsOn(service, reason string) []*Job {
+// FailJobsOn fails every running job on the named service, in ID order —
+// what happens when a database crashes in the middle of its jobs.
+func (c *Cluster) FailJobsOn(service string) {
 	m := c.running[service]
 	out := make([]*Job, 0, len(m))
 	for _, j := range m {
@@ -314,9 +302,8 @@ func (c *Cluster) FailJobsOn(service, reason string) []*Job {
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	for _, j := range out {
-		c.failRunning(j, reason)
+		c.failRunning(j)
 	}
-	return out
 }
 
 // Requeue resubmits a failed job to a specific server (brequeue -m), the
@@ -335,7 +322,6 @@ func (c *Cluster) Requeue(id int, server string) error {
 	}
 	j.State = JobPending
 	j.WantServer = server
-	j.FailReason = ""
 	c.pending = append(c.pending, j)
 	c.Dispatch()
 	return nil

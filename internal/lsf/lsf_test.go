@@ -58,10 +58,7 @@ func TestSubmitAndComplete(t *testing.T) {
 	}
 	r.sim.RunUntil(r.sim.Now() + 3*simclock.Hour)
 	if j.State != JobDone {
-		t.Fatalf("job state = %s (%s)", j.State, j.FailReason)
-	}
-	if j.FinishedAt <= j.StartedAt {
-		t.Errorf("job finished at %v, started at %v", j.FinishedAt, j.StartedAt)
+		t.Fatalf("job state = %s", j.State)
 	}
 	if r.lsf.Completed != 1 || r.lsf.RunningOn("ORA-A") != 0 {
 		t.Error("completion accounting broken")
@@ -106,10 +103,7 @@ func TestCrashMidJobFailsJobs(t *testing.T) {
 	j2 := r.lsf.Submit("batch2", "u", "ORA-A", 0.5, 64, 0.1, 4*simclock.Hour)
 	r.sim.RunUntil(r.sim.Now() + simclock.Hour)
 	r.dbs[0].Crash()
-	got := r.lsf.FailJobsOn("ORA-A", "database crashed mid-job")
-	if len(got) != 2 || got[0].ID != j1.ID || got[1].ID != j2.ID {
-		t.Fatalf("failed jobs = %v", got)
-	}
+	r.lsf.FailJobsOn("ORA-A")
 	if j1.State != JobFailed || j2.State != JobFailed {
 		t.Error("states not EXIT")
 	}
@@ -140,7 +134,7 @@ func TestRequeueToAnotherServer(t *testing.T) {
 	r := newRig(t, 2)
 	j := r.lsf.Submit("batch", "u", "ORA-A", 0.5, 64, 0, simclock.Hour)
 	r.dbs[0].Crash()
-	r.lsf.FailJobsOn("ORA-A", "crash")
+	r.lsf.FailJobsOn("ORA-A")
 	if err := r.lsf.Requeue(j.ID, "ORA-B"); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +219,7 @@ func TestFailedIndexMatchesJobs(t *testing.T) {
 			i := rng.IntN(3)
 			for _, r := range []*rig{a, b} {
 				r.dbs[i].Crash()
-				r.lsf.FailJobsOn(r.dbs[i].Spec.Name, "database crashed mid-job")
+				r.lsf.FailJobsOn(r.dbs[i].Spec.Name)
 			}
 		case op < 7:
 			i := rng.IntN(3)
@@ -285,7 +279,7 @@ func TestResetClearsJobTable(t *testing.T) {
 	r := newRig(t, 1)
 	r.lsf.Submit("a", "u", "ORA-A", 0.5, 64, 0, simclock.Hour)
 	r.dbs[0].Crash()
-	r.lsf.FailJobsOn("ORA-A", "crash")
+	r.lsf.FailJobsOn("ORA-A")
 	r.lsf.Reset()
 	if len(r.lsf.Jobs()) != 0 || r.lsf.FailedAfter(0) != nil || r.lsf.Failed != 0 {
 		t.Fatalf("after Reset: %d jobs, failed index head %v, Failed %d", len(r.lsf.Jobs()), r.lsf.FailedAfter(0), r.lsf.Failed)
@@ -336,11 +330,21 @@ func TestPowerAffectsRuntime(t *testing.T) {
 	c.SetSlotLimit("SLOW", 4)
 	jf := c.Submit("a", "u", "FAST", 0.5, 64, 0, simclock.Hour)
 	js := c.Submit("b", "u", "SLOW", 0.5, 64, 0, simclock.Hour)
-	sim.RunUntil(sim.Now() + 4*simclock.Hour)
+	// Both started now; note the minute each is first seen done.
+	var lf, ls simclock.Time
+	for start := sim.Now(); sim.Now() < start+4*simclock.Hour; {
+		sim.RunUntil(sim.Now() + simclock.Minute)
+		if jf.State == JobDone && lf == 0 {
+			lf = sim.Now() - start
+		}
+		if js.State == JobDone && ls == 0 {
+			ls = sim.Now() - start
+		}
+	}
 	if jf.State != JobDone || js.State != JobDone {
 		t.Fatalf("job states = %s, %s", jf.State, js.State)
 	}
-	if lf, ls := jf.FinishedAt-jf.StartedAt, js.FinishedAt-js.StartedAt; lf >= ls {
+	if lf >= ls {
 		t.Errorf("fast server should finish sooner: fast=%v slow=%v", lf, ls)
 	}
 }

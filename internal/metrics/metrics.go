@@ -37,11 +37,8 @@ var Categories = []Category{
 // the ledger is resolved-started (the service is unusable for the whole
 // window, as the paper counts it).
 type Incident struct {
-	ID       int
 	Category Category
 	Host     string
-	Service  string
-	Detail   string
 
 	StartedAt  simclock.Time
 	DetectedAt simclock.Time
@@ -93,7 +90,6 @@ func WindowWeekend(i *Incident) bool {
 // Ledger records incidents and charges downtime per category.
 type Ledger struct {
 	incidents []*Incident
-	nextID    int
 }
 
 // NewLedger returns an empty ledger.
@@ -103,16 +99,11 @@ func NewLedger() *Ledger { return &Ledger{} }
 // calls this between trials.
 func (l *Ledger) Reset() {
 	l.incidents = l.incidents[:0]
-	l.nextID = 0
 }
 
 // Open records a new incident starting at now.
-func (l *Ledger) Open(cat Category, host, service, detail string, now simclock.Time) *Incident {
-	l.nextID++
-	inc := &Incident{
-		ID: l.nextID, Category: cat, Host: host, Service: service,
-		Detail: detail, StartedAt: now,
-	}
+func (l *Ledger) Open(cat Category, host string, now simclock.Time) *Incident {
+	inc := &Incident{Category: cat, Host: host, StartedAt: now}
 	l.incidents = append(l.incidents, inc)
 	return inc
 }

@@ -11,8 +11,8 @@ import (
 
 func TestIncidentLifecycle(t *testing.T) {
 	l := NewLedger()
-	inc := l.Open(CatMidCrash, "db001", "ORA-01", "crash during batch job", simclock.Hour)
-	if inc.ID != 1 || inc.Detected || inc.Resolved {
+	inc := l.Open(CatMidCrash, "db001", simclock.Hour)
+	if inc.Category != CatMidCrash || inc.Host != "db001" || inc.StartedAt != simclock.Hour || inc.Detected || inc.Resolved {
 		t.Fatalf("fresh incident: %+v", inc)
 	}
 	l.Detect(inc, simclock.Hour+5*simclock.Minute, "intelliagent")
@@ -35,7 +35,7 @@ func TestIncidentLifecycle(t *testing.T) {
 
 func TestResolveImpliesDetect(t *testing.T) {
 	l := NewLedger()
-	inc := l.Open(CatHuman, "h", "s", "", 0)
+	inc := l.Open(CatHuman, "h", 0)
 	l.Resolve(inc, simclock.Hour, "oncall")
 	if !inc.Detected || inc.DetectedAt != simclock.Hour {
 		t.Errorf("resolve should imply detection: %+v", inc)
@@ -44,7 +44,7 @@ func TestResolveImpliesDetect(t *testing.T) {
 
 func TestOpenIncidentDowntimeAccrues(t *testing.T) {
 	l := NewLedger()
-	l.Open(CatHardware, "h", "", "", simclock.Hour)
+	l.Open(CatHardware, "h", simclock.Hour)
 	if got := l.TotalDowntime(3 * simclock.Hour); got != 2*simclock.Hour {
 		t.Errorf("open downtime = %v", got)
 	}
@@ -52,9 +52,9 @@ func TestOpenIncidentDowntimeAccrues(t *testing.T) {
 
 func TestDowntimeByCategory(t *testing.T) {
 	l := NewLedger()
-	a := l.Open(CatMidCrash, "h1", "s1", "", 0)
-	b := l.Open(CatMidCrash, "h2", "s2", "", 0)
-	c := l.Open(CatLSF, "h3", "s3", "", simclock.Hour)
+	a := l.Open(CatMidCrash, "h1", 0)
+	b := l.Open(CatMidCrash, "h2", 0)
+	c := l.Open(CatLSF, "h3", simclock.Hour)
 	l.Resolve(a, 2*simclock.Hour, "x")
 	l.Resolve(b, 1*simclock.Hour, "x")
 	l.Resolve(c, 90*simclock.Minute, "x")
@@ -76,11 +76,11 @@ func TestDowntimeByCategory(t *testing.T) {
 func TestDetectionLatenciesAndMTTRs(t *testing.T) {
 	l := NewLedger()
 	for i, lat := range []simclock.Time{5 * simclock.Minute, 2 * simclock.Minute, 9 * simclock.Minute} {
-		inc := l.Open(CatPerformance, "h", "", "", simclock.Time(i)*simclock.Hour)
+		inc := l.Open(CatPerformance, "h", simclock.Time(i)*simclock.Hour)
 		l.Detect(inc, inc.StartedAt+lat, "agent")
 		l.Resolve(inc, inc.DetectedAt+simclock.Time(i+1)*simclock.Minute, "agent")
 	}
-	undetected := l.Open(CatPerformance, "h", "", "", 0)
+	undetected := l.Open(CatPerformance, "h", 0)
 	_ = undetected
 	lats := l.DetectionLatencies(nil)
 	if len(lats) != 3 || lats[0] != 2*simclock.Minute || lats[2] != 9*simclock.Minute {
@@ -121,7 +121,7 @@ func TestMeanPercentile(t *testing.T) {
 
 func TestSummaries(t *testing.T) {
 	l := NewLedger()
-	inc := l.Open(CatFirewallNet, "fw", "", "", 0)
+	inc := l.Open(CatFirewallNet, "fw", 0)
 	l.Resolve(inc, 8*simclock.Hour, "oncall")
 	rows := l.Summaries(24 * simclock.Hour)
 	if len(rows) != len(Categories) {
@@ -202,7 +202,7 @@ func TestQuickLedgerSums(t *testing.T) {
 		l := NewLedger()
 		for i, sp := range spans {
 			cat := Categories[i%len(Categories)]
-			inc := l.Open(cat, "h", "s", "", 0)
+			inc := l.Open(cat, "h", 0)
 			l.Resolve(inc, simclock.Time(sp)*simclock.Second, "x")
 		}
 		now := simclock.Day

@@ -40,10 +40,9 @@ type Handler func(now simclock.Time, msg Message)
 
 // Stats is cumulative traffic accounting for one network.
 type Stats struct {
-	Sent      int
-	Delivered int
-	Dropped   int
-	Bytes     int64
+	Sent    int
+	Dropped int
+	Bytes   int64
 }
 
 // Network is a broadcast domain with uniform latency.
@@ -96,7 +95,6 @@ func (d *delivery) deliver(now simclock.Time) {
 		n.stats.Dropped++
 		return
 	}
-	n.stats.Delivered++
 	to.handler(now, msg)
 }
 
@@ -225,8 +223,7 @@ func (n *Network) post(msg Message, dst *endpoint) {
 // prefer the private intelliagent network and re-route over the public LAN
 // on failure.
 type Router struct {
-	nets     []*Network
-	Reroutes int // messages that fell back past the first network
+	nets []*Network
 }
 
 // NewRouter returns a router preferring nets in the given order.
@@ -237,15 +234,12 @@ func NewRouter(nets ...*Network) *Router { return &Router{nets: nets} }
 // still fail (counted as a drop on that network) when the fabric or the
 // destination's link drops in flight.
 func (r *Router) Send(msg Message) (*Network, error) {
-	for i, n := range r.nets {
+	for _, n := range r.nets {
 		dst := n.route(msg.From, msg.To)
 		if dst == nil {
 			continue
 		}
 		n.post(msg, dst)
-		if i > 0 {
-			r.Reroutes++
-		}
 		return n, nil
 	}
 	return nil, fmt.Errorf("%w: %s -> %s", ErrNoRouteFound, msg.From, msg.To)

@@ -42,7 +42,7 @@ func TestDeliver(t *testing.T) {
 		t.Errorf("latency: delivered at %v", at)
 	}
 	st := n.Stats()
-	if st.Sent != 1 || st.Delivered != 1 || st.Dropped != 0 {
+	if st.Sent != 1 || st.Dropped != 0 {
 		t.Errorf("stats: %+v", st)
 	}
 }
@@ -97,8 +97,8 @@ func TestRouterPrefersPrivate(t *testing.T) {
 	if err != nil || via.Name() != "private" {
 		t.Fatalf("via %v err %v", via, err)
 	}
-	if r.Reroutes != 0 {
-		t.Errorf("reroutes = %d", r.Reroutes)
+	if sent := pub.Stats().Sent; sent != 0 {
+		t.Errorf("public network sent %d, want 0", sent)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestRouterFallsBackWhenPrivateDown(t *testing.T) {
 	if err != nil || via.Name() != "public" {
 		t.Fatalf("via %v err %v", via, err)
 	}
-	if r.Reroutes != 1 {
-		t.Errorf("reroutes = %d", r.Reroutes)
+	if sent := pub.Stats().Sent; sent != 1 {
+		t.Errorf("public network sent %d, want 1", sent)
 	}
 	drain(sim)
 	if delivered != 1 {
@@ -214,7 +214,7 @@ func TestSendFromHandler(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("deliveries = %q, want %q", got, want)
 	}
-	if st := n.Stats(); st.Sent != 4 || st.Delivered != 4 || st.Dropped != 0 {
+	if st := n.Stats(); st.Sent != 4 || st.Dropped != 0 {
 		t.Errorf("stats: %+v", st)
 	}
 	if len(n.free) != 2 {
@@ -246,7 +246,7 @@ func TestDropToDetachedHost(t *testing.T) {
 	if !slices.Equal(got, []string{"kept"}) {
 		t.Errorf("after re-attach got %q", got)
 	}
-	if st := n.Stats(); st.Sent != 2 || st.Delivered != 1 || st.Dropped != 1 {
+	if st := n.Stats(); st.Sent != 2 || st.Dropped != 1 {
 		t.Errorf("stats: %+v", st)
 	}
 }
@@ -271,7 +271,7 @@ func TestResetWithMessagesInFlight(t *testing.T) {
 	if !slices.Equal(got, []string{"new:to-c"}) {
 		t.Errorf("deliveries = %q", got)
 	}
-	if st := n.Stats(); st != (Stats{Delivered: 1, Dropped: 1}) {
+	if st := n.Stats(); st != (Stats{Dropped: 1}) {
 		t.Errorf("stats after reset: %+v", st)
 	}
 	n.Attach("a", nil)
@@ -376,22 +376,18 @@ func (n *refNetwork) send(msg Message) {
 			n.stats.Dropped++
 			return
 		}
-		n.stats.Delivered++
 		h(now, msg)
 	})
 }
 
 // refRouterSend is the Router.Send the records replaced: a Usable check,
 // then a send.
-func refRouterSend(nets []*refNetwork, reroutes *int, msg Message) (string, error) {
-	for i, n := range nets {
+func refRouterSend(nets []*refNetwork, msg Message) (string, error) {
+	for _, n := range nets {
 		if !n.Usable(msg.From, msg.To) {
 			continue
 		}
 		n.send(msg)
-		if i > 0 {
-			*reroutes++
-		}
 		return n.name, nil
 	}
 	return "", fmt.Errorf("%w: %s -> %s", ErrNoRouteFound, msg.From, msg.To)
@@ -414,7 +410,6 @@ func TestEndpointRecordsMatchTwoMapModel(t *testing.T) {
 		refs := []*refNetwork{newRef(refSim, "private", simclock.Second, 0.3), newRef(refSim, "public", 2*simclock.Second, 0)}
 		router := NewRouter(nets...)
 		single := []*Router{NewRouter(nets[0]), NewRouter(nets[1])}
-		refReroutes := 0
 		var got, want []string
 		handler := func(log *[]string, net, host string, k int) Handler {
 			return func(now simclock.Time, m Message) {
@@ -458,17 +453,20 @@ func TestEndpointRecordsMatchTwoMapModel(t *testing.T) {
 				ref.Reset()
 			case op < 13:
 				via, err := single[i].Send(msg)
-				refVia, refErr := refRouterSend([]*refNetwork{ref}, new(int), msg)
+				refVia, refErr := refRouterSend([]*refNetwork{ref}, msg)
 				sameErr(step, "one-network Router.Send", err, refErr)
 				if (via == nil) != (refVia == "") {
 					t.Fatalf("trial %d step %d: one-network send via %v, model %q", trial, step, via, refVia)
 				}
 			case op < 17:
 				via, err := router.Send(msg)
-				refVia, refErr := refRouterSend(refs, &refReroutes, msg)
+				refVia, refErr := refRouterSend(refs, msg)
 				sameErr(step, "Router.Send", err, refErr)
 				if (via == nil) != (refVia == "") || via != nil && via.Name() != refVia {
 					t.Fatalf("trial %d step %d: routed via %v, model %q", trial, step, via, refVia)
+				}
+				if via == nets[1] {
+					seen["reroutes"]++
 				}
 			default:
 				end := sim.Now() + simclock.Time(r.Intn(3000))*simclock.Second/1000
@@ -494,13 +492,11 @@ func TestEndpointRecordsMatchTwoMapModel(t *testing.T) {
 					}
 				}
 			}
-			if router.Reroutes != refReroutes || !slices.Equal(got, want) {
-				t.Fatalf("trial %d step %d: reroutes %d, model %d\n calls: %q\n model: %q",
-					trial, step, router.Reroutes, refReroutes, got, want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d step %d:\n calls: %q\n model: %q", trial, step, got, want)
 			}
 		}
 		seen["delivered"] += len(got)
-		seen["reroutes"] += router.Reroutes
 		for _, n := range nets {
 			seen["dropped"] += n.Stats().Dropped
 		}

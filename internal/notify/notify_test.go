@@ -1,46 +1,35 @@
 package notify
 
 import (
+	"slices"
 	"testing"
-
-	"repro/internal/simclock"
 )
 
 func TestSendAndHistory(t *testing.T) {
-	sim := simclock.New(1)
-	b := NewBus(sim)
-	sim.Schedule(simclock.Hour, "send", func(simclock.Time) {
-		b.Send("intelliagent@db001", "oncall@site", "ORA-01 down", "restarting", "service-fault")
-	})
-	sim.RunUntil(simclock.Hour)
-	h := b.History()
-	if len(h) != 1 {
-		t.Fatalf("history = %d", len(h))
+	b := NewBus()
+	b.Send("service-fault")
+	b.Send("threshold")
+	if h := b.History(); !slices.Equal(h, []string{"service-fault", "threshold"}) {
+		t.Fatalf("history = %v", h)
 	}
-	if h[0].At != simclock.Hour || h[0].Tag != "service-fault" {
-		t.Errorf("notification: %+v", h[0])
+	b.Reset()
+	if h := b.History(); len(h) != 0 {
+		t.Errorf("history after Reset = %v", h)
 	}
 }
 
+// TestCountByTagAndSince: CountByTag counts every send of a tag, and the
+// sends after a mark in History are the tail past the mark.
 func TestCountByTagAndSince(t *testing.T) {
-	sim := simclock.New(1)
-	b := NewBus(sim)
-	b.Send("a", "b", "x", "", "threshold")
-	sim.Schedule(simclock.Hour, "later", func(simclock.Time) {
-		b.Send("a", "b", "y", "", "threshold")
-		b.Send("a", "b", "z", "", "fault")
-	})
-	sim.RunUntil(simclock.Hour)
+	b := NewBus()
+	b.Send("threshold")
+	mark := len(b.History())
+	b.Send("threshold")
+	b.Send("fault")
 	if b.CountByTag("threshold") != 2 || b.CountByTag("fault") != 1 || b.CountByTag("none") != 0 {
 		t.Error("CountByTag broken")
 	}
-	since := 0 // notifications at or after 1h
-	for _, n := range b.History() {
-		if n.At >= simclock.Hour {
-			since++
-		}
-	}
-	if since != 2 {
-		t.Errorf("%d notifications since 1h, want 2", since)
+	if since := b.History()[mark:]; !slices.Equal(since, []string{"threshold", "fault"}) {
+		t.Errorf("notifications since the mark = %v, want [threshold fault]", since)
 	}
 }

@@ -19,9 +19,8 @@ package simclock
 // with other same-instant work, per-entry tickers would interleave the
 // callbacks where the wheel batches them. Registrations that share a
 // coordinate must therefore be contiguous for bit-identical replay. No
-// caller relies on the equivalence today: the Figure 3/4 rig registers one
-// monitor, and slotted agent crons are a model of their own, held to no
-// per-entry schedule.
+// caller relies on the equivalence today: slotted agent crons are a model
+// of their own, held to no per-entry schedule.
 // Likewise, an event a callback schedules for exactly its bucket's next
 // tick runs before the whole bucket there, where per-entry tickers would
 // run it after the entries registered before that callback's own. The
@@ -66,7 +65,6 @@ type wheelKey struct {
 // bucket is one (start, period) coordinate's shared repeating event.
 type bucket struct {
 	wheel    *Wheel
-	key      wheelKey
 	entries  []*CronEntry
 	prepared int // entries with a prepare phase
 	ev       *Event
@@ -123,7 +121,7 @@ func (w *Wheel) add(start, period Time, e *CronEntry) *CronEntry {
 	key := wheelKey{start: start, period: period}
 	b := w.buckets[key]
 	if b == nil {
-		b = &bucket{wheel: w, key: key, lane: w.sim.laneFor(period)}
+		b = &bucket{wheel: w, lane: w.sim.laneFor(period)}
 		b.ev = w.sim.Schedule(start, "cron-wheel", b.fire)
 		w.buckets[key] = b
 	}
@@ -151,10 +149,10 @@ func (b *bucket) fire(now Time) {
 			}
 		}
 	}
-	// The key keeps the original start so entries added later for the same
-	// (start, period) coordinate join this bucket rather than forking a
-	// drifting duplicate; the next fire is period from now regardless, in
-	// the lane of the period.
+	// The wheel's map keeps the bucket under its original start, so entries
+	// added later for the same (start, period) coordinate join this bucket
+	// rather than forking a drifting duplicate; the next fire is period
+	// from now regardless, in the lane of the period.
 	b.wheel.sim.rearm(b.ev, b.lane)
 }
 

@@ -13,12 +13,11 @@ import (
 // OracleSpec returns a spec for an Oracle database instance.
 func OracleSpec(name string, port int) Spec {
 	return Spec{
-		Name:       name,
-		Kind:       KindOracle,
-		Version:    "8.1.7",
-		Port:       port,
-		User:       "oracle",
-		BinaryPath: "/apps/oracle/bin",
+		Name:    name,
+		Kind:    KindOracle,
+		Version: "8.1.7",
+		Port:    port,
+		User:    "oracle",
 		Components: []Component{
 			{ProcName: "ora_pmon", Count: 1, CPUDemand: 0.05, MemMB: 64},
 			{ProcName: "ora_smon", Count: 1, CPUDemand: 0.05, MemMB: 64},
@@ -29,19 +28,17 @@ func OracleSpec(name string, port int) Spec {
 		ConnectTimeout: 30 * simclock.Second,
 		BaseLatency:    200 * simclock.Time(1e6), // 200ms
 		StartupTime:    3 * simclock.Minute,
-		ShutdownTime:   2 * simclock.Minute,
 	}
 }
 
 // SybaseSpec returns a spec for a Sybase database instance.
 func SybaseSpec(name string, port int) Spec {
 	return Spec{
-		Name:       name,
-		Kind:       KindSybase,
-		Version:    "12.0",
-		Port:       port,
-		User:       "sybase",
-		BinaryPath: "/apps/sybase/bin",
+		Name:    name,
+		Kind:    KindSybase,
+		Version: "12.0",
+		Port:    port,
+		User:    "sybase",
 		Components: []Component{
 			{ProcName: "dataserver", Count: 1, CPUDemand: 0.25, MemMB: 512},
 			{ProcName: "backupserver", Count: 1, CPUDemand: 0.05, MemMB: 64},
@@ -49,26 +46,23 @@ func SybaseSpec(name string, port int) Spec {
 		ConnectTimeout: 30 * simclock.Second,
 		BaseLatency:    180 * simclock.Time(1e6),
 		StartupTime:    2 * simclock.Minute,
-		ShutdownTime:   1 * simclock.Minute,
 	}
 }
 
 // WebSpec returns a spec for a web server.
 func WebSpec(name string, port int) Spec {
 	return Spec{
-		Name:       name,
-		Kind:       KindWeb,
-		Version:    "1.3",
-		Port:       port,
-		User:       "www",
-		BinaryPath: "/apps/apache/bin",
+		Name:    name,
+		Kind:    KindWeb,
+		Version: "1.3",
+		Port:    port,
+		User:    "www",
 		Components: []Component{
 			{ProcName: "httpd", Count: 5, CPUDemand: 0.03, MemMB: 16},
 		},
 		ConnectTimeout: 10 * simclock.Second,
 		BaseLatency:    50 * simclock.Time(1e6),
 		StartupTime:    20 * simclock.Second,
-		ShutdownTime:   10 * simclock.Second,
 	}
 }
 
@@ -76,12 +70,11 @@ func WebSpec(name string, port int) Spec {
 // service, which depends on a database and a web tier.
 func FrontEndSpec(name string, port int, deps ...string) Spec {
 	return Spec{
-		Name:       name,
-		Kind:       KindFront,
-		Version:    "4.2",
-		Port:       port,
-		User:       "finapp",
-		BinaryPath: "/apps/finapp/bin",
+		Name:    name,
+		Kind:    KindFront,
+		Version: "4.2",
+		Port:    port,
+		User:    "finapp",
 		Components: []Component{
 			{ProcName: "finapp_srv", Count: 2, CPUDemand: 0.15, MemMB: 256},
 			{ProcName: "finapp_gui", Count: 1, CPUDemand: 0.05, MemMB: 128},
@@ -90,19 +83,17 @@ func FrontEndSpec(name string, port int, deps ...string) Spec {
 		ConnectTimeout: 20 * simclock.Second,
 		BaseLatency:    300 * simclock.Time(1e6),
 		StartupTime:    1 * simclock.Minute,
-		ShutdownTime:   30 * simclock.Second,
 	}
 }
 
 // LSFSpec returns a spec for the LSF daemons on a host.
 func LSFSpec(name string) Spec {
 	return Spec{
-		Name:       name,
-		Kind:       KindLSF,
-		Version:    "4.1",
-		Port:       6878,
-		User:       "lsfadmin",
-		BinaryPath: "/apps/lsf/bin",
+		Name:    name,
+		Kind:    KindLSF,
+		Version: "4.1",
+		Port:    6878,
+		User:    "lsfadmin",
 		Components: []Component{
 			{ProcName: "lim", Count: 1, CPUDemand: 0.02, MemMB: 16},
 			{ProcName: "res", Count: 1, CPUDemand: 0.01, MemMB: 8},
@@ -111,19 +102,17 @@ func LSFSpec(name string) Spec {
 		ConnectTimeout: 15 * simclock.Second,
 		BaseLatency:    100 * simclock.Time(1e6),
 		StartupTime:    30 * simclock.Second,
-		ShutdownTime:   10 * simclock.Second,
 	}
 }
 
 // FeedSpec returns a spec for a market-data feed handler (Reuters et al.).
 func FeedSpec(name string, port int) Spec {
 	return Spec{
-		Name:       name,
-		Kind:       KindFeed,
-		Version:    "2.0",
-		Port:       port,
-		User:       "feeds",
-		BinaryPath: "/apps/feeds/bin",
+		Name:    name,
+		Kind:    KindFeed,
+		Version: "2.0",
+		Port:    port,
+		User:    "feeds",
 		Components: []Component{
 			{ProcName: "feedd", Count: 1, CPUDemand: 0.20, MemMB: 128},
 			{ProcName: "feedcache", Count: 1, CPUDemand: 0.10, MemMB: 256},
@@ -131,7 +120,6 @@ func FeedSpec(name string, port int) Spec {
 		ConnectTimeout: 10 * simclock.Second,
 		BaseLatency:    30 * simclock.Time(1e6),
 		StartupTime:    15 * simclock.Second,
-		ShutdownTime:   5 * simclock.Second,
 	}
 }
 

@@ -88,21 +88,19 @@ type Component struct {
 }
 
 // Spec is the static description of a service instance — the information
-// the paper's SLKTs record: processes, startup sequence, port, binary
-// location, timeouts, dependencies.
+// the paper's SLKTs record: processes, startup sequence, port, timeouts,
+// dependencies.
 type Spec struct {
 	Name           string // e.g. "ORA-PROD-07"
 	Kind           Kind
 	Version        string
 	Port           int
 	User           string
-	BinaryPath     string
 	Components     []Component   // startup sequence order
 	DependsOn      []string      // services that must be running first
 	ConnectTimeout simclock.Time // provided by application specialists
 	BaseLatency    simclock.Time // healthy response time at idle
 	StartupTime    simclock.Time
-	ShutdownTime   simclock.Time
 }
 
 // Validate reports configuration errors in the spec.
@@ -141,9 +139,6 @@ type Service struct {
 	// (corruptions, bugs)" category causes: restarts fail until a human
 	// repairs the underlying damage and clears the flag.
 	Wedged bool
-	// crash/restart counters for reports
-	Crashes  int
-	Restarts int
 }
 
 // New binds a spec to a host, pinning the host's process-count cell for
@@ -208,7 +203,7 @@ func (s *Service) Start(onRunning func(now simclock.Time)) error {
 	// the service answers probes only once StartupTime elapses.
 	for _, c := range s.Spec.Components {
 		for i := 0; i < c.Count; i++ {
-			p := s.Host.Spawn(c.ProcName, s.Spec.User, s.Spec.BinaryPath, c.CPUDemand, c.MemMB)
+			p := s.Host.Spawn(c.ProcName, s.Spec.User, c.CPUDemand, c.MemMB)
 			if p == nil {
 				s.state = StateCrashed
 				return fmt.Errorf("svc: %s: spawn failed on %s", s.Spec.Name, s.Host.Name)
@@ -238,7 +233,7 @@ func (s *Service) ForceRunning() {
 }
 
 // Stop shuts the service down cleanly (kills processes immediately in the
-// simulation; ShutdownTime matters only to measurement, not correctness).
+// simulation).
 func (s *Service) Stop() {
 	s.reapProcs()
 	s.pids = nil
@@ -252,7 +247,6 @@ func (s *Service) Crash() {
 	s.pids = nil
 	s.state = StateCrashed
 	s.conns = 0
-	s.Crashes++
 }
 
 // Hang leaves processes in the table but stops the service responding.
@@ -266,7 +260,6 @@ func (s *Service) Hang() {
 		}
 	}
 	s.state = StateHung
-	s.Crashes++
 }
 
 // Degrade marks the service slow (e.g. under an overload or after an
@@ -348,13 +341,11 @@ func (s *Service) ProcCounts() (present, hung int) {
 }
 
 // Reset returns the service to the state New leaves it in — stopped, no
-// processes, counters zeroed, corruption cleared. Site reuse calls this
-// between trials; the host's process table is reset separately.
+// processes, corruption cleared. Site reuse calls this between trials;
+// the host's process table is reset separately.
 func (s *Service) Reset() {
 	s.state = StateStopped
 	s.pids = nil
 	s.conns = 0
 	s.Wedged = false
-	s.Crashes = 0
-	s.Restarts = 0
 }

@@ -146,8 +146,8 @@ func TestCrashAndProbe(t *testing.T) {
 		t.Fatalf("healthy probe failed: %v", r)
 	}
 	s.Crash()
-	if s.Crashes != 1 {
-		t.Errorf("crash counter = %d", s.Crashes)
+	if s.State() != StateCrashed {
+		t.Errorf("state after crash = %v", s.State())
 	}
 	r := s.Probe()
 	if r.ExitCode != ExitRefused {
@@ -211,7 +211,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 	h := testHost(sim)
 	s := startedService(t, sim, h)
 	idle := s.ResponseLatency()
-	h.Spawn("hog", "u", "", 7.5, 100) // E4500 has 8 CPUs
+	h.Spawn("hog", "u", 7.5, 100) // E4500 has 8 CPUs
 	if s.ResponseLatency() <= idle {
 		t.Error("latency should grow under load")
 	}
@@ -221,7 +221,7 @@ func TestProbeTimesOutUnderSaturation(t *testing.T) {
 	sim := simclock.New(1)
 	h := testHost(sim)
 	s := startedService(t, sim, h)
-	h.Spawn("hog", "u", "", 1000, 100)
+	h.Spawn("hog", "u", 1000, 100)
 	r := s.Probe()
 	if r.ExitCode != ExitTimeout {
 		t.Errorf("saturated probe should time out: %v", r)
@@ -384,10 +384,10 @@ func TestProcChecksMatchPGrep(t *testing.T) {
 		{"kill component", func() { ora1.KillComponent("ora_dbwr", 2) }},
 		{"kill shared name", func() { ora2.KillComponent("ora_pmon", 1) }},
 		{"hang", func() { web.Hang() }},
-		{"stray process", func() { stray = h.Spawn("httpd", "www", "", 0.01, 4).PID }},
+		{"stray process", func() { stray = h.Spawn("httpd", "www", 0.01, 4).PID }},
 		{"restart", func() { ora1.Stop(); startAll() }},
 		{"stop", func() { web.Stop(); h.Kill(stray) }},
-		{"batch job", func() { h.Spawn("lsf_job_1", "analyst1", "", 0.5, 64) }},
+		{"batch job", func() { h.Spawn("lsf_job_1", "analyst1", 0.5, 64) }},
 		{"start after stop", startAll},
 		{"host crash", func() { h.Crash() }},
 		{"boot", func() { h.Boot(simclock.Minute, nil); sim.RunUntil(sim.Now() + 2*simclock.Minute) }},
@@ -447,7 +447,7 @@ func BenchmarkServiceProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	db.Spawn("lsf_job_1", "analyst1", "jobid=1", 1.5, 256)
+	db.Spawn("lsf_job_1", "analyst1", 1.5, 256)
 	sim.RunUntil(10 * simclock.Minute)
 	for _, s := range []*Service{ora, httpd} {
 		b.Run(string(s.Spec.Kind), func(b *testing.B) {

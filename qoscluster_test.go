@@ -183,6 +183,25 @@ func TestAgentShortRunDetectsAndRepairs(t *testing.T) {
 	}
 }
 
+// TestNotificationCounts pins the notifications a small-site agents month
+// sends, by tag: qosbench's notify.sent reads their number, and no other
+// check sees it.
+func TestNotificationCounts(t *testing.T) {
+	site := mustSite(t, SmallTopology(), WithSeed(7), WithMode(ModeAgents))
+	mustRun(t, site, 30*simclock.Day)
+	want := map[string]int{"agent-escalation": 18, "host-down": 1, "threshold-exceeded": 32}
+	total := 0
+	for tag, n := range want {
+		if got := site.Bus.CountByTag(tag); got != n {
+			t.Errorf("%d %s notifications, want %d", got, tag, n)
+		}
+		total += n
+	}
+	if got := len(site.Bus.History()); got != total {
+		t.Errorf("%d notifications sent, want %d", got, total)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() Report {
 		site := mustSite(t, SmallTopology(), WithSeed(99), WithMode(ModeManual))

@@ -190,11 +190,11 @@ func FormatCampaign(r *campaign.Result) string {
 // group: the per-seed paired test when the caller established the
 // samples align seed for seed, Welch's otherwise.
 func significance(base, cell []float64, paired bool) string {
-	res, ok := campaign.TTest(base, cell, paired)
+	p, ok := campaign.TTest(base, cell, paired)
 	if !ok {
 		return fmt.Sprintf("%10s", "-")
 	}
-	return fmt.Sprintf("%10.4f", res.P)
+	return fmt.Sprintf("%10.4f", p)
 }
 
 // GroupLabel names a campaign cell's coordinates, skipping blank axes;

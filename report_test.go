@@ -211,8 +211,8 @@ func TestSignificancePairingRequiresFullSamples(t *testing.T) {
 	base, cell := []float64{1, 2, 3}, []float64{2, 4, 8}
 	welch, _ := campaign.TTest(base, cell, false)
 	pairedWrong, _ := campaign.TTest(base, cell, true)
-	wantWelch := fmt.Sprintf("%10.4f", welch.P)
-	wrong := fmt.Sprintf("%10.4f", pairedWrong.P)
+	wantWelch := fmt.Sprintf("%10.4f", welch)
+	wrong := fmt.Sprintf("%10.4f", pairedWrong)
 	if wantWelch == wrong {
 		t.Fatalf("test fixture cannot distinguish welch %s from paired %s", wantWelch, wrong)
 	}

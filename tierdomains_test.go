@@ -217,10 +217,10 @@ func TestTierBlackoutRespected(t *testing.T) {
 	if len(incs) == 0 {
 		t.Fatal("no incidents at all; blackout test is vacuous")
 	}
-	for _, inc := range incs {
+	for i, inc := range incs {
 		if h := inc.StartedAt.HourOfDay(); h >= 8 && h < 18 {
 			t.Errorf("incident %d (%s on %s) started at hour %d, inside the 08-18 blackout",
-				inc.ID, inc.Category, inc.Host, h)
+				i, inc.Category, inc.Host, h)
 		}
 	}
 }
